@@ -1,7 +1,7 @@
-// A/B benchmark for the staged-corpus sweep path: CorpusPanels + bulk batch
-// refresh + lane-serial execution versus the per-lane load + lockstep round
-// loop it replaces. Prints a table and writes BENCH_allpairs.json so CI can
-// archive the perf trajectory of the all-pairs hot path.
+// A/B benchmark for the all-pairs sweep engines over the staged corpus
+// panels: the lane-serial staged engine versus the SIMD vector engine.
+// Prints a table and writes BENCH_allpairs.json so CI can archive the perf
+// trajectory of the all-pairs hot path.
 //
 // Defaults match the acceptance setup: 1024 × 512-bit moduli, group size 64,
 // Approximate Euclidean with early termination. Scale with
@@ -9,7 +9,7 @@
 //   BULKGCD_BENCH_STAGING_BITS  — modulus size (default 512)
 //   BULKGCD_BENCH_REPS          — sweep repetitions, best-of (default 3)
 //
-// A third measurement re-runs the staged sweep with a live MetricsRegistry
+// A further measurement re-runs the staged sweep with a live MetricsRegistry
 // attached (docs/OBSERVABILITY.md) and reports the instrumentation overhead;
 // set BULKGCD_BENCH_ASSERT_OVERHEAD to make an overhead above 2% a failure
 // (CI quick-bench uses this as the telemetry-cost regression gate).
@@ -22,6 +22,7 @@
 
 #include "bench_util.hpp"
 #include "bulk/allpairs.hpp"
+#include "bulk/vec/vec_backend.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
@@ -35,12 +36,11 @@ struct SweepSample {
 };
 
 SweepSample sweep_once(std::span<const bulkgcd::mp::BigInt> moduli,
-                       bool staged, bulkgcd::bulk::BulkBackend backend,
+                       bulkgcd::bulk::Engine engine,
                        bulkgcd::obs::MetricsRegistry* metrics = nullptr,
                        std::size_t pool_threads = 0) {
   bulkgcd::bulk::AllPairsConfig config;
-  config.staged = staged;
-  config.backend = backend;
+  config.engine = engine;
   config.metrics = metrics;
   config.pool_threads = pool_threads;
   const auto result = bulkgcd::bulk::all_pairs_gcd(moduli, config);
@@ -58,11 +58,11 @@ void take_best(SweepSample& best, const SweepSample& sample) {
   if (best.seconds == 0.0 || sample.seconds < best.seconds) best = sample;
 }
 
-SweepSample measure(std::span<const bulkgcd::mp::BigInt> moduli, bool staged,
-                    bulkgcd::bulk::BulkBackend backend, std::size_t reps) {
+SweepSample measure(std::span<const bulkgcd::mp::BigInt> moduli,
+                    bulkgcd::bulk::Engine engine, std::size_t reps) {
   SweepSample best;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    take_best(best, sweep_once(moduli, staged, backend));
+    take_best(best, sweep_once(moduli, engine));
   }
   return best;
 }
@@ -86,7 +86,7 @@ int main() {
   const std::size_t bits = bench::env_size("BULKGCD_BENCH_STAGING_BITS", 512);
   const std::size_t reps = bench::env_size("BULKGCD_BENCH_REPS", 3);
 
-  bench::banner("bench_staging — staged corpus panels vs per-lane reloads",
+  bench::banner("bench_staging — staged vs vector engine over corpus panels",
                 "Section VI block sweep; staging added on top of the paper");
   std::printf("corpus: %zu moduli x %zu bits, group size 64, approximate "
               "euclidean, early terminate, best of %zu\n\n",
@@ -94,18 +94,12 @@ int main() {
 
   const auto& moduli = bench::corpus(bits, m);
 
-  // Pin each row to its backend explicitly so the comparison is meaningful
+  // Pin each row to its engine explicitly so the comparison is meaningful
   // regardless of what auto-dispatch would pick on this machine.
-  const SweepSample unstaged =
-      measure(moduli, /*staged=*/false, bulk::BulkBackend::kLockstep, reps);
-  const SweepSample vectorized =
-      measure(moduli, /*staged=*/true, bulk::BulkBackend::kVector, reps);
-  // Resolved ISA of the vector row (portable everywhere, avx2 on capable
-  // x86-64) — recorded so archived numbers are comparable across machines.
-  bulk::AllPairsConfig isa_probe;
-  isa_probe.backend = bulk::BulkBackend::kVector;
-  bulk::resolve_backend(isa_probe);
-  const char* vec_isa = to_string(isa_probe.vec_isa);
+  const SweepSample vectorized = measure(moduli, bulk::Engine::kVector, reps);
+  // ISA leg of the vector row (portable everywhere, avx2 on capable x86-64)
+  // — recorded so archived numbers are comparable across machines.
+  const char* isa_leg = to_string(bulk::detect_vec_isa());
   // Interleave the plain and instrumented staged sweeps rep-by-rep so slow
   // thermal / scheduler drift hits both paths equally; best-of damps the
   // rest. Measuring them back-to-back instead makes the overhead figure
@@ -114,11 +108,9 @@ int main() {
   SweepSample staged, instrumented;
   auto interleaved_round = [&] {
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      take_best(staged,
-                sweep_once(moduli, /*staged=*/true, bulk::BulkBackend::kStaged));
+      take_best(staged, sweep_once(moduli, bulk::Engine::kStaged));
       take_best(instrumented,
-                sweep_once(moduli, /*staged=*/true, bulk::BulkBackend::kStaged,
-                           &registry));
+                sweep_once(moduli, bulk::Engine::kStaged, &registry));
     }
   };
   auto overhead = [&] {
@@ -137,17 +129,9 @@ int main() {
        ++round) {
     interleaved_round();
   }
-  const double speedup = unstaged.pairs_per_second > 0
-                             ? staged.pairs_per_second /
-                                   unstaged.pairs_per_second
-                             : 0.0;
   const double overhead_pct = overhead();
 
   bench::Table table({"path", "pairs", "seconds", "pairs/s", "us/gcd"});
-  table.add_row({"unstaged (per-lane load + lockstep)",
-                 bench::fmt_u(unstaged.pairs), bench::fmt(unstaged.seconds, 3),
-                 bench::fmt(unstaged.pairs_per_second, 0),
-                 bench::fmt(unstaged.us_per_gcd, 3)});
   table.add_row({"staged (panels + lane-serial)", bench::fmt_u(staged.pairs),
                  bench::fmt(staged.seconds, 3),
                  bench::fmt(staged.pairs_per_second, 0),
@@ -157,7 +141,7 @@ int main() {
                  bench::fmt(instrumented.seconds, 3),
                  bench::fmt(instrumented.pairs_per_second, 0),
                  bench::fmt(instrumented.us_per_gcd, 3)});
-  table.add_row({std::string("vector (panels + SIMD warp engine, ") + vec_isa +
+  table.add_row({std::string("vector (panels + SIMD warp engine, ") + isa_leg +
                      ")",
                  bench::fmt_u(vectorized.pairs),
                  bench::fmt(vectorized.seconds, 3),
@@ -168,12 +152,10 @@ int main() {
       staged.pairs_per_second > 0
           ? vectorized.pairs_per_second / staged.pairs_per_second
           : 0.0;
-  std::printf("\nstaged / unstaged speedup: %.2fx\n", speedup);
-  std::printf("vector / staged speedup: %.2fx (%s)\n", vector_speedup,
-              vec_isa);
+  std::printf("\nvector / staged speedup: %.2fx (%s)\n", vector_speedup,
+              isa_leg);
   std::printf("telemetry overhead on the staged path: %.2f%%\n", overhead_pct);
-  if (staged.pairs != unstaged.pairs || staged.hits != unstaged.hits ||
-      instrumented.pairs != staged.pairs || instrumented.hits != staged.hits ||
+  if (instrumented.pairs != staged.pairs || instrumented.hits != staged.hits ||
       vectorized.pairs != staged.pairs || vectorized.hits != staged.hits) {
     std::printf("!! sweeps disagree on pairs/hits\n");
     return 1;
@@ -186,7 +168,7 @@ int main() {
 
   // ---- scaling mode: the sharded tile sweep at 1/2/4/8 workers -----------
   // Each worker count runs a private pool (pool_threads = N, 1 = inline) on
-  // the vector backend; pairs and hits must be bit-identical at every count
+  // the vector engine; pairs and hits must be bit-identical at every count
   // (the scheduler only moves tiles between workers). Skip with
   // BULKGCD_BENCH_SCALING=0; override the sweep points with
   // BULKGCD_BENCH_SCALING_WORKERS (comma-separated). pairs/s per worker
@@ -211,15 +193,14 @@ int main() {
   }
   std::vector<SweepSample> scaling(worker_counts.size());
   if (run_scaling && !worker_counts.empty()) {
-    std::printf("\nscaling (vector backend, private pool per worker count, "
+    std::printf("\nscaling (vector engine, private pool per worker count, "
                 "%u hardware core%s):\n", cores, cores == 1 ? "" : "s");
     bench::Table scale_table({"workers", "pairs", "seconds", "pairs/s",
                               "speedup vs 1"});
     for (std::size_t k = 0; k < worker_counts.size(); ++k) {
       SweepSample best;
       for (std::size_t rep = 0; rep < reps; ++rep) {
-        take_best(best, sweep_once(moduli, /*staged=*/true,
-                                   bulk::BulkBackend::kVector, nullptr,
+        take_best(best, sweep_once(moduli, bulk::Engine::kVector, nullptr,
                                    worker_counts[k]));
       }
       scaling[k] = best;
@@ -251,8 +232,6 @@ int main() {
                   m, bits, reps);
     json += buf;
   }
-  put_sample(json, "unstaged", unstaged);
-  json += ",\n";
   put_sample(json, "staged", staged);
   json += ",\n";
   put_sample(json, "staged_instrumented", instrumented);
@@ -276,9 +255,9 @@ int main() {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   ",\n  \"vector_isa\": \"%s\",\n"
-                  "  \"speedup\": %.3f,\n  \"vector_speedup\": %.3f,\n"
+                  "  \"vector_speedup\": %.3f,\n"
                   "  \"telemetry_overhead_pct\": %.2f\n}\n",
-                  vec_isa, speedup, vector_speedup, overhead_pct);
+                  isa_leg, vector_speedup, overhead_pct);
     json += buf;
   }
   std::ofstream out("BENCH_allpairs.json");

@@ -57,12 +57,12 @@ Cell run_cell(gcd::Variant variant, std::size_t bits, std::size_t m, bool early)
   config.group_size = 32;
   config.pool_threads = 1;  // timing: keep it on one core for clean ratios
 
-  config.engine = bulk::EngineKind::kScalar;
+  config.engine = bulk::Engine::kScalar;
   const auto cpu = bulk::all_pairs_gcd(moduli, config);
   cell.cpu_us = cpu.micros_per_gcd();
   cell.pairs = cpu.pairs_tested;
 
-  config.engine = bulk::EngineKind::kSimt;
+  config.engine = bulk::Engine::kAuto;
   const auto simt = bulk::all_pairs_gcd(moduli, config);
   cell.simt_us = simt.micros_per_gcd();
 

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
               num_keys * (num_keys - 1) / 2);
   bulk::AllPairsConfig config;
   config.variant = gcd::Variant::kApproximate;
-  config.engine = bulk::EngineKind::kSimt;
+  config.engine = bulk::Engine::kAuto;
   config.early_terminate = true;
   const bulk::AllPairsResult sweep = bulk::all_pairs_gcd(corpus.moduli, config);
 

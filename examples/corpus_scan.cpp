@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   // Method 1: bulk pairwise GCD (the paper).
   bulk::AllPairsConfig config;
-  config.engine = bulk::EngineKind::kSimt;
+  config.engine = bulk::Engine::kAuto;
   const bulk::AllPairsResult pairwise = bulk::all_pairs_gcd(corpus.moduli, config);
 
   // Method 2: batch GCD (product + remainder tree).

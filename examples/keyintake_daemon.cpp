@@ -46,8 +46,7 @@
 //                          beyond that new connections get `busy`
 //   --queue-capacity <n>   admission queue bound (default 1024; full = shed)
 //   --batch-max <n>        max keys per probe-element wakeup (default 64)
-//   --engine simt|scalar   probe engine (default simt)
-//   --backend auto|lockstep|staged|vector   bulk backend (default auto)
+//   --engine auto|vector|staged|scalar  probe engine (default auto)
 //   --threads <n>          probe pool threads (1 = inline, 0 = global pool)
 //   --metrics-out <file>   append NDJSON telemetry snapshots
 //   --metrics-interval <s> seconds between snapshots (default 5)
@@ -97,8 +96,7 @@ int usage(const char* argv0) {
                "usage: %s [--port <n>] [--metrics-port <n>] [--seed <file>]\n"
                "          [--journal <file>] [--journal-fsync-every <n>]\n"
                "          [--max-conns <n>] [--queue-capacity <n>]\n"
-               "          [--batch-max <n>] [--engine simt|scalar]\n"
-               "          [--backend auto|lockstep|staged|vector]\n"
+               "          [--batch-max <n>] [--engine auto|vector|staged|scalar]\n"
                "          [--threads <n>] [--metrics-out <file>]\n"
                "          [--metrics-interval <sec>] [--trace-out <file>]\n"
                "          [--exit-after-idle <sec>]\n",
@@ -256,27 +254,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--batch-max") {
       config.batch_max = next_u64("--batch-max");
     } else if (arg == "--engine") {
-      const std::string engine = next("--engine");
-      if (engine == "simt") {
-        config.probe.engine = bulk::EngineKind::kSimt;
-      } else if (engine == "scalar") {
-        config.probe.engine = bulk::EngineKind::kScalar;
-      } else {
-        return usage(argv[0]);
-      }
-    } else if (arg == "--backend") {
-      const std::string backend = next("--backend");
-      if (backend == "auto") {
-        config.probe.backend = bulk::BulkBackend::kAuto;
-      } else if (backend == "lockstep") {
-        config.probe.backend = bulk::BulkBackend::kLockstep;
-      } else if (backend == "staged") {
-        config.probe.backend = bulk::BulkBackend::kStaged;
-      } else if (backend == "vector") {
-        config.probe.backend = bulk::BulkBackend::kVector;
-      } else {
-        return usage(argv[0]);
-      }
+      const auto engine = bulk::parse_engine(next("--engine"));
+      if (!engine) return usage(argv[0]);
+      config.probe.engine = *engine;
     } else if (arg == "--threads") {
       config.probe.pool_threads = next_u64("--threads");
     } else if (arg == "--metrics-out") {

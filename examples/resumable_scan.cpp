@@ -10,7 +10,7 @@
 //   --checkpoint <path>    checkpoint journal (default: <corpus>.ckpt)
 //   --chunk-blocks <n>     blocks per durable work unit (default 64)
 //   --group-size <r>       moduli per block group (default 64)
-//   --engine simt|scalar   bulk engine (default simt)
+//   --engine auto|vector|staged|scalar  bulk engine (default auto)
 //   --threads <n>          worker threads (default: hardware; 1 = inline)
 //   --tile-blocks <n>      blocks per work-stealing scheduler tile
 //                          (default 0 = auto; purely a scheduling knob —
@@ -46,7 +46,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [<moduli-file>] [--generate <count> <bits> <weak>]\n"
                "          [--checkpoint <path>] [--chunk-blocks <n>]\n"
-               "          [--group-size <r>] [--engine simt|scalar]\n"
+               "          [--group-size <r>] [--engine auto|vector|staged|scalar]\n"
                "          [--threads <n>] [--tile-blocks <n>]\n"
                "          [--stop-after <n>]\n"
                "          [--discard-checkpoint]\n"
@@ -106,14 +106,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--group-size") {
       config.pairs.group_size = next_u64("--group-size");
     } else if (arg == "--engine") {
-      const std::string engine = next("--engine");
-      if (engine == "simt") {
-        config.pairs.engine = bulk::EngineKind::kSimt;
-      } else if (engine == "scalar") {
-        config.pairs.engine = bulk::EngineKind::kScalar;
-      } else {
-        return usage(argv[0]);
-      }
+      const auto engine = bulk::parse_engine(next("--engine"));
+      if (!engine) return usage(argv[0]);
+      config.pairs.engine = *engine;
     } else if (arg == "--threads") {
       config.pairs.pool_threads = next_u64("--threads");
     } else if (arg == "--tile-blocks") {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <type_traits>
 
 #include "bulk/block_grid.hpp"
 #include "bulk/tile_scheduler.hpp"
@@ -44,7 +43,7 @@ AllPairsResult all_pairs_gcd(std::span<const mp::BigInt> moduli,
   if (m < 2) return result;
 
   AllPairsConfig cfg = config;
-  resolve_backend(cfg);
+  cfg.engine = resolve_engine(cfg.engine);
 
   // Repack the BigInt corpus into scan limbs once (bulk/scan_corpus.hpp);
   // every hot-path access below — staging, loads, the full-modulus check —
@@ -59,10 +58,7 @@ AllPairsResult all_pairs_gcd(std::span<const mp::BigInt> moduli,
   // Stage the corpus once (the paper's single host→device copy); every
   // worker's sweeper then refreshes its batch from the shared read-only
   // panels.
-  std::optional<CorpusPanels<ScanLimb>> panels;
-  if (cfg.engine == EngineKind::kSimt && cfg.staged) {
-    panels.emplace(scan, grid.r, cap + kBatchPadLimbs);
-  }
+  const CorpusPanels<ScanLimb> panels(scan, grid.r, cap + kBatchPadLimbs);
 
   Timer timer;
 
@@ -80,8 +76,8 @@ AllPairsResult all_pairs_gcd(std::span<const mp::BigInt> moduli,
       [&](std::size_t w, const TileRange& t) {
         auto& sweeper = sweepers[w];
         if (!sweeper) {
-          sweeper = std::make_unique<BlockSweeper>(
-              scan, grid, cfg, cap, panels ? &*panels : nullptr);
+          sweeper = std::make_unique<BlockSweeper>(scan, grid, cfg, cap,
+                                                   panels);
         }
         sweeper->run_blocks(t.lo, t.hi);
       },
@@ -114,12 +110,12 @@ namespace {
 /// scheduler. Generic over the corpus view — ScanCorpus (repacked per call by
 /// the span overload) or StagedCorpusT (kept live across arrivals by the
 /// streaming fold) — both exposing size()/limbs(i)/bits(i)/max_limbs().
-/// `panels` (optional) must stage exactly the view's moduli with lane count
-/// `r`. cfg must already be backend-resolved.
+/// `panels` must stage exactly the view's moduli with lane count `r`. cfg
+/// must already be engine-resolved.
 template <class CorpusView>
 std::vector<IncrementalHit> probe_corpus(const mp::BigInt& candidate,
                                          const CorpusView& scan, std::size_t r,
-                                         const CorpusPanels<ScanLimb>* panels,
+                                         const CorpusPanels<ScanLimb>& panels,
                                          const AllPairsConfig& cfg,
                                          ProbeStats* stats) {
   std::vector<IncrementalHit> hits;
@@ -146,39 +142,23 @@ std::vector<IncrementalHit> probe_corpus(const mp::BigInt& candidate,
     local.push_back({i, to_default_bigint<ScanLimb>(gl), full});
   };
 
-  // Generic over the executing batch (SimtBatch or the vector engine) —
-  // identical verbs, modulo the staged/lockstep entry-point split.
+  // Generic over the executing batch (SimtBatch or the vector engine):
+  // each probe block refreshes the batch from group `block`'s panel and a
+  // broadcast of the candidate.
   auto probe_blocks = [&](auto& batch, std::size_t lo, std::size_t hi,
                           std::vector<IncrementalHit>& local,
                           std::uint64_t& pairs) {
-    using Batch = std::decay_t<decltype(batch)>;
     for (std::size_t block = lo; block < hi; ++block) {
       const std::size_t begin = block * r;
       const std::size_t end = std::min(begin + r, m);
-      if (panels) {
-        batch.load_panel(panels->panel(block), panels->sizes(block),
-                         panels->rows(block));
-        batch.broadcast_y(cand);
-        for (std::size_t k = 0; begin + k < end; ++k) {
-          batch.reset_lane_state(k, early(begin + k));
-        }
-        for (std::size_t k = end - begin; k < r; ++k) batch.disable(k);
-        if constexpr (std::is_same_v<Batch,
-                                     SimtBatch<ScanLimb, ColumnMatrix>>) {
-          batch.run_staged(cfg.variant);
-        } else {
-          batch.run(cfg.variant);
-        }
-      } else {
-        for (std::size_t k = 0; k < r; ++k) {
-          if (begin + k < end) {
-            batch.load(k, scan.limbs(begin + k), cand, early(begin + k));
-          } else {
-            batch.disable(k);
-          }
-        }
-        batch.run(cfg.variant);
+      batch.load_panel(panels.panel(block), panels.sizes(block),
+                       panels.rows(block));
+      batch.broadcast_y(cand);
+      for (std::size_t k = 0; begin + k < end; ++k) {
+        batch.reset_lane_state(k, early(begin + k));
       }
+      for (std::size_t k = end - begin; k < r; ++k) batch.disable(k);
+      run_lanes(batch, cfg.variant);
       pairs += end - begin;
       for (std::size_t k = 0; begin + k < end; ++k) {
         if (batch.early_coprime(k)) continue;
@@ -212,22 +192,19 @@ std::vector<IncrementalHit> probe_corpus(const mp::BigInt& candidate,
   sched.run(exec.pool, [&](std::size_t w, const TileRange& t) {
     auto& worker = workers[w];
     if (!worker) worker = std::make_unique<ProbeWorker>();
-    if (cfg.engine == EngineKind::kSimt) {
-      if (cfg.backend == BulkBackend::kVector) {
-        if (!worker->vec) {
-          worker->vec =
-              make_vec_batch<ScanLimb>(r, cap, cfg.warp_width, cfg.vec_isa);
-        }
-        probe_blocks(*worker->vec, t.lo, t.hi, worker->hits,
-                     worker->work.pairs_tested);
-      } else {
-        if (!worker->simt) {
-          worker->simt = std::make_unique<SimtBatch<ScanLimb, ColumnMatrix>>(
-              r, cap, cfg.warp_width);
-        }
-        probe_blocks(*worker->simt, t.lo, t.hi, worker->hits,
-                     worker->work.pairs_tested);
+    if (cfg.engine == Engine::kVector) {
+      if (!worker->vec) {
+        worker->vec = make_vec_batch<ScanLimb>(r, cap, cfg.warp_width);
       }
+      probe_blocks(*worker->vec, t.lo, t.hi, worker->hits,
+                   worker->work.pairs_tested);
+    } else if (cfg.engine == Engine::kStaged) {
+      if (!worker->simt) {
+        worker->simt = std::make_unique<SimtBatch<ScanLimb, ColumnMatrix>>(
+            r, cap, cfg.warp_width);
+      }
+      probe_blocks(*worker->simt, t.lo, t.hi, worker->hits,
+                   worker->work.pairs_tested);
     } else {
       if (!worker->scalar_engine) {
         worker->scalar_engine = std::make_unique<gcd::GcdEngine<ScanLimb>>(cap);
@@ -281,19 +258,16 @@ std::vector<IncrementalHit> probe_incremental(const mp::BigInt& candidate,
   if (corpus.empty() || candidate.is_zero()) return {};
 
   AllPairsConfig cfg = config;
-  resolve_backend(cfg);
+  cfg.engine = resolve_engine(cfg.engine);
 
   const ScanCorpus scan(corpus);
   const std::size_t r = std::max<std::size_t>(1, std::min(cfg.group_size,
                                                           corpus.size()));
   // Stage the corpus once; each probe block then refreshes its batch with a
   // bulk panel copy + candidate broadcast (group g == probe block g).
-  std::optional<CorpusPanels<ScanLimb>> panels;
-  if (cfg.engine == EngineKind::kSimt && cfg.staged) {
-    panels.emplace(scan, r, scan.max_limbs() + kBatchPadLimbs);
-  }
-  return probe_corpus(candidate, scan, r, panels ? &*panels : nullptr, cfg,
-                      stats);
+  const CorpusPanels<ScanLimb> panels(scan, r,
+                                      scan.max_limbs() + kBatchPadLimbs);
+  return probe_corpus(candidate, scan, r, panels, cfg, stats);
 }
 
 std::vector<IncrementalHit> probe_incremental(const mp::BigInt& candidate,
@@ -304,17 +278,14 @@ std::vector<IncrementalHit> probe_incremental(const mp::BigInt& candidate,
   if (corpus.size() == 0 || candidate.is_zero()) return {};
 
   AllPairsConfig cfg = config;
-  resolve_backend(cfg);
+  cfg.engine = resolve_engine(cfg.engine);
 
   // The staged corpus already carries live panels with its own lane count;
   // the probe rides them directly — no repack, no panel rebuild. Lane count
   // is NOT clamped to the corpus size (tail lanes run disabled), which is
   // value-identical: r only shapes batching, never which pairs run.
-  const CorpusPanels<ScanLimb>* panels =
-      (cfg.engine == EngineKind::kSimt && cfg.staged) ? &corpus.panels()
-                                                      : nullptr;
-  return probe_corpus(candidate, corpus, corpus.group_size(), panels, cfg,
-                      stats);
+  return probe_corpus(candidate, corpus, corpus.group_size(), corpus.panels(),
+                      cfg, stats);
 }
 
 }  // namespace bulkgcd::bulk

@@ -27,14 +27,15 @@ class TraceRecorder;
 
 namespace bulkgcd::bulk {
 
-enum class EngineKind {
-  kScalar,  ///< one GcdEngine per worker, pair by pair (the CPU column)
-  kSimt,    ///< warp-lockstep batches, column-wise layout (the GPU analogue)
-};
-
 struct AllPairsConfig {
   gcd::Variant variant = gcd::Variant::kApproximate;
-  EngineKind engine = EngineKind::kSimt;
+  /// The one engine knob (bulk/backend.hpp). kVector and kStaged stage the
+  /// corpus once into column-major CorpusPanels and refresh each block's
+  /// batch by bulk panel copy (the CUDA kernel shape); kScalar runs the
+  /// plain GcdEngine pair by pair. Every engine finds the same hits, and the
+  /// two SIMT engines also give bit-identical SimtStats, so the checkpoint
+  /// identity records only scalar-or-not.
+  Engine engine = Engine::kAuto;
   bool early_terminate = true;  ///< Section V termination for RSA moduli
   std::size_t group_size = 64;  ///< r: moduli per group == lanes per block
   std::size_t warp_width = 32;
@@ -47,22 +48,6 @@ struct AllPairsConfig {
   /// bit-identical across tile shapes and worker counts, so neither is part
   /// of the checkpoint identity.
   std::size_t tile_blocks = 0;
-  /// Stage the corpus once into column-major CorpusPanels and refresh each
-  /// SIMT batch by bulk panel copy + lane-serial execution (the CUDA kernel
-  /// shape) instead of r per-lane loads + lockstep rounds. Bit-identical
-  /// hits, GCDs, and statistics — asserted by the staging differential
-  /// tests; the unstaged path stays available as the reference. Ignored by
-  /// the scalar engine.
-  bool staged = true;
-  /// Execution backend for the SIMT engine's blocks (bulk/backend.hpp).
-  /// kAuto resolves at runtime: the vector backend when the CPU supports a
-  /// compiled-in SIMD leg (and staging is on), else the staged scalar path.
-  /// Overridable without recompiling via BULKGCD_FORCE_BACKEND =
-  /// auto | lockstep | staged | vector | vector-portable. Bit-identical
-  /// results across backends, so NOT part of the checkpoint identity.
-  BulkBackend backend = BulkBackend::kAuto;
-  /// Vector ISA when backend resolves to kVector; kAuto = cpuid probe.
-  VecIsa vec_isa = VecIsa::kAuto;
   /// Telemetry sink (src/obs/). Null — the "null registry" path — keeps the
   /// sweep free of instrumentation work beyond a handful of branches; when
   /// set, the sweep feeds the sweep_*/simt_*/gcd_* metrics documented in
@@ -96,21 +81,12 @@ struct AllPairsResult {
   std::uint64_t blocks_run = 0;
   std::uint64_t input_bytes = 0;   ///< host→device traffic a GPU would pay
   double seconds = 0.0;            ///< wall-clock for the whole sweep
-  SimtStats simt;                  ///< filled for EngineKind::kSimt
-  gcd::GcdStats scalar;            ///< filled for EngineKind::kScalar
+  SimtStats simt;                  ///< filled by the vector/staged engines
+  gcd::GcdStats scalar;            ///< filled by Engine::kScalar
   double micros_per_gcd() const noexcept {
     return pairs_tested == 0 ? 0.0 : seconds * 1e6 / double(pairs_tested);
   }
 };
-
-/// Resolve config.backend / config.vec_isa in place: applies the
-/// BULKGCD_FORCE_BACKEND environment override (throws std::invalid_argument
-/// on an unknown value), then collapses kAuto to a concrete backend for this
-/// process (vector iff a SIMD leg is compiled in AND the CPU supports it and
-/// the config is staged-SIMT; staged or lockstep otherwise). all_pairs_gcd,
-/// probe_incremental, and the scan driver call this once per run; it is
-/// exposed so benches and tests can pin or inspect the resolution.
-void resolve_backend(AllPairsConfig& config);
 
 /// Probe all m(m−1)/2 pairs of `moduli` for shared prime factors.
 AllPairsResult all_pairs_gcd(std::span<const mp::BigInt> moduli,
@@ -135,8 +111,8 @@ struct IncrementalHit {
 /// stats — the probe path feeds telemetry like the full sweep does.
 struct ProbeStats {
   std::uint64_t pairs_tested = 0;  ///< candidate × corpus pairs executed
-  SimtStats simt;                  ///< filled for EngineKind::kSimt
-  gcd::GcdStats scalar;            ///< filled for EngineKind::kScalar
+  SimtStats simt;                  ///< filled by the vector/staged engines
+  gcd::GcdStats scalar;            ///< filled by Engine::kScalar
 };
 
 std::vector<IncrementalHit> probe_incremental(

@@ -1,47 +1,47 @@
-// Bulk execution backend selection (the CPU analogue of a CUDA launch
-// configuration). BulkBackend picks the engine shape the all-pairs sweep
-// runs its SIMT blocks with; VecIsa picks the instruction set the vector
-// backend executes with. Both enums deliberately live outside the engine
-// headers: AllPairsConfig carries them, and the checkpoint journal identity
-// deliberately EXCLUDES them — every backend produces bit-identical hits and
-// statistics (asserted by the differential tests), so a checkpoint written
-// under one backend resumes under any other, exactly like the `staged` flag.
+// Bulk engine selection (the CPU analogue of a CUDA launch configuration).
+// One knob picks the engine the all-pairs sweep runs its Section-VI blocks
+// with. The checkpoint journal identity records only "scalar or SIMT":
+// kVector and kStaged produce bit-identical hits and statistics (asserted by
+// the differential tests), so a checkpoint written under one resumes under
+// the other.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 namespace bulkgcd::bulk {
 
-enum class BulkBackend : std::uint8_t {
-  kAuto,      ///< resolve at runtime: vector when the CPU has it, else staged
-  kLockstep,  ///< per-lane loads + warp-lockstep rounds (reference path)
-  kStaged,    ///< corpus panels + lane-serial scalar execution (PR 2 shape)
-  kVector,    ///< corpus panels + W-lane SIMD warp engine (bulk/vec/)
+enum class Engine : std::uint8_t {
+  kAuto,    ///< kVector when the CPU runs the AVX2 leg, else kStaged
+  kVector,  ///< corpus panels + W-lane SIMD warp engine (bulk/vec/)
+  kStaged,  ///< corpus panels + lane-serial SimtBatch::run_staged()
+  kScalar,  ///< one GcdEngine per worker, pair by pair (the CPU column)
 };
 
-enum class VecIsa : std::uint8_t {
-  kAuto,      ///< cpuid-probe the best compiled-in ISA
-  kPortable,  ///< the same W-wide kernels compiled with baseline flags
-  kAvx2,      ///< the -mavx2 translation unit (x86-64 with AVX2 only)
-};
-
-constexpr const char* to_string(BulkBackend b) noexcept {
-  switch (b) {
-    case BulkBackend::kAuto: return "auto";
-    case BulkBackend::kLockstep: return "lockstep";
-    case BulkBackend::kStaged: return "staged";
-    case BulkBackend::kVector: return "vector";
-    default: return "?";
+constexpr const char* to_string(Engine e) noexcept {
+  switch (e) {
+    case Engine::kAuto: return "auto";
+    case Engine::kVector: return "vector";
+    case Engine::kStaged: return "staged";
+    case Engine::kScalar: return "scalar";
   }
+  return "?";
 }
 
-constexpr const char* to_string(VecIsa isa) noexcept {
-  switch (isa) {
-    case VecIsa::kAuto: return "auto";
-    case VecIsa::kPortable: return "portable";
-    case VecIsa::kAvx2: return "avx2";
-    default: return "?";
+/// Inverse of to_string(Engine); nullopt for anything else. The CLIs'
+/// `--engine auto|vector|staged|scalar` flag.
+constexpr std::optional<Engine> parse_engine(std::string_view name) noexcept {
+  for (const Engine e :
+       {Engine::kAuto, Engine::kVector, Engine::kStaged, Engine::kScalar}) {
+    if (name == to_string(e)) return e;
   }
+  return std::nullopt;
 }
+
+/// Collapse kAuto to the engine this CPU runs best (the cpuid probe of
+/// detect_vec_isa()); every other value is returned unchanged. Pure: no
+/// environment lookup, so the intake path can call it per probe.
+Engine resolve_engine(Engine requested) noexcept;
 
 }  // namespace bulkgcd::bulk

@@ -60,17 +60,21 @@ std::uint64_t BlockGrid::pairs_in_range(std::size_t lo,
 BlockSweeper::BlockSweeper(const ScanCorpus& corpus, const BlockGrid& grid,
                            const AllPairsConfig& config,
                            std::size_t capacity_limbs,
-                           const CorpusPanels<ScanLimb>* panels)
-    : corpus_(&corpus),
-      grid_(grid),
-      config_(config),
-      panels_(panels),
-      scalar_engine_(capacity_limbs),
-      batch_(grid.r, capacity_limbs, config.warp_width) {
-  if (config.engine == EngineKind::kSimt &&
-      config.backend == BulkBackend::kVector) {
-    vec_ = make_vec_batch<ScanLimb>(grid.r, capacity_limbs, config.warp_width,
-                                    config.vec_isa);
+                           const CorpusPanels<ScanLimb>& panels)
+    : corpus_(&corpus), grid_(grid), config_(config), panels_(&panels) {
+  config_.engine = resolve_engine(config.engine);
+  switch (config_.engine) {
+    case Engine::kVector:
+      vec_ = make_vec_batch<ScanLimb>(grid.r, capacity_limbs,
+                                      config.warp_width);
+      break;
+    case Engine::kStaged:
+      staged_ = std::make_unique<SimtBatch<ScanLimb, ColumnMatrix>>(
+          grid.r, capacity_limbs, config.warp_width);
+      break;
+    default:
+      scalar_ = std::make_unique<gcd::GcdEngine<ScanLimb>>(capacity_limbs);
+      break;
   }
   if (config.metrics != nullptr) {
     obs::MetricsRegistry* m = config.metrics;
@@ -104,42 +108,11 @@ BlockSweeper::BlockSweeper(const ScanCorpus& corpus, const BlockGrid& grid,
   }
 }
 
-namespace {
-
-// Engine shims: SimtBatch exposes two run entry points and only tracks
-// per-lane iterations in staged mode; the vector engine has one entry point
-// and always tracks them (its branch traces drive stats reconstruction).
-void engine_run(SimtBatch<ScanLimb, ColumnMatrix>& b, gcd::Variant v,
-                bool staged) {
-  if (staged) {
-    b.run_staged(v);
-  } else {
-    b.run(v);
-  }
-}
-void engine_run(VecBatchBase<ScanLimb>& b, gcd::Variant v, bool) { b.run(v); }
-
-std::size_t engine_lane_iters(const SimtBatch<ScanLimb, ColumnMatrix>& b,
-                              std::size_t k) {
-  return b.staged_lane_iterations(k);
-}
-std::size_t engine_lane_iters(const VecBatchBase<ScanLimb>& b, std::size_t k) {
-  return b.lane_iterations(k);
-}
-
-bool engine_has_traces(const SimtBatch<ScanLimb, ColumnMatrix>&, bool staged) {
-  return staged;
-}
-bool engine_has_traces(const VecBatchBase<ScanLimb>&, bool) { return true; }
-
-}  // namespace
-
-template <typename Engine, typename Record>
-void BlockSweeper::simt_block_rounds(Engine& eng, std::size_t i,
+template <typename Batch, typename Record>
+void BlockSweeper::simt_block_rounds(Batch& eng, std::size_t i,
                                      std::size_t i_begin, std::size_t j,
                                      std::size_t j_begin, std::size_t j_end,
-                                     std::size_t i_count, bool staged,
-                                     Record&& record,
+                                     std::size_t i_count, Record&& record,
                                      std::uint64_t& early_coprime) {
   const std::size_t r = grid_.r;
   for (std::size_t jj = j_begin; jj < j_end; ++jj) {
@@ -149,7 +122,7 @@ void BlockSweeper::simt_block_rounds(Engine& eng, std::size_t i,
     const std::size_t k_end = (i == j) ? std::min(u, i_count) : i_count;
     if (k_end == 0) continue;
 
-    if (staged) {
+    {
       // One contiguous copy of the group-i panel + one broadcast of n_jj
       // replaces k_end strided loads with their normalization scans.
       obs::ScopedLocalSpan panel_span(
@@ -163,20 +136,6 @@ void BlockSweeper::simt_block_rounds(Engine& eng, std::size_t i,
         eng.reset_lane_state(k, pair_early_bits(i_begin + k, jj));
       }
       for (std::size_t k = k_end; k < r; ++k) eng.disable(k);
-    } else {
-      obs::ScopedLocalSpan panel_span(
-          tele_ ? &tele_->panel_load_seconds : nullptr);
-      obs::TraceSpan panel_tspan(trace_ ? trace_->rec : nullptr,
-                                 trace_ ? trace_->panel_load : 0);
-      panel_tspan.set_args(i, j, jj);
-      for (std::size_t k = 0; k < r; ++k) {
-        if (k < k_end) {
-          eng.load(k, corpus_->limbs(i_begin + k), corpus_->limbs(jj),
-                   pair_early_bits(i_begin + k, jj));
-        } else {
-          eng.disable(k);
-        }
-      }
     }
     {
       obs::ScopedLocalSpan exec_span(
@@ -184,7 +143,7 @@ void BlockSweeper::simt_block_rounds(Engine& eng, std::size_t i,
       obs::TraceSpan exec_tspan(trace_ ? trace_->rec : nullptr,
                                 trace_ ? trace_->lane_exec : 0);
       exec_tspan.set_args(i, j, jj);
-      engine_run(eng, config_.variant, staged);
+      run_lanes(eng, config_.variant);
     }
     obs::ScopedLocalSpan verify_span(tele_ ? &tele_->verify_seconds : nullptr);
     for (std::size_t k = 0; k < k_end; ++k) {
@@ -195,12 +154,10 @@ void BlockSweeper::simt_block_rounds(Engine& eng, std::size_t i,
         record(i_begin + k, jj, eng.gcd_of(k));
       }
     }
-    // Per-pair iteration counts come for free from the branch traces
-    // (SimtBatch::run() keeps no per-lane tally, so the lockstep reference
-    // path leaves this histogram empty — documented in OBSERVABILITY.md).
-    if (tele_ && engine_has_traces(eng, staged)) {
+    // Per-pair iteration counts come for free from the branch traces.
+    if (tele_) {
       for (std::size_t k = 0; k < k_end; ++k) {
-        tele_->iterations_per_pair.observe(double(engine_lane_iters(eng, k)));
+        tele_->iterations_per_pair.observe(double(eng.lane_iterations(k)));
       }
     }
   }
@@ -211,7 +168,6 @@ void BlockSweeper::run_block(std::size_t block_index) {
   const std::size_t r = grid_.r;
   const std::size_t i_begin = i * r, i_end = std::min(i_begin + r, grid_.m);
   const std::size_t j_begin = j * r, j_end = std::min(j_begin + r, grid_.m);
-  const bool staged = config_.staged && panels_ != nullptr;
 
   // Block-local telemetry tallies, flushed into the sharded counters once
   // per block (a handful of adds) so the pair loops stay increment-free.
@@ -233,14 +189,12 @@ void BlockSweeper::run_block(std::size_t block_index) {
     out_.hits.push_back({a, b, to_default_bigint<ScanLimb>(gl), full});
   };
 
-  if (config_.engine == EngineKind::kSimt) {
-    if (vec_) {
-      simt_block_rounds(*vec_, i, i_begin, j, j_begin, j_end, i_end - i_begin,
-                        staged, record, early_coprime);
-    } else {
-      simt_block_rounds(batch_, i, i_begin, j, j_begin, j_end, i_end - i_begin,
-                        staged, record, early_coprime);
-    }
+  if (vec_) {
+    simt_block_rounds(*vec_, i, i_begin, j, j_begin, j_end, i_end - i_begin,
+                      record, early_coprime);
+  } else if (staged_) {
+    simt_block_rounds(*staged_, i, i_begin, j, j_begin, j_end,
+                      i_end - i_begin, record, early_coprime);
   } else {
     for (std::size_t jj = j_begin; jj < j_end; ++jj) {
       const std::size_t u = jj - j_begin;
@@ -255,7 +209,7 @@ void BlockSweeper::run_block(std::size_t block_index) {
       for (std::size_t k = 0; k < k_end; ++k) {
         ++out_.pairs;
         const std::uint64_t iters_before = out_.scalar.iterations;
-        const auto run = scalar_engine_.run(
+        const auto run = scalar_->run(
             config_.variant, corpus_->limbs(i_begin + k), corpus_->limbs(jj),
             pair_early_bits(i_begin + k, jj), &out_.scalar);
         if (tele_) {
@@ -281,14 +235,12 @@ void BlockSweeper::run_block(std::size_t block_index) {
 }
 
 BlockSweeper::Output BlockSweeper::take() {
-  if (config_.engine == EngineKind::kSimt) {
-    if (vec_) {
-      out_.simt = vec_->stats();
-      vec_->reset_stats();
-    } else {
-      out_.simt = batch_.stats();
-      batch_.reset_stats();
-    }
+  if (vec_) {
+    out_.simt = vec_->stats();
+    vec_->reset_stats();
+  } else if (staged_) {
+    out_.simt = staged_->stats();
+    staged_->reset_stats();
   }
   if (tele_) {
     tele_->iterations_per_pair_target->merge(tele_->iterations_per_pair);

@@ -70,8 +70,18 @@ struct BlockGrid {
 void fold_engine_stats(obs::MetricsRegistry* metrics, const SimtStats& simt,
                        const gcd::GcdStats& scalar);
 
-/// Per-worker sweep state: one scalar engine + one SIMT batch, reused across
-/// the blocks a worker processes. Accumulates hits, pair counts, and engine
+/// Execute a panel-refreshed batch to completion: lane-serial run_staged()
+/// on the staged engine, the W-lane run() on the vector engine.
+inline void run_lanes(SimtBatch<ScanLimb, ColumnMatrix>& batch,
+                      gcd::Variant variant) {
+  batch.run_staged(variant);
+}
+inline void run_lanes(VecBatchBase<ScanLimb>& batch, gcd::Variant variant) {
+  batch.run(variant);
+}
+
+/// Per-worker sweep state: the configured engine, reused across the blocks
+/// a worker processes. Accumulates hits, pair counts, and engine
 /// statistics; take() hands them over and resets.
 class BlockSweeper {
  public:
@@ -85,16 +95,14 @@ class BlockSweeper {
   /// corpus: the scan-limb repack of the moduli (bulk/scan_corpus.hpp),
   /// carrying normalized limb spans and cached bit lengths so per-pair
   /// thresholds are O(1). Must outlive the sweeper.
-  /// config must be pre-resolved (resolve_backend) — the sweeper constructs
-  /// the engine config.backend names and never re-probes the CPU.
-  /// panels: optional staged corpus (built once per scan with the same grid
-  /// and capacity_limbs + kBatchPadLimbs padding). When non-null and the
-  /// config selects the staged SIMT or vector path, each block round
-  /// refreshes the batch by bulk panel copy + broadcast instead of per-lane
-  /// loads.
+  /// panels: the staged corpus (built once per scan with the same grid and
+  /// capacity_limbs + kBatchPadLimbs padding); each block round of the
+  /// vector and staged engines refreshes its batch from them by bulk panel
+  /// copy + broadcast. The scalar engine reads the corpus directly.
+  /// Both must outlive the sweeper. config.engine kAuto is resolved here.
   BlockSweeper(const ScanCorpus& corpus, const BlockGrid& grid,
                const AllPairsConfig& config, std::size_t capacity_limbs,
-               const CorpusPanels<ScanLimb>* panels = nullptr);
+               const CorpusPanels<ScanLimb>& panels);
 
   void run_block(std::size_t block_index);
   void run_blocks(std::size_t lo, std::size_t hi) {
@@ -110,14 +118,13 @@ class BlockSweeper {
                : 0;
   }
 
-  /// One SIMT block sweep, generic over the executing engine (SimtBatch or
+  /// One SIMT block sweep, generic over the executing batch (SimtBatch or
   /// a VecBatchBase) — the round structure, masking, and verification are
-  /// backend-invariant; only run()/iteration accounting differ (shimmed in
-  /// block_grid.cpp).
-  template <typename Engine, typename Record>
-  void simt_block_rounds(Engine& eng, std::size_t i, std::size_t i_begin,
+  /// engine-invariant; only the run entry point differs (run_lanes).
+  template <typename Batch, typename Record>
+  void simt_block_rounds(Batch& eng, std::size_t i, std::size_t i_begin,
                          std::size_t j, std::size_t j_begin, std::size_t j_end,
-                         std::size_t i_count, bool staged, Record&& record,
+                         std::size_t i_count, Record&& record,
                          std::uint64_t& early_coprime);
 
   /// Handles into the optional metrics registry, resolved once per sweeper.
@@ -158,10 +165,9 @@ class BlockSweeper {
   BlockGrid grid_;
   AllPairsConfig config_;
   const CorpusPanels<ScanLimb>* panels_;
-  gcd::GcdEngine<ScanLimb> scalar_engine_;
-  SimtBatch<ScanLimb, ColumnMatrix> batch_;
-  /// The SIMD warp engine, constructed only when config.backend resolved to
-  /// kVector; run_block then drives it instead of batch_.
+  /// Exactly one engine exists, the one config.engine resolved to.
+  std::unique_ptr<gcd::GcdEngine<ScanLimb>> scalar_;
+  std::unique_ptr<SimtBatch<ScanLimb, ColumnMatrix>> staged_;
   std::unique_ptr<VecBatchBase<ScanLimb>> vec_;
   Output out_;
   std::unique_ptr<Telemetry> tele_;  ///< null on the null-registry path

@@ -2,8 +2,9 @@
 
 #include <cstdio>
 
-#include "bulk/allpairs.hpp"
+#include "bulk/backend.hpp"
 #include "bulk/scan_corpus.hpp"
+#include "bulk/vec/vec_backend.hpp"
 
 #ifndef BULKGCD_VERSION
 #define BULKGCD_VERSION "0.0.0-unversioned"
@@ -15,26 +16,18 @@ BuildInfo query_build_info() {
   BuildInfo info;
   info.version = BULKGCD_VERSION;
   info.limb_bits = int(sizeof(ScanLimb) * 8);
-  info.compiled_backends = {"lockstep", "staged", "vector-portable"};
+  info.compiled_backends = {"staged", "scalar", "vector-portable"};
 #if defined(BULKGCD_HAVE_AVX2_TU)
   info.compiled_backends.push_back("vector-avx2");
 #endif
-  // What a default scan would actually run here: resolve a staged-SIMT
-  // config the same way all_pairs_gcd does (environment override + CPU
-  // probe). resolve_backend throws only on a malformed BULKGCD_FORCE_BACKEND
-  // value; report that instead of crashing a status probe.
-  try {
-    AllPairsConfig cfg;
-    resolve_backend(cfg);
-    if (cfg.backend == BulkBackend::kVector) {
-      info.active_backend =
-          std::string("vector-") + to_string(cfg.vec_isa);
-    } else {
-      info.active_backend = to_string(cfg.backend);
-    }
-  } catch (const std::exception& e) {
-    info.active_backend = std::string("invalid: ") + e.what();
-  }
+  // What a default scan would actually run here: Engine::kAuto resolved the
+  // same way all_pairs_gcd resolves it, with the ISA leg make_vec_batch
+  // picks by the same cpuid probe.
+  const Engine active = resolve_engine(Engine::kAuto);
+  info.active_backend =
+      active == Engine::kVector
+          ? std::string("vector-") + to_string(detect_vec_isa())
+          : std::string(to_string(active));
   return info;
 }
 

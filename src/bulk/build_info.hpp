@@ -13,17 +13,15 @@ namespace bulkgcd::bulk {
 struct BuildInfo {
   std::string version;        ///< project version (CMake PROJECT_VERSION)
   int limb_bits = 0;          ///< ScanLimb width: 32 or 64
-  /// Every backend leg compiled into this binary, in dispatch-preference
-  /// order ("lockstep", "staged", "vector-portable", "vector-avx2" when the
-  /// AVX2 TU is built in).
+  /// Every engine leg compiled into this binary ("staged", "scalar",
+  /// "vector-portable", and "vector-avx2" when the AVX2 TU is built in).
   std::vector<std::string> compiled_backends;
-  /// The backend a default staged-SIMT config resolves to on THIS machine
-  /// right now — CPU probe plus the BULKGCD_FORCE_BACKEND override, exactly
-  /// what a scan launched here would run.
+  /// The engine Engine::kAuto resolves to on THIS machine ("vector-avx2" or
+  /// "staged") — exactly what a default scan launched here would run.
   std::string active_backend;
 };
 
-/// Probe the running process (resolve_backend on a default config).
+/// Probe the running process (resolve_engine(Engine::kAuto) + cpuid).
 BuildInfo query_build_info();
 
 /// One-object JSON status document; uptime_seconds is the caller's (the
@@ -31,7 +29,7 @@ BuildInfo query_build_info();
 std::string build_info_json(const BuildInfo& info, double uptime_seconds);
 
 /// One-line human banner for CLI startup:
-/// "bulkgcd 1.0.0 | limbs 64-bit | backends lockstep,... | active staged".
+/// "bulkgcd 1.0.0 | limbs 64-bit | backends staged,... | active staged".
 std::string build_info_line(const BuildInfo& info);
 
 }  // namespace bulkgcd::bulk

@@ -6,8 +6,9 @@
 // BULKGCD_LIMB32 CMake option (ON by default) picks 32-bit scan limbs, OFF
 // picks 64-bit ones (W = 4 vector lanes instead of W = 8 in bulk/vec/).
 // ScanCorpusT repacks a BigInt corpus into flat ScanLimb storage once per
-// scan, so every hot path downstream — staging panels, per-lane loads, the
-// full-modulus check — works on scan limbs without per-pair conversions.
+// scan, so every hot path downstream — staging panels, Y broadcasts, scalar
+// runs, the full-modulus check — works on scan limbs without per-pair
+// conversions.
 // GCDs and hits are value-level quantities, so results are bit-identical
 // across limb widths; only SimtStats iteration counts differ (fewer, wider
 // limb operations per value).

@@ -494,12 +494,9 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
     return report;
   }
 
-  // Resolve the execution backend once for the whole scan (environment
-  // override + CPU probe). Backend and ISA are deliberately NOT part of the
-  // journal identity below: every backend produces bit-identical hits and
-  // stats, so a checkpoint written under one resumes under any other.
+  // Resolve the engine once for the whole scan (CPU probe).
   AllPairsConfig pairs_cfg = config.pairs;
-  resolve_backend(pairs_cfg);
+  pairs_cfg.engine = resolve_engine(pairs_cfg.engine);
 
   const ScanCorpus scan(moduli);
   const std::size_t cap = scan.max_limbs();
@@ -515,13 +512,8 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
     return std::pair(lo, std::min(lo + chunk_blocks, total_blocks));
   };
 
-  // Stage the corpus once for the whole scan. Deliberately NOT part of the
-  // journal identity: staged and unstaged sweeps produce bit-identical
-  // results, so a checkpoint written by one resumes under the other.
-  std::optional<CorpusPanels<ScanLimb>> panels;
-  if (pairs_cfg.engine == EngineKind::kSimt && pairs_cfg.staged) {
-    panels.emplace(scan, grid.r, cap + kBatchPadLimbs);
-  }
+  // Stage the corpus once for the whole scan.
+  const CorpusPanels<ScanLimb> panels(scan, grid.r, cap + kBatchPadLimbs);
 
   DriverTelemetry tele = DriverTelemetry::resolve(config.pairs.metrics);
   const DriverTrace dtr = DriverTrace::resolve(pairs_cfg.trace);
@@ -533,7 +525,11 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
   identity.group_size = grid.r;
   identity.chunk_blocks = chunk_blocks;
   identity.chunks_total = chunks_total;
-  identity.engine = std::uint32_t(config.pairs.engine);
+  // The identity records only scalar (0) vs SIMT (1): the vector and staged
+  // engines produce bit-identical hits and SimtStats, so a checkpoint
+  // written under one resumes under the other — and under the 0/1 values
+  // of journals that predate the single engine knob.
+  identity.engine = pairs_cfg.engine == Engine::kScalar ? 0 : 1;
   identity.variant = std::uint32_t(config.pairs.variant);
   identity.early_terminate = config.pairs.early_terminate ? 1 : 0;
 
@@ -633,9 +629,8 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
         AllPairsConfig pairs_config = pairs_cfg;
         // Retry runs on the scalar engine: the simplest code path, isolated
         // from whatever state the first attempt died in.
-        if (attempt == 1) pairs_config.engine = EngineKind::kScalar;
-        BlockSweeper sweeper(scan, grid, pairs_config, cap,
-                             attempt == 0 && panels ? &*panels : nullptr);
+        if (attempt == 1) pairs_config.engine = Engine::kScalar;
+        BlockSweeper sweeper(scan, grid, pairs_config, cap, panels);
         sweeper.run_blocks(lo, hi);
         auto out = sweeper.take();
         outcome.hits = std::move(out.hits);

@@ -264,7 +264,7 @@ class SimtBatch {
   /// disabled lane). This is the per-pair iteration count §IV aggregates
   /// into Table IV; the telemetry layer feeds it into the
   /// iterations-per-pair histogram without touching the hot loop.
-  std::size_t staged_lane_iterations(std::size_t lane) const noexcept {
+  std::size_t lane_iterations(std::size_t lane) const noexcept {
     return lane < branch_log_.size() ? branch_log_[lane].size() : 0;
   }
 

@@ -7,7 +7,7 @@
 // used to rebuild BOTH per arrival — O(corpus) staging work on top of the
 // O(corpus) probe, every single key. StagedCorpusT keeps the staged form
 // *live* across arrivals: append() repacks just the new modulus and writes it
-// into its group panel, so probe_incremental's staged/vector backends ride
+// into its group panel, so probe_incremental's staged/vector engines ride
 // the same contiguous panel loads as the batch sweep with amortized O(1)
 // staging per arrival.
 //

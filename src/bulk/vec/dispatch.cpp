@@ -3,15 +3,12 @@
 // carries every ISA leg the compiler could build (portable always, AVX2 on
 // x86-64); detect_vec_isa() probes the executing CPU once and make_vec_batch
 // routes to the best leg, so one build runs correctly on machines with and
-// without AVX2. resolve_backend() layers the BULKGCD_FORCE_BACKEND
-// environment override on top for benchmarking and differential testing.
+// without AVX2. resolve_engine() builds Engine::kAuto on the same probe.
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
-#include "bulk/allpairs.hpp"
+#include "bulk/backend.hpp"
 #include "bulk/vec/vec_backend.hpp"
 #include "bulk/vec/vec_factories.hpp"
 
@@ -71,53 +68,11 @@ make_vec_batch<std::uint32_t>(std::size_t, std::size_t, std::size_t, VecIsa);
 template std::unique_ptr<VecBatchBase<std::uint64_t>>
 make_vec_batch<std::uint64_t>(std::size_t, std::size_t, std::size_t, VecIsa);
 
-void resolve_backend(AllPairsConfig& config) {
-  if (const char* force = std::getenv("BULKGCD_FORCE_BACKEND")) {
-    const std::string_view v{force};
-    if (v == "auto" || v.empty()) {
-      config.backend = BulkBackend::kAuto;
-    } else if (v == "lockstep") {
-      config.backend = BulkBackend::kLockstep;
-    } else if (v == "staged") {
-      config.backend = BulkBackend::kStaged;
-    } else if (v == "vector") {
-      config.backend = BulkBackend::kVector;
-      config.vec_isa = VecIsa::kAuto;
-    } else if (v == "vector-portable") {
-      config.backend = BulkBackend::kVector;
-      config.vec_isa = VecIsa::kPortable;
-    } else {
-      throw std::invalid_argument(
-          std::string("BULKGCD_FORCE_BACKEND: unknown value \"") +
-          std::string(v) +
-          "\" (want auto|lockstep|staged|vector|vector-portable)");
-    }
-  }
-  if (config.engine != EngineKind::kSimt) {
-    // The scalar engine ignores backends; normalize so callers can branch on
-    // the resolved value without re-checking the engine kind.
-    config.backend = BulkBackend::kLockstep;
-    return;
-  }
-  if (config.backend == BulkBackend::kAuto) {
-    if (!config.staged) {
-      config.backend = BulkBackend::kLockstep;
-    } else if (detect_vec_isa() == VecIsa::kAvx2) {
-      // Auto only opts into the vector backend when a real SIMD leg runs;
-      // the portable leg exists for coverage, not speed.
-      config.backend = BulkBackend::kVector;
-    } else {
-      config.backend = BulkBackend::kStaged;
-    }
-  }
-  if (config.backend == BulkBackend::kVector) {
-    if (config.vec_isa == VecIsa::kAuto) config.vec_isa = detect_vec_isa();
-    if (!vec_isa_available(config.vec_isa)) {
-      throw std::invalid_argument(
-          std::string("vector ISA unavailable on this machine: ") +
-          to_string(config.vec_isa));
-    }
-  }
+Engine resolve_engine(Engine requested) noexcept {
+  if (requested != Engine::kAuto) return requested;
+  // Auto only opts into the vector engine when a real SIMD leg runs; the
+  // portable leg exists for coverage, not speed.
+  return detect_vec_isa() == VecIsa::kAvx2 ? Engine::kVector : Engine::kStaged;
 }
 
 }  // namespace bulkgcd::bulk

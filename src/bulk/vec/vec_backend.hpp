@@ -9,22 +9,40 @@
 // leg — the compiler lowers the W-wide lane loops to scalar code, same code
 // shape everywhere) and once with -mavx2 on x86-64 (256-bit registers:
 // W = 8 lanes on 32-bit limbs, W = 4 on 64-bit). make_vec_batch() picks the
-// implementation by cpuid probe or explicit VecIsa.
+// implementation by cpuid probe; tests pin a leg with an explicit VecIsa.
 //
 // Virtual dispatch happens once per batch verb (a block round spans
 // thousands of limb operations), never inside a kernel.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 
-#include "bulk/backend.hpp"
 #include "bulk/simt_stats.hpp"
 #include "gcd/algorithms.hpp"
 #include "mp/bigint.hpp"
 
 namespace bulkgcd::bulk {
+
+/// Instruction-set leg of the vector engine. The sweep always lets
+/// make_vec_batch() probe the CPU (kAuto); the explicit legs exist so tests
+/// can pin the portable-vs-AVX2 comparison.
+enum class VecIsa : std::uint8_t {
+  kAuto,      ///< cpuid-probe the best compiled-in ISA
+  kPortable,  ///< the same W-wide kernels compiled with baseline flags
+  kAvx2,      ///< the -mavx2 translation unit (x86-64 with AVX2 only)
+};
+
+constexpr const char* to_string(VecIsa isa) noexcept {
+  switch (isa) {
+    case VecIsa::kAuto: return "auto";
+    case VecIsa::kPortable: return "portable";
+    case VecIsa::kAvx2: return "avx2";
+  }
+  return "?";
+}
 
 /// Best vector ISA compiled into this binary AND supported by this CPU.
 /// Never returns kAuto; returns kPortable when no SIMD leg applies.

@@ -89,7 +89,7 @@ IntakeService::IntakeService(std::vector<mp::BigInt> seed_corpus,
       corpus_(std::move(seed_corpus)),
       tele_(Telemetry::resolve(config_.probe.metrics)) {
   if (config_.batch_max == 0) config_.batch_max = 1;
-  resolve_backend(config_.probe);
+  config_.probe.engine = bulk::resolve_engine(config_.probe.engine);
   trace_ = TraceHooks::resolve(config_.probe.trace);
   seed_count_ = corpus_.size();
   // Seed the dedup element so a re-submitted seed key is recognized.

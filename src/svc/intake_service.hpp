@@ -6,7 +6,7 @@
 //   arrival journal (svc/arrival_journal, durable before probed) →
 //   bounded admission queue (svc/bounded_queue, shed on overflow) →
 //   batch accumulator → probe (bulk::probe_incremental over the live
-//   staged corpus, new×corpus block columns on the configured backend) →
+//   staged corpus, new×corpus block columns on the configured engine) →
 //   corpus fold → hit report
 //
 // Each newly admitted key is probed against every modulus that arrived
@@ -56,7 +56,7 @@ enum class Admission {
 };
 
 struct IntakeServiceConfig {
-  /// Engine/backend/threads for the probe element. pool_threads follows the
+  /// Engine/threads for the probe element. pool_threads follows the
   /// all_pairs_gcd contract (1 = inline on the probe worker, 0 = global
   /// pool, N = private pool). metrics (if set) also feeds the intake_*
   /// counters and queue-depth gauges.

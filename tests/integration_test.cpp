@@ -84,8 +84,8 @@ TEST(IntegrationTest, AllVariantsAgreeOnTheVictimSet) {
     config.variant = variant;
     config.engine = (variant == gcd::Variant::kOriginal ||
                      variant == gcd::Variant::kFast)
-                        ? bulk::EngineKind::kScalar
-                        : bulk::EngineKind::kSimt;
+                        ? bulk::Engine::kScalar
+                        : bulk::Engine::kAuto;
     const auto result = bulk::all_pairs_gcd(corpus.moduli, config);
     if (reference.empty()) {
       reference = result.hits;

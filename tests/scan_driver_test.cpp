@@ -219,6 +219,73 @@ TEST_F(ScanDriverTest, CheckpointRejectsChangedScanGeometry) {
   EXPECT_THROW(run_resumable_scan(corpus.moduli, changed), std::runtime_error);
 }
 
+TEST_F(ScanDriverTest, VectorCheckpointResumesUnderStagedAndAuto) {
+  // The journal identity records only scalar-vs-SIMT: a checkpoint written
+  // by the vector engine resumes under the staged engine (and under kAuto,
+  // whatever it resolves to here) into a report bit-identical to one
+  // uninterrupted vector run — hits, flags, pair counts and SimtStats.
+  const WeakCorpus corpus = test_corpus(26, 4, 112);
+  ScanConfig config;
+  config.pairs.group_size = 4;
+  config.chunk_blocks = 3;
+  config.pairs.engine = Engine::kVector;
+  const ScanReport reference = run_resumable_scan(corpus.moduli, config);
+  ASSERT_TRUE(reference.complete);
+  ASSERT_FALSE(reference.result.hits.empty());
+
+  for (const Engine resume_engine : {Engine::kStaged, Engine::kAuto}) {
+    SCOPED_TRACE(to_string(resume_engine));
+    std::error_code ignored;
+    std::filesystem::remove(path_, ignored);
+    ScanConfig first = config;
+    first.checkpoint = path_;
+    first.stop_after_chunks = 1;
+    const ScanReport partial = run_resumable_scan(corpus.moduli, first);
+    ASSERT_FALSE(partial.complete);
+    ASSERT_EQ(partial.chunks_done, 1u);
+
+    ScanConfig resume = first;
+    resume.stop_after_chunks = 0;
+    resume.pairs.engine = resume_engine;
+    const ScanReport resumed = run_resumable_scan(corpus.moduli, resume);
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_TRUE(resumed.quarantined.empty());
+    EXPECT_EQ(resumed.chunks_done, reference.chunks_done);
+    EXPECT_EQ(resumed.result.pairs_tested, reference.result.pairs_tested);
+    EXPECT_EQ(resumed.result.blocks_run, reference.result.blocks_run);
+    expect_same_hits(resumed.result.hits, reference.result.hits);
+    for (std::size_t k = 0; k < reference.result.hits.size(); ++k) {
+      EXPECT_EQ(resumed.result.hits[k].full_modulus,
+                reference.result.hits[k].full_modulus);
+    }
+    EXPECT_TRUE(resumed.result.simt == reference.result.simt);
+  }
+}
+
+TEST_F(ScanDriverTest, ScalarCheckpointIsRefusedBySimtResume) {
+  const WeakCorpus corpus = test_corpus(16, 1, 113);
+  ScanConfig config;
+  config.pairs.group_size = 4;
+  config.chunk_blocks = 2;
+  config.checkpoint = path_;
+  config.stop_after_chunks = 1;
+  config.pairs.engine = Engine::kScalar;
+  ASSERT_FALSE(run_resumable_scan(corpus.moduli, config).complete);
+
+  ScanConfig simt = config;
+  simt.stop_after_chunks = 0;
+  simt.pairs.engine = Engine::kVector;
+  try {
+    run_resumable_scan(corpus.moduli, simt);
+    FAIL() << "a scalar checkpoint must not resume under a SIMT engine";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("grid or engine changed"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(ScanDriverTest, TornTailIsDiscardedOnResume) {
   const WeakCorpus corpus = test_corpus(20, 3, 109);
   ScanConfig config;

@@ -2,7 +2,7 @@
 // (reject-and-continue, never throw-and-die), the bounded queue sheds
 // visibly instead of buffering invisibly, and a streamed corpus finds the
 // bit-identical hit set a one-shot all_pairs_gcd finds — including under
-// overload, shutdown, and every probe backend.
+// overload, shutdown, and both SIMT probe engines.
 #include "svc/intake_service.hpp"
 
 #include <gtest/gtest.h>
@@ -240,10 +240,10 @@ TEST(IntakeParserTest, RecordsSplitAcrossFeedChunksReassemble) {
 
 // ---- IntakeService ---------------------------------------------------------
 
-IntakeServiceConfig probe_config(bulk::BulkBackend backend,
+IntakeServiceConfig probe_config(bulk::Engine engine,
                                  std::size_t pool_threads) {
   IntakeServiceConfig config;
-  config.probe.backend = backend;
+  config.probe.engine = engine;
   config.probe.pool_threads = pool_threads;
   config.probe.group_size = 4;
   return config;
@@ -265,16 +265,14 @@ TEST(IntakeServiceTest, StreamedCorpusMatchesOneShotSweepBitForBit) {
   // The acceptance bar: stream a corpus key by key into an empty service and
   // the accumulated hit set must be bit-identical to one all_pairs_gcd sweep
   // over the same corpus — every (i, j) pair is covered exactly once, when
-  // key j arrives. Exercised on every backend and both thread placements.
+  // key j arrives. Exercised on both SIMT engines and both thread placements.
   const WeakCorpus corpus = test_corpus(20, 3, 2121);
   const auto oneshot = bulk::all_pairs_gcd(corpus.moduli).hits;
   ASSERT_EQ(oneshot.size(), 3u);
 
-  for (const auto backend : {bulk::BulkBackend::kLockstep,
-                             bulk::BulkBackend::kStaged,
-                             bulk::BulkBackend::kVector}) {
+  for (const auto engine : {bulk::Engine::kStaged, bulk::Engine::kVector}) {
     for (const std::size_t threads : {std::size_t(1), std::size_t(2)}) {
-      IntakeService service({}, probe_config(backend, threads));
+      IntakeService service({}, probe_config(engine, threads));
       for (const auto& n : corpus.moduli) {
         ASSERT_EQ(service.submit(n), Admission::kAdmitted);
       }
@@ -301,7 +299,7 @@ TEST(IntakeServiceTest, SeedCorpusIsProbedAgainstButNotInternallyRescanned) {
       shared * rsa::random_prime(rng, 64),  // seed-internal weak pair
       rsa::random_prime(rng, 64) * rsa::random_prime(rng, 64),
   };
-  IntakeService service(seed, probe_config(bulk::BulkBackend::kLockstep, 1));
+  IntakeService service(seed, probe_config(bulk::Engine::kStaged, 1));
   const BigInt arrival = shared * rsa::random_prime(rng, 64);
   ASSERT_EQ(service.submit(arrival), Admission::kAdmitted);
   service.stop();
@@ -319,7 +317,7 @@ TEST(IntakeServiceTest, SeedCorpusIsProbedAgainstButNotInternallyRescanned) {
 TEST(IntakeServiceTest, DuplicatesAreRejectedAgainstSeedAndArrivals) {
   const WeakCorpus corpus = test_corpus(6, 0, 4141);
   std::vector<BigInt> seed(corpus.moduli.begin(), corpus.moduli.begin() + 3);
-  IntakeService service(seed, probe_config(bulk::BulkBackend::kLockstep, 1));
+  IntakeService service(seed, probe_config(bulk::Engine::kStaged, 1));
   EXPECT_EQ(service.submit(seed[1]), Admission::kDuplicate);
   EXPECT_EQ(service.submit(corpus.moduli[4]), Admission::kAdmitted);
   EXPECT_EQ(service.submit(corpus.moduli[4]), Admission::kDuplicate);
@@ -333,7 +331,7 @@ TEST(IntakeServiceTest, DuplicatesAreRejectedAgainstSeedAndArrivals) {
 
 TEST(IntakeServiceTest, SubmitAfterStopReturnsClosed) {
   const WeakCorpus corpus = test_corpus(3, 0, 5151);
-  IntakeService service({}, probe_config(bulk::BulkBackend::kLockstep, 1));
+  IntakeService service({}, probe_config(bulk::Engine::kStaged, 1));
   service.stop();
   EXPECT_EQ(service.submit(corpus.moduli[0]), Admission::kClosed);
   service.stop();  // idempotent
@@ -351,7 +349,7 @@ TEST(IntakeServiceTest, OverloadShedsVisiblyAndNeverDeadlocks) {
   std::atomic<bool> worker_blocked{false};
 
   IntakeServiceConfig config =
-      probe_config(bulk::BulkBackend::kLockstep, 1);
+      probe_config(bulk::Engine::kStaged, 1);
   config.queue_capacity = 2;
   config.batch_max = 1;
   config.batch_hook = [&](std::size_t) {
@@ -402,7 +400,7 @@ TEST(IntakeServiceTest, ShedKeyCanBeResubmittedSuccessfully) {
   bool gate_open = false;
   std::atomic<bool> worker_blocked{false};
   IntakeServiceConfig config =
-      probe_config(bulk::BulkBackend::kLockstep, 1);
+      probe_config(bulk::Engine::kStaged, 1);
   config.queue_capacity = 1;
   config.batch_max = 1;
   config.batch_hook = [&](std::size_t) {
@@ -450,7 +448,7 @@ TEST(IntakeServiceTest, MetricsMirrorStatsAndHitSink) {
   obs::MetricsRegistry registry;
   RecordingSink sink;
   IntakeServiceConfig config =
-      probe_config(bulk::BulkBackend::kLockstep, 1);
+      probe_config(bulk::Engine::kStaged, 1);
   config.probe.metrics = &registry;
   config.sink = &sink;
   IntakeService service({}, std::move(config));
@@ -485,7 +483,7 @@ TEST(IntakeServiceTest, GateOutcomesPartitionSubmissionsUnderStop) {
   // even when stop() races live submitters.
   const WeakCorpus corpus = test_corpus(24, 2, 1414);
   obs::MetricsRegistry registry;
-  IntakeServiceConfig config = probe_config(bulk::BulkBackend::kLockstep, 1);
+  IntakeServiceConfig config = probe_config(bulk::Engine::kStaged, 1);
   config.probe.metrics = &registry;
   config.queue_capacity = 2;  // small enough that shed can happen too
   IntakeService service({}, std::move(config));
@@ -522,7 +520,7 @@ TEST(IntakeServiceTest, BacklogGaugesReadZeroAfterDrain) {
   // the last batch's size, a phantom in-flight batch on the final scrape.
   const WeakCorpus corpus = test_corpus(9, 1, 2323);
   obs::MetricsRegistry registry;
-  IntakeServiceConfig config = probe_config(bulk::BulkBackend::kLockstep, 1);
+  IntakeServiceConfig config = probe_config(bulk::Engine::kStaged, 1);
   config.probe.metrics = &registry;
   IntakeService service({}, std::move(config));
   for (const auto& n : corpus.moduli) {
@@ -556,16 +554,14 @@ TEST(IntakeServiceTest, ConcurrentSubmittersCoverEveryPairExactlyOnce) {
   // ≥4 clients hammering submit() concurrently: the dedup/journal/queue gate
   // is the single synchronization point, so whatever interleaving happens,
   // the folded corpus is a permutation of the stream and the hit set equals
-  // one all_pairs_gcd sweep at the value level. Every backend.
+  // one all_pairs_gcd sweep at the value level. Both SIMT engines.
   const WeakCorpus corpus = test_corpus(24, 4, 2424);
   const auto oneshot = bulk::all_pairs_gcd(corpus.moduli).hits;
   ASSERT_EQ(oneshot.size(), 4u);
   const auto expected = value_hits(oneshot, corpus.moduli);
 
-  for (const auto backend : {bulk::BulkBackend::kLockstep,
-                             bulk::BulkBackend::kStaged,
-                             bulk::BulkBackend::kVector}) {
-    IntakeService service({}, probe_config(backend, 1));
+  for (const auto engine : {bulk::Engine::kStaged, bulk::Engine::kVector}) {
+    IntakeService service({}, probe_config(engine, 1));
     std::vector<std::thread> submitters;
     for (std::size_t t = 0; t < 4; ++t) {
       submitters.emplace_back([&, t] {
@@ -625,22 +621,18 @@ TEST(ArrivalJournalTest, RestartReplaysCorpusAndHitsBitForBit) {
   // Stream half the corpus, stop, restart against the same journal: the new
   // service must wake up with the identical corpus and hit list (restored
   // from journaled probe records — no GCDs re-run), then streaming the rest
-  // must land exactly where an uninterrupted stream would. Every backend.
+  // must land exactly where an uninterrupted stream would. Both SIMT engines.
   const WeakCorpus corpus = test_corpus(18, 3, 3434);
   const auto oneshot = bulk::all_pairs_gcd(corpus.moduli).hits;
   ASSERT_EQ(oneshot.size(), 3u);
   const std::size_t half = corpus.moduli.size() / 2;
 
-  for (const auto backend : {bulk::BulkBackend::kLockstep,
-                             bulk::BulkBackend::kStaged,
-                             bulk::BulkBackend::kVector}) {
-    TempJournal journal(backend == bulk::BulkBackend::kLockstep ? "l"
-                        : backend == bulk::BulkBackend::kStaged ? "s"
-                                                                : "v");
+  for (const auto engine : {bulk::Engine::kStaged, bulk::Engine::kVector}) {
+    TempJournal journal(engine == bulk::Engine::kStaged ? "s" : "v");
     std::vector<BigInt> corpus_before;
     std::vector<bulk::FactorHit> hits_before;
     {
-      IntakeServiceConfig config = probe_config(backend, 1);
+      IntakeServiceConfig config = probe_config(engine, 1);
       config.journal_path = journal.path;
       IntakeService service({}, std::move(config));
       for (std::size_t k = 0; k < half; ++k) {
@@ -651,7 +643,7 @@ TEST(ArrivalJournalTest, RestartReplaysCorpusAndHitsBitForBit) {
       hits_before = service.hits();
     }
     {
-      IntakeServiceConfig config = probe_config(backend, 1);
+      IntakeServiceConfig config = probe_config(engine, 1);
       config.journal_path = journal.path;
       IntakeService service({}, std::move(config));
       EXPECT_EQ(service.corpus(), corpus_before)
@@ -688,7 +680,7 @@ TEST(ArrivalJournalTest, UnprobedTailIsResumedAndReprobed) {
   bool gate_open = false;
   std::atomic<bool> worker_blocked{false};
   {
-    IntakeServiceConfig config = probe_config(bulk::BulkBackend::kLockstep, 1);
+    IntakeServiceConfig config = probe_config(bulk::Engine::kStaged, 1);
     config.journal_path = live.path;
     config.batch_max = 1;
     config.batch_hook = [&](std::size_t) {
@@ -712,7 +704,7 @@ TEST(ArrivalJournalTest, UnprobedTailIsResumedAndReprobed) {
     service.stop();
   }
 
-  IntakeServiceConfig config = probe_config(bulk::BulkBackend::kLockstep, 1);
+  IntakeServiceConfig config = probe_config(bulk::Engine::kStaged, 1);
   config.journal_path = snapshot.path;
   config.batch_hook = {};
   IntakeService service({}, std::move(config));
@@ -735,7 +727,7 @@ TEST(ArrivalJournalTest, TornTailIsDroppedAndStreamRecovers) {
   const auto oneshot = bulk::all_pairs_gcd(corpus.moduli).hits;
   TempJournal pristine("pristine");
   {
-    IntakeServiceConfig config = probe_config(bulk::BulkBackend::kLockstep, 1);
+    IntakeServiceConfig config = probe_config(bulk::Engine::kStaged, 1);
     config.journal_path = pristine.path;
     IntakeService service({}, std::move(config));
     for (const auto& n : corpus.moduli) {
@@ -758,7 +750,7 @@ TEST(ArrivalJournalTest, TornTailIsDroppedAndStreamRecovers) {
   for (std::size_t c = 0; c < std::size(torn_cases); ++c) {
     TempJournal torn("case" + std::to_string(c));
     spit(torn.path, torn_cases[c]);
-    IntakeServiceConfig config = probe_config(bulk::BulkBackend::kLockstep, 1);
+    IntakeServiceConfig config = probe_config(bulk::Engine::kStaged, 1);
     config.journal_path = torn.path;
     IntakeService service({}, std::move(config));
     for (const auto& n : corpus.moduli) {
@@ -781,13 +773,13 @@ TEST(ArrivalJournalTest, JournalForDifferentSeedIsRefused) {
                              corpus.moduli.begin() + 4);
   TempJournal journal("seed");
   {
-    IntakeServiceConfig config = probe_config(bulk::BulkBackend::kLockstep, 1);
+    IntakeServiceConfig config = probe_config(bulk::Engine::kStaged, 1);
     config.journal_path = journal.path;
     IntakeService service(seed_a, std::move(config));
     ASSERT_EQ(service.submit(corpus.moduli[5]), Admission::kAdmitted);
     service.stop();
   }
-  IntakeServiceConfig config = probe_config(bulk::BulkBackend::kLockstep, 1);
+  IntakeServiceConfig config = probe_config(bulk::Engine::kStaged, 1);
   config.journal_path = journal.path;
   EXPECT_THROW(IntakeService(seed_b, std::move(config)), std::runtime_error);
 }
@@ -795,7 +787,7 @@ TEST(ArrivalJournalTest, JournalForDifferentSeedIsRefused) {
 TEST(IntakeServiceTest, MixedSizeArrivalsRestageAndMatchOneShot) {
   // Arrivals that outgrow the staged panels force an amortized re-stage
   // (bulk/staged_corpus.hpp); the probe must keep matching the one-shot
-  // sweep across the growth boundary, on every backend.
+  // sweep across the growth boundary, on both SIMT engines.
   Xoshiro256 rng(7878);
   const BigInt shared = rsa::random_prime(rng, 33);
   const std::vector<BigInt> stream = {
@@ -810,10 +802,8 @@ TEST(IntakeServiceTest, MixedSizeArrivalsRestageAndMatchOneShot) {
   ASSERT_EQ(oneshot.size(), 1u);
   EXPECT_EQ(oneshot[0].factor, shared);
 
-  for (const auto backend : {bulk::BulkBackend::kLockstep,
-                             bulk::BulkBackend::kStaged,
-                             bulk::BulkBackend::kVector}) {
-    IntakeServiceConfig config = probe_config(backend, 1);
+  for (const auto engine : {bulk::Engine::kStaged, bulk::Engine::kVector}) {
+    IntakeServiceConfig config = probe_config(engine, 1);
     config.probe.group_size = 2;
     IntakeService service({}, std::move(config));
     for (const auto& n : stream) {
@@ -936,7 +926,7 @@ TEST(MetricsHttpServerTest, ScrapeSeesLiveIntakeCounters) {
   const WeakCorpus corpus = test_corpus(6, 1, 9191);
   obs::MetricsRegistry registry;
   IntakeServiceConfig config =
-      probe_config(bulk::BulkBackend::kLockstep, 1);
+      probe_config(bulk::Engine::kStaged, 1);
   config.probe.metrics = &registry;
   IntakeService service({}, std::move(config));
   obs::MetricsHttpServer server(registry, 0);

@@ -2,7 +2,7 @@
 // exactly-once execution under stealing, skewed-load steal traffic, and the
 // headline determinism contract — the sharded sweep returns bit-identical
 // hits, statistics, and telemetry counters for ANY worker count × tile
-// shape × backend combination.
+// shape × engine combination.
 #include "bulk/tile_scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -232,12 +232,10 @@ std::map<std::string, std::uint64_t> counter_map(
 
 TEST(ShardedSweepTest, BitIdenticalAcrossWorkersTilesAndBackends) {
   const rsa::WeakCorpus corpus = sweep_corpus();
-  for (const BulkBackend backend :
-       {BulkBackend::kLockstep, BulkBackend::kStaged, BulkBackend::kVector}) {
+  for (const Engine engine : {Engine::kStaged, Engine::kVector}) {
     AllPairsConfig ref_cfg;
     ref_cfg.group_size = 16;
-    ref_cfg.backend = backend;
-    ref_cfg.staged = backend != BulkBackend::kLockstep;
+    ref_cfg.engine = engine;
     ref_cfg.pool_threads = 1;
     obs::MetricsRegistry ref_registry;
     ref_cfg.metrics = &ref_registry;
@@ -246,7 +244,7 @@ TEST(ShardedSweepTest, BitIdenticalAcrossWorkersTilesAndBackends) {
 
     for (const std::size_t workers : {2u, 4u}) {
       for (const std::size_t tile_blocks : {0u, 1u, 5u}) {
-        SCOPED_TRACE(std::string("backend=") + to_string(backend) +
+        SCOPED_TRACE(std::string("engine=") + to_string(engine) +
                      " workers=" + std::to_string(workers) +
                      " tile_blocks=" + std::to_string(tile_blocks));
         AllPairsConfig cfg = ref_cfg;
@@ -326,7 +324,7 @@ TEST(ShardedSweepTest, ProbeIncrementalBitIdenticalAcrossWorkersAndTiles) {
 TEST(ShardedSweepTest, ScalarEngineShardsBitIdenticallyToo) {
   const rsa::WeakCorpus corpus = sweep_corpus();
   AllPairsConfig ref_cfg;
-  ref_cfg.engine = EngineKind::kScalar;
+  ref_cfg.engine = Engine::kScalar;
   ref_cfg.group_size = 16;
   ref_cfg.pool_threads = 1;
   const AllPairsResult ref = all_pairs_gcd(corpus.moduli, ref_cfg);

@@ -2,7 +2,7 @@
 // stitching, Chrome/NDJSON export shape, the forced-steal scheduler
 // timeline, end-to-end scan/intake wiring, and the headline contract —
 // hits, statistics, and telemetry counters are bit-identical with tracing
-// on or off, for every backend × worker-count combination. The
+// on or off, for every engine × worker-count combination. The
 // multi-threaded cases double as ThreadSanitizer workloads: the seqlock
 // rings must stay race-free against a concurrent exporter.
 #include "obs/trace.hpp"
@@ -290,16 +290,14 @@ std::map<std::string, std::uint64_t> nontrace_counters(
 
 TEST(TraceSweepTest, ResultsBitIdenticalTracingOnOffAcrossBackends) {
   const rsa::WeakCorpus corpus = trace_corpus();
-  for (const bulk::BulkBackend backend :
-       {bulk::BulkBackend::kLockstep, bulk::BulkBackend::kStaged,
-        bulk::BulkBackend::kVector}) {
+  for (const bulk::Engine engine :
+       {bulk::Engine::kStaged, bulk::Engine::kVector}) {
     for (const std::size_t workers : {1u, 4u}) {
-      SCOPED_TRACE(std::string("backend=") + to_string(backend) +
+      SCOPED_TRACE(std::string("engine=") + to_string(engine) +
                    " workers=" + std::to_string(workers));
       bulk::AllPairsConfig off_cfg;
       off_cfg.group_size = 16;
-      off_cfg.backend = backend;
-      off_cfg.staged = backend != bulk::BulkBackend::kLockstep;
+      off_cfg.engine = engine;
       off_cfg.pool_threads = workers;
       MetricsRegistry off_registry;
       off_cfg.metrics = &off_registry;

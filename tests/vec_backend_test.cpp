@@ -4,12 +4,12 @@
 //     SimtStats must match exactly, for every compiled-in ISA leg, at both
 //     limb widths (W = 8 and W = 4 lane groups, including masked tails);
 //  2. GMP oracle on the values themselves;
-//  3. dispatch: cpuid probe, explicit-ISA construction, the
-//     BULKGCD_FORCE_BACKEND override, and end-to-end all_pairs_gcd /
-//     probe_incremental equivalence across backends.
+//  3. dispatch: cpuid probe, explicit-ISA construction, Engine::kAuto
+//     resolution, and end-to-end all_pairs_gcd / probe_incremental
+//     equivalence between the vector and staged engines.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "bulk/allpairs.hpp"
@@ -22,7 +22,7 @@
 namespace bulkgcd {
 namespace {
 
-using bulk::BulkBackend;
+using bulk::Engine;
 using bulk::VecIsa;
 using gcd::Variant;
 using mp::BigInt;
@@ -79,7 +79,7 @@ void expect_bit_identity(std::uint64_t seed, std::size_t lanes,
         ASSERT_EQ(vec->early_coprime(i), ref.early_coprime(i))
             << to_string(variant) << " isa=" << to_string(isa) << " lane "
             << i;
-        ASSERT_EQ(vec->lane_iterations(i), ref.staged_lane_iterations(i))
+        ASSERT_EQ(vec->lane_iterations(i), ref.lane_iterations(i))
             << to_string(variant) << " isa=" << to_string(isa) << " lane "
             << i;
         if (!vec->early_coprime(i)) {
@@ -204,34 +204,25 @@ TEST(VecBackend, DispatchProbes) {
   }
 }
 
-TEST(VecBackend, ForceBackendEnvOverride) {
-  bulk::AllPairsConfig cfg;
-  ::setenv("BULKGCD_FORCE_BACKEND", "vector-portable", 1);
-  bulk::resolve_backend(cfg);
-  EXPECT_EQ(cfg.backend, BulkBackend::kVector);
-  EXPECT_EQ(cfg.vec_isa, VecIsa::kPortable);
-
-  cfg = {};
-  ::setenv("BULKGCD_FORCE_BACKEND", "staged", 1);
-  bulk::resolve_backend(cfg);
-  EXPECT_EQ(cfg.backend, BulkBackend::kStaged);
-
-  cfg = {};
-  ::setenv("BULKGCD_FORCE_BACKEND", "lockstep", 1);
-  bulk::resolve_backend(cfg);
-  EXPECT_EQ(cfg.backend, BulkBackend::kLockstep);
-
-  cfg = {};
-  ::setenv("BULKGCD_FORCE_BACKEND", "quantum", 1);
-  EXPECT_THROW(bulk::resolve_backend(cfg), std::invalid_argument);
-
-  ::unsetenv("BULKGCD_FORCE_BACKEND");
-  cfg = {};
-  bulk::resolve_backend(cfg);
-  EXPECT_NE(cfg.backend, BulkBackend::kAuto);  // auto always collapses
-  if (cfg.backend == BulkBackend::kVector) {
-    EXPECT_NE(cfg.vec_isa, VecIsa::kAuto);
+TEST(VecBackend, AutoResolvesByCpu) {
+  // kAuto picks the vector engine exactly when the AVX2 leg runs here;
+  // explicit engines pass through untouched.
+  const bulk::Engine want = bulk::detect_vec_isa() == VecIsa::kAvx2
+                                ? Engine::kVector
+                                : Engine::kStaged;
+  EXPECT_EQ(bulk::resolve_engine(Engine::kAuto), want);
+  for (const Engine e : {Engine::kVector, Engine::kStaged, Engine::kScalar}) {
+    EXPECT_EQ(bulk::resolve_engine(e), e);
   }
+  EXPECT_EQ(bulk::AllPairsConfig{}.engine, Engine::kAuto);
+  // The CLI names round-trip, and nothing else parses.
+  for (const Engine e :
+       {Engine::kAuto, Engine::kVector, Engine::kStaged, Engine::kScalar}) {
+    EXPECT_EQ(bulk::parse_engine(to_string(e)), e);
+  }
+  EXPECT_EQ(bulk::parse_engine("simt"), std::nullopt);
+  EXPECT_EQ(bulk::parse_engine("lockstep"), std::nullopt);
+  EXPECT_EQ(bulk::parse_engine(""), std::nullopt);
 }
 
 /// Corpus with planted shared factors for end-to-end backend equivalence.
@@ -251,28 +242,25 @@ TEST(VecBackend, AllPairsBackendsAgree) {
   const auto moduli = planted_corpus(90210, 33);
 
   bulk::AllPairsConfig staged;
-  staged.backend = BulkBackend::kStaged;
+  staged.engine = Engine::kStaged;
   staged.group_size = 8;
   staged.pool_threads = 1;
   staged.early_terminate = false;
   const auto want = bulk::all_pairs_gcd(moduli, staged);
   ASSERT_GT(want.hits.size(), 0u);
 
-  for (const VecIsa isa : available_isas()) {
-    bulk::AllPairsConfig cfg = staged;
-    cfg.backend = BulkBackend::kVector;
-    cfg.vec_isa = isa;
-    const auto got = bulk::all_pairs_gcd(moduli, cfg);
-    ASSERT_EQ(got.hits.size(), want.hits.size()) << to_string(isa);
-    for (std::size_t h = 0; h < want.hits.size(); ++h) {
-      EXPECT_EQ(got.hits[h].i, want.hits[h].i);
-      EXPECT_EQ(got.hits[h].j, want.hits[h].j);
-      EXPECT_EQ(got.hits[h].factor, want.hits[h].factor);
-      EXPECT_EQ(got.hits[h].full_modulus, want.hits[h].full_modulus);
-    }
-    EXPECT_EQ(got.pairs_tested, want.pairs_tested);
-    EXPECT_EQ(got.simt, want.simt) << to_string(isa);
+  bulk::AllPairsConfig cfg = staged;
+  cfg.engine = Engine::kVector;
+  const auto got = bulk::all_pairs_gcd(moduli, cfg);
+  ASSERT_EQ(got.hits.size(), want.hits.size());
+  for (std::size_t h = 0; h < want.hits.size(); ++h) {
+    EXPECT_EQ(got.hits[h].i, want.hits[h].i);
+    EXPECT_EQ(got.hits[h].j, want.hits[h].j);
+    EXPECT_EQ(got.hits[h].factor, want.hits[h].factor);
+    EXPECT_EQ(got.hits[h].full_modulus, want.hits[h].full_modulus);
   }
+  EXPECT_EQ(got.pairs_tested, want.pairs_tested);
+  EXPECT_EQ(got.simt, want.simt);
 }
 
 TEST(VecBackend, ProbeIncrementalBackendsAgree) {
@@ -281,22 +269,19 @@ TEST(VecBackend, ProbeIncrementalBackendsAgree) {
   moduli.pop_back();
 
   bulk::AllPairsConfig staged;
-  staged.backend = BulkBackend::kStaged;
+  staged.engine = Engine::kStaged;
   staged.group_size = 8;
   staged.early_terminate = false;
   const auto want = bulk::probe_incremental(candidate, moduli, staged);
 
-  for (const VecIsa isa : available_isas()) {
-    bulk::AllPairsConfig cfg = staged;
-    cfg.backend = BulkBackend::kVector;
-    cfg.vec_isa = isa;
-    const auto got = bulk::probe_incremental(candidate, moduli, cfg);
-    ASSERT_EQ(got.size(), want.size()) << to_string(isa);
-    for (std::size_t h = 0; h < want.size(); ++h) {
-      EXPECT_EQ(got[h].corpus_index, want[h].corpus_index);
-      EXPECT_EQ(got[h].factor, want[h].factor);
-      EXPECT_EQ(got[h].full_modulus, want[h].full_modulus);
-    }
+  bulk::AllPairsConfig cfg = staged;
+  cfg.engine = Engine::kVector;
+  const auto got = bulk::probe_incremental(candidate, moduli, cfg);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t h = 0; h < want.size(); ++h) {
+    EXPECT_EQ(got[h].corpus_index, want[h].corpus_index);
+    EXPECT_EQ(got[h].factor, want[h].factor);
+    EXPECT_EQ(got[h].full_modulus, want[h].full_modulus);
   }
 }
 

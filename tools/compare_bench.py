@@ -8,7 +8,7 @@ Usage:
 Positional arguments are (baseline, fresh) pairs — one pair per bench
 artifact (BENCH_allpairs.json, BENCH_batchgcd.json, ...). For every sample
 row present in both files of a pair (an object carrying a
-"pairs_per_second" field — unstaged / staged / vector, nested rows such as
+"pairs_per_second" field — staged / vector, nested rows such as
 scaling.workers_4 or curve.bits512_m32.batch), prints a GitHub Actions
 `::warning` annotation when the fresh throughput is more than --threshold
 percent (default 10) below the baseline. Rows present in only one file
