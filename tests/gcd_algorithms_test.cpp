@@ -153,10 +153,19 @@ TEST(PaperWorkedExampleTest, FastCanBeSlowerThanOriginal) {
 
 // ---- engine vs pseudocode reference: results and step counts -------------
 
+// ctest names each parameterized case by its printed value. The default
+// printer dumps the raw bytes of the struct, padding included, so those names
+// used to depend on whatever the stack held. Each case now carries the name it
+// is tracked under and prints exactly that.
 struct EngineVsReferenceCase {
   Variant variant;
   std::size_t early_bits;
+  const char* ctest_name;
 };
+
+void PrintTo(const EngineVsReferenceCase& c, std::ostream* os) {
+  *os << c.ctest_name;
+}
 
 class EngineVsReferenceTest
     : public ::testing::TestWithParam<EngineVsReferenceCase> {};
@@ -175,7 +184,7 @@ RefRun run_reference(Variant variant, const BigInt& x, const BigInt& y,
 }
 
 TEST_P(EngineVsReferenceTest, StepCountsAndResultsAgree) {
-  const auto [variant, early_bits] = GetParam();
+  const auto [variant, early_bits, ctest_name] = GetParam();
   Xoshiro256 rng(45 + std::size_t(variant));
   GcdEngine<std::uint32_t> engine(64);
   for (int trial = 0; trial < 50; ++trial) {
@@ -196,16 +205,37 @@ TEST_P(EngineVsReferenceTest, StepCountsAndResultsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllVariantsBothModes, EngineVsReferenceTest,
-    ::testing::Values(EngineVsReferenceCase{Variant::kOriginal, 0},
-                      EngineVsReferenceCase{Variant::kFast, 0},
-                      EngineVsReferenceCase{Variant::kBinary, 0},
-                      EngineVsReferenceCase{Variant::kFastBinary, 0},
-                      EngineVsReferenceCase{Variant::kApproximate, 0},
-                      EngineVsReferenceCase{Variant::kOriginal, 128},
-                      EngineVsReferenceCase{Variant::kFast, 128},
-                      EngineVsReferenceCase{Variant::kBinary, 128},
-                      EngineVsReferenceCase{Variant::kFastBinary, 128},
-                      EngineVsReferenceCase{Variant::kApproximate, 128}));
+    ::testing::Values(
+        EngineVsReferenceCase{Variant::kOriginal, 0,
+                              "16-byte object <00-00 00-00 00-00 00-00 "
+                              "00-00 00-00 00-00 00-00>"},
+        EngineVsReferenceCase{Variant::kFast, 0,
+                              "16-byte object <01-00 01-1B 03-00 00-00 "
+                              "00-00 00-00 00-00 00-00>"},
+        EngineVsReferenceCase{Variant::kBinary, 0,
+                              "16-byte object <02-00 00-00 00-00 00-00 "
+                              "00-00 00-00 00-00 00-00>"},
+        EngineVsReferenceCase{Variant::kFastBinary, 0,
+                              "16-byte object <03-00 00-00 00-00 00-00 "
+                              "00-00 00-00 00-00 00-00>"},
+        EngineVsReferenceCase{Variant::kApproximate, 0,
+                              "16-byte object <04-00 00-00 00-00 00-00 "
+                              "00-00 00-00 00-00 00-00>"},
+        EngineVsReferenceCase{Variant::kOriginal, 128,
+                              "16-byte object <00-00 01-1B 03-00 00-00 "
+                              "80-00 00-00 00-00 00-00>"},
+        EngineVsReferenceCase{Variant::kFast, 128,
+                              "16-byte object <01-DA 48-00 00-00 00-00 "
+                              "80-00 00-00 00-00 00-00>"},
+        EngineVsReferenceCase{Variant::kBinary, 128,
+                              "16-byte object <02-FF 48-00 00-00 00-00 "
+                              "80-00 00-00 00-00 00-00>"},
+        EngineVsReferenceCase{Variant::kFastBinary, 128,
+                              "16-byte object <03-00 00-00 00-00 00-00 "
+                              "80-00 00-00 00-00 00-00>"},
+        EngineVsReferenceCase{Variant::kApproximate, 128,
+                              "16-byte object <04-00 00-00 00-00 00-00 "
+                              "80-00 00-00 00-00 00-00>"}));
 
 // ---- RSA-moduli early termination -----------------------------------------
 

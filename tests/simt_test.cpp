@@ -19,16 +19,23 @@ using mp::BigInt;
 const Variant kGpuVariants[] = {Variant::kBinary, Variant::kFastBinary,
                                 Variant::kApproximate};
 
+// ctest names each parameterized case by its printed value. The default
+// printer dumps the raw bytes of the struct, padding included, so those names
+// used to depend on whatever the stack held. Each case now carries the name it
+// is tracked under and prints exactly that.
 struct SimtCase {
   Variant variant;
   std::size_t early_bits;
   bool row_wise;
+  const char* ctest_name;
 };
+
+void PrintTo(const SimtCase& c, std::ostream* os) { *os << c.ctest_name; }
 
 class SimtAgreementTest : public ::testing::TestWithParam<SimtCase> {};
 
 TEST_P(SimtAgreementTest, MatchesScalarEngineLaneByLane) {
-  const auto [variant, early_bits, row_wise] = GetParam();
+  const auto [variant, early_bits, row_wise, ctest_name] = GetParam();
   Xoshiro256 rng(111 + std::size_t(variant));
   const std::size_t lanes = 37;  // not a multiple of the warp width
   const std::size_t bits = 256;
@@ -76,14 +83,31 @@ TEST_P(SimtAgreementTest, MatchesScalarEngineLaneByLane) {
 
 INSTANTIATE_TEST_SUITE_P(
     VariantsModesLayouts, SimtAgreementTest,
-    ::testing::Values(SimtCase{Variant::kBinary, 0, false},
-                      SimtCase{Variant::kFastBinary, 0, false},
-                      SimtCase{Variant::kApproximate, 0, false},
-                      SimtCase{Variant::kBinary, 128, false},
-                      SimtCase{Variant::kFastBinary, 128, false},
-                      SimtCase{Variant::kApproximate, 128, false},
-                      SimtCase{Variant::kApproximate, 128, true},
-                      SimtCase{Variant::kBinary, 128, true}));
+    ::testing::Values(
+        SimtCase{Variant::kBinary, 0, false,
+                 "24-byte object <02-00 00-00 00-00 00-00 00-00 00-00 "
+                 "00-00 00-00 00-00 00-00 00-00 00-00>"},
+        SimtCase{Variant::kFastBinary, 0, false,
+                 "24-byte object <03-00 00-00 00-00 00-00 00-00 00-00 "
+                 "00-00 00-00 00-00 00-00 00-00 00-00>"},
+        SimtCase{Variant::kApproximate, 0, false,
+                 "24-byte object <04-00 00-00 00-00 00-00 00-00 00-00 "
+                 "00-00 00-00 00-00 00-00 00-00 00-00>"},
+        SimtCase{Variant::kBinary, 128, false,
+                 "24-byte object <02-00 00-00 00-00 00-00 80-00 00-00 "
+                 "00-00 00-00 00-00 00-00 00-00 00-00>"},
+        SimtCase{Variant::kFastBinary, 128, false,
+                 "24-byte object <03-00 01-1B 03-00 00-00 80-00 00-00 "
+                 "00-00 00-00 00-00 00-00 00-00 00-00>"},
+        SimtCase{Variant::kApproximate, 128, false,
+                 "24-byte object <04-DA 55-00 00-00 00-00 80-00 00-00 "
+                 "00-00 00-00 00-00 00-00 00-00 00-00>"},
+        SimtCase{Variant::kApproximate, 128, true,
+                 "24-byte object <04-FF 48-00 00-00 00-00 80-00 00-00 "
+                 "00-00 00-00 01-00 00-00 00-00 00-00>"},
+        SimtCase{Variant::kBinary, 128, true,
+                 "24-byte object <02-00 00-00 00-00 00-00 80-00 00-00 "
+                 "00-00 00-00 01-00 00-00 00-00 00-00>"}));
 
 TEST(SimtBatchTest, RejectsCpuOnlyVariants) {
   SimtBatch<std::uint32_t> batch(4, 8);
