@@ -1,23 +1,14 @@
 #include "batchgcd/batch_journal.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <stdexcept>
-#include <string>
-
-#include "obs/span.hpp"
 
 namespace bulkgcd::batchgcd {
 
 namespace {
 
-// ---- journal wire format (docs/BATCHGCD.md) -------------------------------
-// Same discipline as the scan checkpoint and intake arrival journals: all
-// integers little-endian, fixed header, appended records, torn tail dropped
-// on resume. Record order invariants:
+// ---- journal codec (docs/BATCHGCD.md) ---------------------------------------
+// The file discipline (header, torn tail, fsync cadence) is core/record_log's.
+// Record order invariants:
 //   - product levels appear in increasing level order starting at 1, each
 //     exactly once;
 //   - remainder levels appear in decreasing level order starting at L−2
@@ -27,87 +18,34 @@ namespace {
 // Any record breaking these is treated as corruption: the tail from it on
 // is dropped, exactly like a torn write.
 
-constexpr char kMagic[8] = {'B', 'G', 'C', 'D', 'B', 'T', 'R', '1'};
+constexpr std::string_view kMagic = "BGCDBTR1";
 constexpr std::uint8_t kRecordProduct = 1;
 constexpr std::uint8_t kRecordRemainder = 2;
 constexpr std::uint8_t kRecordGcds = 3;
-constexpr std::size_t kHeaderSize = 8 + 2 * 8;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(char((v >> (8 * i)) & 0xff));
+void put_values(core::ByteWriter& w, std::span<const mp::BigInt> values) {
+  w.u64(values.size());
+  for (const auto& v : values) w.bigint_limbs(v);
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(char((v >> (8 * i)) & 0xff));
-}
-
-/// Bounds-checked sequential reader over the journal bytes.
-struct Cursor {
-  const unsigned char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  bool u8(std::uint8_t& v) {
-    if (pos + 1 > size) return false;
-    v = data[pos++];
-    return true;
-  }
-  bool u32(std::uint32_t& v) {
-    if (pos + 4 > size) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t(data[pos++]) << (8 * i);
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    if (pos + 8 > size) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t(data[pos++]) << (8 * i);
-    return true;
-  }
-};
-
-/// Tree values are journaled as 32-bit BigInt limbs (count + limbs), the
-/// same encoding the scan checkpoint uses for hit factors, so checkpoints
-/// stay portable across BULKGCD_LIMB32 configurations.
-void put_bigint(std::string& out, const mp::BigInt& n) {
-  const auto limbs = n.limbs();
-  put_u32(out, std::uint32_t(limbs.size()));
-  for (const auto limb : limbs) put_u32(out, limb);
-}
-
-bool get_bigint(Cursor& c, mp::BigInt& n) {
-  std::uint32_t nlimbs = 0;
-  if (!c.u32(nlimbs) || c.pos + std::size_t(nlimbs) * 4 > c.size) return false;
-  std::vector<std::uint32_t> limbs(nlimbs);
-  for (auto& limb : limbs) c.u32(limb);
-  n = mp::BigInt::from_limbs(limbs);
-  return true;
-}
-
-void put_values(std::string& out, std::span<const mp::BigInt> values) {
-  put_u64(out, values.size());
-  for (const auto& v : values) put_bigint(out, v);
-}
-
-bool get_values(Cursor& c, std::vector<mp::BigInt>& values) {
+bool get_values(core::ByteReader& r, std::vector<mp::BigInt>& values) {
   std::uint64_t count = 0;
-  if (!c.u64(count)) return false;
-  // A level can never outnumber its journal bytes (each value costs ≥ 4
-  // bytes) — reject sizes a torn length field could fabricate before the
-  // resize tries to allocate them.
-  if (count > (c.size - c.pos) / 4) return false;
+  // Each value costs at least its 4-byte limb count.
+  if (!r.u64(count) || !r.fits(count, 4)) return false;
   values.resize(count);
   for (auto& v : values) {
-    if (!get_bigint(c, v)) return false;
+    if (!r.bigint_limbs(v)) return false;
   }
   return true;
 }
 
-std::string read_file_bytes(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  return bytes;
+core::ByteWriter level_record(std::uint8_t kind, std::uint32_t level,
+                              std::span<const mp::BigInt> values) {
+  core::ByteWriter w;
+  w.u8(kind);
+  w.u32(level);
+  put_values(w, values);
+  return w;
 }
 
 }  // namespace
@@ -116,156 +54,81 @@ BatchJournal::BatchJournal(std::filesystem::path path,
                            std::uint64_t corpus_digest,
                            std::uint64_t corpus_count, std::size_t fsync_every,
                            obs::HistogramMetric* fsync_hist)
-    : path_(std::move(path)),
-      fsync_every_(std::max<std::size_t>(1, fsync_every)),
-      fsync_hist_(fsync_hist) {
-  std::error_code ec;
-  bool fresh = !std::filesystem::exists(path_, ec) ||
-               std::filesystem::file_size(path_, ec) == 0;
-  if (!fresh && std::filesystem::file_size(path_, ec) < kHeaderSize) {
-    // A crash during creation can tear the header itself. A prefix of our
-    // magic is our own torn file — recreate; anything else is somebody's
-    // data and gets the bad-magic refusal below.
-    const std::string bytes = read_file_bytes(path_);
-    if (std::memcmp(bytes.data(), kMagic,
-                    std::min(bytes.size(), sizeof(kMagic))) == 0) {
-      fresh = true;
-    }
-  }
-  if (fresh) {
-    file_ = std::fopen(path_.string().c_str(), "wb");
-    if (!file_) {
-      throw std::runtime_error("batch_journal: cannot write " +
-                               path_.string());
-    }
-    std::string header(kMagic, sizeof(kMagic));
-    put_u64(header, corpus_digest);
-    put_u64(header, corpus_count);
-    write_record(header);
-    flush_and_sync();
-    return;
-  }
-
-  const std::string bytes = read_file_bytes(path_);
-  Cursor c{reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size()};
-  if (bytes.size() < kHeaderSize ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("batch_journal: " + path_.string() +
-                             " is not a batch-tree journal (bad magic)");
-  }
-  c.pos = sizeof(kMagic);
-  std::uint64_t got_digest = 0, got_count = 0;
-  c.u64(got_digest);
-  c.u64(got_count);
-  if (got_digest != corpus_digest || got_count != corpus_count) {
+    : log_(path, kMagic, "batch-tree journal", fsync_every, fsync_hist) {
+  core::ByteWriter identity;
+  identity.u64(corpus_digest);
+  identity.u64(corpus_count);
+  const auto stored = log_.open(identity.str());
+  if (!stored) return;
+  if (*stored != identity.str()) {
     // A tree built over different moduli delivers gcds against the wrong
     // corpus — refuse loudly rather than resume wrongly.
-    throw std::runtime_error("batch_journal: " + path_.string() +
+    throw std::runtime_error("batch_journal: " + path.string() +
                              " was written for a different corpus "
                              "(digest/count mismatch)");
   }
 
-  replay_.good_offset = c.pos;
   std::uint32_t next_product = 1;  // product levels are dense from 1
   bool descending = false;
   std::uint32_t last_remainder = 0;
-  while (c.pos < c.size) {
+  log_.replay([&](core::ByteReader& r) {
     std::uint8_t kind = 0;
-    if (!c.u8(kind)) break;
+    if (!r.u8(kind)) return false;
     if (kind == kRecordProduct) {
       std::uint32_t level = 0;
       std::vector<mp::BigInt> nodes;
-      if (descending || replay_.gcds || !c.u32(level) ||
-          level != next_product || !get_values(c, nodes)) {
-        break;
+      if (descending || replay_.gcds || !r.u32(level) ||
+          level != next_product || !get_values(r, nodes)) {
+        return false;
       }
       replay_.product_levels.emplace_back(level, std::move(nodes));
       ++next_product;
-    } else if (kind == kRecordRemainder) {
+      return true;
+    }
+    if (kind == kRecordRemainder) {
       std::uint32_t level = 0;
       std::vector<mp::BigInt> residues;
-      if (replay_.gcds || !c.u32(level) || !get_values(c, residues)) break;
+      if (replay_.gcds || !r.u32(level) || !get_values(r, residues)) {
+        return false;
+      }
       // Top-down descent: each remainder level is exactly one below the
       // previous record's level.
-      if (descending && level + 1 != last_remainder) break;
+      if (descending && level + 1 != last_remainder) return false;
       descending = true;
       last_remainder = level;
       replay_.remainder.emplace(level, std::move(residues));
-    } else if (kind == kRecordGcds) {
-      std::vector<mp::BigInt> gcds;
-      if (replay_.gcds || !get_values(c, gcds)) break;
-      replay_.gcds = std::move(gcds);
-    } else {
-      break;  // unknown record kind: treat as corruption, drop the tail
+      return true;
     }
-    replay_.good_offset = c.pos;  // full record parsed: advance the keep-mark
-  }
-
-  // Drop the torn tail before appending so the next reader never sees a
-  // partial record followed by complete ones.
-  const auto actual = std::filesystem::file_size(path_, ec);
-  if (!ec && actual > replay_.good_offset) {
-    std::filesystem::resize_file(path_, replay_.good_offset);
-  }
-  file_ = std::fopen(path_.string().c_str(), "ab");
-  if (!file_) {
-    throw std::runtime_error("batch_journal: cannot append to " +
-                             path_.string());
-  }
-}
-
-BatchJournal::~BatchJournal() {
-  if (file_) {
-    std::fflush(file_);
-    ::fsync(::fileno(file_));
-    std::fclose(file_);
-  }
+    if (kind == kRecordGcds) {
+      std::vector<mp::BigInt> gcds;
+      if (replay_.gcds || !get_values(r, gcds)) return false;
+      replay_.gcds = std::move(gcds);
+      return true;
+    }
+    return false;  // unknown record kind: treat as corruption, drop the tail
+  });
 }
 
 BatchReplay BatchJournal::take_replay() { return std::move(replay_); }
 
 void BatchJournal::append_product_level(std::uint32_t level,
                                         std::span<const mp::BigInt> nodes) {
-  std::string out;
-  out.push_back(char(kRecordProduct));
-  put_u32(out, level);
-  put_values(out, nodes);
-  write_record(out);
-  if (++commits_since_sync_ >= fsync_every_) flush_and_sync();
+  log_.append(level_record(kRecordProduct, level, nodes).str());
 }
 
 void BatchJournal::append_remainder_level(
     std::uint32_t level, std::span<const mp::BigInt> residues) {
-  std::string out;
-  out.push_back(char(kRecordRemainder));
-  put_u32(out, level);
-  put_values(out, residues);
-  write_record(out);
-  if (++commits_since_sync_ >= fsync_every_) flush_and_sync();
+  log_.append(level_record(kRecordRemainder, level, residues).str());
 }
 
 void BatchJournal::append_gcds(std::span<const mp::BigInt> gcds) {
-  std::string out;
-  out.push_back(char(kRecordGcds));
-  put_values(out, gcds);
-  write_record(out);
-  flush_and_sync();  // the completion record is always made durable
+  core::ByteWriter w;
+  w.u8(kRecordGcds);
+  put_values(w, gcds);
+  log_.append(w.str());
+  log_.flush();  // the completion record is always made durable
 }
 
-void BatchJournal::flush() { flush_and_sync(); }
-
-void BatchJournal::write_record(const std::string& bytes) {
-  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
-    throw std::runtime_error("batch_journal: write failed: " + path_.string());
-  }
-}
-
-void BatchJournal::flush_and_sync() {
-  obs::ScopedSpan span(fsync_hist_);
-  if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
-    throw std::runtime_error("batch_journal: fsync failed: " + path_.string());
-  }
-  commits_since_sync_ = 0;
-}
+void BatchJournal::flush() { log_.flush(); }
 
 }  // namespace bulkgcd::batchgcd

@@ -2,12 +2,9 @@
 // that lets a million-moduli product/remainder tree survive a SIGKILL at any
 // level (docs/BATCHGCD.md).
 //
-// Same record discipline as the scan checkpoint journal and the intake
-// arrival journal: append-only file, fixed header binding the journal to one
-// corpus identity (rsa::corpus_digest + count), little-endian integers,
-// per-record fsync cadence, and torn-tail tolerance — a crash mid-write
-// leaves a partial final record that the next open parses past, truncates,
-// and appends over. Three record kinds, one per completed tree level:
+// A core/record_log file (header, torn-header and torn-tail rules, fsync
+// cadence: docs/RECORD_LOG.md) whose identity is the corpus: rsa::corpus_digest
+// + count. Three record kinds, one per completed tree level:
 //
 //   product(level, nodes)    — product-tree level `level` (1 = first pairing
 //                              of the moduli; the leaves are never journaled,
@@ -24,14 +21,13 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <optional>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/record_log.hpp"
 #include "mp/bigint.hpp"
 
 namespace bulkgcd::obs {
@@ -50,18 +46,16 @@ struct BatchReplay {
   std::optional<std::pair<std::uint32_t, std::vector<mp::BigInt>>> remainder;
   /// Final gcd vector, present only when the attack finished.
   std::optional<std::vector<mp::BigInt>> gcds;
-  /// File prefix that parsed cleanly; bytes past it (torn tail) were
-  /// truncated before the journal reopened for append.
-  std::size_t good_offset = 0;
 };
 
 /// Open-for-append batch-tree journal bound to one corpus identity.
 /// Single-writer: the level-serial driver appends from one thread.
 class BatchJournal {
  public:
-  /// Opens `path`, creating it with a fresh header when absent or empty.
-  /// An existing journal must carry the same corpus identity — digest
-  /// (rsa::corpus_digest over the moduli) and count — else this throws
+  /// Opens `path`, creating it with a fresh header when absent, empty or
+  /// torn inside the header (docs/RECORD_LOG.md). An existing journal must
+  /// carry the same corpus identity — digest (rsa::corpus_digest over the
+  /// moduli) and count — else this throws
   /// std::runtime_error: resuming someone else's tree would deliver gcds
   /// against the wrong corpus. On a match, all complete records are parsed
   /// (take_replay()), the torn tail is truncated, and the file is positioned
@@ -69,10 +63,6 @@ class BatchJournal {
   BatchJournal(std::filesystem::path path, std::uint64_t corpus_digest,
                std::uint64_t corpus_count, std::size_t fsync_every = 1,
                obs::HistogramMetric* fsync_hist = nullptr);
-  ~BatchJournal();
-
-  BatchJournal(const BatchJournal&) = delete;
-  BatchJournal& operator=(const BatchJournal&) = delete;
 
   /// The state parsed at open; meaningful once, immediately after
   /// construction (moves the levels out).
@@ -91,15 +81,8 @@ class BatchJournal {
   void flush();
 
  private:
-  void write_record(const std::string& bytes);
-  void flush_and_sync();
-
-  std::filesystem::path path_;
-  std::size_t fsync_every_;
-  obs::HistogramMetric* fsync_hist_;
+  core::RecordLog log_;
   BatchReplay replay_;
-  std::FILE* file_ = nullptr;
-  std::size_t commits_since_sync_ = 0;
 };
 
 }  // namespace bulkgcd::batchgcd

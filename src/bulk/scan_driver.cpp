@@ -3,18 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
 
-#include <unistd.h>  // fsync
-
 #include "bulk/block_grid.hpp"
 #include "bulk/tile_scheduler.hpp"
+#include "core/record_log.hpp"
 #include "core/thread_pool.hpp"
 #include "core/timer.hpp"
 #include "obs/metrics.hpp"
@@ -89,83 +86,50 @@ struct DriverTrace {
   }
 };
 
-// ---- journal wire format (docs/SCAN_DRIVER.md) ----------------------------
-// All integers little-endian. Header is fixed-size; records are appended,
-// each complete record committing one chunk. A torn tail (crash mid-write)
-// is detected by running out of bytes mid-record and truncated on resume.
+// ---- checkpoint codec (docs/SCAN_DRIVER.md) --------------------------------
+// The file discipline (header, torn tail, fsync cadence) is core/record_log's;
+// this is the scan's identity and its two record kinds. Records are keyed by
+// chunk index, never by file position, because chunks commit out of order.
 
-constexpr char kMagic[8] = {'B', 'G', 'C', 'D', 'C', 'K', 'P', '1'};
+constexpr std::string_view kMagic = "BGCDCKP1";
 constexpr std::uint8_t kRecordChunk = 1;
 constexpr std::uint8_t kRecordQuarantine = 2;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(char((v >> (8 * i)) & 0xff));
+void put_gcd_stats(core::ByteWriter& w, const gcd::GcdStats& s) {
+  w.u64(s.iterations);
+  w.u64(s.swaps);
+  w.u64(s.beta_nonzero);
+  w.u64(s.divisions);
+  for (const auto c : s.approx_cases) w.u64(c);
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(char((v >> (8 * i)) & 0xff));
-}
-
-/// Bounds-checked sequential reader over the journal bytes.
-struct Cursor {
-  const unsigned char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  bool u8(std::uint8_t& v) {
-    if (pos + 1 > size) return false;
-    v = data[pos++];
-    return true;
-  }
-  bool u32(std::uint32_t& v) {
-    if (pos + 4 > size) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t(data[pos++]) << (8 * i);
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    if (pos + 8 > size) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t(data[pos++]) << (8 * i);
-    return true;
-  }
-};
-
-void put_gcd_stats(std::string& out, const gcd::GcdStats& s) {
-  put_u64(out, s.iterations);
-  put_u64(out, s.swaps);
-  put_u64(out, s.beta_nonzero);
-  put_u64(out, s.divisions);
-  for (const auto c : s.approx_cases) put_u64(out, c);
-}
-
-bool get_gcd_stats(Cursor& c, gcd::GcdStats& s) {
-  if (!c.u64(s.iterations) || !c.u64(s.swaps) || !c.u64(s.beta_nonzero) ||
-      !c.u64(s.divisions)) {
+bool get_gcd_stats(core::ByteReader& r, gcd::GcdStats& s) {
+  if (!r.u64(s.iterations) || !r.u64(s.swaps) || !r.u64(s.beta_nonzero) ||
+      !r.u64(s.divisions)) {
     return false;
   }
-  for (auto& cc : s.approx_cases) {
-    if (!c.u64(cc)) return false;
+  for (auto& c : s.approx_cases) {
+    if (!r.u64(c)) return false;
   }
   return true;
 }
 
-void put_simt_stats(std::string& out, const SimtStats& s) {
-  put_u64(out, s.rounds);
-  put_u64(out, s.warp_rounds);
-  put_u64(out, s.lane_iterations);
-  put_u64(out, s.branch_slots);
-  put_u64(out, s.divergent_warp_rounds);
-  put_u64(out, s.active_lane_slots);
-  put_u64(out, s.lane_slots);
-  put_gcd_stats(out, s.gcd);
+void put_simt_stats(core::ByteWriter& w, const SimtStats& s) {
+  w.u64(s.rounds);
+  w.u64(s.warp_rounds);
+  w.u64(s.lane_iterations);
+  w.u64(s.branch_slots);
+  w.u64(s.divergent_warp_rounds);
+  w.u64(s.active_lane_slots);
+  w.u64(s.lane_slots);
+  put_gcd_stats(w, s.gcd);
 }
 
-bool get_simt_stats(Cursor& c, SimtStats& s) {
-  return c.u64(s.rounds) && c.u64(s.warp_rounds) && c.u64(s.lane_iterations) &&
-         c.u64(s.branch_slots) && c.u64(s.divergent_warp_rounds) &&
-         c.u64(s.active_lane_slots) && c.u64(s.lane_slots) &&
-         get_gcd_stats(c, s.gcd);
+bool get_simt_stats(core::ByteReader& r, SimtStats& s) {
+  return r.u64(s.rounds) && r.u64(s.warp_rounds) && r.u64(s.lane_iterations) &&
+         r.u64(s.branch_slots) && r.u64(s.divergent_warp_rounds) &&
+         r.u64(s.active_lane_slots) && r.u64(s.lane_slots) &&
+         get_gcd_stats(r, s.gcd);
 }
 
 /// Everything the driver needs to know about the corpus + config to decide
@@ -180,20 +144,42 @@ struct JournalIdentity {
   std::uint32_t variant = 0;
   std::uint32_t early_terminate = 0;
 
-  std::string serialize_header() const {
-    std::string out(kMagic, sizeof(kMagic));
-    put_u64(out, digest);
-    put_u64(out, m);
-    put_u64(out, group_size);
-    put_u64(out, chunk_blocks);
-    put_u64(out, chunks_total);
-    put_u32(out, engine);
-    put_u32(out, variant);
-    put_u32(out, early_terminate);
-    put_u32(out, 0);  // reserved
-    return out;
+  std::string serialize() const {
+    core::ByteWriter w;
+    w.u64(digest);
+    w.u64(m);
+    w.u64(group_size);
+    w.u64(chunk_blocks);
+    w.u64(chunks_total);
+    w.u32(engine);
+    w.u32(variant);
+    w.u32(early_terminate);
+    w.u32(0);  // reserved
+    return w.str();
   }
-  static constexpr std::size_t header_size() { return 8 + 5 * 8 + 4 * 4; }
+
+  /// Why a checkpoint carrying `stored` cannot resume this scan, or nullptr.
+  const char* mismatch(std::string_view stored) const {
+    core::ByteReader r(stored);
+    JournalIdentity got;
+    r.u64(got.digest);
+    r.u64(got.m);
+    r.u64(got.group_size);
+    r.u64(got.chunk_blocks);
+    r.u64(got.chunks_total);
+    r.u32(got.engine);
+    r.u32(got.variant);
+    r.u32(got.early_terminate);
+    if (got.digest != digest || got.m != m) {
+      return "corpus digest mismatch (different moduli list)";
+    }
+    if (got.group_size != group_size || got.chunk_blocks != chunk_blocks ||
+        got.chunks_total != chunks_total || got.engine != engine ||
+        got.variant != variant || got.early_terminate != early_terminate) {
+      return "scan configuration mismatch (grid or engine changed)";
+    }
+    return nullptr;
+  }
 };
 
 /// The per-chunk unit of work as produced by a worker and journaled on
@@ -209,28 +195,26 @@ struct ChunkOutcome {
 };
 
 std::string serialize_outcome(const ChunkOutcome& o) {
-  std::string out;
+  core::ByteWriter w;
   if (o.quarantined) {
-    out.push_back(char(kRecordQuarantine));
-    put_u64(out, o.chunk_index);
-    put_u32(out, std::uint32_t(o.error.size()));
-    out.append(o.error);
-    return out;
+    w.u8(kRecordQuarantine);
+    w.u64(o.chunk_index);
+    w.u32(std::uint32_t(o.error.size()));
+    w.bytes(o.error);
+    return w.str();
   }
-  out.push_back(char(kRecordChunk));
-  put_u64(out, o.chunk_index);
-  put_u64(out, o.pairs);
-  put_simt_stats(out, o.simt);
-  put_gcd_stats(out, o.scalar);
-  put_u32(out, std::uint32_t(o.hits.size()));
+  w.u8(kRecordChunk);
+  w.u64(o.chunk_index);
+  w.u64(o.pairs);
+  put_simt_stats(w, o.simt);
+  put_gcd_stats(w, o.scalar);
+  w.u32(std::uint32_t(o.hits.size()));
   for (const auto& hit : o.hits) {
-    put_u64(out, hit.i);
-    put_u64(out, hit.j);
-    const auto limbs = hit.factor.limbs();
-    put_u32(out, std::uint32_t(limbs.size()));
-    for (const auto limb : limbs) put_u32(out, limb);
+    w.u64(hit.i);
+    w.u64(hit.j);
+    w.bigint_limbs(hit.factor);
   }
-  return out;
+  return w.str();
 }
 
 /// State reconstructed from a valid checkpoint journal.
@@ -243,202 +227,55 @@ struct RestoredState {
   std::uint64_t chunks_committed = 0;
   SimtStats simt;
   gcd::GcdStats scalar;
-  std::size_t good_offset = 0;  // file prefix that parsed cleanly
-};
 
-/// Parse a journal; returns std::nullopt when the header doesn't match
-/// `want` (digest/config mismatch). Throws only on I/O errors. A torn tail
-/// is silently dropped (good_offset marks the keep-prefix).
-std::optional<RestoredState> parse_journal(const std::string& bytes,
-                                           const JournalIdentity& want,
-                                           std::string* why) {
-  Cursor c{reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size()};
-  if (bytes.size() < JournalIdentity::header_size() ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    if (why) *why = "not a scan checkpoint (bad magic)";
-    return std::nullopt;
-  }
-  c.pos = sizeof(kMagic);
-  JournalIdentity got;
-  std::uint32_t reserved = 0;
-  c.u64(got.digest);
-  c.u64(got.m);
-  c.u64(got.group_size);
-  c.u64(got.chunk_blocks);
-  c.u64(got.chunks_total);
-  c.u32(got.engine);
-  c.u32(got.variant);
-  c.u32(got.early_terminate);
-  c.u32(reserved);
-  if (got.digest != want.digest || got.m != want.m) {
-    if (why) *why = "corpus digest mismatch (different moduli list)";
-    return std::nullopt;
-  }
-  if (got.group_size != want.group_size ||
-      got.chunk_blocks != want.chunk_blocks ||
-      got.chunks_total != want.chunks_total || got.engine != want.engine ||
-      got.variant != want.variant ||
-      got.early_terminate != want.early_terminate) {
-    if (why) *why = "scan configuration mismatch (grid or engine changed)";
-    return std::nullopt;
-  }
-
-  RestoredState state;
-  state.committed.assign(want.chunks_total, 0);
-  state.handled.assign(want.chunks_total, 0);
-  state.good_offset = c.pos;
-
-  while (c.pos < c.size) {
+  /// Decode and apply one record; false (state untouched) on a torn or
+  /// corrupt one.
+  bool apply(core::ByteReader& r) {
     std::uint8_t kind = 0;
     std::uint64_t chunk = 0;
-    if (!c.u8(kind) || !c.u64(chunk)) break;
-    if (chunk >= want.chunks_total) break;  // corrupt record: stop here
+    if (!r.u8(kind) || !r.u64(chunk)) return false;
+    if (chunk >= handled.size()) return false;  // corrupt record: stop here
     if (kind == kRecordChunk) {
-      std::uint64_t pairs = 0;
-      SimtStats simt;
-      gcd::GcdStats scalar;
+      std::uint64_t rec_pairs = 0;
+      SimtStats rec_simt;
+      gcd::GcdStats rec_scalar;
       std::uint32_t nhits = 0;
-      if (!c.u64(pairs) || !get_simt_stats(c, simt) ||
-          !get_gcd_stats(c, scalar) || !c.u32(nhits)) {
-        break;
+      // A hit costs at least i, j and a limb count: 20 bytes.
+      if (!r.u64(rec_pairs) || !get_simt_stats(r, rec_simt) ||
+          !get_gcd_stats(r, rec_scalar) || !r.u32(nhits) ||
+          !r.fits(nhits, 20)) {
+        return false;
       }
-      std::vector<FactorHit> hits(nhits);
-      bool ok = true;
-      for (auto& hit : hits) {
-        std::uint32_t nlimbs = 0;
-        if (!c.u64(hit.i) || !c.u64(hit.j) || !c.u32(nlimbs)) {
-          ok = false;
-          break;
+      std::vector<FactorHit> rec_hits(nhits);
+      for (auto& hit : rec_hits) {
+        if (!r.u64(hit.i) || !r.u64(hit.j) || !r.bigint_limbs(hit.factor)) {
+          return false;
         }
-        // Hit factors are journaled as 32-bit BigInt limbs regardless of the
-        // scan limb width (BULKGCD_LIMB32), so checkpoints are portable
-        // across limb configurations.
-        std::vector<std::uint32_t> limbs(nlimbs);
-        for (auto& limb : limbs) {
-          if (!c.u32(limb)) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) break;
-        hit.factor = mp::BigInt::from_limbs(limbs);
       }
-      if (!ok) break;
-      if (!state.handled[chunk]) {  // tolerate duplicates defensively
-        state.committed[chunk] = state.handled[chunk] = 1;
-        ++state.chunks_committed;
-        state.pairs += pairs;
-        state.simt += simt;
-        state.scalar += scalar;
-        state.hits.insert(state.hits.end(),
-                          std::make_move_iterator(hits.begin()),
-                          std::make_move_iterator(hits.end()));
+      if (!handled[chunk]) {  // tolerate duplicates defensively
+        committed[chunk] = handled[chunk] = 1;
+        ++chunks_committed;
+        pairs += rec_pairs;
+        simt += rec_simt;
+        scalar += rec_scalar;
+        hits.insert(hits.end(), std::make_move_iterator(rec_hits.begin()),
+                    std::make_move_iterator(rec_hits.end()));
       }
-    } else if (kind == kRecordQuarantine) {
+      return true;
+    }
+    if (kind == kRecordQuarantine) {
       std::uint32_t len = 0;
-      if (!c.u32(len) || c.pos + len > c.size) break;
-      std::string error(bytes.data() + c.pos, len);
-      c.pos += len;
-      if (!state.handled[chunk]) {
-        state.handled[chunk] = 1;
-        state.quarantined.push_back({std::size_t(chunk), std::move(error)});
+      std::string error;
+      if (!r.u32(len) || !r.bytes(len, error)) return false;
+      if (!handled[chunk]) {
+        handled[chunk] = 1;
+        quarantined.push_back({std::size_t(chunk), std::move(error)});
       }
-    } else {
-      break;  // unknown record kind: treat as corruption, drop the tail
+      return true;
     }
-    state.good_offset = c.pos;  // full record parsed: advance the keep-mark
+    return false;  // unknown record kind: treat as corruption, drop the tail
   }
-  return state;
-}
-
-/// Open-for-append journal with fsync cadence.
-class Journal {
- public:
-  /// fsync_hist (optional) receives the latency of every flush+fsync — the
-  /// durability cost a production deployment needs to watch.
-  Journal(const std::filesystem::path& path, std::size_t fsync_every,
-          obs::HistogramMetric* fsync_hist = nullptr,
-          DriverTrace trace = {})
-      : path_(path),
-        fsync_every_(std::max<std::size_t>(1, fsync_every)),
-        fsync_hist_(fsync_hist),
-        trace_(trace) {}
-  ~Journal() { close(); }
-
-  void create_fresh(const JournalIdentity& id) {
-    close();
-    file_ = std::fopen(path_.string().c_str(), "wb");
-    if (!file_) {
-      throw std::runtime_error("scan_driver: cannot write checkpoint " +
-                               path_.string());
-    }
-    const std::string header = id.serialize_header();
-    write_all(header);
-    flush_and_sync();
-  }
-
-  void open_for_resume(std::size_t good_offset) {
-    close();
-    // Drop any torn tail before appending so the next reader never sees a
-    // partial record followed by complete ones.
-    std::error_code ec;
-    const auto actual = std::filesystem::file_size(path_, ec);
-    if (!ec && actual > good_offset) {
-      std::filesystem::resize_file(path_, good_offset);
-    }
-    file_ = std::fopen(path_.string().c_str(), "ab");
-    if (!file_) {
-      throw std::runtime_error("scan_driver: cannot append to checkpoint " +
-                               path_.string());
-    }
-  }
-
-  void commit(const ChunkOutcome& outcome) {
-    write_all(serialize_outcome(outcome));
-    if (++commits_since_sync_ >= fsync_every_) flush_and_sync();
-  }
-
-  void finish() {
-    if (file_) flush_and_sync();
-  }
-
- private:
-  void write_all(const std::string& bytes) {
-    if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
-      throw std::runtime_error("scan_driver: checkpoint write failed: " +
-                               path_.string());
-    }
-  }
-  void flush_and_sync() {
-    obs::ScopedSpan span(fsync_hist_);
-    obs::TraceSpan tspan(trace_.rec, trace_.fsync_id);
-    if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
-      throw std::runtime_error("scan_driver: checkpoint fsync failed: " +
-                               path_.string());
-    }
-    commits_since_sync_ = 0;
-  }
-  void close() {
-    if (file_) {
-      std::fclose(file_);
-      file_ = nullptr;
-    }
-  }
-
-  std::filesystem::path path_;
-  std::size_t fsync_every_;
-  obs::HistogramMetric* fsync_hist_;
-  DriverTrace trace_;
-  std::size_t commits_since_sync_ = 0;
-  std::FILE* file_ = nullptr;
 };
-
-std::string read_file_bytes(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  return bytes;
-}
 
 }  // namespace
 
@@ -538,29 +375,24 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
   state.committed.assign(chunks_total, 0);
   state.handled.assign(chunks_total, 0);
 
-  std::optional<Journal> journal;
+  std::optional<core::RecordLog> journal;
   if (!config.checkpoint.empty()) {
-    journal.emplace(config.checkpoint, config.fsync_every, tele.fsync_seconds,
-                    dtr);
-    std::error_code ec;
-    if (std::filesystem::exists(config.checkpoint, ec)) {
-      std::string why;
-      auto restored =
-          parse_journal(read_file_bytes(config.checkpoint), identity, &why);
-      if (restored) {
-        state = std::move(*restored);
+    journal.emplace(config.checkpoint, kMagic, "scan checkpoint",
+                    config.fsync_every, tele.fsync_seconds, dtr.rec,
+                    dtr.fsync_id);
+    const std::string header = identity.serialize();
+    if (const auto stored = journal->open(header)) {
+      if (const char* why = identity.mismatch(*stored); why == nullptr) {
+        journal->replay([&](core::ByteReader& r) { return state.apply(r); });
         report.resumed = state.chunks_committed > 0 ||
                          !state.quarantined.empty();
-        journal->open_for_resume(state.good_offset);
       } else if (config.discard_mismatched_checkpoint) {
-        journal->create_fresh(identity);
+        journal->create(header);
       } else {
         throw std::runtime_error("scan_driver: checkpoint " +
                                  config.checkpoint.string() +
                                  " is not resumable for this scan: " + why);
       }
-    } else {
-      journal->create_fresh(identity);
     }
   }
 
@@ -708,7 +540,7 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
       dtr.rec->instant(dtr.commit_id, 0, outcome.chunk_index,
                        outcome.quarantined ? 1 : 0, outcome.hits.size());
     }
-    if (journal) journal->commit(outcome);
+    if (journal) journal->append(serialize_outcome(outcome));
     ++committed_this_run;
     if (outcome.quarantined) {
       if (tele.chunks_quarantined) tele.chunks_quarantined->inc();
@@ -755,8 +587,8 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
   // therefore complete OUT OF ORDER; every outcome flows through the
   // driver-thread commit queue below, so journal records stay whole
   // per-chunk appends (keyed by chunk_index under the corpus-digest header)
-  // and the torn-tail recovery rule is untouched — parse_journal indexes
-  // records by chunk, never by position.
+  // and the torn-tail recovery rule is untouched — replay indexes records
+  // by chunk, never by position.
   if (launch_total > 0) {
     if (config.pairs.pool_threads == 1) {
       for (std::size_t k = 0; k < launch_total; ++k) {
@@ -814,7 +646,7 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
     }
   }
 
-  if (journal) journal->finish();
+  if (journal) journal->flush();
 
   report.complete =
       report.chunks_done + report.quarantined.size() == chunks_total;

@@ -6,7 +6,7 @@
 // into durable work units of `chunk_blocks` consecutive blocks and layers
 // three robustness mechanisms on top of the raw sweep:
 //
-//   * Checkpointing — an append-only binary journal (docs/SCAN_DRIVER.md)
+//   * Checkpointing — a core/record_log journal (docs/SCAN_DRIVER.md)
 //     records every committed chunk with its hits and engine statistics,
 //     fsynced at a configurable cadence. On restart the journal is validated
 //     against a corpus digest (rsa::corpus_digest) and the scan resumes from
@@ -94,7 +94,8 @@ struct ScanConfig {
   std::size_t stop_after_chunks = 0;
   /// On checkpoint/corpus mismatch: true = discard and start fresh,
   /// false = throw std::runtime_error (default — never silently lose the
-  /// association between checkpoint and corpus).
+  /// association between checkpoint and corpus). A file that is not a scan
+  /// checkpoint at all is refused either way and left untouched.
   bool discard_mismatched_checkpoint = false;
 
   ProgressSink* sink = nullptr;

@@ -1,21 +1,14 @@
 #include "svc/arrival_journal.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <stdexcept>
-#include <string>
 
 namespace bulkgcd::svc {
 
 namespace {
 
-// ---- journal wire format (docs/INTAKE_SERVICE.md) -------------------------
-// Same discipline as the scan checkpoint journal (bulk/scan_driver.cpp): all
-// integers little-endian, fixed header, appended records, torn tail dropped
-// on resume. Record order invariants (docs/INTAKE_SERVICE.md):
+// ---- journal codec (docs/INTAKE_SERVICE.md) ---------------------------------
+// The file discipline (header, torn tail, fsync cadence) is core/record_log's.
+// Record order invariants (docs/INTAKE_SERVICE.md):
 //   - arrival seqs are dense and file-ordered (the admission gate assigns
 //     and journals them under one lock);
 //   - a retract record immediately follows its arrival logically (same
@@ -23,75 +16,52 @@ namespace {
 //   - probed(seq) appears after arrival(seq) — the worker only sees a key
 //     after the gate journaled it.
 // Any record breaking these is treated as corruption: the tail from it on
-// is dropped, exactly like a torn write.
+// is dropped, exactly like a torn write. Values are journaled as canonical
+// little-endian bytes, so journals are portable across limb-width builds.
 
-constexpr char kMagic[8] = {'B', 'G', 'C', 'D', 'A', 'R', 'J', '1'};
+constexpr std::string_view kMagic = "BGCDARJ1";
 constexpr std::uint8_t kRecordArrival = 1;
 constexpr std::uint8_t kRecordProbed = 2;
 constexpr std::uint8_t kRecordRetract = 3;
-constexpr std::size_t kHeaderSize = 8 + 2 * 8;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(char((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(char((v >> (8 * i)) & 0xff));
-}
-
-/// Bounds-checked sequential reader over the journal bytes.
-struct Cursor {
-  const unsigned char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  bool u8(std::uint8_t& v) {
-    if (pos + 1 > size) return false;
-    v = data[pos++];
+/// Decode and apply one record; false (arrivals untouched) on a torn or
+/// invariant-breaking one.
+bool apply(core::ByteReader& r, std::vector<ReplayedArrival>& arrivals) {
+  std::uint8_t kind = 0;
+  std::uint64_t seq = 0;
+  if (!r.u8(kind) || !r.u64(seq)) return false;
+  if (kind == kRecordArrival) {
+    ReplayedArrival arrival;
+    if (seq != arrivals.size() || !r.bigint_bytes(arrival.value)) return false;
+    arrivals.push_back(std::move(arrival));
     return true;
   }
-  bool u32(std::uint32_t& v) {
-    if (pos + 4 > size) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t(data[pos++]) << (8 * i);
+  if (kind == kRecordProbed) {
+    std::uint32_t nhits = 0;
+    // A hit costs at least its index and a byte count: 12 bytes.
+    if (seq >= arrivals.size() || arrivals[seq].probed || !r.u32(nhits) ||
+        !r.fits(nhits, 12)) {
+      return false;
+    }
+    std::vector<std::pair<std::uint64_t, mp::BigInt>> hits(nhits);
+    for (auto& [i, factor] : hits) {
+      if (!r.u64(i) || !r.bigint_bytes(factor)) return false;
+    }
+    arrivals[seq].probed = true;
+    arrivals[seq].hits = std::move(hits);
     return true;
   }
-  bool u64(std::uint64_t& v) {
-    if (pos + 8 > size) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t(data[pos++]) << (8 * i);
+  if (kind == kRecordRetract) {
+    // A shed submission: the gate journaled the arrival, then the queue
+    // refused it. Always the newest arrival, never a probed one.
+    if (arrivals.empty() || seq != arrivals.size() - 1 ||
+        arrivals.back().probed) {
+      return false;
+    }
+    arrivals.pop_back();
     return true;
   }
-};
-
-/// Values are journaled as canonical little-endian bytes — exactly
-/// (bit_length + 7) / 8 of them, the same encoding rsa::modulus_fingerprint
-/// hashes — so journals are portable across limb-width builds.
-void put_bigint(std::string& out, const mp::BigInt& n) {
-  const auto limbs = n.limbs();
-  const std::size_t bytes = (n.bit_length() + 7) / 8;
-  put_u32(out, std::uint32_t(bytes));
-  for (std::size_t b = 0; b < bytes; ++b) {
-    out.push_back(char((limbs[b / 4] >> (8 * (b % 4))) & 0xff));
-  }
-}
-
-bool get_bigint(Cursor& c, mp::BigInt& n) {
-  std::uint32_t nbytes = 0;
-  if (!c.u32(nbytes) || c.pos + nbytes > c.size) return false;
-  std::vector<std::uint32_t> limbs((nbytes + 3) / 4, 0);
-  for (std::uint32_t b = 0; b < nbytes; ++b) {
-    limbs[b / 4] |= std::uint32_t(c.data[c.pos++]) << (8 * (b % 4));
-  }
-  n = mp::BigInt::from_limbs(limbs);
-  return true;
-}
-
-std::string read_file_bytes(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  return bytes;
+  return false;  // unknown record kind: treat as corruption, drop the tail
 }
 
 }  // namespace
@@ -99,96 +69,23 @@ std::string read_file_bytes(const std::filesystem::path& path) {
 ArrivalJournal::ArrivalJournal(std::filesystem::path path,
                                std::uint64_t seed_digest,
                                std::uint64_t seed_count,
-                               std::size_t fsync_every)
-    : path_(std::move(path)),
-      fsync_every_(std::max<std::size_t>(1, fsync_every)) {
-  std::error_code ec;
-  bool fresh = !std::filesystem::exists(path_, ec) ||
-               std::filesystem::file_size(path_, ec) == 0;
-  if (!fresh && std::filesystem::file_size(path_, ec) < kHeaderSize) {
-    // A crash during creation can tear the header itself. If what's there is
-    // a prefix of our magic it's our own torn file — start over; anything
-    // else is somebody's data and gets the bad-magic refusal below.
-    const std::string bytes = read_file_bytes(path_);
-    if (std::memcmp(bytes.data(), kMagic,
-                    std::min(bytes.size(), sizeof(kMagic))) == 0) {
-      fresh = true;
-    }
-  }
-  if (fresh) {
-    file_ = std::fopen(path_.string().c_str(), "wb");
-    if (!file_) {
-      throw std::runtime_error("arrival_journal: cannot write " +
-                               path_.string());
-    }
-    std::string header(kMagic, sizeof(kMagic));
-    put_u64(header, seed_digest);
-    put_u64(header, seed_count);
-    write_record(header);
-    flush_and_sync_locked();
-    return;
-  }
-
-  const std::string bytes = read_file_bytes(path_);
-  Cursor c{reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size()};
-  if (bytes.size() < kHeaderSize ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("arrival_journal: " + path_.string() +
-                             " is not an arrival journal (bad magic)");
-  }
-  c.pos = sizeof(kMagic);
-  std::uint64_t got_digest = 0, got_count = 0;
-  c.u64(got_digest);
-  c.u64(got_count);
-  if (got_digest != seed_digest || got_count != seed_count) {
+                               std::size_t fsync_every,
+                               obs::HistogramMetric* fsync_hist)
+    : log_(path, kMagic, "arrival journal", fsync_every, fsync_hist) {
+  core::ByteWriter identity;
+  identity.u64(seed_digest);
+  identity.u64(seed_count);
+  const auto stored = log_.open(identity.str());
+  if (!stored) return;
+  if (*stored != identity.str()) {
     // Replaying someone else's arrivals would mis-index every journaled hit
     // against this seed — refuse loudly rather than resume wrongly.
-    throw std::runtime_error("arrival_journal: " + path_.string() +
+    throw std::runtime_error("arrival_journal: " + path.string() +
                              " was written for a different seed corpus "
                              "(digest/count mismatch)");
   }
-
   auto& arrivals = replay_.arrivals;
-  replay_.good_offset = c.pos;
-  while (c.pos < c.size) {
-    std::uint8_t kind = 0;
-    std::uint64_t seq = 0;
-    if (!c.u8(kind) || !c.u64(seq)) break;
-    if (kind == kRecordArrival) {
-      mp::BigInt value;
-      if (seq != arrivals.size() || !get_bigint(c, value)) break;
-      ReplayedArrival arrival;
-      arrival.value = std::move(value);
-      arrivals.push_back(std::move(arrival));
-    } else if (kind == kRecordProbed) {
-      std::uint32_t nhits = 0;
-      if (seq >= arrivals.size() || arrivals[seq].probed || !c.u32(nhits)) {
-        break;
-      }
-      std::vector<std::pair<std::uint64_t, mp::BigInt>> hits(nhits);
-      bool ok = true;
-      for (auto& [i, factor] : hits) {
-        if (!c.u64(i) || !get_bigint(c, factor)) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) break;
-      arrivals[seq].probed = true;
-      arrivals[seq].hits = std::move(hits);
-    } else if (kind == kRecordRetract) {
-      // A shed submission: the gate journaled the arrival, then the queue
-      // refused it. Always the newest arrival, never a probed one.
-      if (arrivals.empty() || seq != arrivals.size() - 1 ||
-          arrivals.back().probed) {
-        break;
-      }
-      arrivals.pop_back();
-    } else {
-      break;  // unknown record kind: treat as corruption, drop the tail
-    }
-    replay_.good_offset = c.pos;  // full record parsed: advance the keep-mark
-  }
+  log_.replay([&](core::ByteReader& r) { return apply(r, arrivals); });
 
   // The worker probes strictly in arrival order, so probed records form a
   // seq prefix. Enforce it: past the first unprobed arrival everything is
@@ -202,83 +99,47 @@ ArrivalJournal::ArrivalJournal(std::filesystem::path path,
       arrival.hits.clear();
     }
   }
-
-  // Drop the torn tail before appending so the next reader never sees a
-  // partial record followed by complete ones.
-  const auto actual = std::filesystem::file_size(path_, ec);
-  if (!ec && actual > replay_.good_offset) {
-    std::filesystem::resize_file(path_, replay_.good_offset);
-  }
-  file_ = std::fopen(path_.string().c_str(), "ab");
-  if (!file_) {
-    throw std::runtime_error("arrival_journal: cannot append to " +
-                             path_.string());
-  }
-}
-
-ArrivalJournal::~ArrivalJournal() {
-  if (file_) {
-    std::fflush(file_);
-    ::fsync(::fileno(file_));
-    std::fclose(file_);
-  }
 }
 
 ArrivalReplay ArrivalJournal::take_replay() { return std::move(replay_); }
 
 void ArrivalJournal::append_arrival(std::uint64_t seq,
                                     const mp::BigInt& value) {
-  std::string out;
-  out.push_back(char(kRecordArrival));
-  put_u64(out, seq);
-  put_bigint(out, value);
-  std::lock_guard lock(mutex_);
-  write_record(out);
-  if (++commits_since_sync_ >= fsync_every_) flush_and_sync_locked();
+  core::ByteWriter w;
+  w.u8(kRecordArrival);
+  w.u64(seq);
+  w.bigint_bytes(value);
+  append(w);
 }
 
 void ArrivalJournal::append_probed(std::uint64_t seq,
                                    std::span<const bulk::FactorHit> hits) {
-  std::string out;
-  out.push_back(char(kRecordProbed));
-  put_u64(out, seq);
-  put_u32(out, std::uint32_t(hits.size()));
+  core::ByteWriter w;
+  w.u8(kRecordProbed);
+  w.u64(seq);
+  w.u32(std::uint32_t(hits.size()));
   for (const auto& hit : hits) {
-    put_u64(out, hit.i);
-    put_bigint(out, hit.factor);
+    w.u64(hit.i);
+    w.bigint_bytes(hit.factor);
   }
-  std::lock_guard lock(mutex_);
-  write_record(out);
-  if (++commits_since_sync_ >= fsync_every_) flush_and_sync_locked();
+  append(w);
 }
 
 void ArrivalJournal::append_retract(std::uint64_t seq) {
-  std::string out;
-  out.push_back(char(kRecordRetract));
-  put_u64(out, seq);
-  std::lock_guard lock(mutex_);
-  write_record(out);
-  if (++commits_since_sync_ >= fsync_every_) flush_and_sync_locked();
+  core::ByteWriter w;
+  w.u8(kRecordRetract);
+  w.u64(seq);
+  append(w);
 }
 
 void ArrivalJournal::flush() {
   std::lock_guard lock(mutex_);
-  flush_and_sync_locked();
+  log_.flush();
 }
 
-void ArrivalJournal::write_record(const std::string& bytes) {
-  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
-    throw std::runtime_error("arrival_journal: write failed: " +
-                             path_.string());
-  }
-}
-
-void ArrivalJournal::flush_and_sync_locked() {
-  if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
-    throw std::runtime_error("arrival_journal: fsync failed: " +
-                             path_.string());
-  }
-  commits_since_sync_ = 0;
+void ArrivalJournal::append(const core::ByteWriter& record) {
+  std::lock_guard lock(mutex_);
+  log_.append(record.str());
 }
 
 }  // namespace bulkgcd::svc

@@ -1,11 +1,9 @@
 // Durable arrival journal for the streaming intake service — the element
 // that makes a streamed corpus survive a crash (docs/INTAKE_SERVICE.md).
 //
-// Same record discipline as the scan checkpoint journal (docs/SCAN_DRIVER.md):
-// append-only file, fixed header binding the journal to the seed corpus,
-// little-endian integers, fsync cadence, and torn-tail tolerance — a crash
-// mid-write leaves a partial final record that the next open parses past,
-// truncates, and appends over. Two record kinds:
+// A core/record_log file (header, torn-header and torn-tail rules, fsync
+// cadence: docs/RECORD_LOG.md) whose identity is the seed corpus:
+// rsa::corpus_digest + count. Three record kinds:
 //
 //   arrival(seq, value)      — written by the admission gate the moment a key
 //                              enters the queue: the key is durable before it
@@ -17,6 +15,8 @@
 //                              portable); the fold index j and the
 //                              full_modulus flag are recomputed on replay
 //                              (j = seed_count + seq).
+//   retract(seq)             — the admission queue shed the key after the
+//                              gate journaled it; cancels arrival(seq).
 //
 // Replay rebuilds exactly the state a restarted service needs: probed
 // arrivals re-fold with their journaled hits (no GCDs re-run), the unprobed
@@ -25,14 +25,18 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <mutex>
 #include <span>
 #include <vector>
 
 #include "bulk/allpairs.hpp"
+#include "core/record_log.hpp"
 #include "mp/bigint.hpp"
+
+namespace bulkgcd::obs {
+class HistogramMetric;
+}  // namespace bulkgcd::obs
 
 namespace bulkgcd::svc {
 
@@ -50,9 +54,6 @@ struct ReplayedArrival {
 /// Everything parsed from an existing journal at open.
 struct ArrivalReplay {
   std::vector<ReplayedArrival> arrivals;
-  /// File prefix that parsed cleanly; bytes past it (torn tail) were
-  /// truncated before the journal reopened for append.
-  std::size_t good_offset = 0;
 };
 
 /// Open-for-append arrival journal bound to one seed corpus identity.
@@ -60,19 +61,18 @@ struct ArrivalReplay {
 /// (each append is one locked write; record bytes never interleave).
 class ArrivalJournal {
  public:
-  /// Opens `path`, creating it with a fresh header when absent or empty.
-  /// An existing journal must carry the same seed identity — digest
-  /// (rsa::corpus_digest over the seed) and count — else this throws
+  /// Opens `path`, creating it with a fresh header when absent, empty or
+  /// torn inside the header (docs/RECORD_LOG.md). An existing journal must
+  /// carry the same seed identity — digest (rsa::corpus_digest over the
+  /// seed) and count — else this throws
   /// std::runtime_error: replaying someone else's arrivals into this corpus
   /// would silently mis-index every hit. On a match, all complete records
   /// are parsed (take_replay()), the torn tail is truncated, and the file is
-  /// positioned for append.
+  /// positioned for append. fsync_hist (optional) receives each
+  /// flush+fsync latency.
   ArrivalJournal(std::filesystem::path path, std::uint64_t seed_digest,
-                 std::uint64_t seed_count, std::size_t fsync_every = 1);
-  ~ArrivalJournal();
-
-  ArrivalJournal(const ArrivalJournal&) = delete;
-  ArrivalJournal& operator=(const ArrivalJournal&) = delete;
+                 std::uint64_t seed_count, std::size_t fsync_every = 1,
+                 obs::HistogramMetric* fsync_hist = nullptr);
 
   /// The state parsed at open; meaningful once, immediately after
   /// construction (moves the arrivals out).
@@ -97,15 +97,11 @@ class ArrivalJournal {
   void flush();
 
  private:
-  void write_record(const std::string& bytes);
-  void flush_and_sync_locked();
+  void append(const core::ByteWriter& record);
 
-  std::filesystem::path path_;
-  std::size_t fsync_every_;
   ArrivalReplay replay_;
-  std::mutex mutex_;
-  std::FILE* file_ = nullptr;
-  std::size_t commits_since_sync_ = 0;
+  std::mutex mutex_;  // guards log_: the gate and the worker both append
+  core::RecordLog log_;
 };
 
 }  // namespace bulkgcd::svc

@@ -28,6 +28,7 @@ struct IntakeService::Telemetry {
   obs::Gauge* batch_fill = nullptr;
   obs::Gauge* corpus_size = nullptr;
   obs::HistogramMetric* probe_seconds = nullptr;
+  obs::HistogramMetric* journal_fsync_seconds = nullptr;
 
   static std::unique_ptr<Telemetry> resolve(obs::MetricsRegistry* m) {
     if (!m) return nullptr;
@@ -47,6 +48,8 @@ struct IntakeService::Telemetry {
     t->batch_fill = m->gauge("intake_batch_fill");
     t->corpus_size = m->gauge("intake_corpus_size");
     t->probe_seconds = m->histogram("intake_probe_seconds", 0.0, 10.0, 100);
+    t->journal_fsync_seconds =
+        m->histogram("intake_journal_fsync_seconds", 0.0, 0.1, 100);
     return t;
   }
 };
@@ -125,7 +128,8 @@ void IntakeService::replay_journal() {
   journal_ = std::make_unique<ArrivalJournal>(
       config_.journal_path,
       rsa::corpus_digest(std::span<const mp::BigInt>(corpus_)), seed_count_,
-      config_.journal_fsync_every);
+      config_.journal_fsync_every,
+      tele_ ? tele_->journal_fsync_seconds : nullptr);
   ArrivalReplay replay = journal_->take_replay();
   for (std::size_t seq = 0; seq < replay.arrivals.size(); ++seq) {
     auto& arrival = replay.arrivals[seq];

@@ -11,6 +11,7 @@
 #include "batchgcd/batch_journal.hpp"
 #include "bulk/allpairs.hpp"
 #include "gmp_oracle.hpp"
+#include "journal_bytes.hpp"
 #include "obs/metrics.hpp"
 #include "rsa/corpus.hpp"
 #include "rsa/keystore.hpp"
@@ -385,6 +386,42 @@ TEST_F(BatchResumeTest, TornHeaderIsRecreatedFresh) {
   EXPECT_FALSE(report.resumed);
 }
 
+TEST_F(BatchResumeTest, EveryTruncationPointResumesToTheSameResult) {
+  // Cut a complete journal at every byte and resume: a cut inside the
+  // header starts fresh, any other cut keeps its whole level records and
+  // recomputes the rest. Each resume reaches the uninterrupted gcds and
+  // rewrites the uninterrupted file byte for byte.
+  const auto corpus = test_corpus(8, 1, 212);
+  BatchScanConfig config;
+  config.checkpoint = path_;
+  config.fsync_every = 1000;
+  const BatchScanReport reference = run_resumable_batch(corpus.moduli, config);
+  ASSERT_TRUE(reference.complete);
+  const std::string full = test::slurp(path_);
+  const std::uint64_t digest = rsa::corpus_digest(corpus.moduli);
+  constexpr std::size_t kHeader = 24;
+
+  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    test::spit(path_, full.substr(0, cut));
+    {
+      BatchJournal journal(path_, digest, corpus.moduli.size(), 1000);
+      const auto kept = std::filesystem::file_size(path_);
+      if (cut < kHeader) {
+        EXPECT_EQ(kept, kHeader);
+      } else {
+        EXPECT_LE(kept, cut);
+      }
+    }
+    const BatchScanReport report = run_resumable_batch(corpus.moduli, config);
+    ASSERT_TRUE(report.complete);
+    EXPECT_EQ(report.levels_restored + report.levels_done,
+              reference.levels_total);
+    EXPECT_EQ(report.result.gcds, reference.result.gcds);
+    ASSERT_EQ(test::slurp(path_), full);
+  }
+}
+
 TEST_F(BatchResumeTest, LevelHookSeesEveryCommittedLevel) {
   const auto corpus = test_corpus(10, 1, 210);
   BatchScanConfig config;
@@ -476,6 +513,53 @@ TEST(BatchJournalTest, ReplayRoundTripsAllRecordKinds) {
   EXPECT_EQ(replay.remainder->second, residues);
   ASSERT_TRUE(replay.gcds.has_value());
   EXPECT_EQ(*replay.gcds, gcds);
+  std::filesystem::remove(tmp, ignored);
+}
+
+TEST(BatchJournalTest, BytesMatchTheDocumentedFormat) {
+  // Encode the header and one record of each kind by hand from
+  // docs/BATCHGCD.md and compare with what the journal wrote.
+  const auto tmp = std::filesystem::temp_directory_path() /
+                   "bulkgcd_batch_journal_format";
+  std::error_code ignored;
+  std::filesystem::remove(tmp, ignored);
+  const BigInt big = BigInt::from_hex("123456789abcdef0fedcba98");
+  const std::vector<BigInt> nodes = {big, BigInt(0)};
+  const std::vector<BigInt> residues = {BigInt(7)};
+  const std::vector<BigInt> gcds = {BigInt(1), BigInt(0x11)};
+  {
+    BatchJournal journal(tmp, 0x0123456789abcdefULL, 3);
+    journal.append_product_level(1, nodes);
+    journal.append_remainder_level(0, residues);
+    journal.append_gcds(gcds);
+  }
+
+  using test::put_le;
+  std::string want = "BGCDBTR1";
+  put_le(want, 0x0123456789abcdefULL, 8);
+  put_le(want, 3, 8);
+  const auto put_values = [&](const std::vector<BigInt>& values) {
+    put_le(want, values.size(), 8);
+    for (const auto& v : values) {
+      put_le(want, v.size(), 4);
+      for (const auto limb : v.limbs()) put_le(want, limb, 4);
+    }
+  };
+  want.push_back(char(1));  // product
+  put_le(want, 1, 4);
+  put_values(nodes);
+  want.push_back(char(2));  // remainder
+  put_le(want, 0, 4);
+  put_values(residues);
+  want.push_back(char(3));  // gcds: no level field
+  put_values(gcds);
+  // The limb encoding spelled out once: 3 limbs of 0x123456789abcdef0fedcba98.
+  EXPECT_EQ(want.substr(24 + 1 + 4 + 8, 16),
+            std::string("\x03\0\0\0\x98\xba\xdc\xfe\xf0\xde\xbc\x9a"
+                        "\x78\x56\x34\x12",
+                        16));
+
+  EXPECT_EQ(test::slurp(tmp), want);
   std::filesystem::remove(tmp, ignored);
 }
 

@@ -1,13 +1,20 @@
-// Core utilities: PRNG statistical sanity and thread-pool behaviour.
+// Core utilities: PRNG statistical sanity, thread-pool behaviour, and the
+// record log's byte codecs and open / replay / fsync rules.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <stdexcept>
+#include <string>
 
+#include "core/record_log.hpp"
 #include "core/rng.hpp"
 #include "core/stats.hpp"
 #include "core/thread_pool.hpp"
 #include "core/timer.hpp"
+#include "obs/metrics.hpp"
 
 namespace bulkgcd {
 namespace {
@@ -233,6 +240,164 @@ TEST(SplitMix64Test, KnownSequence) {
   EXPECT_EQ(splitmix64(state), 0xe220a8397b1dcdafULL);
   EXPECT_EQ(splitmix64(state), 0x6e789e6aa1b965f4ULL);
   EXPECT_EQ(splitmix64(state), 0x06c45d188009454fULL);
+}
+
+// ---- record log -------------------------------------------------------------
+
+TEST(ByteCodecTest, IntegersAndBothBigIntEncodingsRoundTripLittleEndian) {
+  const mp::BigInt big = mp::BigInt::from_hex("0102030405060708090a");
+  core::ByteWriter w;
+  w.u8(0xab);
+  w.u32(0x11223344u);
+  w.u64(0x0102030405060708ull);
+  w.bigint_limbs(big);
+  w.bigint_bytes(big);
+  w.bigint_bytes(mp::BigInt());
+  const std::string expected =
+      std::string("\xab\x44\x33\x22\x11\x08\x07\x06\x05\x04\x03\x02\x01", 13) +
+      // limbs: count 3, then 0x0708090a, 0x03040506, 0x00000102
+      std::string("\x03\0\0\0\x0a\x09\x08\x07\x06\x05\x04\x03\x02\x01\0\0", 16) +
+      // canonical bytes: count 10, then the 10 value bytes, low first
+      std::string("\x0a\0\0\0\x0a\x09\x08\x07\x06\x05\x04\x03\x02\x01", 14) +
+      std::string("\0\0\0\0", 4);  // zero: no bytes at all
+  EXPECT_EQ(w.str(), expected);
+
+  core::ByteReader r(w.str());
+  std::uint8_t a = 0;
+  std::uint32_t b = 0;
+  std::uint64_t c = 0;
+  mp::BigInt x, y, z(7);
+  ASSERT_TRUE(r.u8(a) && r.u32(b) && r.u64(c));
+  ASSERT_TRUE(r.bigint_limbs(x) && r.bigint_bytes(y) && r.bigint_bytes(z));
+  EXPECT_EQ(a, 0xab);
+  EXPECT_EQ(b, 0x11223344u);
+  EXPECT_EQ(c, 0x0102030405060708ull);
+  EXPECT_EQ(x, big);
+  EXPECT_EQ(y, big);
+  EXPECT_TRUE(z.is_zero());
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_FALSE(r.u8(a));
+}
+
+TEST(ByteCodecTest, ShortInputAndFabricatedCountsAreRejected) {
+  core::ByteReader r(std::string_view("\x01\x02\x03", 3));
+  std::uint32_t v = 0;
+  EXPECT_FALSE(r.u32(v));
+  EXPECT_EQ(r.pos(), 0u);
+  // A limb count of 0xffffffff over 4 remaining bytes must fail before
+  // anything is allocated for it.
+  core::ByteReader big(std::string_view("\xff\xff\xff\xff\0\0\0\0", 8));
+  mp::BigInt n;
+  EXPECT_FALSE(big.bigint_limbs(n));
+  EXPECT_TRUE(big.fits(1, 4));
+  EXPECT_FALSE(big.fits(2, 4));
+  core::ByteReader bytes(std::string_view("\x05\0\0\0\x01\x02", 6));
+  EXPECT_FALSE(bytes.bigint_bytes(n));
+}
+
+class RecordLogTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = std::filesystem::temp_directory_path() /
+            (std::string("bulkgcd_record_log_") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove(path_, ignored_);
+  }
+  void TearDown() override { std::filesystem::remove(path_, ignored_); }
+
+  std::string slurp() const {
+    std::ifstream in(path_, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  }
+  void spit(const std::string& bytes) const {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), std::streamsize(bytes.size()));
+  }
+
+  static constexpr std::string_view kMagic = "TESTLOG1";
+  static constexpr std::string_view kIdentity = "identity";
+  std::filesystem::path path_;
+  std::error_code ignored_;
+};
+
+TEST_F(RecordLogTest, AbsentEmptyAndTornHeaderFilesAreCreatedFresh) {
+  const std::string header = std::string(kMagic) + std::string(kIdentity);
+  for (const std::string& before :
+       {std::string("<absent>"), std::string(), std::string("TEST"),
+        std::string(kMagic), header.substr(0, header.size() - 1)}) {
+    SCOPED_TRACE(before);
+    if (before == "<absent>") {
+      std::filesystem::remove(path_, ignored_);
+    } else {
+      spit(before);
+    }
+    {
+      core::RecordLog log(path_, kMagic, "test log", 1);
+      EXPECT_FALSE(log.open(kIdentity).has_value());
+      log.append("rec");
+    }
+    EXPECT_EQ(slurp(), header + "rec");
+  }
+}
+
+TEST_F(RecordLogTest, ForeignFilesAreRefusedAndLeftUntouched) {
+  for (const std::string& foreign :
+       {std::string("x"), std::string("TESTLOGX"),
+        std::string("TESTLOG2 and a long enough body to hold a header")}) {
+    SCOPED_TRACE(foreign);
+    spit(foreign);
+    core::RecordLog log(path_, kMagic, "test log", 1);
+    EXPECT_THROW(log.open(kIdentity), std::runtime_error);
+    EXPECT_EQ(slurp(), foreign);
+  }
+}
+
+TEST_F(RecordLogTest, ReplayStopsAtTheFirstRejectedRecordAndTruncates) {
+  const std::string header = std::string(kMagic) + "stored!!";
+  // Records are "k<byte>"; the decoder rejects kind 'x' and any torn one.
+  spit(header + "k1k2xk3k");
+  core::RecordLog log(path_, kMagic, "test log", 1);
+  const auto stored = log.open(kIdentity);
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(*stored, "stored!!");
+  std::string seen;
+  log.replay([&](core::ByteReader& r) {
+    std::uint8_t kind = 0, value = 0;
+    if (!r.u8(kind) || kind != 'k' || !r.u8(value)) return false;
+    seen.push_back(char(value));
+    return true;
+  });
+  EXPECT_EQ(seen, "12");
+  EXPECT_EQ(slurp(), header + "k1k2");
+  log.append("k4");
+  log.flush();
+  EXPECT_EQ(slurp(), header + "k1k2k4");
+}
+
+TEST_F(RecordLogTest, CreateReplacesAMismatchedLog) {
+  spit(std::string(kMagic) + "stored!!k1");
+  core::RecordLog log(path_, kMagic, "test log", 1);
+  ASSERT_TRUE(log.open(kIdentity).has_value());
+  log.create(kIdentity);
+  EXPECT_EQ(slurp(), std::string(kMagic) + std::string(kIdentity));
+}
+
+TEST_F(RecordLogTest, FsyncCadenceFeedsTheHistogramOncePerSync) {
+  obs::MetricsRegistry registry;
+  obs::HistogramMetric* hist = registry.histogram("test_fsync", 0.0, 0.1, 10);
+  {
+    core::RecordLog log(path_, kMagic, "test log", 3, hist);
+    ASSERT_FALSE(log.open(kIdentity).has_value());
+    EXPECT_EQ(hist->count(), 1u);  // the fresh header
+    for (int k = 0; k < 7; ++k) log.append("r");
+    EXPECT_EQ(hist->count(), 3u);  // after records 3 and 6
+    log.flush();
+    EXPECT_EQ(hist->count(), 4u);  // record 7
+    log.flush();
+    EXPECT_EQ(hist->count(), 4u);  // nothing left to sync
+  }
+  EXPECT_EQ(slurp().size(), kMagic.size() + kIdentity.size() + 7);
 }
 
 }  // namespace

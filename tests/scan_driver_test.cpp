@@ -1,7 +1,8 @@
 // Resumable scan driver tests: checkpoint/resume equivalence with the
 // one-shot sweep, kill-and-resume determinism, retry-with-isolation,
-// quarantine durability, corpus-digest validation, torn-tail recovery, and
-// structured progress reporting.
+// quarantine durability, corpus-digest validation, torn-tail and
+// torn-header recovery, the checkpoint wire format, and structured progress
+// reporting.
 #include "bulk/scan_driver.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <limits>
 
 #include "bulk/block_grid.hpp"
+#include "journal_bytes.hpp"
 #include "obs/metrics.hpp"
 #include "rsa/corpus.hpp"
 #include "rsa/keystore.hpp"
@@ -310,6 +312,158 @@ TEST_F(ScanDriverTest, TornTailIsDiscardedOnResume) {
   const AllPairsResult direct = all_pairs_gcd(corpus.moduli, config.pairs);
   EXPECT_EQ(resumed.result.pairs_tested, direct.pairs_tested);
   expect_same_hits(resumed.result.hits, direct.hits);
+}
+
+TEST_F(ScanDriverTest, TornHeaderIsRecreatedFresh) {
+  // A crash while the checkpoint was being created leaves an empty file or
+  // a prefix of the header; the scan starts over instead of refusing it.
+  const WeakCorpus corpus = test_corpus(16, 2, 114);
+  ScanConfig config;
+  config.pairs.group_size = 4;
+  config.chunk_blocks = 2;
+  config.checkpoint = path_;
+  const AllPairsResult direct = all_pairs_gcd(corpus.moduli, config.pairs);
+  for (const std::string torn : {"", "BGCDCK", "BGCDCKP1\x01\x02"}) {
+    SCOPED_TRACE(torn);
+    test::spit(path_, torn);
+    const ScanReport report = run_resumable_scan(corpus.moduli, config);
+    EXPECT_TRUE(report.complete);
+    EXPECT_FALSE(report.resumed);
+    EXPECT_EQ(report.chunks_done_this_run, report.chunks_total);
+    expect_same_hits(report.result.hits, direct.hits);
+  }
+}
+
+TEST_F(ScanDriverTest, ForeignFileIsRefusedNotTruncated) {
+  // Short (shorter than a header) and long foreign files alike: refused,
+  // left byte for byte as they were — also under
+  // discard_mismatched_checkpoint, which only discards our own checkpoints.
+  const WeakCorpus corpus = test_corpus(8, 1, 115);
+  for (const std::string foreign :
+       {std::string("hello"),
+        std::string(100, 'z') + "definitely not a scan checkpoint"}) {
+    for (const bool discard : {false, true}) {
+      test::spit(path_, foreign);
+      ScanConfig config;
+      config.checkpoint = path_;
+      config.discard_mismatched_checkpoint = discard;
+      EXPECT_THROW(run_resumable_scan(corpus.moduli, config),
+                   std::runtime_error);
+      EXPECT_EQ(test::slurp(path_), foreign);
+    }
+  }
+}
+
+TEST_F(ScanDriverTest, CheckpointBytesMatchTheDocumentedFormat) {
+  // Encode the header, one chunk-commit record and one quarantine record by
+  // hand from docs/SCAN_DRIVER.md and compare with what the driver wrote.
+  const WeakCorpus corpus = test_corpus(12, 1, 116);
+  ScanConfig config;
+  config.pairs.group_size = 4;  // 3 groups → 6 blocks
+  config.pairs.pool_threads = 1;
+  config.chunk_blocks = 5;      // chunk 0 = blocks 0..4, chunk 1 = block 5
+  config.checkpoint = path_;
+  config.chunk_hook = [](std::size_t chunk, int) {
+    if (chunk == 1) throw std::runtime_error("poisoned chunk");
+  };
+  const ScanReport report = run_resumable_scan(corpus.moduli, config);
+  ASSERT_TRUE(report.complete);
+  ASSERT_EQ(report.quarantined.size(), 1u);
+  ASSERT_EQ(report.result.hits.size(), 1u);  // chunk 0 holds the weak pair
+
+  using test::put_le;
+  std::string want = "BGCDCKP1";
+  put_le(want, rsa::corpus_digest(corpus.moduli), 8);
+  put_le(want, 12, 8);  // m
+  put_le(want, 4, 8);   // group_size
+  put_le(want, 5, 8);   // chunk_blocks
+  put_le(want, 2, 8);   // chunks_total
+  put_le(want, 1, 4);   // engine: not scalar
+  put_le(want, std::uint32_t(config.pairs.variant), 4);
+  put_le(want, config.pairs.early_terminate ? 1 : 0, 4);
+  put_le(want, 0, 4);  // reserved
+  ASSERT_EQ(want.size(), 64u);
+
+  const auto put_gcd = [&](const gcd::GcdStats& g) {
+    put_le(want, g.iterations, 8);
+    put_le(want, g.swaps, 8);
+    put_le(want, g.beta_nonzero, 8);
+    put_le(want, g.divisions, 8);
+    ASSERT_EQ(g.approx_cases.size(), 8u);
+    for (const auto c : g.approx_cases) put_le(want, c, 8);
+  };
+  const SimtStats& simt = report.result.simt;
+  want.push_back(char(1));  // chunk commit
+  put_le(want, 0, 8);
+  put_le(want, report.result.pairs_tested, 8);
+  for (const auto v : {simt.rounds, simt.warp_rounds, simt.lane_iterations,
+                       simt.branch_slots, simt.divergent_warp_rounds,
+                       simt.active_lane_slots, simt.lane_slots}) {
+    put_le(want, v, 8);
+  }
+  put_gcd(simt.gcd);
+  put_gcd(report.result.scalar);
+  put_le(want, 1, 4);
+  const FactorHit& hit = report.result.hits[0];
+  put_le(want, hit.i, 8);
+  put_le(want, hit.j, 8);
+  put_le(want, hit.factor.size(), 4);
+  for (const auto limb : hit.factor.limbs()) put_le(want, limb, 4);
+
+  const std::string& error = report.quarantined[0].error;
+  want.push_back(char(2));  // quarantine
+  put_le(want, 1, 8);
+  put_le(want, error.size(), 4);
+  want += error;
+
+  EXPECT_EQ(test::slurp(path_), want);
+}
+
+TEST_F(ScanDriverTest, EveryTruncationPointResumesToTheSameResult) {
+  // Cut a complete checkpoint at every byte and resume: a cut inside the
+  // header starts fresh, any other cut keeps its whole records and re-runs
+  // the rest. Each resume ends in the uninterrupted report and rewrites the
+  // uninterrupted file byte for byte (one worker: chunks commit in order).
+  const WeakCorpus corpus = test_corpus(10, 2, 117);
+  ScanConfig config;
+  config.pairs.group_size = 4;
+  config.pairs.pool_threads = 1;
+  config.chunk_blocks = 2;
+  config.fsync_every = 1000;
+  config.checkpoint = path_;
+  std::int64_t kept = -1;  // file size when the first chunk starts
+  config.chunk_hook = [&](std::size_t chunk, int) {
+    if (kept < 0) kept = std::int64_t(std::filesystem::file_size(path_));
+    if (chunk == 2) throw std::runtime_error("poisoned chunk");
+  };
+  const ScanReport reference = run_resumable_scan(corpus.moduli, config);
+  ASSERT_TRUE(reference.complete);
+  ASSERT_EQ(reference.chunks_total, 3u);
+  ASSERT_EQ(reference.quarantined.size(), 1u);
+  ASSERT_FALSE(reference.result.hits.empty());
+  const std::string full = test::slurp(path_);
+  constexpr std::size_t kHeader = 64;
+
+  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    test::spit(path_, full.substr(0, cut));
+    kept = -1;
+    const ScanReport report = run_resumable_scan(corpus.moduli, config);
+    ASSERT_TRUE(report.complete);
+    if (cut < kHeader) {
+      EXPECT_FALSE(report.resumed);
+      EXPECT_EQ(kept, std::int64_t(kHeader));
+    } else if (kept >= 0) {
+      EXPECT_LE(kept, std::int64_t(cut));
+    }
+    EXPECT_EQ(report.result.pairs_tested, reference.result.pairs_tested);
+    EXPECT_TRUE(report.result.simt == reference.result.simt);
+    expect_same_hits(report.result.hits, reference.result.hits);
+    ASSERT_EQ(report.quarantined.size(), 1u);
+    EXPECT_EQ(report.quarantined[0].chunk_index, 2u);
+    EXPECT_EQ(report.quarantined[0].error, reference.quarantined[0].error);
+    ASSERT_EQ(test::slurp(path_), full);
+  }
 }
 
 TEST_F(ScanDriverTest, SingleThreadedDriverMatchesParallel) {

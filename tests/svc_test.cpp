@@ -27,10 +27,12 @@
 #include "bulk/allpairs.hpp"
 #include "bulk/build_info.hpp"
 #include "core/rng.hpp"
+#include "journal_bytes.hpp"
 #include "obs/http_exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rsa/corpus.hpp"
+#include "rsa/keystore.hpp"
 #include "rsa/pem.hpp"
 #include "rsa/prime.hpp"
 #include "svc/bounded_queue.hpp"
@@ -606,16 +608,8 @@ struct TempJournal {
   std::filesystem::path path;
 };
 
-std::string slurp(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-void spit(const std::filesystem::path& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), std::streamsize(bytes.size()));
-}
+using test::slurp;
+using test::spit;
 
 TEST(ArrivalJournalTest, RestartReplaysCorpusAndHitsBitForBit) {
   // Stream half the corpus, stop, restart against the same journal: the new
@@ -782,6 +776,139 @@ TEST(ArrivalJournalTest, JournalForDifferentSeedIsRefused) {
   IntakeServiceConfig config = probe_config(bulk::Engine::kStaged, 1);
   config.journal_path = journal.path;
   EXPECT_THROW(IntakeService(seed_b, std::move(config)), std::runtime_error);
+}
+
+TEST(ArrivalJournalTest, TornHeaderIsRecreatedFresh) {
+  // A crash while the journal was being created leaves an empty file or a
+  // prefix of the header: the service starts a fresh journal over it.
+  const WeakCorpus corpus = test_corpus(6, 1, 6868);
+  const auto oneshot = bulk::all_pairs_gcd(corpus.moduli).hits;
+  for (const std::string torn : {"", "BGCDAR", "BGCDARJ1\x05"}) {
+    SCOPED_TRACE(torn);
+    TempJournal journal("torn");
+    spit(journal.path, torn);
+    IntakeServiceConfig config = probe_config(bulk::Engine::kStaged, 1);
+    config.journal_path = journal.path;
+    IntakeService service({}, std::move(config));
+    EXPECT_EQ(service.stats().restored, 0u);
+    EXPECT_EQ(service.stats().resumed, 0u);
+    for (const auto& n : corpus.moduli) {
+      ASSERT_EQ(service.submit(n), Admission::kAdmitted);
+    }
+    service.stop();
+    EXPECT_EQ(service.corpus(), corpus.moduli);
+    expect_hits_equal(service.hits(), oneshot);
+  }
+}
+
+TEST(ArrivalJournalTest, BytesMatchTheDocumentedFormat) {
+  // Encode the header and one record of each kind by hand from
+  // docs/INTAKE_SERVICE.md and compare with what the journal wrote.
+  TempJournal journal("format");
+  const BigInt value = BigInt::from_hex("0102030405");  // 5 value bytes
+  const BigInt factor = BigInt::from_hex("e3");
+  bulk::FactorHit hit;
+  hit.i = 9;
+  hit.j = 42;  // not journaled: j is derived on replay
+  hit.factor = factor;
+  {
+    ArrivalJournal writer(journal.path, 0xfedcba9876543210ULL, 4);
+    writer.append_arrival(0, value);
+    writer.append_probed(0, std::span<const bulk::FactorHit>(&hit, 1));
+    writer.append_arrival(1, factor);
+    writer.append_retract(1);
+  }
+
+  using test::put_le;
+  std::string want = "BGCDARJ1";
+  put_le(want, 0xfedcba9876543210ULL, 8);
+  put_le(want, 4, 8);
+  want += std::string("\x01", 1);  // arrival(0, 0x0102030405)
+  put_le(want, 0, 8);
+  want += std::string("\x05\0\0\0\x05\x04\x03\x02\x01", 9);
+  want += std::string("\x02", 1);  // probed(0, [(9, 0xe3)])
+  put_le(want, 0, 8);
+  put_le(want, 1, 4);
+  put_le(want, 9, 8);
+  want += std::string("\x01\0\0\0\xe3", 5);
+  want += std::string("\x01", 1);  // arrival(1, 0xe3)
+  put_le(want, 1, 8);
+  want += std::string("\x01\0\0\0\xe3", 5);
+  want += std::string("\x03", 1);  // retract(1)
+  put_le(want, 1, 8);
+
+  EXPECT_EQ(slurp(journal.path), want);
+}
+
+TEST(ArrivalJournalTest, EveryTruncationPointRecoversTheStream) {
+  // Cut a complete journal at every byte. A cut inside the header starts a
+  // fresh journal; any other cut keeps its whole records (the file shrinks
+  // to at most the cut) — and re-streaming the full corpus converges on the
+  // one-shot hit set either way.
+  const WeakCorpus corpus = test_corpus(5, 1, 6969);
+  const auto oneshot = bulk::all_pairs_gcd(corpus.moduli).hits;
+  const std::uint64_t seed_digest =
+      rsa::corpus_digest(std::span<const BigInt>());
+  TempJournal pristine("pristine");
+  {
+    IntakeServiceConfig config = probe_config(bulk::Engine::kStaged, 1);
+    config.journal_path = pristine.path;
+    IntakeService service({}, std::move(config));
+    for (const auto& n : corpus.moduli) {
+      ASSERT_EQ(service.submit(n), Admission::kAdmitted);
+    }
+    service.stop();
+  }
+  const std::string full = slurp(pristine.path);
+  constexpr std::size_t kHeader = 24;
+
+  TempJournal torn("torn");
+  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    spit(torn.path, full.substr(0, cut));
+    {
+      ArrivalJournal journal(torn.path, seed_digest, 0);
+      const auto kept = std::filesystem::file_size(torn.path);
+      if (cut < kHeader) {
+        EXPECT_EQ(kept, kHeader);
+      } else {
+        EXPECT_LE(kept, cut);
+      }
+    }
+    IntakeServiceConfig config = probe_config(bulk::Engine::kStaged, 1);
+    config.journal_path = torn.path;
+    config.journal_fsync_every = 1000;
+    IntakeService service({}, std::move(config));
+    for (const auto& n : corpus.moduli) {
+      const Admission a = service.submit(n);
+      EXPECT_TRUE(a == Admission::kAdmitted || a == Admission::kDuplicate);
+    }
+    service.stop();
+    ASSERT_EQ(service.corpus(), corpus.moduli);
+    expect_hits_equal(service.hits(), oneshot);
+  }
+}
+
+TEST(ArrivalJournalTest, FsyncHistogramCountsEverySync) {
+  // journal_fsync_every = 1: the fresh header plus one sync per record —
+  // an arrival and a probed record per admitted key.
+  const WeakCorpus corpus = test_corpus(6, 1, 7070);
+  TempJournal journal("fsync");
+  obs::MetricsRegistry registry;
+  IntakeServiceConfig config = probe_config(bulk::Engine::kStaged, 1);
+  config.journal_path = journal.path;
+  config.probe.metrics = &registry;
+  IntakeService service({}, std::move(config));
+  for (const auto& n : corpus.moduli) {
+    ASSERT_EQ(service.submit(n), Admission::kAdmitted);
+  }
+  ASSERT_EQ(service.submit(corpus.moduli[0]), Admission::kDuplicate);
+  service.stop();
+  const IntakeStats stats = service.stats();
+  ASSERT_EQ(stats.probed, corpus.moduli.size());
+  EXPECT_EQ(registry.histogram("intake_journal_fsync_seconds", 0.0, 0.1, 100)
+                ->count(),
+            1 + stats.admitted + stats.probed);
 }
 
 TEST(IntakeServiceTest, MixedSizeArrivalsRestageAndMatchOneShot) {
