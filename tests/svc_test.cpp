@@ -844,7 +844,7 @@ TEST(ArrivalJournalTest, EveryTruncationPointRecoversTheStream) {
   // Cut a complete journal at every byte. A cut inside the header starts a
   // fresh journal; any other cut keeps its whole records (the file shrinks
   // to at most the cut) — and re-streaming the full corpus converges on the
-  // one-shot hit set either way.
+  // one-shot hit set either way, leaving a journal that replays whole.
   const WeakCorpus corpus = test_corpus(5, 1, 6969);
   const auto oneshot = bulk::all_pairs_gcd(corpus.moduli).hits;
   const std::uint64_t seed_digest =
@@ -875,17 +875,29 @@ TEST(ArrivalJournalTest, EveryTruncationPointRecoversTheStream) {
         EXPECT_LE(kept, cut);
       }
     }
-    IntakeServiceConfig config = probe_config(bulk::Engine::kStaged, 1);
-    config.journal_path = torn.path;
-    config.journal_fsync_every = 1000;
-    IntakeService service({}, std::move(config));
-    for (const auto& n : corpus.moduli) {
-      const Admission a = service.submit(n);
-      EXPECT_TRUE(a == Admission::kAdmitted || a == Admission::kDuplicate);
-    }
-    service.stop();
-    ASSERT_EQ(service.corpus(), corpus.moduli);
-    expect_hits_equal(service.hits(), oneshot);
+    {
+      IntakeServiceConfig config = probe_config(bulk::Engine::kStaged, 1);
+      config.journal_path = torn.path;
+      config.journal_fsync_every = 1000;
+      IntakeService service({}, std::move(config));
+      for (const auto& n : corpus.moduli) {
+        const Admission a = service.submit(n);
+        EXPECT_TRUE(a == Admission::kAdmitted || a == Admission::kDuplicate);
+      }
+      service.stop();
+      ASSERT_EQ(service.corpus(), corpus.moduli);
+      expect_hits_equal(service.hits(), oneshot);
+    }  // the journal flushes its unsynced records on destruction
+
+    // The journal the resumed stream left behind replays whole: every key
+    // restored with its hits, nothing to re-probe.
+    IntakeServiceConfig again = probe_config(bulk::Engine::kStaged, 1);
+    again.journal_path = torn.path;
+    IntakeService restarted({}, std::move(again));
+    restarted.stop();
+    EXPECT_EQ(restarted.stats().restored, corpus.moduli.size());
+    ASSERT_EQ(restarted.corpus(), corpus.moduli);
+    expect_hits_equal(restarted.hits(), oneshot);
   }
 }
 
