@@ -9,6 +9,7 @@
 #include "gcd/approx.hpp"
 #include "gcd/kernels.hpp"
 #include "mp/karatsuba.hpp"
+#include "mp/newton_div.hpp"
 #include "mp/span_ops.hpp"
 #include "rsa/modmath.hpp"
 #include "rsa/montgomery.hpp"
@@ -67,7 +68,23 @@ void BM_DivRemKnuthD(benchmark::State& state) {
     benchmark::DoNotOptimize(sizes.remainder);
   }
 }
-BENCHMARK(BM_DivRemKnuthD)->Arg(1024)->Arg(4096);
+// Both division rungs on the 2n/n-limb shape of a batch-GCD descent step,
+// at dividend sizes whose divisors straddle kNewtonDivThreshold (512, 1024
+// and 2048 limbs of 32 bits); this is the crossover the constant cites.
+BENCHMARK(BM_DivRemKnuthD)->Arg(1024)->Arg(4096)->Arg(32768)->Arg(65536)->Arg(131072);
+
+void BM_DivRemNewton(benchmark::State& state) {
+  const std::size_t bits = std::size_t(state.range(0));
+  const BigInt a = make_odd(5, bits);
+  const BigInt b = make_odd(6, bits / 2);
+  std::vector<std::uint32_t> q(a.size()), r(b.size());
+  for (auto _ : state) {
+    const auto sizes = mp::divrem_newton(q.data(), r.data(), a.data(), a.size(),
+                                         b.data(), b.size());
+    benchmark::DoNotOptimize(sizes.sizes.remainder);
+  }
+}
+BENCHMARK(BM_DivRemNewton)->Arg(32768)->Arg(65536)->Arg(131072);
 
 void BM_MulSchoolbook(benchmark::State& state) {
   const std::size_t bits = std::size_t(state.range(0));

@@ -78,82 +78,27 @@ std::size_t tree_depth(std::size_t m) {
   return depth;
 }
 
+/// The product-tree level above `prev`: pairwise products, an odd last node
+/// promoted unchanged.
+std::vector<mp::BigInt> product_level(const std::vector<mp::BigInt>& prev) {
+  std::vector<mp::BigInt> next((prev.size() + 1) / 2);
+  global_pool().parallel_for(0, next.size(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      next[i] = 2 * i + 1 < prev.size() ? prev[2 * i] * prev[2 * i + 1]
+                                        : prev[2 * i];
+    }
+  });
+  return next;
+}
+
 }  // namespace
 
 ProductTree build_product_tree(std::span<const mp::BigInt> moduli) {
   if (moduli.empty()) throw std::invalid_argument("product tree: empty input");
   ProductTree tree;
   tree.emplace_back(moduli.begin(), moduli.end());
-  while (tree.back().size() > 1) {
-    const auto& prev = tree.back();
-    std::vector<mp::BigInt> next((prev.size() + 1) / 2);
-    global_pool().parallel_for(0, next.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (2 * i + 1 < prev.size()) {
-          next[i] = prev[2 * i] * prev[2 * i + 1];
-        } else {
-          next[i] = prev[2 * i];  // odd element promoted unchanged
-        }
-      }
-    });
-    tree.push_back(std::move(next));
-  }
+  while (tree.back().size() > 1) tree.push_back(product_level(tree.back()));
   return tree;
-}
-
-ProductTree square_product_tree(const ProductTree& tree) {
-  if (tree.empty()) throw std::invalid_argument("square tree: empty input");
-  // Root level omitted: the descent starts AT the root (root mod root² =
-  // root) and only ever reduces modulo the squares of the levels below it.
-  ProductTree squares(tree.size() - 1);
-  for (std::size_t level = 0; level + 1 < tree.size(); ++level) {
-    const auto& nodes = tree[level];
-    squares[level].resize(nodes.size());
-    global_pool().parallel_for(0, nodes.size(), [&](std::size_t lo,
-                                                    std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (level > 0 && 2 * i + 1 >= tree[level - 1].size()) {
-          // Promoted odd node: same value as its single child, so its
-          // square is a copy of the child's — no repeated full-width
-          // multiplication as the value rides up the tree.
-          squares[level][i] = squares[level - 1][2 * i];
-        } else {
-          squares[level][i] = nodes[i] * nodes[i];
-        }
-      }
-    });
-  }
-  return squares;
-}
-
-std::vector<mp::BigInt> remainder_tree_mod_squares(const ProductTree& tree,
-                                                   const ProductTree& squares) {
-  if (squares.size() + 1 < tree.size()) {
-    throw std::invalid_argument("remainder tree: squares/tree shape mismatch");
-  }
-  // Walk from the root down; at each node reduce the parent's remainder
-  // modulo the node value squared (precomputed — each distinct node value
-  // was squared exactly once by square_product_tree).
-  std::vector<mp::BigInt> current(1, tree.back()[0]);  // root mod root² = root
-  for (std::size_t level = tree.size() - 1; level-- > 0;) {
-    if (squares[level].size() != tree[level].size()) {
-      throw std::invalid_argument(
-          "remainder tree: squares/tree shape mismatch");
-    }
-    std::vector<mp::BigInt> next(tree[level].size());
-    global_pool().parallel_for(0, next.size(), [&](std::size_t lo,
-                                                   std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        next[i] = current[i / 2] % squares[level][i];
-      }
-    });
-    current = std::move(next);
-  }
-  return current;
-}
-
-std::vector<mp::BigInt> remainder_tree_mod_squares(const ProductTree& tree) {
-  return remainder_tree_mod_squares(tree, square_product_tree(tree));
 }
 
 BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
@@ -233,18 +178,7 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   while (tree.back().size() > 1) {
     obs::ScopedSpan level_span(t.level_seconds);
     obs::TraceSpan tspan(trace.rec, trace.product_id);
-    const auto& prev = tree.back();
-    std::vector<mp::BigInt> next((prev.size() + 1) / 2);
-    global_pool().parallel_for(0, next.size(), [&](std::size_t lo,
-                                                   std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (2 * i + 1 < prev.size()) {
-          next[i] = prev[2 * i] * prev[2 * i + 1];
-        } else {
-          next[i] = prev[2 * i];  // odd element promoted unchanged
-        }
-      }
-    });
+    std::vector<mp::BigInt> next = product_level(tree.back());
     const std::uint32_t level = std::uint32_t(tree.size());
     tspan.set_args(level, next.size());
     if (t.product_nodes) t.product_nodes->add(next.size());
@@ -257,9 +191,10 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   }
 
   // ---- remainder phase (down) ---------------------------------------------
-  // Squares are computed on the fly per level: with per-level checkpoints
-  // there is no separate square-tree phase to resume, and each node's square
-  // is needed exactly once on the way down anyway.
+  // Each step reduces the parent residues modulo the squares of the level
+  // below, computed on the fly since each is needed exactly once. A level
+  // is freed as soon as the step into it is done, so the descent holds only
+  // the levels it has yet to reach.
   std::vector<mp::BigInt> current;
   std::size_t next_level = depth - 1;  // the level the next step reduces into
   if (replay.remainder) {
@@ -278,8 +213,9 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
     current = std::move(residues);
     next_level = restored_level;
   } else {
-    current.assign(1, tree.back()[0]);  // root mod root² = root
+    current.push_back(std::move(tree.back()[0]));  // root mod root² = root
   }
+  tree.resize(next_level);
 
   for (std::size_t level = next_level; level-- > 0;) {
     obs::ScopedSpan level_span(t.level_seconds);
@@ -289,10 +225,15 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
     global_pool().parallel_for(0, nodes.size(), [&](std::size_t lo,
                                                     std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
-        next[i] = current[i / 2] % (nodes[i] * nodes[i]);
+        // A node promoted from an odd-count level equals its parent, whose
+        // residue is already reduced modulo that square: it rides down as is.
+        const bool promoted = i % 2 == 0 && i + 1 == nodes.size();
+        next[i] = promoted ? current[i / 2]
+                           : current[i / 2] % (nodes[i] * nodes[i]);
       }
     });
     current = std::move(next);
+    tree.pop_back();
     tspan.set_args(level, current.size());
     if (t.remainder_nodes) t.remainder_nodes->add(current.size());
     if (journal) journal->append_remainder_level(std::uint32_t(level), current);

@@ -8,6 +8,10 @@
 // Identity used: with P = Π n_k and n_i | P,
 //   gcd(n_i, P / n_i) = gcd(n_i, (P mod n_i²) / n_i),
 // and the remainder tree delivers every P mod n_i² in O(M(total bits) log m).
+// Each descent step is one BigInt `%`: Toom-3 squares the node and the
+// division ladder (mp/newton_div.hpp) reduces by a Newton reciprocal once the
+// operands pass kNewtonDivThreshold limbs, so a level costs a few M(n), not
+// Knuth D's Θ(n²).
 //
 // Two entry points:
 //   batch_gcd            — one-shot, in-memory (the bench/test workhorse).
@@ -15,7 +19,8 @@
 //     level (product levels up, remainder levels down, final gcds) commits
 //     to an append-only journal (batch_journal.hpp), so a SIGKILL at any
 //     level resumes without recomputing finished levels. batch_gcd is this
-//     driver with the journal switched off.
+//     driver with the journal switched off. It is the only descent: the
+//     remainder levels are journaled, not returned.
 #pragma once
 
 #include <cstddef>
@@ -39,23 +44,6 @@ namespace bulkgcd::batchgcd {
 using ProductTree = std::vector<std::vector<mp::BigInt>>;
 
 ProductTree build_product_tree(std::span<const mp::BigInt> moduli);
-
-/// Square every node of `tree` once, level by level, for the remainder
-/// descent. Shape-parallel with `tree` except the root level is omitted
-/// (the descent never reduces modulo the root²). A node promoted unchanged
-/// from an odd-count level reuses its child's square — a copy, not another
-/// full-width multiplication — so each DISTINCT value in the tree is
-/// squared exactly once no matter how many levels it rides through.
-ProductTree square_product_tree(const ProductTree& tree);
-
-/// Descend the tree: value at each leaf i is root mod n_i². The two-argument
-/// form takes the output of square_product_tree (throws
-/// std::invalid_argument on a shape mismatch); the one-argument convenience
-/// builds it internally. Callers descending the same tree more than once
-/// should build the squares once and reuse them.
-std::vector<mp::BigInt> remainder_tree_mod_squares(const ProductTree& tree);
-std::vector<mp::BigInt> remainder_tree_mod_squares(const ProductTree& tree,
-                                                   const ProductTree& squares);
 
 struct BatchGcdResult {
   /// gcds[i] = gcd(n_i, Π_{k≠i} n_k): 1 when n_i shares no factor, the

@@ -4,7 +4,7 @@
 #include <cctype>
 #include <stdexcept>
 
-#include "mp/toom3.hpp"
+#include "mp/newton_div.hpp"
 
 namespace bulkgcd::mp {
 
@@ -175,8 +175,11 @@ std::pair<BigIntT<Limb>, BigIntT<Limb>> BigIntT<Limb>::divmod(const BigIntT& a,
   }
   q.limbs_.resize(a.size() - b.size() + 1);
   r.limbs_.resize(b.size());
-  const DivSizes sizes = divrem(q.limbs_.data(), r.limbs_.data(), a.limbs_.data(),
-                                a.size(), b.limbs_.data(), b.size());
+  // divrem_dispatch climbs the division ladder: Knuth D, then Newton once
+  // divisor and quotient clear kNewtonDivThreshold (the tree descent).
+  const DivSizes sizes = divrem_dispatch(q.limbs_.data(), r.limbs_.data(),
+                                         a.limbs_.data(), a.size(),
+                                         b.limbs_.data(), b.size());
   q.limbs_.resize(sizes.quotient);
   r.limbs_.resize(sizes.remainder);
   return {std::move(q), std::move(r)};

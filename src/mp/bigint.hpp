@@ -121,6 +121,7 @@ class BigIntT {
   /// Product; dispatches to Karatsuba above a size threshold.
   static BigIntT mul(const BigIntT& a, const BigIntT& b);
   /// (quotient, remainder); throws std::domain_error on division by zero.
+  /// Dispatches to Newton-reciprocal division above a size threshold.
   static std::pair<BigIntT, BigIntT> divmod(const BigIntT& a, const BigIntT& b);
 
   /// Strip trailing zero bits — the paper's rshift(X).

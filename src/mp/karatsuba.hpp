@@ -3,6 +3,7 @@
 // pipeline; Karatsuba brings the tree to O(n^1.585) per level.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <vector>
 
@@ -49,15 +50,15 @@ std::vector<Limb> mul_karatsuba(const Limb* a, std::size_t na, const Limb* b,
   // result = z2 << 2h limbs  +  z1 << h limbs  +  z0
   std::vector<Limb> out(na + nb, Limb{0});
   std::copy_n(z0.begin(), std::min(z0.size(), out.size()), out.begin());
-  // add z1 at offset h, z2 at offset 2h (the tail lengths are clamped so
-  // the compiler can see the copies stay in bounds; mathematically
-  // out.size() = na + nb always exceeds 2h here)
+  // add z1 at offset h, z2 at offset 2h, in place: every partial sum is at
+  // most the product, so z fits the tail and no carry leaves it
   const auto add_at = [&out](std::size_t offset, const std::vector<Limb>& z) {
-    if (z.empty() || out.size() <= offset) return;
-    const std::size_t tail = out.size() - offset;
-    std::vector<Limb> tmp(tail + 1, Limb{0});
-    (void)add(tmp.data(), out.data() + offset, tail, z.data(), z.size());
-    std::copy_n(tmp.begin(), tail, out.begin() + std::ptrdiff_t(offset));
+    if (z.empty()) return;
+    assert(offset + z.size() <= out.size());
+    const Limb carry = add_in_place(out.data() + offset, out.size() - offset,
+                                    z.data(), z.size());
+    (void)carry;
+    assert(carry == 0 && "partial sum exceeds the product");
   };
   add_at(h, z1);
   add_at(2 * h, z2);

@@ -99,6 +99,28 @@ constexpr std::size_t add(Limb* dst, const Limb* a, std::size_t na,
   return na;
 }
 
+/// dst[0, n) += b[0, nb) in place, nb <= n. Writes nothing past dst[n - 1];
+/// returns the carry out of it (0 or 1).
+template <LimbType Limb>
+constexpr Limb add_in_place(Limb* dst, std::size_t n, const Limb* b,
+                            std::size_t nb) noexcept {
+  using Wide = typename LimbTraits<Limb>::Wide;
+  assert(nb <= n);
+  Wide carry = 0;
+  std::size_t i = 0;
+  for (; i < nb; ++i) {
+    carry += Wide(dst[i]) + b[i];
+    dst[i] = Limb(carry);
+    carry >>= limb_bits<Limb>;
+  }
+  for (; carry != 0 && i < n; ++i) {
+    carry += dst[i];
+    dst[i] = Limb(carry);
+    carry >>= limb_bits<Limb>;
+  }
+  return Limb(carry);
+}
+
 /// dst = a - b; requires a >= b. dst capacity na; dst may alias a or b.
 /// Returns normalized result size.
 template <LimbType Limb>

@@ -153,18 +153,18 @@ std::vector<Limb> mul_toom3(const Limb* a, std::size_t na, const Limb* b,
   //   c3 = v/6 − u/2   c2 = u/2 − 3c3   c1 = t1 − c2 − c3
   // Every subtrahend is bounded by its minuend term-by-term, so the
   // unsigned sub() precondition holds throughout.
-  std::vector<Limb> t1 = w1;
+  std::vector<Limb> t1 = std::move(w1);
   sub_from(t1, w0);
   sub_from(t1, w4);
 
-  std::vector<Limb> t2 = w2;
+  std::vector<Limb> t2 = std::move(w2);
   sub_from(t2, w0);
   {
     std::vector<Limb> c4_16 = w4;
     mul_small(c4_16, Limb{16});
     sub_from(t2, c4_16);
   }
-  std::vector<Limb> t3 = w3;
+  std::vector<Limb> t3 = std::move(w3);
   sub_from(t3, w0);
   {
     std::vector<Limb> c4_81 = w4;
@@ -172,13 +172,13 @@ std::vector<Limb> mul_toom3(const Limb* a, std::size_t na, const Limb* b,
     sub_from(t3, c4_81);
   }
 
-  std::vector<Limb> u = t2;  // u = t2 − 2t1
+  std::vector<Limb> u = std::move(t2);  // u = t2 − 2t1
   {
     std::vector<Limb> t1_2 = t1;
     mul_small(t1_2, Limb{2});
     sub_from(u, t1_2);
   }
-  std::vector<Limb> v = t3;  // v = t3 − 3t1
+  std::vector<Limb> v = std::move(t3);  // v = t3 − 3t1
   {
     std::vector<Limb> t1_3 = t1;
     mul_small(t1_3, Limb{3});
@@ -187,28 +187,30 @@ std::vector<Limb> mul_toom3(const Limb* a, std::size_t na, const Limb* b,
 
   div_exact(v, Limb{6});  // v = c2 + 4c3
   div_exact(u, Limb{2});  // u = c2 + 3c3
-  std::vector<Limb> c3 = v;
+  std::vector<Limb> c3 = std::move(v);
   sub_from(c3, u);  // c3
-  std::vector<Limb> c2 = u;
+  std::vector<Limb> c2 = std::move(u);
   {
     std::vector<Limb> c3_3 = c3;
     mul_small(c3_3, Limb{3});
     sub_from(c2, c3_3);
   }
-  std::vector<Limb> c1 = t1;
+  std::vector<Limb> c1 = std::move(t1);
   sub_from(c1, c2);
   sub_from(c1, c3);
 
   // result = Σ cᵢ · B^{i·h}. Adjacent coefficients overlap (each cᵢ spans up
   // to 2h+1 limbs) so accumulate with carry-propagating adds at offsets.
   std::vector<Limb> out(na + nb, Limb{0});
+  // The adds run in place: each partial sum is at most the product, so cᵢ
+  // fits the tail and no carry leaves it.
   const auto add_at = [&out](std::size_t offset, const std::vector<Limb>& c) {
-    if (c.empty() || out.size() <= offset) return;
-    const std::size_t tail = out.size() - offset;
-    std::vector<Limb> tmp(tail + 1, Limb{0});
-    (void)add(tmp.data(), out.data() + offset, tail, c.data(),
-              std::min(c.size(), tail));
-    std::copy_n(tmp.begin(), tail, out.begin() + std::ptrdiff_t(offset));
+    if (c.empty()) return;
+    assert(offset + c.size() <= out.size());
+    const Limb carry = add_in_place(out.data() + offset, out.size() - offset,
+                                    c.data(), c.size());
+    (void)carry;
+    assert(carry == 0 && "partial sum exceeds the product");
   };
   add_at(0, w0);
   add_at(h, c1);

@@ -6,12 +6,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 
 #include "batchgcd/batch_journal.hpp"
 #include "bulk/allpairs.hpp"
 #include "gmp_oracle.hpp"
 #include "journal_bytes.hpp"
+#include "mp/newton_div.hpp"
 #include "obs/metrics.hpp"
 #include "rsa/corpus.hpp"
 #include "rsa/keystore.hpp"
@@ -66,76 +68,77 @@ TEST(ProductTreeTest, SingleElementAndEmpty) {
   EXPECT_THROW(build_product_tree({}), std::invalid_argument);
 }
 
+/// Every remainder level of the driver's descent, keyed by tree level, read
+/// back from its journal one committed level at a time.
+std::map<std::uint32_t, std::vector<BigInt>> journaled_remainder_levels(
+    std::span<const BigInt> moduli, const std::string& name) {
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("bulkgcd_remainder_levels_" + name);
+  std::error_code ignored;
+  std::filesystem::remove(path, ignored);
+  BatchScanConfig config;
+  config.checkpoint = path;
+  config.stop_after_levels = 1;
+  std::map<std::uint32_t, std::vector<BigInt>> levels;
+  for (int run = 0; run < 64; ++run) {  // bound: levels_total < 64
+    if (run_resumable_batch(moduli, config).complete) break;
+    BatchJournal journal(path, rsa::corpus_digest(moduli), moduli.size());
+    BatchReplay replay = journal.take_replay();
+    if (replay.remainder) levels[replay.remainder->first] = replay.remainder->second;
+  }
+  std::filesystem::remove(path, ignored);
+  return levels;
+}
+
 TEST(RemainderTreeTest, LeavesAreRootModSquares) {
   Xoshiro256 rng(123);
   std::vector<BigInt> values;
   for (int i = 0; i < 9; ++i) {
     values.push_back(random_odd<std::uint32_t>(rng, 120));
   }
-  const ProductTree tree = build_product_tree(values);
-  const auto residues = remainder_tree_mod_squares(tree);
+  const BigInt root = build_product_tree(values).back()[0];
+  const auto levels = journaled_remainder_levels(values, "leaves");
+  ASSERT_EQ(levels.count(0), 1u);
+  const auto& residues = levels.at(0);
   ASSERT_EQ(residues.size(), values.size());
-  const BigInt& root = tree.back()[0];
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(residues[i], root % (values[i] * values[i])) << "leaf " << i;
   }
 }
 
-TEST(SquareTreeTest, EveryNodeIsTheSquareOfItsTreeNode) {
+TEST(RemainderTreeTest, EveryJournaledLevelIsRootModNodeSquares) {
   Xoshiro256 rng(125);
   std::vector<BigInt> values;
   for (int i = 0; i < 13; ++i) {  // odd count: promoted nodes at two levels
     values.push_back(random_odd<std::uint32_t>(rng, 96));
   }
   const ProductTree tree = build_product_tree(values);
-  const ProductTree squares = square_product_tree(tree);
-  // Root level omitted — the descent never reduces modulo root².
-  ASSERT_EQ(squares.size(), tree.size() - 1);
-  for (std::size_t level = 0; level + 1 < tree.size(); ++level) {
-    ASSERT_EQ(squares[level].size(), tree[level].size()) << "level " << level;
-    for (std::size_t i = 0; i < tree[level].size(); ++i) {
-      EXPECT_EQ(squares[level][i], tree[level][i] * tree[level][i])
+  const BigInt& root = tree.back()[0];
+  const auto levels = journaled_remainder_levels(values, "every_level");
+  // One record per descent step: every level but the root's.
+  ASSERT_EQ(levels.size(), tree.size() - 1);
+  for (const auto& [level, residues] : levels) {
+    ASSERT_EQ(residues.size(), tree[level].size()) << "level " << level;
+    for (std::size_t i = 0; i < residues.size(); ++i) {
+      const BigInt& node = tree[level][i];
+      EXPECT_EQ(residues[i], root % (node * node))
           << "level " << level << " node " << i;
     }
   }
 }
 
-TEST(SquareTreeTest, PromotedChainReusesTheLeafSquare) {
-  // 5 leaves: leaf 4 is promoted unchanged through level 1 (5 → 3 nodes) and
-  // its level-1 copy pairs at level 2. The promoted node's square must equal
-  // the leaf's square — the reuse path, not a recomputation.
+TEST(RemainderTreeTest, PromotedNodeResidueRidesDownUnchanged) {
+  // 5 leaves: leaf 4 is promoted unchanged into level 1 (5 → 3 nodes), so
+  // its level-1 residue is already reduced modulo 13² and passes down as is.
   std::vector<BigInt> values;
   for (int v : {3, 5, 7, 11, 13}) values.push_back(BigInt(unsigned(v)));
   const ProductTree tree = build_product_tree(values);
   ASSERT_EQ(tree[1].size(), 3u);
   ASSERT_EQ(tree[1][2], values[4]);  // promoted unchanged
-  const ProductTree squares = square_product_tree(tree);
-  EXPECT_EQ(squares[1][2], squares[0][4]);
-  EXPECT_EQ(squares[1][2], BigInt(169u));
-}
-
-TEST(SquareTreeTest, PrecomputedDescentMatchesConvenienceOverload) {
-  Xoshiro256 rng(126);
-  std::vector<BigInt> values;
-  for (int i = 0; i < 11; ++i) {
-    values.push_back(random_odd<std::uint32_t>(rng, 110));
-  }
-  const ProductTree tree = build_product_tree(values);
-  const ProductTree squares = square_product_tree(tree);
-  EXPECT_EQ(remainder_tree_mod_squares(tree, squares),
-            remainder_tree_mod_squares(tree));
-}
-
-TEST(SquareTreeTest, ShapeMismatchThrows) {
-  std::vector<BigInt> values = {BigInt(3), BigInt(5), BigInt(7), BigInt(11)};
-  const ProductTree tree = build_product_tree(values);
-  ProductTree squares = square_product_tree(tree);
-  squares[0].pop_back();
-  EXPECT_THROW(remainder_tree_mod_squares(tree, squares),
-               std::invalid_argument);
-  EXPECT_THROW(remainder_tree_mod_squares(tree, ProductTree{}),
-               std::invalid_argument);
-  EXPECT_THROW(square_product_tree(ProductTree{}), std::invalid_argument);
+  const auto levels = journaled_remainder_levels(values, "promoted");
+  const BigInt expected = tree.back()[0] % BigInt(169u);
+  EXPECT_EQ(levels.at(1)[2], expected);
+  EXPECT_EQ(levels.at(0)[4], expected);
 }
 
 TEST(BatchGcdTest, FindsExactlyThePlantedWeakModuli) {
@@ -484,6 +487,105 @@ TEST_F(BatchResumeTest, MetricsCoverTheBatchPath) {
     }
   }
   EXPECT_TRUE(found_hist);
+}
+
+TEST_F(BatchResumeTest, RemainderLevelShapeMismatchIsRefused) {
+  // A journal whose levels do not fit the corpus's tree shape is refused,
+  // not descended: one residue short at the first remainder level, and in a
+  // second journal one node short at the first product level.
+  const auto corpus = test_corpus(8, 1, 213);
+  const std::uint64_t digest = rsa::corpus_digest(corpus.moduli);
+  const ProductTree tree = build_product_tree(corpus.moduli);
+  BatchScanConfig config;
+  config.checkpoint = path_;
+  config.stop_after_levels = tree.size() - 1;  // every product level
+  ASSERT_FALSE(run_resumable_batch(corpus.moduli, config).complete);
+  {
+    BatchJournal journal(path_, digest, corpus.moduli.size());
+    const std::size_t level = tree.size() - 2;
+    journal.append_remainder_level(
+        std::uint32_t(level),
+        std::vector<BigInt>(tree[level].size() - 1, BigInt(1)));
+  }
+  EXPECT_THROW(run_resumable_batch(corpus.moduli, config), std::runtime_error);
+
+  std::filesystem::remove(path_);
+  {
+    BatchJournal journal(path_, digest, corpus.moduli.size());
+    journal.append_product_level(
+        1, std::vector<BigInt>(tree[1].begin(), tree[1].end() - 1));
+  }
+  EXPECT_THROW(run_resumable_batch(corpus.moduli, config), std::runtime_error);
+}
+
+TEST_F(BatchResumeTest, NewtonRungDescentMatchesGmpAndResumesBitIdentically) {
+  // 128 random odd 1024-bit values: the step into level 5 divides a ~4096-
+  // limb residue by a 2048-limb square, so it takes the Newton rung.
+  Xoshiro256 rng(214);
+  std::vector<BigInt> moduli;
+  for (int i = 0; i < 128; ++i) moduli.push_back(random_odd<std::uint32_t>(rng, 1024));
+  const ProductTree tree = build_product_tree(moduli);
+  ASSERT_EQ(tree.size(), 8u);
+  const BigInt& root = tree.back()[0];
+  const BigInt dividend = root % (tree[6][0] * tree[6][0]);
+  const BigInt divisor = tree[5][0] * tree[5][0];
+  ASSERT_GE(divisor.size(), mp::kNewtonDivThreshold);
+  ASSERT_GE(dividend.size() - divisor.size() + 1, mp::kNewtonDivThreshold);
+
+  // GMP oracle: gcd(n_i, (P / n_i) mod n_i), and P mod n² for level 5.
+  test::Mpz product(1ul);
+  for (const auto& n : moduli) {
+    mpz_mul(product.get(), product.get(), test::to_mpz(n).get());
+  }
+  std::vector<BigInt> want;
+  for (const auto& n : moduli) {
+    const test::Mpz gn = test::to_mpz(n);
+    test::Mpz cofactor, g;
+    mpz_divexact(cofactor.get(), product.get(), gn.get());
+    mpz_mod(cofactor.get(), cofactor.get(), gn.get());
+    mpz_gcd(g.get(), gn.get(), cofactor.get());
+    want.push_back(test::from_mpz<std::uint32_t>(g));
+  }
+  std::vector<BigInt> level5;
+  for (const auto& node : tree[5]) {
+    test::Mpz square, residue;
+    mpz_mul(square.get(), test::to_mpz(node).get(), test::to_mpz(node).get());
+    mpz_mod(residue.get(), product.get(), square.get());
+    level5.push_back(test::from_mpz<std::uint32_t>(residue));
+  }
+
+  BatchScanConfig config;
+  config.checkpoint = path_;
+  const BatchScanReport reference = run_resumable_batch(moduli, config);
+  ASSERT_TRUE(reference.complete);
+  EXPECT_EQ(reference.result.gcds, want);
+  const std::string full = test::slurp(path_);
+
+  // The level-5 record holds the oracle's residues in the BGCDBTR1 layout.
+  std::string record(1, char(2));
+  test::put_le(record, 5, 4);
+  test::put_le(record, level5.size(), 8);
+  for (const auto& v : level5) {
+    test::put_le(record, v.size(), 4);
+    for (const auto limb : v.limbs()) test::put_le(record, limb, 4);
+  }
+  EXPECT_NE(full.find(record), std::string::npos);
+
+  // Die right after the Newton-rung level commits (7 product levels, then
+  // the steps into levels 6 and 5), resume, and finish bit-identically.
+  std::filesystem::remove(path_);
+  struct Killed {};
+  config.level_hook = [](std::size_t done, std::size_t) {
+    if (done == 9) throw Killed{};
+  };
+  EXPECT_THROW(run_resumable_batch(moduli, config), Killed);
+  config.level_hook = nullptr;
+  const BatchScanReport resumed = run_resumable_batch(moduli, config);
+  ASSERT_TRUE(resumed.complete);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.levels_restored, 9u);
+  EXPECT_EQ(resumed.result.gcds, want);
+  EXPECT_EQ(test::slurp(path_), full);
 }
 
 TEST(BatchJournalTest, ReplayRoundTripsAllRecordKinds) {

@@ -8,6 +8,7 @@
 #include "gmp_oracle.hpp"
 #include "mp/bigint.hpp"
 #include "mp/karatsuba.hpp"
+#include "mp/newton_div.hpp"
 #include "mp/toom3.hpp"
 
 namespace bulkgcd::mp {
@@ -216,6 +217,116 @@ TYPED_TEST(MpStressTest, DispatchLadderMatchesGmpWellAboveBothThresholds) {
     test::Mpz ga = test::to_mpz(a), gb = test::to_mpz(b), gp;
     mpz_mul(gp.get(), ga.get(), gb.get());
     ASSERT_EQ(a * b, test::from_mpz<Limb>(gp));
+  }
+}
+
+/// a / b through the routed BigInt::divmod and through the Newton rung
+/// directly, both against GMP; the Newton fix-up loop must stay within the
+/// bound kNewtonDivMaxFixups documents.
+template <typename Limb>
+void expect_division_matches_gmp(const BigIntT<Limb>& a, const BigIntT<Limb>& b) {
+  using Big = BigIntT<Limb>;
+  test::Mpz ga = test::to_mpz(a), gb = test::to_mpz(b), gq, gr;
+  mpz_tdiv_qr(gq.get(), gr.get(), ga.get(), gb.get());
+  const Big want_q = test::from_mpz<Limb>(gq);
+  const Big want_r = test::from_mpz<Limb>(gr);
+  const auto [q, r] = Big::divmod(a, b);
+  ASSERT_EQ(q, want_q);
+  ASSERT_EQ(r, want_r);
+  std::vector<Limb> qv(a.size() >= b.size() ? a.size() - b.size() + 1 : 1);
+  std::vector<Limb> rv(b.size());
+  const NewtonDivSizes sizes = divrem_newton(qv.data(), rv.data(), a.data(),
+                                             a.size(), b.data(), b.size());
+  ASSERT_EQ(Big::from_limbs({qv.data(), sizes.sizes.quotient}), want_q);
+  ASSERT_EQ(Big::from_limbs({rv.data(), sizes.sizes.remainder}), want_r);
+  ASSERT_LE(sizes.max_fixups, kNewtonDivMaxFixups);
+}
+
+TYPED_TEST(MpStressTest, NewtonDivisionStraddlesTheThreshold) {
+  using Limb = TypeParam;
+  constexpr std::size_t lb = limb_bits<Limb>;
+  constexpr std::size_t T = kNewtonDivThreshold;
+  Xoshiro256 rng(181);
+  // Divisor and quotient each at T ± 2 limbs: both rungs of divrem_dispatch,
+  // and the Newton rung itself on every shape. The top limbs carry a random
+  // number of leading zero bits, so the normalizing shift varies.
+  for (std::size_t nb = T - 2; nb <= T + 2; ++nb) {
+    for (std::size_t qn = T - 2; qn <= T + 2; ++qn) {
+      SCOPED_TRACE(::testing::Message() << "nb " << nb << " qn " << qn);
+      const auto b = random_value<Limb>(rng, nb * lb - rng.below(lb));
+      const auto a = random_value<Limb>(rng, (nb + qn - 1) * lb - rng.below(lb));
+      expect_division_matches_gmp(a, b);
+    }
+  }
+}
+
+TYPED_TEST(MpStressTest, NewtonDivisionEdgeShapesMatchGmp) {
+  using Limb = TypeParam;
+  using Big = BigIntT<Limb>;
+  constexpr std::size_t lb = limb_bits<Limb>;
+  constexpr std::size_t T = kNewtonDivThreshold;
+  Xoshiro256 rng(182);
+  const std::size_t n = T + 3;
+  const Big top_bit = Big(1) << (n * lb - 1);
+  const Big ones_limb = (Big(1) << lb) - Big(1);
+  const std::vector<Big> divisors = {
+      top_bit,                                                  // 0x80…0, rest 0
+      top_bit + random_value<Limb>(rng, (n - 1) * lb),          // top limb 0x80…0
+      (Big(1) << (n * lb)) - Big(1),                            // all ones
+      (ones_limb << ((n - 1) * lb)) + random_value<Limb>(rng, (n - 1) * lb),
+      random_value<Limb>(rng, n * lb - 7),
+  };
+  for (const Big& b : divisors) {
+    SCOPED_TRACE(b.bit_length());
+    const Big q = random_value<Limb>(rng, (T + 5) * lb);
+    expect_division_matches_gmp(q * b + (b - Big(1)), b);  // largest remainder
+    expect_division_matches_gmp(q * b, b);                 // zero remainder
+    expect_division_matches_gmp((Big(1) << (2 * n * lb)) - Big(1), b);
+    expect_division_matches_gmp(random_value<Limb>(rng, 2 * n * lb), b);
+  }
+  // na ≫ 2·nb: many quotient blocks, each carrying the running remainder.
+  const Big b = random_value<Limb>(rng, (T + 1) * lb - 3);
+  expect_division_matches_gmp(random_value<Limb>(rng, (5 * (T + 1) + 3) * lb), b);
+  const Big long_q = random_value<Limb>(rng, 4 * (T + 1) * lb);
+  expect_division_matches_gmp(long_q * b + (b - Big(1)), b);
+  // A divisor well above the threshold with a tiny quotient (Knuth D through
+  // the dispatch; the Newton rung's one short block directly).
+  const Big wide = random_value<Limb>(rng, 2 * T * lb);
+  for (const std::size_t qbits : {std::size_t{1}, std::size_t{2}, lb + 1, 3 * lb, T / 2 * lb}) {
+    SCOPED_TRACE(qbits);
+    const Big q_small = random_value<Limb>(rng, qbits);
+    expect_division_matches_gmp(q_small * wide + random_value<Limb>(rng, 2 * T * lb - 1),
+                                wide);
+  }
+}
+
+TYPED_TEST(MpStressTest, NewtonReciprocalMeetsItsBound) {
+  using Limb = TypeParam;
+  using Big = BigIntT<Limb>;
+  constexpr std::size_t lb = limb_bits<Limb>;
+  constexpr std::size_t T = kNewtonDivThreshold;
+  Xoshiro256 rng(183);
+  // a·X < β^{2n} ≤ a·(X + 2) for the seed size and one, two and three
+  // Newton steps above it, on random, 0x80…0 and all-ones divisors.
+  for (const std::size_t n : {T, T + 1, T + 2, 2 * T + 1, 3 * T + 5}) {
+    const std::vector<Big> shapes = {
+        random_value<Limb>(rng, n * lb),
+        Big(1) << (n * lb - 1),
+        (Big(1) << (n * lb)) - Big(1),
+    };
+    for (const Big& a : shapes) {
+      SCOPED_TRACE(::testing::Message() << "n " << n << " bits " << a.bit_length());
+      const auto xl = reciprocal_newton(a.data(), n);
+      ASSERT_LE(xl.size(), n + 1);
+      const Big x = Big::from_limbs(xl);
+      test::Mpz ga = test::to_mpz(a), gx = test::to_mpz(x), lo, hi, pow;
+      mpz_mul(lo.get(), ga.get(), gx.get());
+      mpz_add_ui(gx.get(), gx.get(), 2);
+      mpz_mul(hi.get(), ga.get(), gx.get());
+      mpz_ui_pow_ui(pow.get(), 2, 2 * n * lb);
+      ASSERT_LT(mpz_cmp(lo.get(), pow.get()), 0);
+      ASSERT_LE(mpz_cmp(pow.get(), hi.get()), 0);
+    }
   }
 }
 
