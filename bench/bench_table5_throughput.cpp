@@ -5,9 +5,15 @@
 // Columns (hardware substitution per DESIGN.md):
 //   CPU us/gcd   — real wall-clock of the scalar engine on this machine
 //                  (the paper's Xeon X7460 column analogue);
-//   SIMT us/gcd  — real wall-clock of the warp-lockstep bulk engine with
-//                  column-wise layout (the GPU code path executed on CPU —
-//                  structural analogue, not a speed claim);
+//   SIMT us/gcd  — real wall-clock of the Engine::kAuto bulk sweep over the
+//                  column-wise layout: the SIMD vector engine when the CPU
+//                  has AVX2, else the staged scalar-lane engine. In the
+//                  vector engine only the early-terminate Approximate rows
+//                  run the vector-resident Section-V round; the other five
+//                  rows run each lane to completion on the scalar kernels
+//                  (the GPU code path executed on CPU — structural analogue,
+//                  not a speed claim). Its pairs and hits are checked
+//                  against the CPU column's; a mismatch exits nonzero;
 //   UMM us/gcd   — modelled GPU time: measured per-GCD memory-access traces
 //                  replayed iteration-lockstep on the paper's UMM cost model
 //                  with p = 16384 threads, w = 32, l = 200, 1 ns per unit;
@@ -17,6 +23,7 @@
 // GPU 2.93/0.583/0.346 us, ratio 19.2/57.6/82.7 for (C)/(D)/(E).
 // Expected shape: (E) < (D) < (C) in every column; (C)'s speedup is much
 // smaller than (D)/(E) because of warp divergence.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -39,7 +46,17 @@ struct Cell {
   double umm_us;
   double transfer_us_total;
   std::uint64_t pairs;
+  bool agree;  ///< CPU and SIMT sweeps found the same pairs and hits
 };
+
+bool same_hits(const std::vector<bulk::FactorHit>& a,
+               const std::vector<bulk::FactorHit>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const bulk::FactorHit& x, const bulk::FactorHit& y) {
+                      return x.i == y.i && x.j == y.j && x.factor == y.factor &&
+                             x.full_modulus == y.full_modulus;
+                    });
+}
 
 std::size_t moduli_for_bits(std::size_t base, std::size_t bits) {
   if (bits <= 1024) return base;
@@ -65,6 +82,8 @@ Cell run_cell(gcd::Variant variant, std::size_t bits, std::size_t m, bool early)
   config.engine = bulk::Engine::kAuto;
   const auto simt = bulk::all_pairs_gcd(moduli, config);
   cell.simt_us = simt.micros_per_gcd();
+  cell.agree = simt.pairs_tested == cpu.pairs_tested &&
+               same_hits(simt.hits, cpu.hits);
 
   // UMM model: trace a sample of pairs, replay column-wise, extrapolate the
   // warp-coalescing factor phi to p = kUmmThreads.
@@ -115,6 +134,13 @@ int main() {
       const std::size_t m = moduli_for_bits(base_m, bits);
       for (const auto variant : variants) {
         const Cell cell = run_cell(variant, bits, m, early);
+        if (!cell.agree) {
+          std::printf("!! CPU and SIMT sweeps disagree on pairs/hits (%s, "
+                      "%zu bits, %s)\n",
+                      to_string(variant), bits,
+                      early ? "early-terminate" : "non-terminate");
+          return 1;
+        }
         table.add_row({std::to_string(bits), to_string(variant),
                        bench::fmt_u(cell.pairs), bench::fmt(cell.cpu_us, 3),
                        bench::fmt(cell.simt_us, 3), bench::fmt(cell.umm_us, 3),

@@ -13,7 +13,8 @@
 //     quantifies §VII's observation that branch divergence hurts Binary
 //     Euclidean while Approximate Euclidean is essentially divergence-free.
 //
-// Two execution modes share one set of per-lane step functions (LaneState):
+// Two execution modes share one set of per-lane step functions
+// (bulk/scalar_lane.hpp, also the vector engine's scalar path):
 //   * run()        — the warp-lockstep round loop above (reference path);
 //   * run_staged() — each lane runs to completion before the next starts,
 //     like one CUDA thread looping its pair to termination (the kernel shape
@@ -35,9 +36,9 @@
 #include <vector>
 
 #include "bulk/layout.hpp"
+#include "bulk/scalar_lane.hpp"
 #include "bulk/simt_stats.hpp"
 #include "gcd/algorithms.hpp"
-#include "gcd/approx.hpp"
 #include "gcd/kernels.hpp"
 
 namespace bulkgcd::bulk {
@@ -47,9 +48,6 @@ namespace bulkgcd::bulk {
 /// arrangement, default) or RowMatrix (the serialized baseline).
 template <mp::LimbType Limb, template <class> class Matrix = ColumnMatrix>
 class SimtBatch {
-  using Wide = typename mp::LimbTraits<Limb>::Wide;
-  static constexpr int LB = mp::limb_bits<Limb>;
-
  public:
   /// Sentinel for load(): the lane inherits run()'s batch-wide early_bits.
   static constexpr std::size_t kInheritEarlyBits = std::size_t(-1);
@@ -192,7 +190,7 @@ class SimtBatch {
         for (std::size_t lane = base; lane < end; ++lane) {
           if (!active_[lane]) continue;
           LaneState s = lane_state(lane);
-          if (!keeps_going(s, eff_early_[lane])) {
+          if (!scalar_lane::keeps_going(s, eff_early_[lane])) {
             active_[lane] = 0;
             continue;
           }
@@ -269,14 +267,7 @@ class SimtBatch {
   }
 
  private:
-  /// Register-resident view of one lane's algorithm state. Both execution
-  /// modes advance lanes exclusively through this struct and the shared step
-  /// functions below, so they are bit-identical by construction.
-  struct LaneState {
-    Strided<Limb> x, y;  ///< current X/Y roles (physical arrays may swap)
-    std::size_t lx = 0, ly = 0;
-    std::uint8_t swapped = 0;
-  };
+  using LaneState = scalar_lane::State<Limb>;
 
   LaneState lane_state(std::size_t lane) noexcept {
     return {x_lane(lane), y_lane(lane), lx_[lane], ly_[lane], swapped_[lane]};
@@ -321,20 +312,7 @@ class SimtBatch {
       log.clear();
       if (!active_[lane]) continue;
       LaneState s = lane_state(lane);
-      const std::size_t early = eff_early_[lane];
-      const bool use_case4 = section_v(early);  // loop-invariant per lane
-      while (keeps_going(s, early)) {
-        ++tally.iterations;
-        int branch;
-        if constexpr (V == gcd::Variant::kBinary) {
-          branch = step_binary(s, tally);
-        } else if constexpr (V == gcd::Variant::kFastBinary) {
-          branch = step_fast_binary(s, tally);
-        } else {
-          branch = step_approximate(s, use_case4, tally);
-        }
-        log.push_back(std::uint8_t(branch));
-      }
+      scalar_lane::run<V>(s, eff_early_[lane], tally, log);
       store_lane(lane, s);
       active_[lane] = 0;
       stats_.lane_iterations += log.size();
@@ -357,112 +335,22 @@ class SimtBatch {
     std::swap(lx_[lane], ly_[lane]);
   }
 
-  static void swap_lane(LaneState& s) noexcept {
-    std::swap(s.x, s.y);
-    std::swap(s.lx, s.ly);
-    s.swapped ^= 1;
-  }
-
-  bool keeps_going(const LaneState& s, std::size_t early_bits) const noexcept {
-    if (s.ly == 0) return false;
-    if (early_bits == 0) return true;
-    const std::size_t top = s.ly - 1;
-    // The top limb holds 1..LB bits, so the limb count alone usually decides
-    // — only read the (strided) top limb when Y straddles the threshold.
-    if (top * LB >= early_bits) return true;
-    if (s.ly * LB < early_bits) return false;
-    const std::size_t bits = top * LB + (LB - std::countl_zero(s.y[top]));
-    return bits >= early_bits;
-  }
-
-  /// Section V: with early termination both operands keep >= early_bits
-  /// bits, so when that guarantees > 2 words the restricted Case-4-only
-  /// approx (the paper's actual CUDA kernel) is used. Per lane, since
-  /// lanes may carry different thresholds in a mixed-size batch.
-  static bool section_v(std::size_t early_bits) noexcept {
-    return early_bits >= 3u * std::size_t(LB);
-  }
-
-  /// One algorithm iteration on one lane; returns the branch id taken
-  /// (0..2) for divergence accounting. Counters land in `gs` so run() can
-  /// write stats_.gcd directly while run_staged() tallies into a register-
-  /// resident local (folded in once per batch).
+  /// One algorithm iteration on one lane in lockstep mode; returns the
+  /// branch id taken (0..2) for divergence accounting.
   int step(LaneState& s, gcd::Variant variant, std::size_t early_bits) {
+    using gcd::Variant;
     ++stats_.gcd.iterations;
     switch (variant) {
-      case gcd::Variant::kBinary: return step_binary(s, stats_.gcd);
-      case gcd::Variant::kFastBinary: return step_fast_binary(s, stats_.gcd);
-      default: return step_approximate(s, section_v(early_bits), stats_.gcd);
+      case Variant::kBinary:
+        return scalar_lane::step<Variant::kBinary>(s, false, stats_.gcd);
+      case Variant::kFastBinary:
+        return scalar_lane::step<Variant::kFastBinary>(s, false, stats_.gcd);
+      default:
+        return scalar_lane::step<Variant::kApproximate>(
+            s, scalar_lane::section_v<Limb>(early_bits), stats_.gcd);
     }
   }
 
-  int step_binary(LaneState& s, gcd::GcdStats& gs) {
-    int branch;
-    if ((s.x[0] & 1u) == 0) {
-      s.lx = gcd::halve(s.x, s.lx, null_tracer_);
-      branch = 0;
-    } else if ((s.y[0] & 1u) == 0) {
-      s.ly = gcd::halve(s.y, s.ly, null_tracer_);
-      branch = 1;
-    } else {
-      s.lx = gcd::sub_halve(s.x, s.lx, s.y, s.ly, null_tracer_);
-      branch = 2;
-    }
-    swap_if_less(s, gs);
-    return branch;
-  }
-
-  int step_fast_binary(LaneState& s, gcd::GcdStats& gs) {
-    s.lx = gcd::fused_submul_strip(s.x, s.lx, s.y, s.ly, Limb{1},
-                                   null_tracer_);
-    swap_if_less(s, gs);
-    return 0;
-  }
-
-  int step_approximate(LaneState& s, bool use_case4, gcd::GcdStats& gs) {
-    const auto ar = use_case4
-                        ? gcd::approx_case4_only(s.x, s.lx, s.y, s.ly)
-                        : gcd::approx(s.x, s.lx, s.y, s.ly);
-    gs.count_case(ar.which);
-    ++gs.divisions;
-    int branch;
-    if (ar.which == gcd::ApproxCase::k1) {
-      // Register-resident tail (only reachable in non-terminate runs).
-      const Wide xv = s.lx == 2 ? gcd::top_two_words(s.x, 2) : Wide(s.x[0]);
-      const Wide yv = s.ly == 2 ? gcd::top_two_words(s.y, 2) : Wide(s.y[0]);
-      Wide alpha = ar.alpha;
-      if ((alpha & 1u) == 0) --alpha;
-      Wide t = xv - yv * alpha;
-      if (t != 0) t >>= gcd::wide_ctz(t);
-      std::size_t n = 0;
-      while (t != 0) {
-        s.x[n++] = Limb(t);
-        t >>= LB;
-      }
-      s.lx = n;
-      branch = 2;
-    } else if (ar.beta == 0) {
-      Limb alpha = Limb(ar.alpha);
-      if ((alpha & 1u) == 0) --alpha;
-      s.lx = gcd::fused_submul_strip(s.x, s.lx, s.y, s.ly, alpha,
-                                     null_tracer_);
-      branch = 0;
-    } else {
-      ++gs.beta_nonzero;
-      s.lx = gcd::fused_submul_shifted_add_strip(
-          s.x, s.lx, s.y, s.ly, Limb(ar.alpha), ar.beta, null_tracer_);
-      branch = 1;
-    }
-    swap_if_less(s, gs);
-    return branch;
-  }
-
-  void swap_if_less(LaneState& s, gcd::GcdStats& gs) {
-    if (gcd::acc_compare(s.x, s.lx, s.y, s.ly) < 0) {
-      swap_lane(s);
-      ++gs.swaps;
-    }
-  }
 
   std::size_t lanes_, cap_, warp_;
   Matrix<Limb> mat_a_, mat_b_;
@@ -479,7 +367,6 @@ class SimtBatch {
   std::size_t x_rows_ = 0, y_rows_ = 0;
   std::vector<std::vector<std::uint8_t>> branch_log_;  ///< staged traces
   SimtStats stats_;
-  gcd::NullTracer null_tracer_;
 };
 
 extern template class SimtBatch<std::uint32_t, ColumnMatrix>;

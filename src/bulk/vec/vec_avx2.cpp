@@ -1,10 +1,10 @@
 // AVX2 leg of the vector engine: the same vec_batch_impl.hpp, compiled with
 // -mavx2 (see src/CMakeLists.txt — the flag is per-file, so the rest of the
-// library stays baseline). The W-wide lane loops lower to 256-bit loads,
-// vpsrlvd/vpsllvd variable shifts, and blends; dispatch.cpp only routes here
-// after __builtin_cpu_supports("avx2") says the host can execute them. This
-// TU is only added to the build on x86-64 compilers that accept -mavx2
-// (BULKGCD_HAVE_AVX2_TU).
+// library stays baseline). The W-wide vector code lowers to 256-bit loads,
+// gathers, vpsrlvd/vpsllvd variable shifts, and blends; dispatch.cpp only
+// routes here after __builtin_cpu_supports("avx2") says the host can execute
+// them. This TU is only added to the build on x86-64 compilers that accept
+// -mavx2 (BULKGCD_HAVE_AVX2_TU).
 #define BULKGCD_VEC_IMPL_NS vec_avx2
 #define BULKGCD_VEC_IMPL_ISA ::bulkgcd::bulk::VecIsa::kAvx2
 #include "bulk/vec/vec_batch_impl.hpp"

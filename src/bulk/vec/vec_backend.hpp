@@ -6,10 +6,11 @@
 // the staged sweep without touching the scan driver, telemetry, or
 // checkpoint identity. The implementation template (vec_batch_impl.hpp) is
 // compiled twice into the library: once with baseline flags (the portable
-// leg — the compiler lowers the W-wide lane loops to scalar code, same code
-// shape everywhere) and once with -mavx2 on x86-64 (256-bit registers:
-// W = 8 lanes on 32-bit limbs, W = 4 on 64-bit). make_vec_batch() picks the
-// implementation by cpuid probe; tests pin a leg with an explicit VecIsa.
+// leg — the compiler lowers the W-wide vector code to baseline instructions,
+// same source everywhere) and once with -mavx2 on x86-64 (256-bit
+// registers: W = 8 lanes on 32-bit limbs, W = 4 on 64-bit). make_vec_batch()
+// picks the implementation by cpuid probe; tests pin a leg with an explicit
+// VecIsa.
 //
 // Virtual dispatch happens once per batch verb (a block round spans
 // thousands of limb operations), never inside a kernel.
@@ -80,8 +81,15 @@ class VecBatchBase {
   /// Mask a lane off (padding at the tail of a block).
   virtual void disable(std::size_t lane) noexcept = 0;
 
-  /// Run all active lanes to completion, W at a time per vector register.
-  /// Supported variants: kBinary, kFastBinary, kApproximate (Table V).
+  /// Run all active lanes to completion, one W-lane group at a time.
+  /// Supported variants: kBinary, kFastBinary, kApproximate (Table V). A
+  /// full group running kApproximate whose active lanes all keep
+  /// early_bits >= 3 limbs (Section V: every round is Case 4) runs as one
+  /// vector-resident round on 32-bit limbs; every other group — Binary,
+  /// Fast Binary, non-Section-V Approximate, the lanes % W tail, and every
+  /// group on 64-bit limbs — runs lane by lane to completion exactly like
+  /// SimtBatch::run_staged(). Results, branch traces and SimtStats are
+  /// bit-identical to run_staged() either way.
   virtual void run(gcd::Variant variant, std::size_t early_bits = 0) = 0;
 
   virtual bool early_coprime(std::size_t lane) const noexcept = 0;

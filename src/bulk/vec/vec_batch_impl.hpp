@@ -3,45 +3,44 @@
 //
 // This header is the single source of the vector backend and is compiled
 // into the library TWICE under distinct namespaces: vec_portable.cpp with
-// baseline flags and vec_avx2.cpp with -mavx2 (x86-64 only). The kernels
-// are written as fixed-trip-count W-wide loops over the contiguous
-// column-major limb rows of the batch matrices — exactly the loads a CUDA
-// warp coalesces (Figure 3) — so the -mavx2 TU lowers them to 256-bit
-// vector loads/stores and blends, while the portable TU lowers the same
-// code shape to scalar instructions. No intrinsics; no ODR violation (the
-// including TU defines BULKGCD_VEC_IMPL_NS / BULKGCD_VEC_IMPL_ISA).
+// baseline flags and vec_avx2.cpp with -mavx2 (x86-64 only). The round is
+// written in GNU vector extensions over the contiguous column-major limb
+// rows of the batch matrices — exactly the loads a CUDA warp coalesces
+// (Figure 3) — so the -mavx2 TU lowers it to 256-bit vector loads/stores,
+// gathers and blends, while the portable TU lowers the same source to
+// baseline code. No ODR violation: the including TU defines
+// BULKGCD_VEC_IMPL_NS / BULKGCD_VEC_IMPL_ISA.
 //
 // Execution model per W-lane group (the "vector warp"):
-//   * Approximate Euclidean in the Section-V regime (the all-pairs scan
-//     configuration: early termination >= 3 limbs, so the quotient head is
-//     always Case 4) runs FULLY vector-resident: lane sizes, swap flags,
-//     live masks and iteration counts stay in vector registers for the
-//     whole group run; the round head (termination test, Case-4
-//     classification, the quotient via 4-lane double division + exact
-//     fixup, the d0 classify) computes all W lanes at once from
+//   * a full group running Approximate Euclidean in the Section-V regime
+//     (every active lane keeps early termination >= 3 limbs, so the
+//     quotient head is always Case 4 — the all-pairs scan configuration and
+//     the paper's GPU kernel) runs FULLY vector-resident on 32-bit limbs:
+//     lane sizes, swap flags, live masks and iteration counts stay in vector
+//     registers for the whole group run; the round head (termination test,
+//     Case-4 classification, the quotient via 4-lane double division +
+//     exact fixup, the d0 classify) computes all W lanes at once from
 //     register-carried top words plus two gathers per round; the masked
 //     submul sweep tracks the normalized result size in-register — the
-//     common path does no per-lane scalar work at all;
-//   * Binary, Fast Binary and non-Section-V Approximate rounds use a
-//     scalar per-lane head that classifies each live lane's branch, then
-//     serialize branch groups like a SIMT machine serializes divergent
-//     warps, each group one masked vector sweep over the limb rows;
-//     finished lanes and lanes in other branches are masked off exactly
-//     like predicated-off CUDA threads (stores blend the computed limb
-//     against the lane's previous value);
-//   * rare paths — the d0 = 0 slow strip (probability ~2^-d per iteration),
-//     the β > 0 shifted-add kernel, the case-1 register tail, full-compare
-//     swap ties, and the tail group when lanes % W != 0 — drop to the
-//     identical scalar kernels of gcd/kernels.hpp on strided accessors, so
-//     they are bit-identical to the staged scalar engine by construction
-//     rather than by re-derivation.
+//     common path does no per-lane scalar work at all. Finished lanes are
+//     masked off exactly like predicated-off CUDA threads (stores blend the
+//     computed limb against the lane's previous value);
+//   * rare lanes of that round — the d0 = 0 slow strip (probability ~2^-d
+//     per iteration), the β > 0 shifted-add kernel and full-compare swap
+//     ties — drop to the identical scalar kernels of gcd/kernels.hpp on
+//     strided accessors;
+//   * every other group — Binary, Fast Binary, non-Section-V Approximate,
+//     the tail group when lanes % W != 0, and every group on 64-bit limbs —
+//     runs each lane to completion on the same scalar kernels, exactly
+//     run_staged(). Both paths are bit-identical to the staged scalar
+//     engine by construction rather than by re-derivation.
 //
 // Ragged lane sizes inside a group are handled by sweeping every masked
 // lane to the group's maximum size: rows above a lane's own size hold zero
 // limbs (the SimtBatch dirty-row invariant, maintained identically here),
-// and zero rows are arithmetic fixed points of every kernel — the sweep
-// computes and stores zeros there, and the final store of a short lane
-// lands at its own top row with the same value the scalar kernel writes.
+// and zero rows are arithmetic fixed points of the sweep — it computes and
+// stores zeros there, and the final store of a short lane lands at its own
+// top row with the same value the scalar kernel writes.
 //
 // Statistics: per-lane branch traces are recorded exactly as run_staged()
 // records them, and replay_warp_stats() (bulk/simt_stats.hpp) reconstructs
@@ -52,7 +51,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -64,10 +62,10 @@
 #include <vector>
 
 #include "bulk/layout.hpp"
+#include "bulk/scalar_lane.hpp"
 #include "bulk/simt_stats.hpp"
 #include "bulk/vec/vec_backend.hpp"
 #include "gcd/algorithms.hpp"
-#include "gcd/approx.hpp"
 #include "gcd/kernels.hpp"
 
 #ifndef BULKGCD_VEC_IMPL_NS
@@ -87,15 +85,13 @@
 namespace bulkgcd::bulk {
 namespace BULKGCD_VEC_IMPL_NS {
 
-/// GNU vector extensions express the masked row sweeps directly as W-wide
-/// SIMD values: the -mavx2 TU lowers them to 256-bit loads, blends and
-/// per-lane variable shifts, while the portable TU lowers the identical
-/// source to baseline (SSE2 or scalar) code. The auto-vectorizer refuses
-/// the mixed 32/64-bit carry chains of the plain loops, so the hot kernels
-/// go through these types when available; compilers without the extension
-/// and the 64-bit-limb build (whose Wide is __int128, not a vectorizable
-/// element type) keep the plain W-wide loops, which remain the semantic
-/// reference — both paths are exact integer arithmetic, bit-identical.
+/// GNU vector extensions express the resident round directly as W-wide
+/// SIMD values: the -mavx2 TU lowers them to 256-bit loads, gathers, blends
+/// and per-lane variable shifts, while the portable TU lowers the identical
+/// source to baseline (SSE2 or scalar) code. Only 32-bit limbs have a
+/// specialization: the 64-bit-limb build (whose Wide is __int128, not a
+/// vectorizable element type) and compilers without the extension run every
+/// group on the scalar lane path.
 template <class Limb>
 struct VecTraits {
   static constexpr bool available = false;
@@ -306,14 +302,7 @@ class VecBatch final : public VecBatchBase<Limb> {
   void reset_stats() noexcept override { stats_ = SimtStats{}; }
 
  private:
-  /// Register-resident view of one lane's algorithm state (identical to
-  /// SimtBatch::LaneState — the scalar fallback steps below are verbatim
-  /// copies operating on it).
-  struct LaneState {
-    Strided<Limb> x{nullptr, 0}, y{nullptr, 0};
-    std::size_t lx = 0, ly = 0;
-    std::uint8_t swapped = 0;
-  };
+  using LaneState = scalar_lane::State<Limb>;
 
   // The A and B operand matrices live in the two halves of ONE column-major
   // allocation (A rows [0, cap_), B rows [cap_, 2·cap_)): the vector-resident
@@ -359,101 +348,6 @@ class VecBatch final : public VecBatchBase<Limb> {
     swapped_[lane] = s.swapped;
   }
 
-  static void swap_lane(LaneState& s) noexcept {
-    std::swap(s.x, s.y);
-    std::swap(s.lx, s.ly);
-    s.swapped ^= 1;
-  }
-
-  bool keeps_going(const LaneState& s, std::size_t early_bits) const noexcept {
-    if (s.ly == 0) return false;
-    if (early_bits == 0) return true;
-    const std::size_t top = s.ly - 1;
-    if (top * LB >= early_bits) return true;
-    if (s.ly * LB < early_bits) return false;
-    const std::size_t bits = top * LB + (LB - std::countl_zero(s.y[top]));
-    return bits >= early_bits;
-  }
-
-  static bool section_v(std::size_t early_bits) noexcept {
-    return early_bits >= 3u * std::size_t(LB);
-  }
-
-  // ---- scalar per-lane steps (verbatim SimtBatch semantics) ---------------
-  // Used for tail groups (lanes % W) and as the in-round fallback of the
-  // rare kernel paths; branch ids MUST match SimtBatch for stats identity.
-
-  int step_binary(LaneState& s, gcd::GcdStats& gs) {
-    int branch;
-    if ((s.x[0] & 1u) == 0) {
-      s.lx = gcd::halve(s.x, s.lx, null_tracer_);
-      branch = 0;
-    } else if ((s.y[0] & 1u) == 0) {
-      s.ly = gcd::halve(s.y, s.ly, null_tracer_);
-      branch = 1;
-    } else {
-      s.lx = gcd::sub_halve(s.x, s.lx, s.y, s.ly, null_tracer_);
-      branch = 2;
-    }
-    swap_if_less(s, gs);
-    return branch;
-  }
-
-  int step_fast_binary(LaneState& s, gcd::GcdStats& gs) {
-    s.lx = gcd::fused_submul_strip(s.x, s.lx, s.y, s.ly, Limb{1},
-                                   null_tracer_);
-    swap_if_less(s, gs);
-    return 0;
-  }
-
-  int step_approximate(LaneState& s, bool use_case4, gcd::GcdStats& gs) {
-    const auto ar = use_case4
-                        ? gcd::approx_case4_only(s.x, s.lx, s.y, s.ly)
-                        : gcd::approx(s.x, s.lx, s.y, s.ly);
-    gs.count_case(ar.which);
-    ++gs.divisions;
-    int branch;
-    if (ar.which == gcd::ApproxCase::k1) {
-      case1_tail(s, ar.alpha);
-      branch = 2;
-    } else if (ar.beta == 0) {
-      Limb alpha = Limb(ar.alpha);
-      if ((alpha & 1u) == 0) --alpha;
-      s.lx = gcd::fused_submul_strip(s.x, s.lx, s.y, s.ly, alpha,
-                                     null_tracer_);
-      branch = 0;
-    } else {
-      ++gs.beta_nonzero;
-      s.lx = gcd::fused_submul_shifted_add_strip(
-          s.x, s.lx, s.y, s.ly, Limb(ar.alpha), ar.beta, null_tracer_);
-      branch = 1;
-    }
-    swap_if_less(s, gs);
-    return branch;
-  }
-
-  /// Register-resident case-1 tail (only reachable in non-terminate runs).
-  void case1_tail(LaneState& s, Wide alpha) {
-    const Wide xv = s.lx == 2 ? gcd::top_two_words(s.x, 2) : Wide(s.x[0]);
-    const Wide yv = s.ly == 2 ? gcd::top_two_words(s.y, 2) : Wide(s.y[0]);
-    if ((alpha & 1u) == 0) --alpha;
-    Wide t = xv - yv * alpha;
-    if (t != 0) t >>= gcd::wide_ctz(t);
-    std::size_t n = 0;
-    while (t != 0) {
-      s.x[n++] = Limb(t);
-      t >>= LB;
-    }
-    s.lx = n;
-  }
-
-  void swap_if_less(LaneState& s, gcd::GcdStats& gs) {
-    if (gcd::acc_compare(s.x, s.lx, s.y, s.ly) < 0) {
-      swap_lane(s);
-      ++gs.swaps;
-    }
-  }
-
   // ---- group driver -------------------------------------------------------
 
   template <gcd::Variant V>
@@ -464,292 +358,48 @@ class VecBatch final : public VecBatchBase<Limb> {
     gcd::GcdStats tally;
     for (std::size_t base = 0; base < lanes_; base += W) {
       const std::size_t n = std::min(W, lanes_ - base);
-      if (n == W) {
-        if constexpr (V == gcd::Variant::kApproximate &&
-                      VecTraits<Limb>::available && LB == 32) {
-          // The vector-resident round covers the Section-V regime (every
-          // active lane keeps early >= 3 limbs, so the quotient head is
-          // always Case 4) with 32-bit gather offsets; mixed or non-Section-V
-          // groups take the generic masked-round driver below.
-          bool vec_ok = 2 * cap_ * lanes_ < (std::size_t(1) << 31);
-          for (std::size_t l = 0; vec_ok && l < W; ++l) {
-            if (active_[base + l] && !section_v(eff_early_[base + l])) {
-              vec_ok = false;
-            }
-          }
-          if (vec_ok) {
-            run_group_approx_vec(base, tally);
-            continue;
-          }
+      if constexpr (V == gcd::Variant::kApproximate &&
+                    VecTraits<Limb>::available) {
+        if (n == W && resident_group(base)) {
+          run_group_approx_vec(base, tally);
+          continue;
         }
-        run_group_full<V>(base, tally);
-      } else {
-        run_group_tail<V>(base, n, tally);
       }
+      run_group_scalar<V>(base, n, tally);
     }
     stats_.gcd += tally;
   }
 
-  /// Tail group (< W lanes): pure scalar lane-to-completion, exactly
-  /// run_staged(). The masked-tail correctness burden stays on the scalar
-  /// kernels every other engine already uses.
+  /// Whether the vector-resident round takes the full group at `base`:
+  /// every active lane is in the Section-V regime (early >= 3 limbs, so the
+  /// quotient head is always Case 4) and the batch fits 32-bit gather
+  /// offsets. Disabled lanes do not count.
+  bool resident_group(std::size_t base) const noexcept {
+    if (2 * cap_ * lanes_ >= (std::size_t(1) << 31)) return false;
+    for (std::size_t l = 0; l < W; ++l) {
+      const std::size_t lane = base + l;
+      if (active_[lane] && !scalar_lane::section_v<Limb>(eff_early_[lane])) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Every group the resident round does not take: pure scalar
+  /// lane-to-completion, exactly run_staged(), on the scalar kernels every
+  /// other engine already uses.
   template <gcd::Variant V>
-  void run_group_tail(std::size_t base, std::size_t n, gcd::GcdStats& tally) {
+  void run_group_scalar(std::size_t base, std::size_t n,
+                        gcd::GcdStats& tally) {
     for (std::size_t l = 0; l < n; ++l) {
       const std::size_t lane = base + l;
       if (!active_[lane]) continue;
       auto& log = branch_log_[lane];
       LaneState s = lane_state(lane);
-      const std::size_t early = eff_early_[lane];
-      const bool use_case4 = section_v(early);
-      while (keeps_going(s, early)) {
-        ++tally.iterations;
-        int branch;
-        if constexpr (V == gcd::Variant::kBinary) {
-          branch = step_binary(s, tally);
-        } else if constexpr (V == gcd::Variant::kFastBinary) {
-          branch = step_fast_binary(s, tally);
-        } else {
-          branch = step_approximate(s, use_case4, tally);
-        }
-        log.push_back(std::uint8_t(branch));
-      }
+      scalar_lane::run<V>(s, eff_early_[lane], tally, log);
       store_lane(lane, s);
       active_[lane] = 0;
       stats_.lane_iterations += log.size();
-    }
-  }
-
-  /// Full W-lane group: lockstep rounds with masked vector sweeps.
-  template <gcd::Variant V>
-  void run_group_full(std::size_t base, gcd::GcdStats& tally) {
-    std::array<LaneState, W> s;
-    std::array<bool, W> live{};
-    std::array<std::size_t, W> early{};
-    std::array<bool, W> use_case4{};
-    bool any = false;
-    for (std::size_t l = 0; l < W; ++l) {
-      const std::size_t lane = base + l;
-      live[l] = active_[lane] != 0;
-      if (!live[l]) continue;
-      s[l] = lane_state(lane);
-      early[l] = eff_early_[lane];
-      use_case4[l] = section_v(early[l]);
-      any = true;
-    }
-
-    while (any) {
-      any = false;
-      for (std::size_t l = 0; l < W; ++l) {
-        if (live[l] && !keeps_going(s[l], early[l])) live[l] = false;
-        any |= live[l];
-      }
-      if (!any) break;
-
-      if constexpr (V == gcd::Variant::kBinary) {
-        round_binary(base, s, live, tally);
-      } else if constexpr (V == gcd::Variant::kFastBinary) {
-        round_fast_binary(base, s, live, tally);
-      } else {
-        round_approximate(base, s, live, use_case4, tally);
-      }
-    }
-
-    for (std::size_t l = 0; l < W; ++l) {
-      const std::size_t lane = base + l;
-      if (!active_[lane]) continue;
-      store_lane(lane, s[l]);
-      active_[lane] = 0;
-      stats_.lane_iterations += branch_log_[lane].size();
-    }
-  }
-
-  // ---- per-variant rounds -------------------------------------------------
-
-  void round_binary(std::size_t base, std::array<LaneState, W>& s,
-                    const std::array<bool, W>& live, gcd::GcdStats& tally) {
-    std::array<int, W> br{};
-    std::array<bool, W> m0{}, m1{}, m2{};
-    bool any0 = false, any1 = false, any2 = false;
-    for (std::size_t l = 0; l < W; ++l) {
-      if (!live[l]) continue;
-      if ((s[l].x[0] & 1u) == 0) {
-        br[l] = 0;
-        m0[l] = any0 = true;
-      } else if ((s[l].y[0] & 1u) == 0) {
-        br[l] = 1;
-        m1[l] = any1 = true;
-      } else {
-        br[l] = 2;
-        m2[l] = any2 = true;
-      }
-    }
-    // Serialized branch groups, each one masked vector sweep (the SIMT
-    // divergence model made literal).
-    if (any0) vec_halve(base, s, m0, /*halve_y=*/false);
-    if (any1) vec_halve(base, s, m1, /*halve_y=*/true);
-    if (any2) vec_sub_halve(base, s, m2);
-    for (std::size_t l = 0; l < W; ++l) {
-      if (!live[l]) continue;
-      ++tally.iterations;
-      swap_if_less(s[l], tally);
-      branch_log_[base + l].push_back(std::uint8_t(br[l]));
-    }
-  }
-
-  void round_fast_binary(std::size_t base, std::array<LaneState, W>& s,
-                         const std::array<bool, W>& live,
-                         gcd::GcdStats& tally) {
-    SubmulArgs args{};
-    bool any_vec = false;
-    for (std::size_t l = 0; l < W; ++l) {
-      if (!live[l]) continue;
-      if (!args.classify(l, s[l], Limb{1})) {
-        // d0 == 0: the rare slow strip, scalar (identical code path).
-        s[l].lx = gcd::fused_submul_strip(s[l].x, s[l].lx, s[l].y, s[l].ly,
-                                          Limb{1}, null_tracer_);
-      } else {
-        any_vec = true;
-      }
-    }
-    if (any_vec) vec_submul(base, s, args);
-    for (std::size_t l = 0; l < W; ++l) {
-      if (!live[l]) continue;
-      ++tally.iterations;
-      swap_if_less(s[l], tally);
-      branch_log_[base + l].push_back(0);
-    }
-  }
-
-  /// Vectorized Section-V quotient head: the Case-4 classification of
-  /// approx_case4_only with the eight hardware divisions replaced by two
-  /// 4-lane double-precision divisions plus an exact integer fixup. The
-  /// double estimate's error is < 2^-19 absolute (quotients fit a limb), so
-  /// round(q̂) ∈ {q, q+1}; starting from round(q̂) − 1 at most two predicated
-  /// increments against the exact 64-bit remainder land on ⌊x12/div⌋ — the
-  /// result is bit-identical to the scalar engine's divide, just never
-  /// serialized through the divider unit. Lanes it declines (non-Section-V
-  /// runs, 64-bit limbs) keep have[l] == 0 and take the scalar head.
-  void vec_approx_case4(const std::array<LaneState, W>& s,
-                        const std::array<bool, W>& live,
-                        const std::array<bool, W>& use_case4,
-                        std::array<Wide, W>& qa,
-                        std::array<gcd::ApproxCase, W>& wh,
-                        std::array<std::size_t, W>& beta,
-                        std::array<std::uint8_t, W>& have) {
-    if constexpr (VecTraits<Limb>::available && LB == 32) {
-      alignas(32) Wide x12a[W], diva[W];
-      bool any = false;
-      for (std::size_t l = 0; l < W; ++l) {
-        x12a[l] = 1;  // benign operands for lanes without a division
-        diva[l] = 1;
-        if (!live[l] || !use_case4[l]) continue;
-        // Section-V regime: keeps_going kept ly >= 3 limbs and the swap
-        // invariant keeps lx >= ly, exactly approx_case4_only's contract.
-        const auto& t = s[l];
-        const Wide x12 = gcd::top_two_words(t.x, t.lx);
-        const Wide y12 = gcd::top_two_words(t.y, t.ly);
-        have[l] = 1;
-        if (x12 > y12) {
-          wh[l] = gcd::ApproxCase::k4A;
-          beta[l] = t.lx - t.ly;
-          x12a[l] = x12;
-          diva[l] = y12 + 1;
-          any = true;
-        } else if (t.lx > t.ly) {
-          wh[l] = gcd::ApproxCase::k4B;
-          beta[l] = t.lx - t.ly - 1;
-          x12a[l] = x12;
-          diva[l] = Wide(t.y[t.ly - 1]) + 1;
-          any = true;
-        } else {
-          wh[l] = gcd::ApproxCase::k4C;
-          beta[l] = 0;
-          qa[l] = 1;
-        }
-      }
-      if (!any) return;
-      using VT = VecTraits<Limb>;
-      using V4 = typename VT::PairVec;
-      using S4 = typename VT::SignedPairVec;
-      using D4 = typename VT::DblVec;
-      const V4 kexp = V4{} + 0x4330000000000000ull;  // double exponent of 2^52
-      const D4 k52 = D4{} + 4503599627370496.0;      // 2^52
-      const D4 kscale = D4{} + 4294967296.0;         // 2^32
-      const V4 bias = V4{} + (Wide(1) << 63);
-      for (std::size_t h = 0; h < W; h += 4) {
-        const V4 xv = v_load<V4>(x12a + h);
-        const V4 dv = v_load<V4>(diva + h);
-        // Exact u64 -> double by halves: or the u32 half into a 2^52-biased
-        // mantissa, subtract the bias (both halves exact, one rounding each
-        // on the recombines).
-        const D4 xd = ((D4)((xv >> LB) | kexp) - k52) * kscale +
-                      ((D4)((xv & kMask) | kexp) - k52);
-        const D4 dd = ((D4)((dv >> LB) | kexp) - k52) * kscale +
-                      ((D4)((dv & kMask) | kexp) - k52);
-        const D4 qd = xd / dd + k52;  // + 2^52 rounds to the nearest integer
-        V4 q = ((V4)qd & ((Wide(1) << 52) - 1)) - 1;
-        const V4 dm1 = (dv - 1) ^ bias;
-        const V4 low = VT::mul32(q, dv) + (VT::mul32(q, dv >> LB) << LB);
-        V4 r = xv - low;  // q <= floor: no wrap
-        const V4 c1 = (V4)((S4)(r ^ bias) > (S4)dm1);  // r >= dv, biased cmp
-        q -= c1;  // c is 0/~0: subtracting the mask increments
-        r -= dv & c1;
-        const V4 c2 = (V4)((S4)(r ^ bias) > (S4)dm1);
-        q -= c2;
-        v_store(qa.data() + h, q);
-      }
-    }
-  }
-
-  void round_approximate(std::size_t base, std::array<LaneState, W>& s,
-                         const std::array<bool, W>& live,
-                         const std::array<bool, W>& use_case4,
-                         gcd::GcdStats& tally) {
-    std::array<int, W> br{};
-    SubmulArgs args{};
-    bool any_vec = false;
-    std::array<Wide, W> qa{};
-    std::array<gcd::ApproxCase, W> wh{};
-    std::array<std::size_t, W> betas{};
-    std::array<std::uint8_t, W> have{};
-    vec_approx_case4(s, live, use_case4, qa, wh, betas, have);
-    for (std::size_t l = 0; l < W; ++l) {
-      if (!live[l]) continue;
-      const auto ar =
-          have[l] ? gcd::ApproxResult<Limb>{qa[l], betas[l], wh[l]}
-          : use_case4[l]
-              ? gcd::approx_case4_only(s[l].x, s[l].lx, s[l].y, s[l].ly)
-              : gcd::approx(s[l].x, s[l].lx, s[l].y, s[l].ly);
-      tally.count_case(ar.which);
-      ++tally.divisions;
-      if (ar.which == gcd::ApproxCase::k1) {
-        case1_tail(s[l], ar.alpha);
-        br[l] = 2;
-      } else if (ar.beta == 0) {
-        Limb alpha = Limb(ar.alpha);
-        if ((alpha & 1u) == 0) --alpha;
-        if (args.classify(l, s[l], alpha)) {
-          any_vec = true;
-        } else {
-          s[l].lx = gcd::fused_submul_strip(s[l].x, s[l].lx, s[l].y, s[l].ly,
-                                            alpha, null_tracer_);
-        }
-        br[l] = 0;
-      } else {
-        ++tally.beta_nonzero;
-        s[l].lx = gcd::fused_submul_shifted_add_strip(
-            s[l].x, s[l].lx, s[l].y, s[l].ly, Limb(ar.alpha), ar.beta,
-            null_tracer_);
-        br[l] = 1;
-      }
-    }
-    if (any_vec) vec_submul(base, s, args);
-    for (std::size_t l = 0; l < W; ++l) {
-      if (!live[l]) continue;
-      ++tally.iterations;
-      swap_if_less(s[l], tally);
-      branch_log_[base + l].push_back(std::uint8_t(br[l]));
     }
   }
 
@@ -762,7 +412,7 @@ class VecBatch final : public VecBatchBase<Limb> {
   /// and two row-0 loads, and the submul sweep tracks the normalized result
   /// size in-register — no per-lane scalar work at all on the common path.
   /// Rare lanes (β > 0, d0 = 0, full-compare ties) extract to the scalar
-  /// kernels exactly like the generic driver, preserving bit-identity.
+  /// kernels of run_staged(), preserving bit-identity.
   ///
   /// In the Section-V regime the quotient head is always Case 4
   /// (approx_case4_only's contract: keeps_going keeps ly >= 3 limbs and the
@@ -770,7 +420,7 @@ class VecBatch final : public VecBatchBase<Limb> {
   /// vector-handled iteration logs branch 0 — so the branch trace is a bulk
   /// fill plus one patch per rare β > 0 event.
   void run_group_approx_vec(std::size_t base, gcd::GcdStats& tally) {
-    if constexpr (VecTraits<Limb>::available && LB == 32) {
+    if constexpr (VecTraits<Limb>::available) {
       using VT = VecTraits<Limb>;
       using VL = typename VT::LimbVec;
       using SL = typename VT::SignedVec;
@@ -819,15 +469,21 @@ class VecBatch final : public VecBatchBase<Limb> {
       const D4 k52 = D4{} + 4503599627370496.0;      // 2^52
       const D4 kscale = D4{} + 4294967296.0;         // 2^32
 
-      // Exact 64/64 -> floor quotient for quotients < 2^32: two 4-lane
-      // double divisions plus <= 2 predicated fixup increments (see
-      // vec_approx_case4 for the error argument).
+      // Exact 64/64 -> floor quotient q = ⌊x/d⌋ for quotients < 2^32: the
+      // divide of approx_case4_only, bit-identical but never serialized
+      // through the divider unit. Each u64 operand converts to double by
+      // halves (or the u32 half into a 2^52-biased mantissa, subtract the
+      // bias: both halves exact, one rounding on the recombine); with the
+      // division's own rounding the estimate is within < 2^-19 of x/d
+      // (the quotient fits a limb), so rounding it to an integer (+ 2^52)
+      // gives q or q + 1. Starting from that minus one, at most two
+      // predicated increments against the exact 64-bit remainder land on q.
       const auto divq = [&](V4 xv, V4 dv) noexcept -> V4 {
         const D4 xd = ((D4)((xv >> LB) | kexp) - k52) * kscale +
                       ((D4)((xv & kMask) | kexp) - k52);
         const D4 dd = ((D4)((dv >> LB) | kexp) - k52) * kscale +
                       ((D4)((dv & kMask) | kexp) - k52);
-        const D4 qd = xd / dd + k52;
+        const D4 qd = xd / dd + k52;  // + 2^52 rounds to the nearest integer
         V4 q = ((V4)qd & ((Wide(1) << 52) - 1)) - 1;
         const V4 dm1 = (dv - 1) ^ bias;
         const V4 low = VT::mul32(q, dv) + (VT::mul32(q, dv >> LB) << LB);
@@ -903,8 +559,8 @@ class VecBatch final : public VecBatchBase<Limb> {
         nbnz -= bnz;
 
         // ---- classify: the submul launch state from limb row 0 ----
-        const VL A0 = v_load<VL>(Sd + base);
-        const VL B0 = v_load<VL>(Sd + cap_ * L + base);
+        VL A0 = v_load<VL>(Sd + base);
+        VL B0 = v_load<VL>(Sd + cap_ * L + base);
         const VL x0 = (VL)(swm ? B0 : A0);
         const VL y0 = (VL)(swm ? A0 : B0);
         const VL plo = y0 * alphav;
@@ -942,6 +598,7 @@ class VecBatch final : public VecBatchBase<Limb> {
             t.lx = lxa[l];
             t.ly = lya[l];
             t.swapped = swa[l] & 1u;
+            const std::size_t lx0 = t.lx;
             if (bza[l]) {
               // β > 0 passes the RAW quotient (the scalar head only
               // odd-adjusts alpha on the β = 0 branch).
@@ -953,7 +610,11 @@ class VecBatch final : public VecBatchBase<Limb> {
               t.lx = gcd::fused_submul_strip(t.x, t.lx, t.y, t.ly, ala[l],
                                              null_tracer_);
             }
-            swap_if_less(t, tally);
+            // A limb-shifting strip leaves stale limbs above the new size
+            // (up to row lx0, the β kernel's extra limb); the sweep reads X
+            // rows unmasked up to the group maximum, so restore the zeros.
+            for (std::size_t i = t.lx; i <= lx0; ++i) t.x[i] = Limb{0};
+            scalar_lane::swap_if_less(t, tally);
             lxa[l] = Limb(t.lx);
             lya[l] = Limb(t.ly);
             swa[l] = t.swapped ? ~Limb{0} : Limb{0};
@@ -965,6 +626,11 @@ class VecBatch final : public VecBatchBase<Limb> {
           swm = v_load<VL>(swa);
           y1 = v_load<VL>(y1a);
           y2 = v_load<VL>(y2a);
+          // The escapes rewrote limb row 0 of their lanes; the sweep's
+          // blended row-0 store must write those values back, not the ones
+          // loaded before the escape.
+          A0 = v_load<VL>(Sd + base);
+          B0 = v_load<VL>(Sd + cap_ * L + base);
         }
 
         // ---- the masked submul sweep, result size tracked in-register ----
@@ -1116,8 +782,6 @@ class VecBatch final : public VecBatchBase<Limb> {
     }
   }
 
-  // ---- masked vector kernels ----------------------------------------------
-
   /// Unaligned vector load/store (the batch matrices only guarantee the
   /// allocator's alignment); compiles to vmovdqu under -mavx2.
   template <class V, class T>
@@ -1129,375 +793,6 @@ class VecBatch final : public VecBatchBase<Limb> {
   template <class V, class T>
   static void v_store(T* p, V v) noexcept {
     std::memcpy(p, &v, sizeof(V));
-  }
-
-  /// Per-lane launch state of the fused submul sweep, computed by the scalar
-  /// head from limb row 0 (exactly fused_submul_strip's prologue). Unmasked
-  /// lanes keep benign defaults so the uniform sweep is UB-free.
-  struct SubmulArgs {
-    std::array<Limb, W> mask{};       ///< ~0 = lane participates
-    std::array<Limb, W> alpha{};
-    std::array<Limb, W> d_prev{};
-    std::array<Wide, W> mul_carry{};
-    std::array<Wide, W> borrow{};
-    std::array<Limb, W> rsh{};        ///< countr_zero(d0), 1..LB-1
-    std::array<Limb, W> lsh{};        ///< LB - rsh
-    std::size_t n_max = 0;            ///< max lx over masked lanes
-
-    SubmulArgs() {
-      rsh.fill(Limb{1});
-      lsh.fill(Limb(LB - 1));
-      alpha.fill(Limb{1});
-    }
-
-    /// Returns false (leaving the lane unmasked) when d0 == 0 — the caller
-    /// must run the scalar slow path for that lane.
-    bool classify(std::size_t l, const LaneState& s, Limb a) {
-      const Wide p = Wide(s.y[0]) * a;
-      const Wide diff = Wide(s.x[0]) - (p & kMask);
-      const Limb d0 = Limb(diff);
-      if (d0 == 0) return false;
-      mask[l] = ~Limb{0};
-      alpha[l] = a;
-      d_prev[l] = d0;
-      mul_carry[l] = p >> LB;
-      borrow[l] = (diff >> LB) & 1u;
-      const int r = std::countr_zero(d0);
-      rsh[l] = Limb(r);
-      lsh[l] = Limb(LB - r);
-      n_max = std::max(n_max, s.lx);
-      return true;
-    }
-  };
-
-  /// X ← rshift(X − Y·α): the dominant kernel of Fast Binary and of
-  /// Approximate Euclidean's β = 0 branch, swept once for all masked lanes.
-  void vec_submul(std::size_t base, std::array<LaneState, W>& s,
-                  SubmulArgs& g) {
-    Limb* __restrict__ A = a_data() + base;
-    Limb* __restrict__ B = b_data() + base;
-    const std::size_t L = lanes_;
-    const std::size_t n_max = g.n_max;
-
-    // Lane-select and store-enable masks: xs picks the X role (B when the
-    // lane is swapped), sa/sb enable the blended store into A/B.
-    alignas(32) Limb xs[W], sa[W], sb[W], lyv[W];
-    alignas(32) Limb a_prev[W], b_prev[W];
-    for (std::size_t l = 0; l < W; ++l) {
-      const Limb in_b = s[l].swapped ? ~Limb{0} : Limb{0};
-      xs[l] = in_b;
-      sa[l] = g.mask[l] & ~in_b;
-      sb[l] = g.mask[l] & in_b;
-      lyv[l] = g.mask[l] ? Limb(s[l].ly) : Limb{0};
-      a_prev[l] = A[l];
-      b_prev[l] = B[l];
-    }
-    alignas(32) Limb d_prev[W];
-    alignas(32) Wide mul_carry[W], borrow[W];
-    for (std::size_t l = 0; l < W; ++l) {
-      d_prev[l] = g.d_prev[l];
-      mul_carry[l] = g.mul_carry[l];
-      borrow[l] = g.borrow[l];
-    }
-
-    if constexpr (VecTraits<Limb>::available) {
-      // Limb-native row arithmetic: the carry and borrow of the scalar
-      // kernel's Wide chain are carried as limb lanes (carry value + 0/~0
-      // borrow mask), the 32x32->64 product comes from one vpmulld low half
-      // plus two vpmuludq high halves, and the cross-row shift uses the
-      // per-lane variable limb shifts. Everything stays in native 256-bit
-      // registers; the row-to-row latency chain is a handful of 1-cycle ops
-      // (the multiplies feed it from outside), so the loop runs at
-      // instruction throughput, not chain latency.
-      using VT = VecTraits<Limb>;
-      using VL = typename VT::LimbVec;
-      using SL = typename VT::SignedVec;
-      using V4 = typename VT::PairVec;
-      const VL xsv = v_load<VL>(xs);
-      const VL sav = v_load<VL>(sa);
-      const VL sbv = v_load<VL>(sb);
-      const SL lysv = (SL)v_load<VL>(lyv);
-      const VL alphav = v_load<VL>(g.alpha.data());
-      const V4 alpha_o = (V4)alphav >> LB;
-      const V4 hi_keep = V4{} + (Wide(kMask) << LB);
-      const VL rshv = v_load<VL>(g.rsh.data());
-      const VL lshv = v_load<VL>(g.lsh.data());
-      VL apv = v_load<VL>(a_prev);
-      VL bpv = v_load<VL>(b_prev);
-      VL dp = v_load<VL>(d_prev);
-      alignas(32) Limb mc32[W], bw32[W];
-      for (std::size_t l = 0; l < W; ++l) {
-        mc32[l] = Limb(mul_carry[l]);          // carry fits a limb
-        bw32[l] = borrow[l] ? ~Limb{0} : Limb{0};  // borrow 0/1 -> 0/~0 mask
-      }
-      VL carry = v_load<VL>(mc32);
-      VL bor = v_load<VL>(bw32);
-      SL iv = SL{} + 1;
-      for (std::size_t i = 1; i < n_max; ++i) {
-        const VL a = v_load<VL>(A + i * L);
-        const VL b = v_load<VL>(B + i * L);
-        const VL xi = xsv ? b : a;
-        const VL yb = a ^ b ^ xi;
-        const VL ym = (VL)(iv < lysv);  // lane sizes << 2^31: signed compare
-        iv += 1;
-        const VL yi = yb & ym;
-        const VL lo = yi * alphav;
-        const V4 pe = VT::mul32((V4)yi, (V4)alphav);
-        const V4 po = VT::mul32((V4)yi >> LB, alpha_o);
-        const VL hi = (VL)(((V4)pe >> LB) | (po & hi_keep));
-        const VL pl = lo + carry;
-        carry = hi - (VL)(pl < carry);
-        const VL t = xi - pl;
-        const VL d = t + bor;  // bor is a 0/~0 mask: +~0 subtracts the borrow
-        bor = (VL)(xi < pl) | ((VL)(t == VL{}) & bor);
-        const VL out = (dp >> rshv) | (d << lshv);
-        dp = d;
-        v_store(A + (i - 1) * L, sav ? out : apv);
-        v_store(B + (i - 1) * L, sbv ? out : bpv);
-        apv = a;
-        bpv = b;
-      }
-      const VL out = dp >> rshv;
-      v_store(A + (n_max - 1) * L, sav ? out : apv);
-      v_store(B + (n_max - 1) * L, sbv ? out : bpv);
-      v_store(mc32, carry);
-      v_store(bw32, bor);
-      for (std::size_t l = 0; l < W; ++l) {
-        mul_carry[l] = mc32[l];
-        borrow[l] = bw32[l] & 1u;  // mask back to the scalar 0/1 borrow
-      }
-    } else {
-      for (std::size_t i = 1; i < n_max; ++i) {
-        Limb* __restrict__ row_a = A + i * L;
-        Limb* __restrict__ row_b = B + i * L;
-        Limb* __restrict__ out_a = A + (i - 1) * L;
-        Limb* __restrict__ out_b = B + (i - 1) * L;
-        for (std::size_t l = 0; l < W; ++l) {
-          const Limb a = row_a[l];
-          const Limb b = row_b[l];
-          const Limb xi = (b & xs[l]) | (a & ~xs[l]);
-          const Limb yb = (a & xs[l]) | (b & ~xs[l]);
-          const Limb ym = Limb(i) < lyv[l] ? ~Limb{0} : Limb{0};
-          const Limb yi = yb & ym;
-          const Wide p = Wide(yi) * g.alpha[l] + mul_carry[l];
-          mul_carry[l] = p >> LB;
-          const Wide diff = Wide(xi) - (p & kMask) - borrow[l];
-          const Limb d = Limb(diff);
-          borrow[l] = (diff >> LB) & 1u;
-          const Limb out =
-              Limb(d_prev[l] >> g.rsh[l]) | Limb(d << g.lsh[l]);
-          d_prev[l] = d;
-          out_a[l] = (out & sa[l]) | (a_prev[l] & ~sa[l]);
-          out_b[l] = (out & sb[l]) | (b_prev[l] & ~sb[l]);
-          a_prev[l] = a;
-          b_prev[l] = b;
-        }
-      }
-      Limb* __restrict__ out_a = A + (n_max - 1) * L;
-      Limb* __restrict__ out_b = B + (n_max - 1) * L;
-      for (std::size_t l = 0; l < W; ++l) {
-        const Limb out = Limb(d_prev[l] >> g.rsh[l]);
-        out_a[l] = (out & sa[l]) | (a_prev[l] & ~sa[l]);
-        out_b[l] = (out & sb[l]) | (b_prev[l] & ~sb[l]);
-      }
-    }
-    for (std::size_t l = 0; l < W; ++l) {
-      if (!g.mask[l]) continue;
-      assert(borrow[l] == 0 && mul_carry[l] == 0 &&
-             "X - Y*alpha must be non-negative");
-      s[l].lx = gcd::acc_normalized_size(s[l].x, s[l].lx);
-    }
-  }
-
-  /// X ← X/2 (halve_y = false) or Y ← Y/2 (halve_y = true) for all masked
-  /// lanes — Binary Euclidean's even cases.
-  void vec_halve(std::size_t base, std::array<LaneState, W>& s,
-                 const std::array<bool, W>& m, bool halve_y) {
-    Limb* __restrict__ A = a_data() + base;
-    Limb* __restrict__ B = b_data() + base;
-    const std::size_t L = lanes_;
-
-    alignas(32) Limb ts[W], sa[W], sb[W];
-    alignas(32) Limb prev[W], a_prev[W], b_prev[W];
-    std::size_t n_max = 0;
-    for (std::size_t l = 0; l < W; ++l) {
-      // Target role lives in B when (swapped XOR halve_y) — X is the swapped
-      // side, Y the other.
-      const bool in_b = (s[l].swapped != 0) != halve_y;
-      const Limb en = m[l] ? ~Limb{0} : Limb{0};
-      ts[l] = in_b ? ~Limb{0} : Limb{0};
-      sa[l] = en & ~ts[l];
-      sb[l] = en & ts[l];
-      if (m[l]) n_max = std::max(n_max, halve_y ? s[l].ly : s[l].lx);
-      a_prev[l] = A[l];
-      b_prev[l] = B[l];
-      prev[l] = (b_prev[l] & ts[l]) | (a_prev[l] & ~ts[l]);
-    }
-
-    if constexpr (VecTraits<Limb>::available) {
-      using VL = typename VecTraits<Limb>::LimbVec;
-      const VL tsv = v_load<VL>(ts);
-      const VL sav = v_load<VL>(sa);
-      const VL sbv = v_load<VL>(sb);
-      VL apv = v_load<VL>(a_prev);
-      VL bpv = v_load<VL>(b_prev);
-      VL prevv = v_load<VL>(prev);
-      for (std::size_t i = 1; i < n_max; ++i) {
-        const VL a = v_load<VL>(A + i * L);
-        const VL b = v_load<VL>(B + i * L);
-        const VL cur = (b & tsv) | (a & ~tsv);
-        const VL out = (prevv >> 1) | (cur << (LB - 1));
-        v_store(A + (i - 1) * L, (out & sav) | (apv & ~sav));
-        v_store(B + (i - 1) * L, (out & sbv) | (bpv & ~sbv));
-        prevv = cur;
-        apv = a;
-        bpv = b;
-      }
-      const VL out = prevv >> 1;
-      v_store(A + (n_max - 1) * L, (out & sav) | (apv & ~sav));
-      v_store(B + (n_max - 1) * L, (out & sbv) | (bpv & ~sbv));
-    } else {
-      for (std::size_t i = 1; i < n_max; ++i) {
-        Limb* __restrict__ row_a = A + i * L;
-        Limb* __restrict__ row_b = B + i * L;
-        Limb* __restrict__ out_a = A + (i - 1) * L;
-        Limb* __restrict__ out_b = B + (i - 1) * L;
-        for (std::size_t l = 0; l < W; ++l) {
-          const Limb a = row_a[l];
-          const Limb b = row_b[l];
-          const Limb cur = (b & ts[l]) | (a & ~ts[l]);
-          const Limb out = Limb(prev[l] >> 1) | Limb(cur << (LB - 1));
-          out_a[l] = (out & sa[l]) | (a_prev[l] & ~sa[l]);
-          out_b[l] = (out & sb[l]) | (b_prev[l] & ~sb[l]);
-          prev[l] = cur;
-          a_prev[l] = a;
-          b_prev[l] = b;
-        }
-      }
-      Limb* __restrict__ out_a = A + (n_max - 1) * L;
-      Limb* __restrict__ out_b = B + (n_max - 1) * L;
-      for (std::size_t l = 0; l < W; ++l) {
-        const Limb out = Limb(prev[l] >> 1);
-        out_a[l] = (out & sa[l]) | (a_prev[l] & ~sa[l]);
-        out_b[l] = (out & sb[l]) | (b_prev[l] & ~sb[l]);
-      }
-    }
-    for (std::size_t l = 0; l < W; ++l) {
-      if (!m[l]) continue;
-      if (halve_y) {
-        s[l].ly = gcd::acc_normalized_size(s[l].y, s[l].ly);
-      } else {
-        s[l].lx = gcd::acc_normalized_size(s[l].x, s[l].lx);
-      }
-    }
-  }
-
-  /// X ← (X − Y)/2 for all masked lanes — Binary Euclidean's odd-odd case.
-  void vec_sub_halve(std::size_t base, std::array<LaneState, W>& s,
-                     const std::array<bool, W>& m) {
-    Limb* __restrict__ A = a_data() + base;
-    Limb* __restrict__ B = b_data() + base;
-    const std::size_t L = lanes_;
-
-    alignas(32) Limb xs[W], sa[W], sb[W], lyv[W];
-    alignas(32) Limb d_prev[W], a_prev[W], b_prev[W];
-    alignas(32) Wide borrow[W];
-    std::size_t n_max = 0;
-    for (std::size_t l = 0; l < W; ++l) {
-      const Limb in_b = s[l].swapped ? ~Limb{0} : Limb{0};
-      const Limb en = m[l] ? ~Limb{0} : Limb{0};
-      xs[l] = in_b;
-      sa[l] = en & ~in_b;
-      sb[l] = en & in_b;
-      lyv[l] = m[l] ? Limb(s[l].ly) : Limb{0};
-      a_prev[l] = A[l];
-      b_prev[l] = B[l];
-      const Limb x0 = (b_prev[l] & in_b) | (a_prev[l] & ~in_b);
-      const Limb y0 = (a_prev[l] & in_b) | (b_prev[l] & ~in_b);
-      const Wide diff = Wide(x0) - (y0 & en);
-      d_prev[l] = Limb(diff) & en;
-      borrow[l] = m[l] ? (diff >> LB) & 1u : Wide{0};
-      if (m[l]) n_max = std::max(n_max, s[l].lx);
-    }
-
-    if constexpr (VecTraits<Limb>::available) {
-      // Same limb-native scheme as vec_submul, minus the multiply (see
-      // there for the rationale).
-      using VT = VecTraits<Limb>;
-      using VL = typename VT::LimbVec;
-      using SL = typename VT::SignedVec;
-      const VL xsv = v_load<VL>(xs);
-      const VL sav = v_load<VL>(sa);
-      const VL sbv = v_load<VL>(sb);
-      const SL lysv = (SL)v_load<VL>(lyv);
-      VL apv = v_load<VL>(a_prev);
-      VL bpv = v_load<VL>(b_prev);
-      VL dp = v_load<VL>(d_prev);
-      alignas(32) Limb bw32[W];
-      for (std::size_t l = 0; l < W; ++l) {
-        bw32[l] = borrow[l] ? ~Limb{0} : Limb{0};
-      }
-      VL bor = v_load<VL>(bw32);
-      SL iv = SL{} + 1;
-      for (std::size_t i = 1; i < n_max; ++i) {
-        const VL a = v_load<VL>(A + i * L);
-        const VL b = v_load<VL>(B + i * L);
-        const VL xi = xsv ? b : a;
-        const VL yb = a ^ b ^ xi;
-        const VL ym = (VL)(iv < lysv);
-        iv += 1;
-        const VL yi = yb & ym;
-        const VL t = xi - yi;
-        const VL d = t + bor;
-        bor = (VL)(xi < yi) | ((VL)(t == VL{}) & bor);
-        const VL out = (dp >> 1) | (d << (LB - 1));
-        dp = d;
-        v_store(A + (i - 1) * L, sav ? out : apv);
-        v_store(B + (i - 1) * L, sbv ? out : bpv);
-        apv = a;
-        bpv = b;
-      }
-      const VL out = dp >> 1;
-      v_store(A + (n_max - 1) * L, sav ? out : apv);
-      v_store(B + (n_max - 1) * L, sbv ? out : bpv);
-      v_store(bw32, bor);
-      for (std::size_t l = 0; l < W; ++l) borrow[l] = bw32[l] & 1u;
-    } else {
-      for (std::size_t i = 1; i < n_max; ++i) {
-        Limb* __restrict__ row_a = A + i * L;
-        Limb* __restrict__ row_b = B + i * L;
-        Limb* __restrict__ out_a = A + (i - 1) * L;
-        Limb* __restrict__ out_b = B + (i - 1) * L;
-        for (std::size_t l = 0; l < W; ++l) {
-          const Limb a = row_a[l];
-          const Limb b = row_b[l];
-          const Limb xi = (b & xs[l]) | (a & ~xs[l]);
-          const Limb yb = (a & xs[l]) | (b & ~xs[l]);
-          const Limb ym = Limb(i) < lyv[l] ? ~Limb{0} : Limb{0};
-          const Wide diff = Wide(xi) - (yb & ym) - borrow[l];
-          const Limb d = Limb(diff);
-          borrow[l] = (diff >> LB) & 1u;
-          const Limb out = Limb(d_prev[l] >> 1) | Limb(d << (LB - 1));
-          d_prev[l] = d;
-          out_a[l] = (out & sa[l]) | (a_prev[l] & ~sa[l]);
-          out_b[l] = (out & sb[l]) | (b_prev[l] & ~sb[l]);
-          a_prev[l] = a;
-          b_prev[l] = b;
-        }
-      }
-      Limb* __restrict__ out_a = A + (n_max - 1) * L;
-      Limb* __restrict__ out_b = B + (n_max - 1) * L;
-      for (std::size_t l = 0; l < W; ++l) {
-        const Limb out = Limb(d_prev[l] >> 1);
-        out_a[l] = (out & sa[l]) | (a_prev[l] & ~sa[l]);
-        out_b[l] = (out & sb[l]) | (b_prev[l] & ~sb[l]);
-      }
-    }
-    for (std::size_t l = 0; l < W; ++l) {
-      if (!m[l]) continue;
-      assert(borrow[l] == 0 && "X must be >= Y");
-      s[l].lx = gcd::acc_normalized_size(s[l].x, s[l].lx);
-    }
   }
 
   std::size_t lanes_, cap_, warp_;

@@ -1,6 +1,6 @@
 // Portable leg of the vector engine: vec_batch_impl.hpp compiled with the
-// project's baseline flags. Same W-wide code shape as the AVX2 leg — the
-// compiler simply lowers the lane loops to whatever the target has (scalar
+// project's baseline flags. Same W-wide source as the AVX2 leg — the
+// compiler simply lowers the vector code to whatever the target has (scalar
 // on a plain build), which keeps the engine's behavior identical on every
 // platform and gives the bit-identity tests a second implementation to pin
 // the AVX2 leg against.

@@ -117,43 +117,59 @@ TEST_P(DifferentialFuzz, VectorMatchesStagedOnMixedBatch) {
   // keeps the vector backend inside the all-implementations fuzz net.
   Xoshiro256 rng(GetParam() * 0x9e3779b9u + 17);
   const std::size_t lanes = 19;  // ragged for both W = 8 and W = 4
-  const std::size_t bits = 64 + rng.below(512);
-  std::vector<std::pair<BigInt, BigInt>> pairs;
-  std::size_t cap = 0;
-  for (std::size_t i = 0; i < lanes; ++i) {
-    pairs.emplace_back(random_odd<std::uint32_t>(rng, 1 + rng.below(bits)),
-                       random_odd<std::uint32_t>(rng, 1 + rng.below(bits)));
-    cap = std::max({cap, pairs[i].first.size(), pairs[i].second.size()});
-  }
-
-  for (const Variant variant :
-       {Variant::kBinary, Variant::kFastBinary, Variant::kApproximate}) {
-    bulk::SimtBatch<std::uint32_t> staged(lanes, cap, 32);
+  const auto check = [&](std::size_t min_bits, std::size_t bits,
+                         bool early_terminate) {
+    std::vector<std::pair<BigInt, BigInt>> pairs;
+    std::vector<std::size_t> early;
+    std::size_t cap = 0;
     for (std::size_t i = 0; i < lanes; ++i) {
-      staged.load(i, pairs[i].first.limbs(), pairs[i].second.limbs());
+      const std::size_t bx = min_bits + rng.below(bits);
+      const std::size_t by = min_bits + rng.below(bits);
+      pairs.emplace_back(random_odd<std::uint32_t>(rng, bx),
+                         random_odd<std::uint32_t>(rng, by));
+      early.push_back(early_terminate ? std::min(bx, by) / 2 : 0);
+      cap = std::max({cap, pairs[i].first.size(), pairs[i].second.size()});
     }
-    staged.run_staged(variant);
 
-    for (const bulk::VecIsa isa : {bulk::VecIsa::kPortable,
-                                   bulk::VecIsa::kAvx2}) {
-      if (!bulk::vec_isa_available(isa)) continue;
-      auto vec = bulk::make_vec_batch<std::uint32_t>(lanes, cap, 32, isa);
+    for (const Variant variant :
+         {Variant::kBinary, Variant::kFastBinary, Variant::kApproximate}) {
+      bulk::SimtBatch<std::uint32_t> staged(lanes, cap, 32);
       for (std::size_t i = 0; i < lanes; ++i) {
-        vec->load(i, pairs[i].first.limbs(), pairs[i].second.limbs());
+        staged.load(i, pairs[i].first.limbs(), pairs[i].second.limbs(),
+                    early[i]);
       }
-      vec->run(variant);
-      ASSERT_EQ(vec->stats(), staged.stats())
-          << to_string(variant) << " isa=" << to_string(isa);
-      for (std::size_t i = 0; i < lanes; ++i) {
-        ASSERT_EQ(vec->gcd_of(i), staged.gcd_of(i))
-            << to_string(variant) << " isa=" << to_string(isa) << " lane "
-            << i;
-        ASSERT_EQ(vec->gcd_of(i), gmp_gcd(pairs[i].first, pairs[i].second))
-            << to_string(variant) << " isa=" << to_string(isa) << " lane "
-            << i;
+      staged.run_staged(variant);
+
+      for (const bulk::VecIsa isa : {bulk::VecIsa::kPortable,
+                                     bulk::VecIsa::kAvx2}) {
+        if (!bulk::vec_isa_available(isa)) continue;
+        auto vec = bulk::make_vec_batch<std::uint32_t>(lanes, cap, 32, isa);
+        for (std::size_t i = 0; i < lanes; ++i) {
+          vec->load(i, pairs[i].first.limbs(), pairs[i].second.limbs(),
+                    early[i]);
+        }
+        vec->run(variant);
+        ASSERT_EQ(vec->stats(), staged.stats())
+            << to_string(variant) << " isa=" << to_string(isa);
+        for (std::size_t i = 0; i < lanes; ++i) {
+          ASSERT_EQ(vec->early_coprime(i), staged.early_coprime(i))
+              << to_string(variant) << " isa=" << to_string(isa) << " lane "
+              << i;
+          if (vec->early_coprime(i)) continue;
+          ASSERT_EQ(vec->gcd_of(i), staged.gcd_of(i))
+              << to_string(variant) << " isa=" << to_string(isa) << " lane "
+              << i;
+          ASSERT_EQ(vec->gcd_of(i), gmp_gcd(pairs[i].first, pairs[i].second))
+              << to_string(variant) << " isa=" << to_string(isa) << " lane "
+              << i;
+        }
       }
     }
-  }
+  };
+  check(1, 64 + rng.below(512), false);
+  // Early-terminate input: every lane >= 192 bits with early = min/2, the
+  // Section-V regime the vector-resident round runs.
+  check(192, 1 + rng.below(512), true);
 }
 
 TEST_P(DifferentialFuzz, EarlyTerminateVerdictsAreSound) {

@@ -28,6 +28,7 @@ using gcd::Variant;
 using mp::BigInt;
 using test::gmp_gcd;
 using test::random_odd;
+using test::random_value;
 
 constexpr Variant kBulkVariants[] = {Variant::kBinary, Variant::kFastBinary,
                                      Variant::kApproximate};
@@ -38,27 +39,31 @@ std::vector<VecIsa> available_isas() {
   return isas;
 }
 
-/// Load the same random mixed-size pair set into a staged SimtBatch and a
-/// vector batch of every available ISA; everything observable must agree.
+/// One lane of a bit-identity input: the pair, its early-termination
+/// threshold, and whether the lane is disabled after loading.
 template <mp::LimbType Limb>
-void expect_bit_identity(std::uint64_t seed, std::size_t lanes,
-                         bool early_terminate) {
-  Xoshiro256 rng(seed);
-  std::vector<std::pair<mp::BigIntT<Limb>, mp::BigIntT<Limb>>> pairs;
-  std::vector<std::size_t> early(lanes, 0);
+struct LaneInput {
+  mp::BigIntT<Limb> x, y;
+  std::size_t early = 0;
+  bool disabled = false;
+};
+
+/// Load the same lanes into a staged SimtBatch and a vector batch of every
+/// available ISA; everything observable must agree.
+template <mp::LimbType Limb>
+void expect_bit_identity(const std::vector<LaneInput<Limb>>& in,
+                         std::uint64_t seed) {
+  const std::size_t lanes = in.size();
   std::size_t cap = 0;
-  for (std::size_t i = 0; i < lanes; ++i) {
-    const std::size_t bx = 1 + rng.below(700);
-    const std::size_t by = 1 + rng.below(700);
-    pairs.emplace_back(random_odd<Limb>(rng, bx), random_odd<Limb>(rng, by));
-    if (early_terminate) early[i] = std::min(bx, by) / 2;
-    cap = std::max({cap, pairs[i].first.size(), pairs[i].second.size()});
+  for (const auto& lane : in) {
+    cap = std::max({cap, lane.x.size(), lane.y.size()});
   }
 
   for (const Variant variant : kBulkVariants) {
     bulk::SimtBatch<Limb> ref(lanes, cap, 32);
     for (std::size_t i = 0; i < lanes; ++i) {
-      ref.load(i, pairs[i].first.limbs(), pairs[i].second.limbs(), early[i]);
+      ref.load(i, in[i].x.limbs(), in[i].y.limbs(), in[i].early);
+      if (in[i].disabled) ref.disable(i);
     }
     ref.run_staged(variant);
 
@@ -67,8 +72,8 @@ void expect_bit_identity(std::uint64_t seed, std::size_t lanes,
       ASSERT_EQ(vec->isa(), isa);
       ASSERT_EQ(vec->vector_width(), 32 / sizeof(Limb));
       for (std::size_t i = 0; i < lanes; ++i) {
-        vec->load(i, pairs[i].first.limbs(), pairs[i].second.limbs(),
-                  early[i]);
+        vec->load(i, in[i].x.limbs(), in[i].y.limbs(), in[i].early);
+        if (in[i].disabled) vec->disable(i);
       }
       vec->run(variant);
 
@@ -76,24 +81,56 @@ void expect_bit_identity(std::uint64_t seed, std::size_t lanes,
           << to_string(variant) << " isa=" << to_string(isa)
           << " lanes=" << lanes << " seed=" << seed;
       for (std::size_t i = 0; i < lanes; ++i) {
-        ASSERT_EQ(vec->early_coprime(i), ref.early_coprime(i))
+        ASSERT_EQ(vec->lane_iterations(i), ref.lane_iterations(i))
             << to_string(variant) << " isa=" << to_string(isa) << " lane "
             << i;
-        ASSERT_EQ(vec->lane_iterations(i), ref.lane_iterations(i))
+        if (in[i].disabled) continue;
+        ASSERT_EQ(vec->early_coprime(i), ref.early_coprime(i))
             << to_string(variant) << " isa=" << to_string(isa) << " lane "
             << i;
         if (!vec->early_coprime(i)) {
           ASSERT_EQ(vec->gcd_of(i), ref.gcd_of(i))
               << to_string(variant) << " isa=" << to_string(isa) << " lane "
               << i;
-          ASSERT_EQ(vec->gcd_of(i),
-                    gmp_gcd(pairs[i].first, pairs[i].second))
+          ASSERT_EQ(vec->gcd_of(i), gmp_gcd(in[i].x, in[i].y))
               << to_string(variant) << " isa=" << to_string(isa) << " lane "
               << i;
         }
       }
     }
   }
+}
+
+/// Random mixed-size pairs of 1..700 bits; early = min/2 when terminating.
+template <mp::LimbType Limb>
+void expect_bit_identity(std::uint64_t seed, std::size_t lanes,
+                         bool early_terminate) {
+  Xoshiro256 rng(seed);
+  std::vector<LaneInput<Limb>> in;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    const std::size_t bx = 1 + rng.below(700);
+    const std::size_t by = 1 + rng.below(700);
+    in.push_back({random_odd<Limb>(rng, bx), random_odd<Limb>(rng, by),
+                  early_terminate ? std::min(bx, by) / 2 : 0});
+  }
+  expect_bit_identity(in, seed);
+}
+
+/// One full W-lane group in the Section-V regime, the vector-resident
+/// round's input: both operands >= 6 limbs with early = min/2 >= 3 limbs,
+/// and x at least two limbs longer than y, so the first rounds take the
+/// β > 0 escape and patch the branch trace.
+template <mp::LimbType Limb>
+std::vector<LaneInput<Limb>> section_v_group(Xoshiro256& rng) {
+  constexpr std::size_t lb = mp::limb_bits<Limb>;
+  std::vector<LaneInput<Limb>> in;
+  for (std::size_t l = 0; l < 32 / sizeof(Limb); ++l) {
+    const std::size_t by = 6 * lb + rng.below(400);
+    const std::size_t bx = by + 2 * lb + rng.below(200);
+    in.push_back({random_odd<Limb>(rng, bx), random_odd<Limb>(rng, by),
+                  by / 2});
+  }
+  return in;
 }
 
 class VecBitIdentity : public ::testing::TestWithParam<std::uint64_t> {};
@@ -108,22 +145,47 @@ TEST_P(VecBitIdentity, MatchesStagedScalar64) {
   expect_bit_identity<std::uint64_t>(GetParam(), 37, false);
 }
 
+template <mp::LimbType Limb>
+void expect_section_v_identity(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  // A full Section-V group: the vector-resident round.
+  expect_bit_identity(section_v_group<Limb>(rng), seed);
+  // The same shape with one non-Section-V lane (early < 3 limbs) and one
+  // disabled lane: the group takes the scalar lane path instead.
+  auto mixed = section_v_group<Limb>(rng);
+  mixed[1] = {random_odd<Limb>(rng, 100 + rng.below(60)),
+              random_odd<Limb>(rng, 100 + rng.below(60)), 50};
+  mixed.back().disabled = true;
+  expect_bit_identity(mixed, seed);
+  // A lane with x ≡ y mod 2^(2d) beside longer lanes: its first difference
+  // has a zero low limb (the d0 = 0 escape), and the limb-shifting strip
+  // leaves stale limbs above its new size that the group sweep then covers.
+  auto zero_low = section_v_group<Limb>(rng);
+  const auto y = random_odd<Limb>(rng, 400);
+  const auto high = random_value<Limb>(rng, 300) << (2 * mp::limb_bits<Limb>);
+  zero_low[0] = {y + high, y, 200};
+  expect_bit_identity(zero_low, seed);
+}
+
 TEST_P(VecBitIdentity, MatchesStagedScalarWithEarlyTerminate) {
   expect_bit_identity<std::uint32_t>(GetParam() ^ 0xabcdef, 32 / 4 + 3, true);
   expect_bit_identity<std::uint64_t>(GetParam() ^ 0xfedcba, 32 / 8 + 3, true);
+  expect_section_v_identity<std::uint32_t>(GetParam() ^ 0x5ec5);
+  expect_section_v_identity<std::uint64_t>(GetParam() ^ 0x5ec6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VecBitIdentity,
                          ::testing::Values(7u, 19u, 101u, 4242u));
 
-TEST(VecBackend, PanelPathMatchesStagedScalar) {
-  // Drive both engines through the exact BlockSweeper verb sequence:
-  // load_panel + broadcast_y + reset_lane_state + disable, then run.
-  Xoshiro256 rng(515151);
+/// Drive both engines through the exact BlockSweeper verb sequence:
+/// load_panel + broadcast_y + reset_lane_state + disable, then run.
+void expect_panel_identity(std::uint64_t seed, std::size_t min_bits,
+                           std::size_t early) {
+  Xoshiro256 rng(seed);
   const std::size_t m = 21;  // not a multiple of any W
   std::vector<BigInt> moduli;
   for (std::size_t i = 0; i < m; ++i) {
-    moduli.push_back(random_odd<std::uint32_t>(rng, 64 + rng.below(512)));
+    moduli.push_back(random_odd<std::uint32_t>(rng, min_bits + rng.below(512)));
   }
   const bulk::ScanCorpus scan(moduli);
   const std::size_t cap = scan.max_limbs();
@@ -139,7 +201,7 @@ TEST(VecBackend, PanelPathMatchesStagedScalar) {
       bulk::SimtBatch<bulk::ScanLimb> ref(r, cap, 32);
       ref.load_panel(panels.panel(g), panels.sizes(g), panels.rows(g));
       ref.broadcast_y(y);
-      for (std::size_t k = 0; k < live; ++k) ref.reset_lane_state(k, 64);
+      for (std::size_t k = 0; k < live; ++k) ref.reset_lane_state(k, early);
       for (std::size_t k = live; k < r; ++k) ref.disable(k);
       ref.run_staged(variant);
 
@@ -147,7 +209,7 @@ TEST(VecBackend, PanelPathMatchesStagedScalar) {
         auto vec = bulk::make_vec_batch<bulk::ScanLimb>(r, cap, 32, isa);
         vec->load_panel(panels.panel(g), panels.sizes(g), panels.rows(g));
         vec->broadcast_y(y);
-        for (std::size_t k = 0; k < live; ++k) vec->reset_lane_state(k, 64);
+        for (std::size_t k = 0; k < live; ++k) vec->reset_lane_state(k, early);
         for (std::size_t k = live; k < r; ++k) vec->disable(k);
         vec->run(variant);
 
@@ -156,6 +218,7 @@ TEST(VecBackend, PanelPathMatchesStagedScalar) {
             << to_string(isa);
         for (std::size_t k = 0; k < live; ++k) {
           ASSERT_EQ(vec->early_coprime(k), ref.early_coprime(k));
+          ASSERT_EQ(vec->lane_iterations(k), ref.lane_iterations(k));
           if (!vec->early_coprime(k)) {
             ASSERT_EQ(vec->gcd_of(k), ref.gcd_of(k))
                 << to_string(variant) << " group " << g << " lane " << k;
@@ -164,6 +227,15 @@ TEST(VecBackend, PanelPathMatchesStagedScalar) {
       }
     }
   }
+}
+
+TEST(VecBackend, PanelPathMatchesStagedScalar) {
+  expect_panel_identity(515151, 64, 64);
+  // Section-V corpus (early = 3 limbs, moduli >= 6 limbs): every group,
+  // the last one with three disabled lanes, takes the vector-resident
+  // round; the modulus paired with itself exercises the d0 = 0 escape.
+  constexpr std::size_t kEarly = 3 * mp::limb_bits<bulk::ScanLimb>;
+  expect_panel_identity(616161, 2 * kEarly, kEarly);
 }
 
 TEST(VecBackend, ReusedBatchStaysIdentical) {
