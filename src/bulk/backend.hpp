@@ -14,7 +14,9 @@ namespace bulkgcd::bulk {
 
 enum class Engine : std::uint8_t {
   kAuto,    ///< kVector when the CPU runs the AVX2 leg, else kStaged
-  kVector,  ///< corpus panels + W-lane SIMD warp engine (bulk/vec/)
+  kVector,  ///< corpus panels + W-lane SIMD warp engine (bulk/vec/) when the
+            ///< CPU runs the AVX2 leg, else kStaged (the portable leg is
+            ///< test-only)
   kStaged,  ///< corpus panels + lane-serial SimtBatch::run_staged()
   kScalar,  ///< one GcdEngine per worker, pair by pair (the CPU column)
 };
@@ -29,7 +31,7 @@ constexpr const char* to_string(Engine e) noexcept {
   return "?";
 }
 
-/// Inverse of to_string(Engine); nullopt for anything else. The CLIs'
+/// Inverse of to_string(Engine); nullopt for anything else. The weakscan
 /// `--engine auto|vector|staged|scalar` flag.
 constexpr std::optional<Engine> parse_engine(std::string_view name) noexcept {
   for (const Engine e :
@@ -40,8 +42,9 @@ constexpr std::optional<Engine> parse_engine(std::string_view name) noexcept {
 }
 
 /// Collapse kAuto to the engine this CPU runs best (the cpuid probe of
-/// detect_vec_isa()); every other value is returned unchanged. Pure: no
-/// environment lookup, so the intake path can call it per probe.
+/// detect_vec_isa()), and kVector to kStaged on a CPU without AVX2; kStaged
+/// and kScalar are returned unchanged. Pure: no environment lookup, so the
+/// intake path can call it per probe.
 Engine resolve_engine(Engine requested) noexcept;
 
 }  // namespace bulkgcd::bulk

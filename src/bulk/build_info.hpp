@@ -1,6 +1,6 @@
 // Build/runtime identity of this bulkgcd process — the one description of
 // "what exactly is running here" shared by the CLI startup banners
-// (resumable_scan, keyintake_daemon) and the MetricsHttpServer GET /status
+// (weakscan scan, tree and intake) and the MetricsHttpServer GET /status
 // endpoint, so the version an operator sees in a log line and the version a
 // monitor scrapes can never disagree.
 #pragma once

@@ -27,7 +27,8 @@
 //   gcd::gcd_lehmer                     Lehmer's GCD (extension baseline)
 //   umm::UmmSimulator                   the paper's GPU cost model
 //
-// See README.md for a guided tour and examples/ for runnable programs.
+// See README.md for a guided tour and examples/ for runnable programs
+// (examples/weakscan/ is the operational command-line tool).
 #pragma once
 
 #include "batchgcd/batch_journal.hpp"

@@ -277,13 +277,15 @@ TEST(VecBackend, DispatchProbes) {
 }
 
 TEST(VecBackend, AutoResolvesByCpu) {
-  // kAuto picks the vector engine exactly when the AVX2 leg runs here;
-  // explicit engines pass through untouched.
+  // kAuto and an explicit kVector pick the vector engine exactly when the
+  // AVX2 leg runs here (the portable leg is test-only); staged and scalar
+  // pass through untouched.
   const bulk::Engine want = bulk::detect_vec_isa() == VecIsa::kAvx2
                                 ? Engine::kVector
                                 : Engine::kStaged;
   EXPECT_EQ(bulk::resolve_engine(Engine::kAuto), want);
-  for (const Engine e : {Engine::kVector, Engine::kStaged, Engine::kScalar}) {
+  EXPECT_EQ(bulk::resolve_engine(Engine::kVector), want);
+  for (const Engine e : {Engine::kStaged, Engine::kScalar}) {
     EXPECT_EQ(bulk::resolve_engine(e), e);
   }
   EXPECT_EQ(bulk::AllPairsConfig{}.engine, Engine::kAuto);

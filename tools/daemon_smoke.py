@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""End-to-end smoke test for the keyintake daemon.
+"""End-to-end smoke test for the `weakscan intake` daemon.
 
-Three legs, each against a fresh daemon on ephemeral ports:
+Four legs, each against a fresh daemon on ephemeral ports:
 
 serial leg
   Streams a planted shared-prime key set interleaved with garbage records
@@ -35,7 +35,9 @@ trace leg
   recorded on the submitter after try_push, so a fast worker can fold
   first).
 
-Usage: daemon_smoke.py <daemon-binary> [<ndjson-out>]
+Usage: daemon_smoke.py <weakscan-binary> [<ndjson-out>]
+
+The daemon is started as `<weakscan-binary> intake ...`.
 
 The NDJSON telemetry file (default intake.ndjson) is left behind for
 tools/validate_metrics.py.
@@ -76,7 +78,8 @@ def fail(msg):
 def start_daemon(daemon_bin, extra_args):
     """Start the daemon on ephemeral ports; return (proc, intake, metrics)."""
     daemon = subprocess.Popen(
-        [daemon_bin, "--port", "0", "--metrics-port", "0"] + extra_args,
+        [daemon_bin, "intake", "--port", "0", "--metrics-port", "0"]
+        + extra_args,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     intake_port = metrics_port = None
     banner = []
