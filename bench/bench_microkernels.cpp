@@ -57,58 +57,110 @@ void BM_Approx(benchmark::State& state) {
 }
 BENCHMARK(BM_Approx)->Arg(1024)->Arg(4096);
 
+/// make_odd's value on Limb-wide limbs: a u32 and a u64 row at the same
+/// bit size time the same arithmetic at half the limb count.
+template <typename Limb>
+mp::BigIntT<Limb> make_odd_t(std::uint64_t seed, std::size_t bits) {
+  return mp::repack<Limb>(make_odd(seed, bits));
+}
+
+// The multiply and divide rows run at both limb widths the library uses: u32
+// (mp::BigInt, the paper's d = 32) and u64 (the batch tree's TreeInt). Args
+// are bits, so a u64 row has half the limbs of the u32 row beside it; the
+// ladder thresholds count limbs, so a crossover at T limbs shows at 32·T bits
+// on u32 and 64·T bits on u64.
+
+template <typename Limb>
 void BM_DivRemKnuthD(benchmark::State& state) {
   const std::size_t bits = std::size_t(state.range(0));
-  const BigInt a = make_odd(5, bits);
-  const BigInt b = make_odd(6, bits / 2);
-  std::vector<std::uint32_t> q(a.size()), r(b.size());
+  const auto a = make_odd_t<Limb>(5, bits);
+  const auto b = make_odd_t<Limb>(6, bits / 2);
+  std::vector<Limb> q(a.size()), r(b.size());
   for (auto _ : state) {
     const auto sizes =
         mp::divrem(q.data(), r.data(), a.data(), a.size(), b.data(), b.size());
     benchmark::DoNotOptimize(sizes.remainder);
   }
 }
-// Both division rungs on the 2n/n-limb shape of a batch-GCD descent step,
-// at dividend sizes whose divisors straddle kNewtonDivThreshold (512, 1024
-// and 2048 limbs of 32 bits); this is the crossover the constant cites.
-BENCHMARK(BM_DivRemKnuthD)->Arg(1024)->Arg(4096)->Arg(32768)->Arg(65536)->Arg(131072);
+// Both division rungs on the 2n/n-limb shape of a batch-GCD descent step.
+// The large rows' divisors straddle kNewtonDivThreshold: 512, 1024 and 2048
+// limbs at u32, 256 to 2048 limbs at u64.
+BENCHMARK_TEMPLATE(BM_DivRemKnuthD, std::uint32_t)
+    ->Arg(1024)->Arg(4096)->Arg(32768)->Arg(65536)->Arg(131072);
+BENCHMARK_TEMPLATE(BM_DivRemKnuthD, std::uint64_t)
+    ->Arg(1024)->Arg(4096)->Arg(32768)->Arg(65536)->Arg(98304)->Arg(131072)
+    ->Arg(196608)->Arg(262144);
 
+template <typename Limb>
 void BM_DivRemNewton(benchmark::State& state) {
   const std::size_t bits = std::size_t(state.range(0));
-  const BigInt a = make_odd(5, bits);
-  const BigInt b = make_odd(6, bits / 2);
-  std::vector<std::uint32_t> q(a.size()), r(b.size());
+  const auto a = make_odd_t<Limb>(5, bits);
+  const auto b = make_odd_t<Limb>(6, bits / 2);
+  std::vector<Limb> q(a.size()), r(b.size());
   for (auto _ : state) {
     const auto sizes = mp::divrem_newton(q.data(), r.data(), a.data(), a.size(),
                                          b.data(), b.size());
     benchmark::DoNotOptimize(sizes.sizes.remainder);
   }
 }
-BENCHMARK(BM_DivRemNewton)->Arg(32768)->Arg(65536)->Arg(131072);
+BENCHMARK_TEMPLATE(BM_DivRemNewton, std::uint32_t)
+    ->Arg(32768)->Arg(65536)->Arg(131072);
+BENCHMARK_TEMPLATE(BM_DivRemNewton, std::uint64_t)
+    ->Arg(32768)->Arg(65536)->Arg(98304)->Arg(131072)->Arg(196608)
+    ->Arg(262144);
 
+template <typename Limb>
 void BM_MulSchoolbook(benchmark::State& state) {
   const std::size_t bits = std::size_t(state.range(0));
-  const BigInt a = make_odd(7, bits);
-  const BigInt b = make_odd(8, bits);
-  std::vector<std::uint32_t> out(a.size() + b.size());
+  const auto a = make_odd_t<Limb>(7, bits);
+  const auto b = make_odd_t<Limb>(8, bits);
+  std::vector<Limb> out(a.size() + b.size());
   for (auto _ : state) {
     const std::size_t n =
         mp::mul_schoolbook(out.data(), a.data(), a.size(), b.data(), b.size());
     benchmark::DoNotOptimize(n);
   }
 }
-BENCHMARK(BM_MulSchoolbook)->Arg(1024)->Arg(8192);
+// Schoolbook against one Karatsuba split around kKaratsubaThreshold (16 to
+// 48 limbs), plus the old 1024- and 8192-bit rows.
+BENCHMARK_TEMPLATE(BM_MulSchoolbook, std::uint32_t)
+    ->Arg(512)->Arg(768)->Arg(1024)->Arg(1536)->Arg(8192);
+BENCHMARK_TEMPLATE(BM_MulSchoolbook, std::uint64_t)
+    ->Arg(1024)->Arg(1536)->Arg(2048)->Arg(3072)->Arg(8192);
 
+template <typename Limb>
 void BM_MulKaratsuba(benchmark::State& state) {
   const std::size_t bits = std::size_t(state.range(0));
-  const BigInt a = make_odd(9, bits);
-  const BigInt b = make_odd(10, bits);
+  const auto a = make_odd_t<Limb>(9, bits);
+  const auto b = make_odd_t<Limb>(10, bits);
   for (auto _ : state) {
     const auto out = mp::mul_karatsuba(a.data(), a.size(), b.data(), b.size());
     benchmark::DoNotOptimize(out.size());
   }
 }
-BENCHMARK(BM_MulKaratsuba)->Arg(8192)->Arg(65536);
+// Also the Karatsuba side of the kToom3Threshold crossover (48 to 192 limbs).
+BENCHMARK_TEMPLATE(BM_MulKaratsuba, std::uint32_t)
+    ->Arg(512)->Arg(768)->Arg(1024)->Arg(1536)->Arg(2048)->Arg(3072)
+    ->Arg(4096)->Arg(6144)->Arg(8192)->Arg(65536);
+BENCHMARK_TEMPLATE(BM_MulKaratsuba, std::uint64_t)
+    ->Arg(1024)->Arg(1536)->Arg(2048)->Arg(3072)->Arg(4096)->Arg(6144)
+    ->Arg(8192)->Arg(12288)->Arg(65536);
+
+template <typename Limb>
+void BM_MulToom3(benchmark::State& state) {
+  const std::size_t bits = std::size_t(state.range(0));
+  const auto a = make_odd_t<Limb>(9, bits);
+  const auto b = make_odd_t<Limb>(10, bits);
+  for (auto _ : state) {
+    const auto out = mp::mul_toom3(a.data(), a.size(), b.data(), b.size());
+    benchmark::DoNotOptimize(out.size());
+  }
+}
+// One Toom-3 split over Karatsuba thirds, 48 to 192 limbs, plus 65536 bits.
+BENCHMARK_TEMPLATE(BM_MulToom3, std::uint32_t)
+    ->Arg(2048)->Arg(3072)->Arg(4096)->Arg(6144)->Arg(65536);
+BENCHMARK_TEMPLATE(BM_MulToom3, std::uint64_t)
+    ->Arg(4096)->Arg(6144)->Arg(8192)->Arg(12288)->Arg(65536);
 
 void BM_GcdVariant(benchmark::State& state) {
   const auto variant = gcd::Variant(state.range(0));

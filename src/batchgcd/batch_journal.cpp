@@ -23,12 +23,12 @@ constexpr std::uint8_t kRecordProduct = 1;
 constexpr std::uint8_t kRecordRemainder = 2;
 constexpr std::uint8_t kRecordGcds = 3;
 
-void put_values(core::ByteWriter& w, std::span<const mp::BigInt> values) {
+void put_values(core::ByteWriter& w, std::span<const TreeInt> values) {
   w.u64(values.size());
   for (const auto& v : values) w.bigint_limbs(v);
 }
 
-bool get_values(core::ByteReader& r, std::vector<mp::BigInt>& values) {
+bool get_values(core::ByteReader& r, std::vector<TreeInt>& values) {
   std::uint64_t count = 0;
   // Each value costs at least its 4-byte limb count.
   if (!r.u64(count) || !r.fits(count, 4)) return false;
@@ -40,7 +40,7 @@ bool get_values(core::ByteReader& r, std::vector<mp::BigInt>& values) {
 }
 
 core::ByteWriter level_record(std::uint8_t kind, std::uint32_t level,
-                              std::span<const mp::BigInt> values) {
+                              std::span<const TreeInt> values) {
   core::ByteWriter w;
   w.u8(kind);
   w.u32(level);
@@ -76,7 +76,7 @@ BatchJournal::BatchJournal(std::filesystem::path path,
     if (!r.u8(kind)) return false;
     if (kind == kRecordProduct) {
       std::uint32_t level = 0;
-      std::vector<mp::BigInt> nodes;
+      std::vector<TreeInt> nodes;
       if (descending || replay_.gcds || !r.u32(level) ||
           level != next_product || !get_values(r, nodes)) {
         return false;
@@ -87,7 +87,7 @@ BatchJournal::BatchJournal(std::filesystem::path path,
     }
     if (kind == kRecordRemainder) {
       std::uint32_t level = 0;
-      std::vector<mp::BigInt> residues;
+      std::vector<TreeInt> residues;
       if (replay_.gcds || !r.u32(level) || !get_values(r, residues)) {
         return false;
       }
@@ -100,7 +100,7 @@ BatchJournal::BatchJournal(std::filesystem::path path,
       return true;
     }
     if (kind == kRecordGcds) {
-      std::vector<mp::BigInt> gcds;
+      std::vector<TreeInt> gcds;
       if (replay_.gcds || !get_values(r, gcds)) return false;
       replay_.gcds = std::move(gcds);
       return true;
@@ -112,16 +112,16 @@ BatchJournal::BatchJournal(std::filesystem::path path,
 BatchReplay BatchJournal::take_replay() { return std::move(replay_); }
 
 void BatchJournal::append_product_level(std::uint32_t level,
-                                        std::span<const mp::BigInt> nodes) {
+                                        std::span<const TreeInt> nodes) {
   log_.append(level_record(kRecordProduct, level, nodes).str());
 }
 
-void BatchJournal::append_remainder_level(
-    std::uint32_t level, std::span<const mp::BigInt> residues) {
+void BatchJournal::append_remainder_level(std::uint32_t level,
+                                          std::span<const TreeInt> residues) {
   log_.append(level_record(kRecordRemainder, level, residues).str());
 }
 
-void BatchJournal::append_gcds(std::span<const mp::BigInt> gcds) {
+void BatchJournal::append_gcds(std::span<const TreeInt> gcds) {
   core::ByteWriter w;
   w.u8(kRecordGcds);
   put_values(w, gcds);

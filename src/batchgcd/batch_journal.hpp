@@ -15,9 +15,12 @@
 //   gcds(values)             — the final per-modulus gcd vector; its
 //                              presence marks the attack complete.
 //
-// Values are journaled as canonical 32-bit BigInt limbs regardless of the
-// build's scan limb width, so a checkpoint written by one build resumes
-// under any other (mirrors the scan journal's portability rule).
+// Values are journaled as canonical 32-bit limbs (core::ByteWriter::
+// bigint_limbs) whatever their in-memory width: the tree computes on 64-bit
+// limbs (TreeInt) and writes each level straight from them, and the bytes
+// equal those of the same values held as 32-bit mp::BigInt. A checkpoint
+// written by one build resumes under any other, whatever the scan limb width
+// (mirrors the scan journal's portability rule).
 #pragma once
 
 #include <cstdint>
@@ -36,16 +39,21 @@ class HistogramMetric;
 
 namespace bulkgcd::batchgcd {
 
+/// The tree's in-memory value type. On 64-bit limbs a product or a division
+/// handles half the limbs it would on mp::BigInt's 32-bit ones, and a
+/// 64×64→128-bit multiply costs about what a 32×32→64-bit one does.
+using TreeInt = mp::BigInt64;
+
 /// Everything parsed from an existing journal at open.
 struct BatchReplay {
   /// Restored product-tree levels in append order (level index ≥ 1). A valid
   /// journal holds a dense prefix 1..k; the driver re-checks sizes anyway.
-  std::vector<std::pair<std::uint32_t, std::vector<mp::BigInt>>> product_levels;
+  std::vector<std::pair<std::uint32_t, std::vector<TreeInt>>> product_levels;
   /// Deepest (lowest-level) restored remainder vector — the descent resumes
   /// from here. Records are appended top-down, so the last one parsed wins.
-  std::optional<std::pair<std::uint32_t, std::vector<mp::BigInt>>> remainder;
+  std::optional<std::pair<std::uint32_t, std::vector<TreeInt>>> remainder;
   /// Final gcd vector, present only when the attack finished.
-  std::optional<std::vector<mp::BigInt>> gcds;
+  std::optional<std::vector<TreeInt>> gcds;
 };
 
 /// Open-for-append batch-tree journal bound to one corpus identity.
@@ -70,12 +78,12 @@ class BatchJournal {
 
   /// Journal one completed product-tree level (level ≥ 1).
   void append_product_level(std::uint32_t level,
-                            std::span<const mp::BigInt> nodes);
+                            std::span<const TreeInt> nodes);
   /// Journal the residues after the descent reduced into tree `level`.
   void append_remainder_level(std::uint32_t level,
-                              std::span<const mp::BigInt> residues);
+                              std::span<const TreeInt> residues);
   /// Journal the final gcd vector; marks the run complete on replay.
-  void append_gcds(std::span<const mp::BigInt> gcds);
+  void append_gcds(std::span<const TreeInt> gcds);
 
   /// Flush + fsync anything buffered (also done by the destructor).
   void flush();

@@ -1,5 +1,6 @@
 #include "batchgcd/batchgcd.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -78,10 +79,20 @@ std::size_t tree_depth(std::size_t m) {
   return depth;
 }
 
+/// The same values at another limb width, at the tree's edges: the leaves
+/// in, the gcds (and build_product_tree's levels) out.
+template <mp::LimbType Dst, typename Values>
+std::vector<mp::BigIntT<Dst>> repack_all(const Values& values) {
+  std::vector<mp::BigIntT<Dst>> out;
+  out.reserve(values.size());
+  for (const auto& v : values) out.push_back(mp::repack<Dst>(v));
+  return out;
+}
+
 /// The product-tree level above `prev`: pairwise products, an odd last node
 /// promoted unchanged.
-std::vector<mp::BigInt> product_level(const std::vector<mp::BigInt>& prev) {
-  std::vector<mp::BigInt> next((prev.size() + 1) / 2);
+std::vector<TreeInt> product_level(const std::vector<TreeInt>& prev) {
+  std::vector<TreeInt> next((prev.size() + 1) / 2);
   global_pool().parallel_for(0, next.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       next[i] = 2 * i + 1 < prev.size() ? prev[2 * i] * prev[2 * i + 1]
@@ -97,7 +108,11 @@ ProductTree build_product_tree(std::span<const mp::BigInt> moduli) {
   if (moduli.empty()) throw std::invalid_argument("product tree: empty input");
   ProductTree tree;
   tree.emplace_back(moduli.begin(), moduli.end());
-  while (tree.back().size() > 1) tree.push_back(product_level(tree.back()));
+  std::vector<TreeInt> level = repack_all<std::uint64_t>(moduli);
+  while (level.size() > 1) {
+    level = product_level(level);
+    tree.push_back(repack_all<std::uint32_t>(level));
+  }
   return tree;
 }
 
@@ -148,7 +163,7 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
     if (replay.gcds->size() != moduli.size()) {
       throw std::runtime_error("batch checkpoint: gcds record size mismatch");
     }
-    report.result.gcds = std::move(*replay.gcds);
+    report.result.gcds = repack_all<std::uint32_t>(*replay.gcds);
     report.levels_restored = report.levels_total;
     report.resumed = true;
     report.complete = true;
@@ -160,9 +175,11 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   // ---- product phase (up) -------------------------------------------------
   // Restore journaled levels, then compute the rest. Restored shapes are
   // re-checked against the corpus: the digest binds the leaves, the dense
-  // level/size invariants bind everything above them.
-  ProductTree tree;
-  tree.emplace_back(moduli.begin(), moduli.end());
+  // level/size invariants bind everything above them. The tree computes on
+  // 64-bit limbs: the leaves are repacked once here, replayed levels were
+  // widened as they were decoded, and only the gcds are narrowed back.
+  std::vector<std::vector<TreeInt>> tree;
+  tree.push_back(repack_all<std::uint64_t>(moduli));
   for (auto& [level, nodes] : replay.product_levels) {
     const auto& prev = tree.back();
     if (level != tree.size() || nodes.size() != (prev.size() + 1) / 2) {
@@ -178,7 +195,7 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   while (tree.back().size() > 1) {
     obs::ScopedSpan level_span(t.level_seconds);
     obs::TraceSpan tspan(trace.rec, trace.product_id);
-    std::vector<mp::BigInt> next = product_level(tree.back());
+    std::vector<TreeInt> next = product_level(tree.back());
     const std::uint32_t level = std::uint32_t(tree.size());
     tspan.set_args(level, next.size());
     if (t.product_nodes) t.product_nodes->add(next.size());
@@ -194,8 +211,8 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   // Each step reduces the parent residues modulo the squares of the level
   // below, computed on the fly since each is needed exactly once. A level
   // is freed as soon as the step into it is done, so the descent holds only
-  // the levels it has yet to reach.
-  std::vector<mp::BigInt> current;
+  // the levels it has yet to reach, and the leaves for the final gcds.
+  std::vector<TreeInt> current;
   std::size_t next_level = depth - 1;  // the level the next step reduces into
   if (replay.remainder) {
     auto& [restored_level, residues] = *replay.remainder;
@@ -213,15 +230,16 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
     current = std::move(residues);
     next_level = restored_level;
   } else {
-    current.push_back(std::move(tree.back()[0]));  // root mod root² = root
+    // root mod root² = root; a one-modulus tree's root is its leaf, kept.
+    current.push_back(depth > 1 ? std::move(tree.back()[0]) : tree.back()[0]);
   }
-  tree.resize(next_level);
+  tree.resize(std::max<std::size_t>(next_level, 1));
 
   for (std::size_t level = next_level; level-- > 0;) {
     obs::ScopedSpan level_span(t.level_seconds);
     obs::TraceSpan tspan(trace.rec, trace.remainder_id);
     const auto& nodes = tree[level];
-    std::vector<mp::BigInt> next(nodes.size());
+    std::vector<TreeInt> next(nodes.size());
     global_pool().parallel_for(0, nodes.size(), [&](std::size_t lo,
                                                     std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
@@ -233,7 +251,7 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
       }
     });
     current = std::move(next);
-    tree.pop_back();
+    if (level > 0) tree.pop_back();
     tspan.set_args(level, current.size());
     if (t.remainder_nodes) t.remainder_nodes->add(current.size());
     if (journal) journal->append_remainder_level(std::uint32_t(level), current);
@@ -247,16 +265,17 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   {
     obs::ScopedSpan level_span(t.level_seconds);
     obs::TraceSpan tspan(trace.rec, trace.gcds_id);
-    report.result.gcds.resize(moduli.size());
+    const auto& leaves = tree[0];
+    std::vector<TreeInt> gcds(moduli.size());
     global_pool().parallel_for(0, moduli.size(), [&](std::size_t lo,
                                                      std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
         // current[i] = P mod n_i²; divide by n_i to get (P / n_i) mod n_i.
-        const mp::BigInt cofactor_mod = current[i] / moduli[i];
-        report.result.gcds[i] = gcd::gcd_general(moduli[i], cofactor_mod);
+        gcds[i] = gcd::gcd_general(leaves[i], current[i] / leaves[i]);
       }
     });
-    if (journal) journal->append_gcds(report.result.gcds);
+    if (journal) journal->append_gcds(gcds);
+    report.result.gcds = repack_all<std::uint32_t>(gcds);
     std::size_t weak = 0;
     for (const auto& g : report.result.gcds) {
       if (g > mp::BigInt(1)) ++weak;

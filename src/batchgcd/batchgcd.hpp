@@ -1,17 +1,20 @@
 // Bernstein-style batch GCD (product tree + remainder tree) — the published
-// batch attack (Heninger et al. / fastgcd) that the pairwise approach is
-// usually compared against. Implemented here as the crossover baseline for
-// bench_batchgcd_crossover: batch GCD is asymptotically better in the number
-// of moduli, while the paper's bulk pairwise Approximate Euclidean wins on
-// parallel hardware for moderate corpus sizes.
+// batch attack (Heninger et al. / fastgcd) and one of the three production
+// paths, next to the pairwise sweep and the intake daemon. It is
+// asymptotically better in the number of moduli; the paper's bulk pairwise
+// Approximate Euclidean wins on parallel hardware for small corpora, and
+// bench_batchgcd_crossover measures where the two cross.
 //
 // Identity used: with P = Π n_k and n_i | P,
 //   gcd(n_i, P / n_i) = gcd(n_i, (P mod n_i²) / n_i),
 // and the remainder tree delivers every P mod n_i² in O(M(total bits) log m).
-// Each descent step is one BigInt `%`: Toom-3 squares the node and the
-// division ladder (mp/newton_div.hpp) reduces by a Newton reciprocal once the
-// operands pass kNewtonDivThreshold limbs, so a level costs a few M(n), not
-// Knuth D's Θ(n²).
+// The tree computes on 64-bit limbs (TreeInt = mp::BigInt64, half the limbs
+// of mp::BigInt per product and per division): the moduli are repacked once
+// on the way in and the gcds narrowed once on the way out, so the API below
+// stays on mp::BigInt. Each descent step is one TreeInt `%`: Toom-3 squares
+// the node and the division ladder (mp/newton_div.hpp) reduces by a Newton
+// reciprocal once the operands pass kNewtonDivThreshold limbs, so a level
+// costs a few M(n), not Knuth D's Θ(n²).
 //
 // Two entry points:
 //   batch_gcd            — one-shot, in-memory (the bench/test workhorse).
@@ -40,7 +43,8 @@ class TraceRecorder;
 namespace bulkgcd::batchgcd {
 
 /// Levels of the product tree: level 0 = the moduli, each higher level the
-/// pairwise products, top level a single root Π n_i.
+/// pairwise products, top level a single root Π n_i. Computed by the
+/// driver's own product step and narrowed to mp::BigInt level by level.
 using ProductTree = std::vector<std::vector<mp::BigInt>>;
 
 ProductTree build_product_tree(std::span<const mp::BigInt> moduli);

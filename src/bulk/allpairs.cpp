@@ -139,7 +139,7 @@ std::vector<IncrementalHit> probe_corpus(const mp::BigInt& candidate,
         std::equal(gl.begin(), gl.end(), scan.limbs(i).begin(),
                    scan.limbs(i).end()) ||
         std::equal(gl.begin(), gl.end(), cand.begin(), cand.end());
-    local.push_back({i, to_default_bigint<ScanLimb>(gl), full});
+    local.push_back({i, mp::repack<std::uint32_t>(g), full});
   };
 
   // Generic over the executing batch (SimtBatch or the vector engine):

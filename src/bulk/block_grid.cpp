@@ -186,7 +186,7 @@ void BlockSweeper::run_block(std::size_t block_index) {
         std::equal(gl.begin(), gl.end(), corpus_->limbs(b).begin(),
                    corpus_->limbs(b).end());
     if (full) ++full_modulus_hits;
-    out_.hits.push_back({a, b, to_default_bigint<ScanLimb>(gl), full});
+    out_.hits.push_back({a, b, mp::repack<std::uint32_t>(g), full});
   };
 
   if (vec_) {

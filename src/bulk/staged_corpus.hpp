@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <optional>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "bulk/layout.hpp"
@@ -51,14 +50,7 @@ class StagedCorpusT {
   /// n); rebuilds the panels (O(corpus)) only when n outsizes every value
   /// staged so far — and then with doubled capacity.
   void append(const mp::BigInt& n) {
-    std::vector<Limb> packed_storage;
-    std::span<const Limb> packed;
-    if constexpr (std::is_same_v<Limb, std::uint32_t>) {
-      packed = n.limbs();
-    } else {
-      packed_storage = repack_limbs<Limb>(n.limbs());
-      packed = packed_storage;
-    }
+    const std::vector<Limb> packed = mp::repack_limbs<Limb>(n.limbs());
     const std::size_t bits = n.bit_length();
     data_.insert(data_.end(), packed.begin(), packed.end());
     offsets_.push_back(data_.size());

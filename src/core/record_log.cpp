@@ -25,11 +25,15 @@ void ByteWriter::u64(std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out_.push_back(char((v >> (8 * i)) & 0xff));
 }
 
-void ByteWriter::bigint_limbs(const mp::BigInt& n) {
-  const auto limbs = n.limbs();
-  u32(std::uint32_t(limbs.size()));
-  for (const auto limb : limbs) u32(limb);
+template <mp::LimbType Limb>
+void ByteWriter::bigint_limbs(const mp::BigIntT<Limb>& n) {
+  u32(std::uint32_t(mp::limbs_for_bits<std::uint32_t>(n.bit_length())));
+  mp::repack_limbs<std::uint32_t>(n.limbs(),
+                                  [this](std::uint32_t limb) { u32(limb); });
 }
+
+template void ByteWriter::bigint_limbs(const mp::BigInt&);
+template void ByteWriter::bigint_limbs(const mp::BigInt64&);
 
 void ByteWriter::bigint_bytes(const mp::BigInt& n) {
   const auto limbs = n.limbs();
@@ -71,14 +75,18 @@ bool ByteReader::bytes(std::size_t n, std::string& out) {
   return true;
 }
 
-bool ByteReader::bigint_limbs(mp::BigInt& n) {
+template <mp::LimbType Limb>
+bool ByteReader::bigint_limbs(mp::BigIntT<Limb>& n) {
   std::uint32_t count = 0;
   if (!u32(count) || !fits(count, 4)) return false;
   std::vector<std::uint32_t> limbs(count);
   for (auto& limb : limbs) u32(limb);
-  n = mp::BigInt::from_limbs(limbs);
+  n = mp::repack<Limb>(std::span<const std::uint32_t>(limbs));
   return true;
 }
+
+template bool ByteReader::bigint_limbs(mp::BigInt&);
+template bool ByteReader::bigint_limbs(mp::BigInt64&);
 
 bool ByteReader::bigint_bytes(mp::BigInt& n) {
   std::uint32_t count = 0;

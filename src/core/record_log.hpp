@@ -52,9 +52,12 @@ class ByteWriter {
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void bytes(std::string_view b) { out_.append(b); }
-  /// u32 limb count, then the 32-bit limbs — portable across scan limb
-  /// widths (BULKGCD_LIMB32), since mp::BigInt limbs are always 32-bit.
-  void bigint_limbs(const mp::BigInt& n);
+  /// u32 limb count, then the value's canonical 32-bit limbs (normalized:
+  /// no zero top limb) — the journal's canonical 32-bit limbs, whatever the
+  /// in-memory width, so a 64-bit tree value and a 32-bit BigInt of the
+  /// same value encode to the same bytes.
+  template <mp::LimbType Limb>
+  void bigint_limbs(const mp::BigIntT<Limb>& n);
   /// u32 byte count, then exactly ⌈bit_length / 8⌉ canonical little-endian
   /// bytes (the encoding rsa::modulus_fingerprint hashes).
   void bigint_bytes(const mp::BigInt& n);
@@ -75,7 +78,9 @@ class ByteReader {
   bool u32(std::uint32_t& v);
   bool u64(std::uint64_t& v);
   bool bytes(std::size_t n, std::string& out);
-  bool bigint_limbs(mp::BigInt& n);
+  /// Decodes bigint_limbs' encoding at any in-memory limb width.
+  template <mp::LimbType Limb>
+  bool bigint_limbs(mp::BigIntT<Limb>& n);
   bool bigint_bytes(mp::BigInt& n);
 
   /// True when `count` items of at least `min_bytes` each can still fit —

@@ -4,13 +4,16 @@
 // The default alias `BigInt` uses 32-bit limbs, the paper's d = 32 word size.
 // Heavy inner loops (the GCD family, the SIMT engine) do NOT use this class —
 // they run on raw limb buffers via src/gcd and src/bulk; BigInt is the
-// convenience layer for RSA, corpus generation, batch GCD and tests.
+// convenience layer for RSA, corpus generation and tests. The batch tree
+// computes on BigInt64, whose products and divisions touch half the limbs.
+// repack_limbs / repack move values between limb widths.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -39,10 +42,16 @@ class BigIntT {
     }
   }
 
-  /// From little-endian limbs (normalizes).
+  /// From little-endian limbs, copied or taken over (normalizes).
   static BigIntT from_limbs(std::span<const Limb> limbs) {
     BigIntT out;
     out.limbs_.assign(limbs.begin(), limbs.end());
+    out.trim();
+    return out;
+  }
+  static BigIntT from_limbs(std::vector<Limb>&& limbs) {
+    BigIntT out;
+    out.limbs_ = std::move(limbs);
     out.trim();
     return out;
   }
@@ -135,6 +144,59 @@ class BigIntT {
 
   std::vector<Limb> limbs_;  // little-endian, normalized
 };
+
+/// Repack little-endian limbs from one width to another: calls emit(Dst)
+/// once per limb of the value's normalized Dst encoding, least significant
+/// first — exactly limbs_for_bits<Dst>(bit length) limbs, so a value whose
+/// top half-limb is zero never emits a zero top limb. This is the one width
+/// converter: corpus staging, hit reporting, the batch tree's edges and the
+/// journals' canonical 32-bit limb encoding all go through it.
+template <LimbType Dst, LimbType Src, typename Emit>
+void repack_limbs(std::span<const Src> src, Emit&& emit) {
+  constexpr int kSrcBits = limb_bits<Src>;
+  constexpr int kDstBits = limb_bits<Dst>;
+  std::size_t left =
+      limbs_for_bits<Dst>(mp::bit_length(src.data(), src.size()));
+  __extension__ using Acc = unsigned __int128;
+  Acc acc = 0;
+  int acc_bits = 0;
+  for (const Src limb : src) {
+    if (left == 0) return;
+    acc |= Acc(limb) << acc_bits;
+    acc_bits += kSrcBits;
+    while (acc_bits >= kDstBits && left > 0) {
+      emit(Dst(acc));
+      acc >>= kDstBits;
+      acc_bits -= kDstBits;
+      --left;
+    }
+  }
+  if (left > 0) emit(Dst(acc));
+}
+
+template <LimbType Dst, LimbType Src>
+std::vector<Dst> repack_limbs(std::span<const Src> src) {
+  std::vector<Dst> out;
+  out.reserve(limbs_for_bits<Dst>(mp::bit_length(src.data(), src.size())));
+  repack_limbs<Dst>(src, [&out](Dst limb) { out.push_back(limb); });
+  return out;
+}
+
+/// The value of little-endian `limbs` at limb width Dst.
+template <LimbType Dst, LimbType Src>
+BigIntT<Dst> repack(std::span<const Src> limbs) {
+  return BigIntT<Dst>::from_limbs(repack_limbs<Dst>(limbs));
+}
+
+/// The same value at limb width Dst.
+template <LimbType Dst, LimbType Src>
+BigIntT<Dst> repack(const BigIntT<Src>& value) {
+  if constexpr (std::is_same_v<Dst, Src>) {
+    return value;
+  } else {
+    return repack<Dst>(value.limbs());
+  }
+}
 
 using BigInt = BigIntT<std::uint32_t>;
 using BigInt16 = BigIntT<std::uint16_t>;

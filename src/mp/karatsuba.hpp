@@ -11,7 +11,9 @@
 
 namespace bulkgcd::mp {
 
-/// Below this many limbs (smaller operand) schoolbook wins.
+/// Below this many limbs (smaller operand) schoolbook wins. On 64-bit
+/// limbs, the batch tree's width, bench_microkernels has one Karatsuba
+/// split ahead at 24 and 32 limbs (docs/BATCHGCD.md).
 inline constexpr std::size_t kKaratsubaThreshold = 24;
 
 /// Returns a * b as a normalized limb vector.

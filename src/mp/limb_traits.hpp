@@ -5,6 +5,7 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 
@@ -45,5 +46,11 @@ inline constexpr int limb_bits = LimbTraits<Limb>::bits;
 template <LimbType Limb>
 inline constexpr typename LimbTraits<Limb>::Wide limb_base =
     typename LimbTraits<Limb>::Wide{1} << limb_bits<Limb>;
+
+/// Limbs in the normalized encoding of a `bits`-bit value.
+template <LimbType Limb>
+constexpr std::size_t limbs_for_bits(std::size_t bits) noexcept {
+  return (bits + std::size_t(limb_bits<Limb>) - 1) / std::size_t(limb_bits<Limb>);
+}
 
 }  // namespace bulkgcd::mp

@@ -43,9 +43,11 @@ namespace bulkgcd::mp {
 /// Knuth-D quotient. (bench_microkernels BM_DivRemKnuthD vs BM_DivRemNewton,
 /// 2n/n divisions with 32-bit limbs on a 4-vCPU AVX-512 Xeon: Knuth D is
 /// 1.3–1.5× ahead at a 512-limb divisor, the two are within 10% at 1024 and
-/// Newton is 1.5–1.9× ahead at 2048; 16- and 64-bit limbs cross at about
-/// the same limb count. The mp_stress differential suite straddles it on every limb
-/// width.)
+/// Newton is 1.5–1.9× ahead at 2048. On 64-bit limbs, the batch tree's
+/// width, Newton is within the rows' noise from 256 to 768 limbs and 1.6–
+/// 1.8× ahead from 1024; a tree timed with the threshold at 512 gained
+/// nothing measurable, so one value serves every width (docs/BATCHGCD.md).
+/// The mp_stress differential suite straddles it on every limb width.)
 inline constexpr std::size_t kNewtonDivThreshold = 1024;
 
 /// Most fix-up steps one block can need. A block has c < β^{n+p−1} (p < n)

@@ -26,8 +26,11 @@ namespace bulkgcd::mp {
 /// Below this many limbs (smaller operand) Karatsuba wins: the five
 /// pointwise products plus evaluation/interpolation passes only beat three
 /// Karatsuba halves once the linear work is amortized over large operands.
-/// (bench_microkernels puts the 32-bit-limb crossover near this size; the
-/// mp_stress differential suite straddles it on every limb width.)
+/// (bench_microkernels puts the 32-bit-limb crossover near this size; on
+/// 64-bit limbs the two rungs stay within about 15% from 96 to 192 limbs
+/// and the batch tree times the same with the threshold at 128 or 192, so
+/// one value serves every width. The mp_stress differential suite
+/// straddles it on every limb width.)
 inline constexpr std::size_t kToom3Threshold = 96;
 
 template <LimbType Limb>

@@ -68,6 +68,20 @@ TEST(ProductTreeTest, SingleElementAndEmpty) {
   EXPECT_THROW(build_product_tree({}), std::invalid_argument);
 }
 
+/// A journal replay's 64-bit tree values as BigInt, for comparisons.
+std::vector<BigInt> narrow(const std::vector<TreeInt>& values) {
+  std::vector<BigInt> out;
+  for (const auto& v : values) out.push_back(mp::repack<std::uint32_t>(v));
+  return out;
+}
+
+/// The same values on the tree's 64-bit limbs.
+std::vector<TreeInt> widen(const std::vector<BigInt>& values) {
+  std::vector<TreeInt> out;
+  for (const auto& v : values) out.push_back(mp::repack<std::uint64_t>(v));
+  return out;
+}
+
 /// Every remainder level of the driver's descent, keyed by tree level, read
 /// back from its journal one committed level at a time.
 std::map<std::uint32_t, std::vector<BigInt>> journaled_remainder_levels(
@@ -84,7 +98,9 @@ std::map<std::uint32_t, std::vector<BigInt>> journaled_remainder_levels(
     if (run_resumable_batch(moduli, config).complete) break;
     BatchJournal journal(path, rsa::corpus_digest(moduli), moduli.size());
     BatchReplay replay = journal.take_replay();
-    if (replay.remainder) levels[replay.remainder->first] = replay.remainder->second;
+    if (replay.remainder) {
+      levels[replay.remainder->first] = narrow(replay.remainder->second);
+    }
   }
   std::filesystem::remove(path, ignored);
   return levels;
@@ -505,7 +521,7 @@ TEST_F(BatchResumeTest, RemainderLevelShapeMismatchIsRefused) {
     const std::size_t level = tree.size() - 2;
     journal.append_remainder_level(
         std::uint32_t(level),
-        std::vector<BigInt>(tree[level].size() - 1, BigInt(1)));
+        std::vector<TreeInt>(tree[level].size() - 1, TreeInt(1)));
   }
   EXPECT_THROW(run_resumable_batch(corpus.moduli, config), std::runtime_error);
 
@@ -513,39 +529,54 @@ TEST_F(BatchResumeTest, RemainderLevelShapeMismatchIsRefused) {
   {
     BatchJournal journal(path_, digest, corpus.moduli.size());
     journal.append_product_level(
-        1, std::vector<BigInt>(tree[1].begin(), tree[1].end() - 1));
+        1, widen(std::vector<BigInt>(tree[1].begin(), tree[1].end() - 1)));
   }
   EXPECT_THROW(run_resumable_batch(corpus.moduli, config), std::runtime_error);
 }
 
-TEST_F(BatchResumeTest, NewtonRungDescentMatchesGmpAndResumesBitIdentically) {
-  // 128 random odd 1024-bit values: the step into level 5 divides a ~4096-
-  // limb residue by a 2048-limb square, so it takes the Newton rung.
-  Xoshiro256 rng(214);
-  std::vector<BigInt> moduli;
-  for (int i = 0; i < 128; ++i) moduli.push_back(random_odd<std::uint32_t>(rng, 1024));
-  const ProductTree tree = build_product_tree(moduli);
-  ASSERT_EQ(tree.size(), 8u);
-  const BigInt& root = tree.back()[0];
-  const BigInt dividend = root % (tree[6][0] * tree[6][0]);
-  const BigInt divisor = tree[5][0] * tree[5][0];
-  ASSERT_GE(divisor.size(), mp::kNewtonDivThreshold);
-  ASSERT_GE(dividend.size() - divisor.size() + 1, mp::kNewtonDivThreshold);
-
-  // GMP oracle: gcd(n_i, (P / n_i) mod n_i), and P mod n² for level 5.
+/// P = Π n_i, by GMP.
+test::Mpz gmp_product(std::span<const BigInt> moduli) {
   test::Mpz product(1ul);
   for (const auto& n : moduli) {
     mpz_mul(product.get(), product.get(), test::to_mpz(n).get());
   }
-  std::vector<BigInt> want;
+  return product;
+}
+
+/// The batch attack's answer by GMP: gcd(n_i, (P / n_i) mod n_i).
+std::vector<BigInt> gmp_batch_gcds(std::span<const BigInt> moduli) {
+  const test::Mpz product = gmp_product(moduli);
+  std::vector<BigInt> gcds;
   for (const auto& n : moduli) {
     const test::Mpz gn = test::to_mpz(n);
     test::Mpz cofactor, g;
     mpz_divexact(cofactor.get(), product.get(), gn.get());
     mpz_mod(cofactor.get(), cofactor.get(), gn.get());
     mpz_gcd(g.get(), gn.get(), cofactor.get());
-    want.push_back(test::from_mpz<std::uint32_t>(g));
+    gcds.push_back(test::from_mpz<std::uint32_t>(g));
   }
+  return gcds;
+}
+
+TEST_F(BatchResumeTest, NewtonRungDescentMatchesGmpAndResumesBitIdentically) {
+  // 128 random odd 1024-bit values: the step into level 5 divides a ~2048-
+  // limb residue by a 1024-limb square on the tree's 64-bit limbs, so it
+  // takes the Newton rung.
+  Xoshiro256 rng(214);
+  std::vector<BigInt> moduli;
+  for (int i = 0; i < 128; ++i) moduli.push_back(random_odd<std::uint32_t>(rng, 1024));
+  const ProductTree tree = build_product_tree(moduli);
+  ASSERT_EQ(tree.size(), 8u);
+  const BigInt& root = tree.back()[0];
+  const TreeInt dividend = mp::repack<std::uint64_t>(
+      root % (tree[6][0] * tree[6][0]));
+  const TreeInt divisor = mp::repack<std::uint64_t>(tree[5][0] * tree[5][0]);
+  ASSERT_GE(divisor.size(), mp::kNewtonDivThreshold);
+  ASSERT_GE(dividend.size() - divisor.size() + 1, mp::kNewtonDivThreshold);
+
+  // GMP oracle: the gcds, and P mod n² for level 5.
+  const test::Mpz product = gmp_product(moduli);
+  const std::vector<BigInt> want = gmp_batch_gcds(moduli);
   std::vector<BigInt> level5;
   for (const auto& node : tree[5]) {
     test::Mpz square, residue;
@@ -588,6 +619,47 @@ TEST_F(BatchResumeTest, NewtonRungDescentMatchesGmpAndResumesBitIdentically) {
   EXPECT_EQ(test::slurp(path_), full);
 }
 
+TEST_F(BatchResumeTest, LimbWidthEdgesMatchGmpAndResumeAfterEveryLevel) {
+  // Bit lengths that are not multiples of 64 (values whose 64-bit top limb
+  // is half empty), an odd count (promoted nodes at two levels) and a
+  // duplicated modulus. Killed after every level and resumed, the run must
+  // reach the GMP gcds and the uninterrupted journal byte for byte.
+  constexpr std::size_t kBits[] = {96, 1000, 1056, 2047};
+  Xoshiro256 rng(215);
+  std::vector<BigInt> moduli;
+  for (int i = 0; i < 22; ++i) {
+    moduli.push_back(random_odd<std::uint32_t>(rng, kBits[i % 4]));
+  }
+  moduli.push_back(moduli[5]);  // m = 23
+  ASSERT_EQ(build_product_tree(moduli)[1].size(), 12u);  // leaf 22 promoted
+
+  const std::vector<BigInt> want = gmp_batch_gcds(moduli);
+  EXPECT_EQ(want[5], moduli[5]);  // the duplicate is fully weak
+
+  BatchScanConfig config;
+  config.checkpoint = path_;
+  const BatchScanReport reference = run_resumable_batch(moduli, config);
+  ASSERT_TRUE(reference.complete);
+  EXPECT_EQ(reference.result.gcds, want);
+  const std::string full = test::slurp(path_);
+
+  struct Killed {};
+  for (std::size_t kill = 1; kill <= reference.levels_total; ++kill) {
+    SCOPED_TRACE(kill);
+    std::filesystem::remove(path_);
+    config.level_hook = [kill](std::size_t done, std::size_t) {
+      if (done == kill) throw Killed{};
+    };
+    EXPECT_THROW(run_resumable_batch(moduli, config), Killed);
+    config.level_hook = nullptr;
+    const BatchScanReport resumed = run_resumable_batch(moduli, config);
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.levels_restored, kill);
+    EXPECT_EQ(resumed.result.gcds, want);
+    EXPECT_EQ(test::slurp(path_), full);
+  }
+}
+
 TEST(BatchJournalTest, ReplayRoundTripsAllRecordKinds) {
   const auto tmp = std::filesystem::temp_directory_path() /
                    "bulkgcd_batch_journal_roundtrip";
@@ -600,21 +672,21 @@ TEST(BatchJournalTest, ReplayRoundTripsAllRecordKinds) {
   {
     BatchJournal journal(tmp, /*corpus_digest=*/0xfeedULL,
                          /*corpus_count=*/3);
-    journal.append_product_level(1, level1);
-    journal.append_remainder_level(1, residues);
-    journal.append_remainder_level(0, residues);
-    journal.append_gcds(gcds);
+    journal.append_product_level(1, widen(level1));
+    journal.append_remainder_level(1, widen(residues));
+    journal.append_remainder_level(0, widen(residues));
+    journal.append_gcds(widen(gcds));
   }
   BatchJournal journal(tmp, 0xfeedULL, 3);
   BatchReplay replay = journal.take_replay();
   ASSERT_EQ(replay.product_levels.size(), 1u);
   EXPECT_EQ(replay.product_levels[0].first, 1u);
-  EXPECT_EQ(replay.product_levels[0].second, level1);
+  EXPECT_EQ(narrow(replay.product_levels[0].second), level1);
   ASSERT_TRUE(replay.remainder.has_value());
   EXPECT_EQ(replay.remainder->first, 0u);  // deepest restored level wins
-  EXPECT_EQ(replay.remainder->second, residues);
+  EXPECT_EQ(narrow(replay.remainder->second), residues);
   ASSERT_TRUE(replay.gcds.has_value());
-  EXPECT_EQ(*replay.gcds, gcds);
+  EXPECT_EQ(narrow(*replay.gcds), gcds);
   std::filesystem::remove(tmp, ignored);
 }
 
@@ -629,11 +701,16 @@ TEST(BatchJournalTest, BytesMatchTheDocumentedFormat) {
   const std::vector<BigInt> nodes = {big, BigInt(0)};
   const std::vector<BigInt> residues = {BigInt(7)};
   const std::vector<BigInt> gcds = {BigInt(1), BigInt(0x11)};
+  // The journal takes the tree's 64-bit values, and the expected bytes are
+  // spelled from the 32-bit limbs of the same values. The 3-limb value is 2
+  // limbs wide at 64 bits, its top half zero: it must still encode as 3
+  // u32 limbs, with no zero top limb.
+  ASSERT_EQ(mp::repack<std::uint64_t>(big).size(), 2u);
   {
     BatchJournal journal(tmp, 0x0123456789abcdefULL, 3);
-    journal.append_product_level(1, nodes);
-    journal.append_remainder_level(0, residues);
-    journal.append_gcds(gcds);
+    journal.append_product_level(1, widen(nodes));
+    journal.append_remainder_level(0, widen(residues));
+    journal.append_gcds(widen(gcds));
   }
 
   using test::put_le;

@@ -277,6 +277,18 @@ TEST(ByteCodecTest, IntegersAndBothBigIntEncodingsRoundTripLittleEndian) {
   EXPECT_TRUE(z.is_zero());
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_FALSE(r.u8(a));
+
+  // On 64-bit limbs the 80-bit value is 2 limbs, the top one half empty:
+  // the same 3 canonical u32 limbs go out, and come back at either width.
+  const mp::BigInt64 big64 = mp::repack<std::uint64_t>(big);
+  ASSERT_EQ(big64.size(), 2u);
+  core::ByteWriter w64;
+  w64.bigint_limbs(big64);
+  EXPECT_EQ(w64.str(), expected.substr(13, 16));
+  core::ByteReader r64(w64.str());
+  mp::BigInt64 x64;
+  ASSERT_TRUE(r64.bigint_limbs(x64));
+  EXPECT_EQ(x64, big64);
 }
 
 TEST(ByteCodecTest, ShortInputAndFabricatedCountsAreRejected) {

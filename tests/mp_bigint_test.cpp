@@ -132,5 +132,30 @@ TEST(BigIntTest, ShiftOperatorsComposeWithArithmetic) {
   }
 }
 
+TEST(RepackTest, EveryWidthPairRoundTripsNormalizedAgainstGmp) {
+  // Bit lengths around every limb boundary: a 64-bit value whose top half
+  // is zero must narrow to an odd number of u32 limbs, never a zero top limb.
+  Xoshiro256 rng(27);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t bits = trial < 8 ? std::size_t(trial) : 1 + rng.below(300);
+    const BigInt v = random_value<std::uint32_t>(rng, bits);
+    const BigInt16 v16 = repack<std::uint16_t>(v);
+    const BigInt64 v64 = repack<std::uint64_t>(v);
+    EXPECT_EQ(to_mpz(v16), to_mpz(v)) << bits;
+    EXPECT_EQ(to_mpz(v64), to_mpz(v)) << bits;
+    EXPECT_EQ(v16.size(), limbs_for_bits<std::uint16_t>(bits));
+    EXPECT_EQ(v64.size(), limbs_for_bits<std::uint64_t>(bits));
+    EXPECT_EQ(repack<std::uint32_t>(v64), v);
+    EXPECT_EQ(repack<std::uint32_t>(v16), v);
+    EXPECT_EQ(repack<std::uint64_t>(v16), v64);
+    EXPECT_EQ(repack<std::uint16_t>(v64), v16);
+    // High zero limbs in the source span are dropped on the way out.
+    std::vector<std::uint64_t> padded(v64.limbs().begin(), v64.limbs().end());
+    padded.resize(padded.size() + 2, 0);
+    EXPECT_EQ(repack_limbs<std::uint32_t>(std::span<const std::uint64_t>(padded)),
+              std::vector<std::uint32_t>(v.limbs().begin(), v.limbs().end()));
+  }
+}
+
 }  // namespace
 }  // namespace bulkgcd::mp

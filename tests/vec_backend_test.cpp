@@ -368,7 +368,7 @@ TEST(VecBackend, ScanCorpusRoundTrips) {
   const bulk::ScanCorpus scan(moduli);
   ASSERT_EQ(scan.size(), moduli.size());
   for (std::size_t i = 0; i < moduli.size(); ++i) {
-    EXPECT_EQ(bulk::to_default_bigint<bulk::ScanLimb>(scan.limbs(i)),
+    EXPECT_EQ(mp::repack<std::uint32_t>(scan.limbs(i)),
               moduli[i]);
     EXPECT_EQ(scan.bits(i), moduli[i].bit_length());
     // Normalized: no high zero limb.
