@@ -121,10 +121,11 @@ void BM_MulSchoolbook(benchmark::State& state) {
     benchmark::DoNotOptimize(n);
   }
 }
-// Schoolbook against one Karatsuba split around kKaratsubaThreshold (16 to
-// 48 limbs), plus the old 1024- and 8192-bit rows.
+// Schoolbook against Karatsuba around kKaratsubaThreshold (16 to 48 limbs
+// at 64 bits, 16 to 96 at 32 bits), plus the old 8192-bit rows.
 BENCHMARK_TEMPLATE(BM_MulSchoolbook, std::uint32_t)
-    ->Arg(512)->Arg(768)->Arg(1024)->Arg(1536)->Arg(8192);
+    ->Arg(512)->Arg(768)->Arg(1024)->Arg(1280)->Arg(1536)->Arg(2048)
+    ->Arg(2560)->Arg(3072)->Arg(8192);
 BENCHMARK_TEMPLATE(BM_MulSchoolbook, std::uint64_t)
     ->Arg(1024)->Arg(1536)->Arg(2048)->Arg(3072)->Arg(8192);
 
@@ -140,8 +141,8 @@ void BM_MulKaratsuba(benchmark::State& state) {
 }
 // Also the Karatsuba side of the kToom3Threshold crossover (48 to 192 limbs).
 BENCHMARK_TEMPLATE(BM_MulKaratsuba, std::uint32_t)
-    ->Arg(512)->Arg(768)->Arg(1024)->Arg(1536)->Arg(2048)->Arg(3072)
-    ->Arg(4096)->Arg(6144)->Arg(8192)->Arg(65536);
+    ->Arg(512)->Arg(768)->Arg(1024)->Arg(1280)->Arg(1536)->Arg(2048)
+    ->Arg(2560)->Arg(3072)->Arg(4096)->Arg(6144)->Arg(8192)->Arg(65536);
 BENCHMARK_TEMPLATE(BM_MulKaratsuba, std::uint64_t)
     ->Arg(1024)->Arg(1536)->Arg(2048)->Arg(3072)->Arg(4096)->Arg(6144)
     ->Arg(8192)->Arg(12288)->Arg(65536);

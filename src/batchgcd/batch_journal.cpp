@@ -18,7 +18,9 @@ namespace {
 // Any record breaking these is treated as corruption: the tail from it on
 // is dropped, exactly like a torn write.
 
-constexpr std::string_view kMagic = "BGCDBTR1";
+// Version 2: remainder records hold cofactor residues (P / N) mod N. The
+// square residues P mod N² of version 1 (BGCDBTR1) are refused at open.
+constexpr std::string_view kMagic = "BGCDBTR2";
 constexpr std::uint8_t kRecordProduct = 1;
 constexpr std::uint8_t kRecordRemainder = 2;
 constexpr std::uint8_t kRecordGcds = 3;

@@ -4,14 +4,15 @@
 //
 // A core/record_log file (header, torn-header and torn-tail rules, fsync
 // cadence: docs/RECORD_LOG.md) whose identity is the corpus: rsa::corpus_digest
-// + count. Three record kinds, one per completed tree level:
+// + count; magic BGCDBTR2. Three record kinds, one per completed tree level:
 //
 //   product(level, nodes)    — product-tree level `level` (1 = first pairing
 //                              of the moduli; the leaves are never journaled,
 //                              they ARE the corpus the header binds to).
-//   remainder(level, nodes)  — the residues after the descent has reduced
-//                              into tree level `level` (level L−2 first,
-//                              level 0 last: the leaf residues P mod n_i²).
+//   remainder(level, nodes)  — the cofactor residues (P / N_v) mod N_v of
+//                              tree level `level`'s nodes (level L−2 first,
+//                              level 0 last: the leaf residues
+//                              (P / n_i) mod n_i). Each is below its node.
 //   gcds(values)             — the final per-modulus gcd vector; its
 //                              presence marks the attack complete.
 //

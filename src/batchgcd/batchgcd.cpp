@@ -208,10 +208,13 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   }
 
   // ---- remainder phase (down) ---------------------------------------------
-  // Each step reduces the parent residues modulo the squares of the level
-  // below, computed on the fly since each is needed exactly once. A level
-  // is freed as soon as the step into it is done, so the descent holds only
-  // the levels it has yet to reach, and the leaves for the final gcds.
+  // The descent carries each node's cofactor residue s_v = (P / N_v) mod N_v,
+  // starting from s_root = 1. A child c with sibling d gets
+  // s_c = ((s_v mod N_c) · N_d) mod N_c, exact because P / N_c = (P / N_v) · N_d
+  // and N_c | N_v: two divisions by N_c and one product, all at the child's
+  // size. A level is freed as soon as the step into it is done, so the
+  // descent holds only the levels it has yet to reach, and the leaves for the
+  // final gcds.
   std::vector<TreeInt> current;
   std::size_t next_level = depth - 1;  // the level the next step reduces into
   if (replay.remainder) {
@@ -220,6 +223,14 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
         residues.size() != tree[restored_level].size()) {
       throw std::runtime_error(
           "batch checkpoint: remainder level shape mismatch");
+    }
+    // Every residue is reduced modulo its node: one that is not was never
+    // written by this descent, and resuming from it would yield wrong gcds.
+    for (std::size_t i = 0; i < residues.size(); ++i) {
+      if (!(residues[i] < tree[restored_level][i])) {
+        throw std::runtime_error(
+            "batch checkpoint: remainder level residue out of range");
+      }
     }
     // Reducing into restored_level means levels depth−2 … restored_level
     // are already done: (depth−1) − restored_level descent steps.
@@ -230,8 +241,7 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
     current = std::move(residues);
     next_level = restored_level;
   } else {
-    // root mod root² = root; a one-modulus tree's root is its leaf, kept.
-    current.push_back(depth > 1 ? std::move(tree.back()[0]) : tree.back()[0]);
+    current.push_back(TreeInt(1));  // (P / P) mod P
   }
   tree.resize(std::max<std::size_t>(next_level, 1));
 
@@ -243,11 +253,12 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
     global_pool().parallel_for(0, nodes.size(), [&](std::size_t lo,
                                                     std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
-        // A node promoted from an odd-count level equals its parent, whose
-        // residue is already reduced modulo that square: it rides down as is.
+        // A node promoted from an odd-count level equals its parent, so it
+        // shares the parent's cofactor residue.
         const bool promoted = i % 2 == 0 && i + 1 == nodes.size();
-        next[i] = promoted ? current[i / 2]
-                           : current[i / 2] % (nodes[i] * nodes[i]);
+        const TreeInt& parent = current[i / 2];
+        next[i] = promoted ? parent
+                           : (parent % nodes[i]) * nodes[i ^ 1] % nodes[i];
       }
     });
     current = std::move(next);
@@ -270,8 +281,8 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
     global_pool().parallel_for(0, moduli.size(), [&](std::size_t lo,
                                                      std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
-        // current[i] = P mod n_i²; divide by n_i to get (P / n_i) mod n_i.
-        gcds[i] = gcd::gcd_general(leaves[i], current[i] / leaves[i]);
+        // current[i] = (P / n_i) mod n_i.
+        gcds[i] = gcd::gcd_general(leaves[i], current[i]);
       }
     });
     if (journal) journal->append_gcds(gcds);

@@ -6,14 +6,18 @@
 // bench_batchgcd_crossover measures where the two cross.
 //
 // Identity used: with P = Π n_k and n_i | P,
-//   gcd(n_i, P / n_i) = gcd(n_i, (P mod n_i²) / n_i),
-// and the remainder tree delivers every P mod n_i² in O(M(total bits) log m).
+//   gcd(n_i, Π_{k≠i} n_k) = gcd(n_i, (P / n_i) mod n_i).
+// The descent carries every tree node's cofactor residue
+// s_v = (P / N_v) mod N_v down from s_root = 1: a child c with sibling d
+// gets s_c = ((s_v mod N_c) · N_d) mod N_c, since P / N_c = (P / N_v) · N_d.
+// Every operand is at most twice the child's size and nothing is squared,
+// so the leaves hold (P / n_i) mod n_i in O(M(total bits) log m).
 // The tree computes on 64-bit limbs (TreeInt = mp::BigInt64, half the limbs
 // of mp::BigInt per product and per division): the moduli are repacked once
 // on the way in and the gcds narrowed once on the way out, so the API below
-// stays on mp::BigInt. Each descent step is one TreeInt `%`: Toom-3 squares
-// the node and the division ladder (mp/newton_div.hpp) reduces by a Newton
-// reciprocal once the operands pass kNewtonDivThreshold limbs, so a level
+// stays on mp::BigInt. Products climb the Toom-3 ladder and each `%` the
+// division ladder (mp/newton_div.hpp), which reduces by a Newton reciprocal
+// once divisor and quotient pass kNewtonDivThreshold limbs, so a level
 // costs a few M(n), not Knuth D's Θ(n²).
 //
 // Two entry points:

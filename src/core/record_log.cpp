@@ -137,6 +137,14 @@ std::optional<std::string> RecordLog::open(std::string_view identity) {
     create(identity);
     return std::nullopt;
   }
+  // A magic that differs only in its last byte is another version of this
+  // journal's format: name both, so the refusal says what to do about it.
+  if (head.size() == magic_.size() && head != magic_ &&
+      head.substr(0, magic_.size() - 1) ==
+          std::string_view(magic_).substr(0, magic_.size() - 1)) {
+    fail("format " + std::string(head) + " is not supported (this build reads " +
+         magic_ + "); file left untouched");
+  }
   if (bytes.size() < header_size_ || head != magic_) {
     fail("bad magic, not written by this program; file left untouched");
   }

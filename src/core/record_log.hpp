@@ -1,6 +1,6 @@
 // Append-only durable record log: the one file discipline under the three
 // journals — the scan checkpoint (BGCDCKP1, bulk/scan_driver.cpp), the batch
-// tree journal (BGCDBTR1, batchgcd/batch_journal.cpp) and the intake arrival
+// tree journal (BGCDBTR2, batchgcd/batch_journal.cpp) and the intake arrival
 // journal (BGCDARJ1, svc/arrival_journal.cpp). docs/RECORD_LOG.md states the
 // same rules for readers of the file formats.
 //
@@ -14,7 +14,9 @@
 // file was being created) is created fresh — header written and fsynced, then
 // the parent directory fsynced so the new entry itself is durable. A file
 // that is not ours (wrong magic, or too short to be ours) is refused with
-// std::runtime_error and left untouched. Otherwise the stored identity comes
+// std::runtime_error and left untouched; a magic that differs from ours only
+// in its last byte (another format version) is refused with an error naming
+// both versions. Otherwise the stored identity comes
 // back to the journal, which compares it and builds its own error text.
 //
 // Replay: the journal's decoder is called once per record until it rejects

@@ -106,55 +106,112 @@ std::map<std::uint32_t, std::vector<BigInt>> journaled_remainder_levels(
   return levels;
 }
 
-TEST(RemainderTreeTest, LeavesAreRootModSquares) {
+/// P = Π n_i, by GMP.
+test::Mpz gmp_product(std::span<const BigInt> moduli) {
+  test::Mpz product(1ul);
+  for (const auto& n : moduli) {
+    mpz_mul(product.get(), product.get(), test::to_mpz(n).get());
+  }
+  return product;
+}
+
+/// (P / node) mod node by GMP: the cofactor residue the descent carries.
+BigInt gmp_cofactor_residue(const test::Mpz& product, const BigInt& node) {
+  const test::Mpz n = test::to_mpz(node);
+  test::Mpz residue;
+  mpz_divexact(residue.get(), product.get(), n.get());
+  mpz_mod(residue.get(), residue.get(), n.get());
+  return test::from_mpz<std::uint32_t>(residue);
+}
+
+TEST(RemainderTreeTest, LeavesAreCofactorResidues) {
   Xoshiro256 rng(123);
   std::vector<BigInt> values;
   for (int i = 0; i < 9; ++i) {
     values.push_back(random_odd<std::uint32_t>(rng, 120));
   }
-  const BigInt root = build_product_tree(values).back()[0];
+  const test::Mpz product = gmp_product(values);
   const auto levels = journaled_remainder_levels(values, "leaves");
   ASSERT_EQ(levels.count(0), 1u);
   const auto& residues = levels.at(0);
   ASSERT_EQ(residues.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(residues[i], root % (values[i] * values[i])) << "leaf " << i;
+    EXPECT_EQ(residues[i], gmp_cofactor_residue(product, values[i]))
+        << "leaf " << i;
   }
 }
 
-TEST(RemainderTreeTest, EveryJournaledLevelIsRootModNodeSquares) {
+TEST(RemainderTreeTest, EveryJournaledLevelIsCofactorModNode) {
   Xoshiro256 rng(125);
   std::vector<BigInt> values;
   for (int i = 0; i < 13; ++i) {  // odd count: promoted nodes at two levels
     values.push_back(random_odd<std::uint32_t>(rng, 96));
   }
   const ProductTree tree = build_product_tree(values);
-  const BigInt& root = tree.back()[0];
+  const test::Mpz product = gmp_product(values);
   const auto levels = journaled_remainder_levels(values, "every_level");
   // One record per descent step: every level but the root's.
   ASSERT_EQ(levels.size(), tree.size() - 1);
   for (const auto& [level, residues] : levels) {
     ASSERT_EQ(residues.size(), tree[level].size()) << "level " << level;
     for (std::size_t i = 0; i < residues.size(); ++i) {
-      const BigInt& node = tree[level][i];
-      EXPECT_EQ(residues[i], root % (node * node))
+      EXPECT_EQ(residues[i], gmp_cofactor_residue(product, tree[level][i]))
           << "level " << level << " node " << i;
+      EXPECT_LT(residues[i], tree[level][i]);
     }
   }
 }
 
 TEST(RemainderTreeTest, PromotedNodeResidueRidesDownUnchanged) {
   // 5 leaves: leaf 4 is promoted unchanged into level 1 (5 → 3 nodes), so
-  // its level-1 residue is already reduced modulo 13² and passes down as is.
+  // its level-1 node is 13 itself and its residue passes down as is.
   std::vector<BigInt> values;
   for (int v : {3, 5, 7, 11, 13}) values.push_back(BigInt(unsigned(v)));
   const ProductTree tree = build_product_tree(values);
   ASSERT_EQ(tree[1].size(), 3u);
   ASSERT_EQ(tree[1][2], values[4]);  // promoted unchanged
   const auto levels = journaled_remainder_levels(values, "promoted");
-  const BigInt expected = tree.back()[0] % BigInt(169u);
+  const BigInt expected = BigInt(3u * 5u * 7u * 11u % 13u);
+  EXPECT_EQ(gmp_cofactor_residue(gmp_product(values), values[4]), expected);
   EXPECT_EQ(levels.at(1)[2], expected);
   EXPECT_EQ(levels.at(0)[4], expected);
+}
+
+TEST(RemainderTreeTest, SingleModulusAndSinglePair) {
+  // m = 1: no descent step at all; the lone modulus's cofactor is 1.
+  const std::vector<BigInt> one = {BigInt(35u)};
+  EXPECT_TRUE(journaled_remainder_levels(one, "m1").empty());
+  EXPECT_EQ(batch_gcd(one).gcds, std::vector<BigInt>{BigInt(1)});
+
+  // m = 2: one step from the root, each leaf's residue is its sibling
+  // reduced modulo itself.
+  const std::vector<BigInt> two = {BigInt(35u), BigInt(3u * 7u * 11u)};
+  const auto levels = journaled_remainder_levels(two, "m2");
+  ASSERT_EQ(levels.size(), 1u);
+  EXPECT_EQ(levels.at(0),
+            (std::vector<BigInt>{BigInt(231u % 35u), BigInt(35u)}));
+  EXPECT_EQ(batch_gcd(two).gcds, (std::vector<BigInt>{BigInt(7u), BigInt(7u)}));
+}
+
+TEST(RemainderTreeTest, DuplicatedModulusHasZeroResidue) {
+  // A modulus that occurs twice divides its own cofactor: residue 0 at both
+  // leaves, and the gcd is the modulus itself.
+  const std::vector<BigInt> values = {BigInt(3u * 5u), BigInt(7u * 11u),
+                                      BigInt(7u * 11u), BigInt(13u * 17u),
+                                      BigInt(19u * 23u)};
+  const test::Mpz product = gmp_product(values);
+  const auto levels = journaled_remainder_levels(values, "duplicate");
+  ASSERT_EQ(levels.at(0).size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(levels.at(0)[i], gmp_cofactor_residue(product, values[i]))
+        << "leaf " << i;
+  }
+  EXPECT_EQ(levels.at(0)[1], BigInt(0));
+  EXPECT_EQ(levels.at(0)[2], BigInt(0));
+  const BatchGcdResult result = batch_gcd(values);
+  EXPECT_EQ(result.gcds[1], values[1]);
+  EXPECT_EQ(result.gcds[2], values[2]);
+  EXPECT_EQ(weak_indices(result), (std::vector<std::size_t>{1, 2}));
 }
 
 TEST(BatchGcdTest, FindsExactlyThePlantedWeakModuli) {
@@ -395,7 +452,7 @@ TEST_F(BatchResumeTest, ForeignFileIsRefusedNotTruncated) {
 TEST_F(BatchResumeTest, TornHeaderIsRecreatedFresh) {
   {
     std::ofstream out(path_, std::ios::binary);
-    out << "BGCDBTR1\x01\x02";  // our magic, torn before the digest
+    out << "BGCDBTR2\x01\x02";  // our magic, torn before the digest
   }
   const auto corpus = test_corpus(8, 1, 209);
   BatchScanConfig config;
@@ -534,13 +591,51 @@ TEST_F(BatchResumeTest, RemainderLevelShapeMismatchIsRefused) {
   EXPECT_THROW(run_resumable_batch(corpus.moduli, config), std::runtime_error);
 }
 
-/// P = Π n_i, by GMP.
-test::Mpz gmp_product(std::span<const BigInt> moduli) {
-  test::Mpz product(1ul);
-  for (const auto& n : moduli) {
-    mpz_mul(product.get(), product.get(), test::to_mpz(n).get());
+TEST_F(BatchResumeTest, ResidueNotBelowItsNodeIsRefused) {
+  // Every journaled residue is reduced modulo its node. A record whose
+  // residue equals its node (here: the first remainder level holding the
+  // nodes themselves) was not written by this descent, and resuming from it
+  // would deliver wrong gcds: the run is refused instead.
+  const auto corpus = test_corpus(8, 1, 216);
+  const std::uint64_t digest = rsa::corpus_digest(corpus.moduli);
+  const ProductTree tree = build_product_tree(corpus.moduli);
+  BatchScanConfig config;
+  config.checkpoint = path_;
+  config.stop_after_levels = tree.size() - 1;  // every product level
+  ASSERT_FALSE(run_resumable_batch(corpus.moduli, config).complete);
+  const std::size_t level = tree.size() - 2;
+  std::vector<TreeInt> residues(tree[level].size(), TreeInt(1));
+  residues.back() = mp::repack<std::uint64_t>(tree[level].back());
+  {
+    BatchJournal journal(path_, digest, corpus.moduli.size());
+    journal.append_remainder_level(std::uint32_t(level), residues);
   }
-  return product;
+  const std::string before = test::slurp(path_);
+  config.stop_after_levels = 0;
+  EXPECT_THROW(run_resumable_batch(corpus.moduli, config), std::runtime_error);
+  EXPECT_EQ(test::slurp(path_), before);
+}
+
+TEST_F(BatchResumeTest, VersionOneJournalIsRefusedByName) {
+  // A BGCDBTR1 journal holds square residues P mod N², which this descent
+  // cannot resume from. It is refused with an error naming both formats and
+  // left as it was.
+  const auto corpus = test_corpus(8, 1, 217);
+  std::string v1 = "BGCDBTR1";
+  test::put_le(v1, rsa::corpus_digest(corpus.moduli), 8);
+  test::put_le(v1, corpus.moduli.size(), 8);
+  test::spit(path_, v1);
+  BatchScanConfig config;
+  config.checkpoint = path_;
+  try {
+    run_resumable_batch(corpus.moduli, config);
+    ADD_FAILURE() << "a BGCDBTR1 journal was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("BGCDBTR1"), std::string::npos) << what;
+    EXPECT_NE(what.find("BGCDBTR2"), std::string::npos) << what;
+  }
+  EXPECT_EQ(test::slurp(path_), v1);
 }
 
 /// The batch attack's answer by GMP: gcd(n_i, (P / n_i) mod n_i).
@@ -559,31 +654,33 @@ std::vector<BigInt> gmp_batch_gcds(std::span<const BigInt> moduli) {
 }
 
 TEST_F(BatchResumeTest, NewtonRungDescentMatchesGmpAndResumesBitIdentically) {
-  // 128 random odd 1024-bit values: the step into level 5 divides a ~2048-
-  // limb residue by a 1024-limb square on the tree's 64-bit limbs, so it
-  // takes the Newton rung.
+  // 256 random odd 1024-bit values: on the tree's 64-bit limbs the level-6
+  // nodes are 1024 limbs, and the step into level 6 reduces the ~2048-limb
+  // level-7 residue and the ~2048-limb product (s mod N_c) · N_d modulo
+  // them, so both of its divisions take the Newton rung.
   Xoshiro256 rng(214);
   std::vector<BigInt> moduli;
-  for (int i = 0; i < 128; ++i) moduli.push_back(random_odd<std::uint32_t>(rng, 1024));
+  for (int i = 0; i < 256; ++i) moduli.push_back(random_odd<std::uint32_t>(rng, 1024));
   const ProductTree tree = build_product_tree(moduli);
-  ASSERT_EQ(tree.size(), 8u);
-  const BigInt& root = tree.back()[0];
-  const TreeInt dividend = mp::repack<std::uint64_t>(
-      root % (tree[6][0] * tree[6][0]));
-  const TreeInt divisor = mp::repack<std::uint64_t>(tree[5][0] * tree[5][0]);
-  ASSERT_GE(divisor.size(), mp::kNewtonDivThreshold);
-  ASSERT_GE(dividend.size() - divisor.size() + 1, mp::kNewtonDivThreshold);
+  ASSERT_EQ(tree.size(), 9u);
+  // The step into level 6, node 0, from its parent's residue
+  // s = (P / N_7[0]) mod N_7[0] = N_7[1] mod N_7[0].
+  const auto wide = [](const BigInt& v) { return mp::repack<std::uint64_t>(v); };
+  const TreeInt parent = wide(tree[7][1] % tree[7][0]);
+  const TreeInt node = wide(tree[6][0]);
+  const TreeInt product = (parent % node) * wide(tree[6][1]);
+  const auto quotient_limbs = [&node](const TreeInt& dividend) {
+    return dividend.size() - node.size() + 1;
+  };
+  ASSERT_GE(node.size(), mp::kNewtonDivThreshold);
+  ASSERT_GE(quotient_limbs(parent), mp::kNewtonDivThreshold);
+  ASSERT_GE(quotient_limbs(product), mp::kNewtonDivThreshold);
 
-  // GMP oracle: the gcds, and P mod n² for level 5.
-  const test::Mpz product = gmp_product(moduli);
+  // GMP oracle: the gcds, and (P / N) mod N for level 6.
+  const test::Mpz root = gmp_product(moduli);
   const std::vector<BigInt> want = gmp_batch_gcds(moduli);
-  std::vector<BigInt> level5;
-  for (const auto& node : tree[5]) {
-    test::Mpz square, residue;
-    mpz_mul(square.get(), test::to_mpz(node).get(), test::to_mpz(node).get());
-    mpz_mod(residue.get(), product.get(), square.get());
-    level5.push_back(test::from_mpz<std::uint32_t>(residue));
-  }
+  std::vector<BigInt> level6;
+  for (const auto& n : tree[6]) level6.push_back(gmp_cofactor_residue(root, n));
 
   BatchScanConfig config;
   config.checkpoint = path_;
@@ -592,29 +689,29 @@ TEST_F(BatchResumeTest, NewtonRungDescentMatchesGmpAndResumesBitIdentically) {
   EXPECT_EQ(reference.result.gcds, want);
   const std::string full = test::slurp(path_);
 
-  // The level-5 record holds the oracle's residues in the BGCDBTR1 layout.
+  // The level-6 record holds the oracle's residues in the BGCDBTR2 layout.
   std::string record(1, char(2));
-  test::put_le(record, 5, 4);
-  test::put_le(record, level5.size(), 8);
-  for (const auto& v : level5) {
+  test::put_le(record, 6, 4);
+  test::put_le(record, level6.size(), 8);
+  for (const auto& v : level6) {
     test::put_le(record, v.size(), 4);
     for (const auto limb : v.limbs()) test::put_le(record, limb, 4);
   }
   EXPECT_NE(full.find(record), std::string::npos);
 
-  // Die right after the Newton-rung level commits (7 product levels, then
-  // the steps into levels 6 and 5), resume, and finish bit-identically.
+  // Die right after the Newton-rung level commits (8 product levels, then
+  // the steps into levels 7 and 6), resume, and finish bit-identically.
   std::filesystem::remove(path_);
   struct Killed {};
   config.level_hook = [](std::size_t done, std::size_t) {
-    if (done == 9) throw Killed{};
+    if (done == 10) throw Killed{};
   };
   EXPECT_THROW(run_resumable_batch(moduli, config), Killed);
   config.level_hook = nullptr;
   const BatchScanReport resumed = run_resumable_batch(moduli, config);
   ASSERT_TRUE(resumed.complete);
   EXPECT_TRUE(resumed.resumed);
-  EXPECT_EQ(resumed.levels_restored, 9u);
+  EXPECT_EQ(resumed.levels_restored, 10u);
   EXPECT_EQ(resumed.result.gcds, want);
   EXPECT_EQ(test::slurp(path_), full);
 }
@@ -714,7 +811,7 @@ TEST(BatchJournalTest, BytesMatchTheDocumentedFormat) {
   }
 
   using test::put_le;
-  std::string want = "BGCDBTR1";
+  std::string want = "BGCDBTR2";
   put_le(want, 0x0123456789abcdefULL, 8);
   put_le(want, 3, 8);
   const auto put_values = [&](const std::vector<BigInt>& values) {

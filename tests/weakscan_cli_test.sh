@@ -54,6 +54,14 @@ expect 0 tree_resume.log tree corpus.keys --gcds-out resumed.txt
 grep -q '(resumed)' tree_resume.log || fail "tree did not resume"
 cmp -s ref.txt resumed.txt || fail "resumed tree gcds differ"
 
+# A journal in the retired BGCDBTR1 format (square residues) is refused by
+# name, exit 2, and left as it was.
+printf 'BGCDBTR1%016d' 0 > v1.btr
+cp v1.btr v1_before.btr
+expect 2 tree_v1.log tree corpus.keys --checkpoint v1.btr
+grep -q 'BGCDBTR1' tree_v1.log || fail "v1 journal refusal does not name it"
+cmp -s v1.btr v1_before.btr || fail "v1 journal was modified"
+
 # The pairwise and the product-tree answers name the same victims.
 awk '{print $2; print $4}' keys_auto.txt | sort -nu > victims_scan.txt
 grep '^  key ' tree_ref.log | awk '{print $2+0}' | sort -nu > victims_tree.txt
