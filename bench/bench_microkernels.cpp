@@ -10,6 +10,7 @@
 #include "gcd/kernels.hpp"
 #include "mp/karatsuba.hpp"
 #include "mp/newton_div.hpp"
+#include "mp/ntt.hpp"
 #include "mp/span_ops.hpp"
 #include "rsa/modmath.hpp"
 #include "rsa/montgomery.hpp"
@@ -139,29 +140,33 @@ void BM_MulKaratsuba(benchmark::State& state) {
     benchmark::DoNotOptimize(out.size());
   }
 }
-// Also the Karatsuba side of the kToom3Threshold crossover (48 to 192 limbs).
+// Also the Karatsuba side of the kNttThreshold crossover (128 to 1024 words).
 BENCHMARK_TEMPLATE(BM_MulKaratsuba, std::uint32_t)
     ->Arg(512)->Arg(768)->Arg(1024)->Arg(1280)->Arg(1536)->Arg(2048)
-    ->Arg(2560)->Arg(3072)->Arg(4096)->Arg(6144)->Arg(8192)->Arg(65536);
+    ->Arg(2560)->Arg(3072)->Arg(4096)->Arg(6144)->Arg(8192)->Arg(12288)
+    ->Arg(16384)->Arg(24576)->Arg(32768)->Arg(49152)->Arg(65536);
 BENCHMARK_TEMPLATE(BM_MulKaratsuba, std::uint64_t)
     ->Arg(1024)->Arg(1536)->Arg(2048)->Arg(3072)->Arg(4096)->Arg(6144)
-    ->Arg(8192)->Arg(12288)->Arg(65536);
+    ->Arg(8192)->Arg(12288)->Arg(16384)->Arg(24576)->Arg(32768)->Arg(49152)
+    ->Arg(65536);
 
 template <typename Limb>
-void BM_MulToom3(benchmark::State& state) {
+void BM_MulNtt(benchmark::State& state) {
   const std::size_t bits = std::size_t(state.range(0));
   const auto a = make_odd_t<Limb>(9, bits);
   const auto b = make_odd_t<Limb>(10, bits);
   for (auto _ : state) {
-    const auto out = mp::mul_toom3(a.data(), a.size(), b.data(), b.size());
+    const auto out = mp::mul_ntt(a.data(), a.size(), b.data(), b.size());
     benchmark::DoNotOptimize(out.size());
   }
 }
-// One Toom-3 split over Karatsuba thirds, 48 to 192 limbs, plus 65536 bits.
-BENCHMARK_TEMPLATE(BM_MulToom3, std::uint32_t)
-    ->Arg(2048)->Arg(3072)->Arg(4096)->Arg(6144)->Arg(65536);
-BENCHMARK_TEMPLATE(BM_MulToom3, std::uint64_t)
-    ->Arg(4096)->Arg(6144)->Arg(8192)->Arg(12288)->Arg(65536);
+// The transform against Karatsuba around kNttThreshold (128 to 1024 words),
+// and up to the 32768-limb u64 root of a 2048-key 1024-bit tree.
+BENCHMARK_TEMPLATE(BM_MulNtt, std::uint32_t)
+    ->Arg(8192)->Arg(16384)->Arg(24576)->Arg(32768)->Arg(49152)->Arg(65536);
+BENCHMARK_TEMPLATE(BM_MulNtt, std::uint64_t)
+    ->Arg(8192)->Arg(16384)->Arg(24576)->Arg(32768)->Arg(49152)->Arg(65536)
+    ->Arg(262144)->Arg(2097152);
 
 void BM_GcdVariant(benchmark::State& state) {
   const auto variant = gcd::Variant(state.range(0));

@@ -9,6 +9,7 @@
 #include "core/thread_pool.hpp"
 #include "core/timer.hpp"
 #include "gcd/algorithms.hpp"
+#include "mp/newton_div.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
@@ -100,6 +101,25 @@ std::vector<TreeInt> product_level(const std::vector<TreeInt>& prev) {
     }
   });
   return next;
+}
+
+/// s_c = ((s_v mod N_c) · N_d) mod N_c for a node N_c with sibling N_d.
+/// Where the first division takes the Newton rung, both divisions share
+/// one normalized divisor and its reciprocal. (The top step's s_v = 1 has
+/// no quotient, and its N_d mod N_c a short one: Knuth D does both.)
+TreeInt cofactor_step(const TreeInt& s, const TreeInt& node,
+                      const TreeInt& sibling) {
+  constexpr std::size_t T = mp::kNewtonDivThreshold;
+  if (node.size() < T || s.size() + 1 < node.size() + T) {
+    return (s % node) * sibling % node;
+  }
+  const mp::NewtonDivisor<std::uint64_t> divisor(node.data(), node.size());
+  const auto mod = [&divisor](const TreeInt& a) {
+    std::vector<std::uint64_t> r(divisor.size());
+    r.resize(divisor.divrem(nullptr, r.data(), a.data(), a.size()).sizes.remainder);
+    return TreeInt::from_limbs(std::move(r));
+  };
+  return mod(mod(s) * sibling);
 }
 
 }  // namespace
@@ -257,8 +277,7 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
         // shares the parent's cofactor residue.
         const bool promoted = i % 2 == 0 && i + 1 == nodes.size();
         const TreeInt& parent = current[i / 2];
-        next[i] = promoted ? parent
-                           : (parent % nodes[i]) * nodes[i ^ 1] % nodes[i];
+        next[i] = promoted ? parent : cofactor_step(parent, nodes[i], nodes[i ^ 1]);
       }
     });
     current = std::move(next);

@@ -15,10 +15,11 @@
 // The tree computes on 64-bit limbs (TreeInt = mp::BigInt64, half the limbs
 // of mp::BigInt per product and per division): the moduli are repacked once
 // on the way in and the gcds narrowed once on the way out, so the API below
-// stays on mp::BigInt. Products climb the Toom-3 ladder and each `%` the
-// division ladder (mp/newton_div.hpp), which reduces by a Newton reciprocal
-// once divisor and quotient pass kNewtonDivThreshold limbs, so a level
-// costs a few M(n), not Knuth D's Θ(n²).
+// stays on mp::BigInt. Products climb the multiply ladder to the NTT and
+// each `%` the division ladder (mp/newton_div.hpp), which reduces by a
+// Newton reciprocal once divisor and quotient pass kNewtonDivThreshold
+// limbs (one reciprocal per node serves both divisions of a step), so a
+// level costs a few M(n), not Knuth D's Θ(n²).
 //
 // Two entry points:
 //   batch_gcd            — one-shot, in-memory (the bench/test workhorse).

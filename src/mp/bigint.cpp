@@ -153,8 +153,9 @@ BigIntT<Limb> BigIntT<Limb>::mul(const BigIntT& a, const BigIntT& b) {
   BigIntT out;
   if (a.is_zero() || b.is_zero()) return out;
   if (std::min(a.size(), b.size()) >= kKaratsubaThreshold) {
-    // mul_dispatch climbs the full ladder: Karatsuba here, Toom-3 once both
-    // operands clear kToom3Threshold (the batch-GCD tree regime).
+    // mul_dispatch climbs the full ladder: Karatsuba here, the NTT once
+    // both operands clear kNttThreshold words and it pays (the batch-GCD
+    // tree regime).
     out.limbs_ = mul_dispatch(a.limbs_.data(), a.size(), b.limbs_.data(), b.size());
     return out;
   }

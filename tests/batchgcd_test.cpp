@@ -757,6 +757,65 @@ TEST_F(BatchResumeTest, LimbWidthEdgesMatchGmpAndResumeAfterEveryLevel) {
   }
 }
 
+TEST_F(BatchResumeTest, TransformRungTreeMatchesGmpAndResumesAfterEveryLevel) {
+  // 512 odd 1024-bit values, eight pairs of them sharing a 512-bit factor.
+  // On 64-bit limbs the root is 8192 limbs: its product and the top levels'
+  // products and Newton blocks take the transform rung. Stopped after
+  // every level and resumed, the run reaches the GMP gcds and the
+  // uninterrupted journal byte for byte.
+  Xoshiro256 rng(216);
+  std::vector<BigInt> moduli;
+  for (int i = 0; i < 496; ++i) moduli.push_back(random_odd<std::uint32_t>(rng, 1024));
+  std::vector<BigInt> shared_factors;
+  for (int pair = 0; pair < 8; ++pair) {
+    const BigInt& shared =
+        shared_factors.emplace_back(random_odd<std::uint32_t>(rng, 512));
+    for (int k = 0; k < 2; ++k) {
+      moduli.insert(moduli.begin() + std::ptrdiff_t(rng.below(moduli.size() + 1)),
+                    shared * random_odd<std::uint32_t>(rng, 512));
+    }
+  }
+  const ProductTree tree = build_product_tree(moduli);
+  const TreeInt top = mp::repack<std::uint64_t>(tree[tree.size() - 2][0]);
+  const std::size_t root_limbs = mp::repack<std::uint64_t>(tree.back()[0]).size();
+  ASSERT_GT(root_limbs, 8150u);  // 512 values of 1023 or 1024 bits
+  ASSERT_TRUE(mp::ntt_detail::transform_pays(top.size(), top.size()));
+  ASSERT_GE(top.size(), mp::kNewtonDivThreshold);
+
+  const std::vector<BigInt> want = gmp_batch_gcds(moduli);
+  for (const BigInt& shared : shared_factors) {
+    std::size_t carriers = 0;
+    for (std::size_t i = 0; i < moduli.size(); ++i) {
+      if (!(moduli[i] % shared).is_zero()) continue;
+      ++carriers;
+      EXPECT_TRUE((want[i] % shared).is_zero()) << i;
+    }
+    EXPECT_EQ(carriers, 2u);
+  }
+
+  BatchScanConfig config;
+  config.checkpoint = path_;
+  const BatchScanReport reference = run_resumable_batch(moduli, config);
+  ASSERT_TRUE(reference.complete);
+  EXPECT_EQ(reference.result.gcds, want);
+  const std::string full = test::slurp(path_);
+
+  for (std::size_t stop = 1; stop < reference.levels_total; ++stop) {
+    SCOPED_TRACE(stop);
+    std::filesystem::remove(path_);
+    config.stop_after_levels = stop;
+    const BatchScanReport first = run_resumable_batch(moduli, config);
+    ASSERT_FALSE(first.complete);
+    ASSERT_EQ(first.levels_done, stop);
+    config.stop_after_levels = 0;
+    const BatchScanReport resumed = run_resumable_batch(moduli, config);
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.levels_restored, stop);
+    EXPECT_EQ(resumed.result.gcds, want);
+    EXPECT_EQ(test::slurp(path_), full);
+  }
+}
+
 TEST(BatchJournalTest, ReplayRoundTripsAllRecordKinds) {
   const auto tmp = std::filesystem::temp_directory_path() /
                    "bulkgcd_batch_journal_roundtrip";

@@ -9,7 +9,7 @@
 #include "mp/bigint.hpp"
 #include "mp/karatsuba.hpp"
 #include "mp/newton_div.hpp"
-#include "mp/toom3.hpp"
+#include "mp/ntt.hpp"
 
 namespace bulkgcd::mp {
 namespace {
@@ -148,70 +148,120 @@ TYPED_TEST(MpStressTest, KaratsubaSchoolbookConsistencyAdversarial) {
   }
 }
 
-TYPED_TEST(MpStressTest, Toom3DifferentialStraddlesTheThreshold) {
+/// Limbs of width Limb in `words` 64-bit words.
+template <typename Limb>
+constexpr std::size_t limbs_in_words(std::size_t words) {
+  return words * 64 / limb_bits<Limb>;
+}
+
+/// a * b through the transform rung directly and through BigInt's dispatch,
+/// both against GMP.
+template <typename Limb>
+void expect_ntt_matches_gmp(const BigIntT<Limb>& a, const BigIntT<Limb>& b) {
+  test::Mpz ga = test::to_mpz(a), gb = test::to_mpz(b), gp;
+  mpz_mul(gp.get(), ga.get(), gb.get());
+  const BigIntT<Limb> want = test::from_mpz<Limb>(gp);
+  ASSERT_EQ(BigIntT<Limb>::from_limbs(mul_ntt(a.data(), a.size(), b.data(), b.size())),
+            want);
+  ASSERT_EQ(a * b, want);
+}
+
+TYPED_TEST(MpStressTest, NttDifferentialStraddlesTheThreshold) {
   using Limb = TypeParam;
+  constexpr std::size_t lb = limb_bits<Limb>;
   Xoshiro256 rng(178);
-  for (int trial = 0; trial < 12; ++trial) {
-    // Both operands straddle kToom3Threshold independently: Toom-3 runs for
-    // real when both clear it and must agree with the lower rungs (and with
-    // itself falling back) when either doesn't.
-    const std::size_t limbs_a = kToom3Threshold - 4 + rng.below(12);
-    const std::size_t limbs_b = kToom3Threshold - 4 + rng.below(12);
-    const auto a = random_value<Limb>(rng, mp::limb_bits<Limb> * limbs_a)
-                   << rng.below(64);
-    const auto b = random_value<Limb>(rng, mp::limb_bits<Limb> * limbs_b);
-    const auto toom = mul_toom3(a.data(), a.size(), b.data(), b.size());
-    const auto kara = mul_karatsuba(a.data(), a.size(), b.data(), b.size());
-    std::vector<Limb> school(a.size() + b.size());
-    school.resize(
-        mul_schoolbook(school.data(), a.data(), a.size(), b.data(), b.size()));
-    ASSERT_EQ(toom, kara);
-    ASSERT_EQ(toom, school);
-    // GMP oracle on the full dispatch ladder (BigInt operator*).
-    test::Mpz ga = test::to_mpz(a), gb = test::to_mpz(b), gp;
-    mpz_mul(gp.get(), ga.get(), gb.get());
-    ASSERT_EQ(a * b, test::from_mpz<Limb>(gp));
+  for (int trial = 0; trial < 8; ++trial) {
+    // Both operands straddle kNttThreshold words independently: the
+    // dispatch may take the transform only when both clear it, and the
+    // transform itself must agree with Karatsuba and GMP on every shape.
+    const std::size_t words_a = kNttThreshold - 3 + rng.below(6);
+    const std::size_t words_b = kNttThreshold - 3 + rng.below(6);
+    SCOPED_TRACE(::testing::Message() << words_a << " x " << words_b << " words");
+    const auto a = random_value<Limb>(rng, limbs_in_words<Limb>(words_a) * lb -
+                                                rng.below(lb));
+    const auto b = random_value<Limb>(rng, limbs_in_words<Limb>(words_b) * lb);
+    expect_ntt_matches_gmp(a, b);
+    ASSERT_EQ(mul_ntt(a.data(), a.size(), b.data(), b.size()),
+              mul_karatsuba(a.data(), a.size(), b.data(), b.size()));
   }
 }
 
-TYPED_TEST(MpStressTest, Toom3AdversarialShapes) {
+TYPED_TEST(MpStressTest, NttMatchesGmpAtEveryTransformLength) {
   using Limb = TypeParam;
   using Big = BigIntT<Limb>;
-  const std::size_t lb = mp::limb_bits<Limb>;
-  const std::size_t T = kToom3Threshold;
+  constexpr std::size_t lb = limb_bits<Limb>;
   Xoshiro256 rng(179);
+  // Products of N = na + nb − 1 words with N one below, at and one above
+  // each power of two: the last product a transform length holds, and the
+  // first that needs the next one (or a second chunk). Balanced and 1:3
+  // shapes; random words, and all-ones words whose convolution
+  // coefficients reach n·(2^64 − 1)², the most the CRT must rebuild.
+  for (std::size_t len = 2; len <= (std::size_t{1} << 13); len *= 2) {
+    for (const std::size_t total : {len - 1, len, len + 1}) {
+      for (const std::size_t nb : {(total + 1) / 2, (total + 1) / 4}) {
+        const std::size_t na = total + 1 - nb;
+        if (nb == 0) continue;
+        SCOPED_TRACE(::testing::Message() << na << " x " << nb << " words");
+        const std::size_t bits_a = limbs_in_words<Limb>(na) * lb;
+        const std::size_t bits_b = limbs_in_words<Limb>(nb) * lb;
+        expect_ntt_matches_gmp(random_value<Limb>(rng, bits_a),
+                               random_value<Limb>(rng, bits_b));
+        expect_ntt_matches_gmp((Big(1) << bits_a) - Big(1),
+                               (Big(1) << bits_b) - Big(1));
+      }
+    }
+  }
+}
+
+TYPED_TEST(MpStressTest, NttAdversarialShapes) {
+  using Limb = TypeParam;
+  using Big = BigIntT<Limb>;
+  constexpr std::size_t lb = limb_bits<Limb>;
+  const std::size_t T = limbs_in_words<Limb>(kNttThreshold);
+  Xoshiro256 rng(180);
   std::vector<Big> shapes;
-  // all ones across all three split parts
-  shapes.push_back((Big(1) << (3 * T * lb)) - Big(1));
-  // single top bit: zero low and middle parts
+  // all ones, 16 threshold lengths: large coefficients at a long transform
+  shapes.push_back((Big(1) << (16 * T * lb)) - Big(1));
+  // single top bit: zero words everywhere else
   shapes.push_back(Big(1) << (3 * T * lb - 1));
   // low ones, hollow middle third, random high third
   shapes.push_back(((Big(1) << (T * lb)) - Big(1)) +
                    (random_value<Limb>(rng, T * lb) << (2 * T * lb)));
-  // strong imbalance partner, just above the threshold (empty high parts
-  // after the split against the big shapes)
+  // just above the threshold: unbalanced against every other shape
   shapes.push_back(random_value<Limb>(rng, (T + 1) * lb));
-  // 4× threshold: the pointwise products recurse into Toom-3 again
-  shapes.push_back(random_value<Limb>(rng, 4 * T * lb));
+  // 1:2, the shape of a Newton block's Q·b against its divisor
+  shapes.push_back(random_value<Limb>(rng, 2 * T * lb + 5));
   for (const auto& a : shapes) {
     for (const auto& b : shapes) {
-      const auto toom = mul_toom3(a.data(), a.size(), b.data(), b.size());
-      std::vector<Limb> school(a.size() + b.size());
-      school.resize(mul_schoolbook(school.data(), a.data(), a.size(), b.data(),
-                                   b.size()));
-      ASSERT_EQ(toom, school);
+      SCOPED_TRACE(::testing::Message() << a.bit_length() << " x " << b.bit_length());
+      expect_ntt_matches_gmp(a, b);
     }
   }
+  // Tiny × huge, straight into the rung (the dispatch sends these to
+  // Karatsuba): many chunks of the long operand against one short one.
+  const Big huge = random_value<Limb>(rng, 40 * T * lb);
+  for (const std::size_t bits : {std::size_t{1}, lb, 7 * lb + 3, 64 * lb}) {
+    SCOPED_TRACE(bits);
+    const Big tiny = random_value<Limb>(rng, bits);
+    test::Mpz gh = test::to_mpz(huge), gt = test::to_mpz(tiny), gp;
+    mpz_mul(gp.get(), gh.get(), gt.get());
+    ASSERT_EQ(Big::from_limbs(mul_ntt(huge.data(), huge.size(), tiny.data(), tiny.size())),
+              test::from_mpz<Limb>(gp));
+  }
+  // An unbalanced shape just past a power of two (3000 × 5995 words).
+  expect_ntt_matches_gmp(random_value<Limb>(rng, limbs_in_words<Limb>(3000) * lb),
+                         random_value<Limb>(rng, limbs_in_words<Limb>(5995) * lb));
 }
 
 TYPED_TEST(MpStressTest, DispatchLadderMatchesGmpWellAboveBothThresholds) {
   using Limb = TypeParam;
   Xoshiro256 rng(180);
   for (int trial = 0; trial < 6; ++trial) {
-    // Batch-GCD tree regime: hundreds of limbs, every rung of the ladder
-    // exercised by the recursion.
-    const std::size_t bits_a = mp::limb_bits<Limb> * (200 + rng.below(200));
-    const std::size_t bits_b = mp::limb_bits<Limb> * (200 + rng.below(200));
+    // Batch-GCD tree regime: one to three times the transform threshold.
+    const std::size_t bits_a = mp::limb_bits<Limb> *
+        limbs_in_words<Limb>(kNttThreshold + rng.below(2 * kNttThreshold));
+    const std::size_t bits_b = mp::limb_bits<Limb> *
+        limbs_in_words<Limb>(kNttThreshold + rng.below(2 * kNttThreshold));
     const auto a = random_value<Limb>(rng, bits_a);
     const auto b = random_value<Limb>(rng, bits_b);
     test::Mpz ga = test::to_mpz(a), gb = test::to_mpz(b), gp;
@@ -326,6 +376,47 @@ TYPED_TEST(MpStressTest, NewtonReciprocalMeetsItsBound) {
       mpz_ui_pow_ui(pow.get(), 2, 2 * n * lb);
       ASSERT_LT(mpz_cmp(lo.get(), pow.get()), 0);
       ASSERT_LE(mpz_cmp(pow.get(), hi.get()), 0);
+    }
+  }
+}
+
+TYPED_TEST(MpStressTest, SharedNewtonDivisorMatchesGmpAroundTwiceItsSize) {
+  using Limb = TypeParam;
+  using Big = BigIntT<Limb>;
+  constexpr std::size_t lb = limb_bits<Limb>;
+  constexpr std::size_t T = kNewtonDivThreshold;
+  Xoshiro256 rng(184);
+  // One prepared divisor divides dividends of 2n − 1, 2n and 2n + 1 limbs,
+  // as the two divisions of a cofactor step do. A divisor whose top limb
+  // has leading zeros makes the normalizing shift carry the longer
+  // dividends into a further limb, and so a second, short block.
+  for (const std::size_t n : {T, T + 1, 2 * T + 3}) {
+    for (const std::size_t lead : {std::size_t{0}, lb / 2}) {
+      const Big b = random_value<Limb>(rng, n * lb - lead);
+      const NewtonDivisor<Limb> divisor(b.data(), b.size());
+      for (const std::size_t na : {2 * n - 1, 2 * n, 2 * n + 1}) {
+        for (const Big& a : {random_value<Limb>(rng, na * lb),
+                             (Big(1) << (na * lb)) - Big(1)}) {
+          SCOPED_TRACE(::testing::Message() << "n " << n << " lead " << lead
+                                            << " na " << na);
+          test::Mpz ga = test::to_mpz(a), gb = test::to_mpz(b), gq, gr;
+          mpz_tdiv_qr(gq.get(), gr.get(), ga.get(), gb.get());
+          std::vector<Limb> qv(a.size() - b.size() + 1), rv(b.size());
+          const NewtonDivSizes sizes =
+              divisor.divrem(qv.data(), rv.data(), a.data(), a.size());
+          ASSERT_EQ(Big::from_limbs({qv.data(), sizes.sizes.quotient}),
+                    test::from_mpz<Limb>(gq));
+          ASSERT_EQ(Big::from_limbs({rv.data(), sizes.sizes.remainder}),
+                    test::from_mpz<Limb>(gr));
+          ASSERT_LE(sizes.max_fixups, kNewtonDivMaxFixups);
+          // The remainder alone, as the batch tree asks for it.
+          std::vector<Limb> r_only(b.size());
+          const NewtonDivSizes rs =
+              divisor.divrem(nullptr, r_only.data(), a.data(), a.size());
+          ASSERT_EQ(Big::from_limbs({r_only.data(), rs.sizes.remainder}),
+                    test::from_mpz<Limb>(gr));
+        }
+      }
     }
   }
 }
