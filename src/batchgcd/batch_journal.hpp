@@ -19,9 +19,9 @@
 // Values are journaled as canonical 32-bit limbs (core::ByteWriter::
 // bigint_limbs) whatever their in-memory width: the tree computes on 64-bit
 // limbs (TreeInt) and writes each level straight from them, and the bytes
-// equal those of the same values held as 32-bit mp::BigInt. A checkpoint
-// written by one build resumes under any other, whatever the scan limb width
-// (mirrors the scan journal's portability rule).
+// equal those of the same values held as 32-bit mp::BigInt, so the journal
+// does not depend on the tree's own limb width (mirrors the scan journal's
+// portability rule).
 #pragma once
 
 #include <cstdint>

@@ -45,7 +45,7 @@ AllPairsResult all_pairs_gcd(std::span<const mp::BigInt> moduli,
   AllPairsConfig cfg = config;
   cfg.engine = resolve_engine(cfg.engine);
 
-  // Repack the BigInt corpus into scan limbs once (bulk/scan_corpus.hpp);
+  // Flatten the BigInt corpus into one limb store (bulk/scan_corpus.hpp);
   // every hot-path access below — staging, loads, the full-modulus check —
   // reads these flat spans.
   const ScanCorpus scan(moduli);
@@ -107,8 +107,8 @@ AllPairsResult all_pairs_gcd(std::span<const mp::BigInt> moduli,
 namespace {
 
 /// Shared probe core: candidate × every corpus member, sharded over the tile
-/// scheduler. Generic over the corpus view — ScanCorpus (repacked per call by
-/// the span overload) or StagedCorpusT (kept live across arrivals by the
+/// scheduler. Generic over the corpus view — ScanCorpus (flattened per call by
+/// the span overload) or StagedCorpus (kept live across arrivals by the
 /// streaming fold) — both exposing size()/limbs(i)/bits(i)/max_limbs().
 /// `panels` must stage exactly the view's moduli with lane count `r`. cfg
 /// must already be engine-resolved.
@@ -132,14 +132,14 @@ std::vector<IncrementalHit> probe_corpus(const mp::BigInt& candidate,
   };
 
   auto push_hit = [&](std::vector<IncrementalHit>& local, std::size_t i,
-                      mp::BigIntT<ScanLimb> g) {
+                      mp::BigInt g) {
     if (g.bit_length() < 2) return;  // g > 1 ⟺ at least two bits
     const auto gl = g.limbs();
     const bool full =
         std::equal(gl.begin(), gl.end(), scan.limbs(i).begin(),
                    scan.limbs(i).end()) ||
         std::equal(gl.begin(), gl.end(), cand.begin(), cand.end());
-    local.push_back({i, mp::repack<std::uint32_t>(g), full});
+    local.push_back({i, std::move(g), full});
   };
 
   // Generic over the executing batch (SimtBatch or the vector engine):
@@ -175,7 +175,7 @@ std::vector<IncrementalHit> probe_corpus(const mp::BigInt& candidate,
   struct ProbeWorker {
     std::vector<IncrementalHit> hits;
     ProbeStats work;
-    std::unique_ptr<VecBatchBase<ScanLimb>> vec;
+    std::unique_ptr<VecBatchBase> vec;
     std::unique_ptr<SimtBatch<ScanLimb, ColumnMatrix>> simt;
     std::unique_ptr<gcd::GcdEngine<ScanLimb>> scalar_engine;
   };
@@ -194,7 +194,7 @@ std::vector<IncrementalHit> probe_corpus(const mp::BigInt& candidate,
     if (!worker) worker = std::make_unique<ProbeWorker>();
     if (cfg.engine == Engine::kVector) {
       if (!worker->vec) {
-        worker->vec = make_vec_batch<ScanLimb>(r, cap, cfg.warp_width);
+        worker->vec = make_vec_batch(r, cap, cfg.warp_width);
       }
       probe_blocks(*worker->vec, t.lo, t.hi, worker->hits,
                    worker->work.pairs_tested);
@@ -219,7 +219,7 @@ std::vector<IncrementalHit> probe_corpus(const mp::BigInt& candidate,
           ++worker->work.pairs_tested;
           if (run.early_coprime) continue;
           push_hit(worker->hits, i,
-                   mp::BigIntT<ScanLimb>::from_limbs(run.gcd));
+                   mp::BigInt::from_limbs(run.gcd));
         }
       }
     }
@@ -281,7 +281,7 @@ std::vector<IncrementalHit> probe_incremental(const mp::BigInt& candidate,
   cfg.engine = resolve_engine(cfg.engine);
 
   // The staged corpus already carries live panels with its own lane count;
-  // the probe rides them directly — no repack, no panel rebuild. Lane count
+  // the probe rides them directly — no copy, no panel rebuild. Lane count
   // is NOT clamped to the corpus size (tail lanes run disabled), which is
   // value-identical: r only shapes batching, never which pairs run.
   return probe_corpus(candidate, corpus, corpus.group_size(), corpus.panels(),

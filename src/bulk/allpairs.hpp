@@ -120,8 +120,8 @@ std::vector<IncrementalHit> probe_incremental(
     const AllPairsConfig& config = {}, ProbeStats* stats = nullptr);
 
 /// Amortized-staging variant for streaming callers: the corpus is already
-/// repacked and panel-staged (bulk/staged_corpus.hpp, grown append-by-append
-/// as keys fold in), so the probe skips the per-call ScanCorpus repack and
+/// flattened and panel-staged (bulk/staged_corpus.hpp, grown append-by-append
+/// as keys fold in), so the probe skips the per-call ScanCorpus copy and
 /// CorpusPanels rebuild entirely and rides the live panels' contiguous
 /// loads. Hits and pair counts are bit-identical to the span overload over
 /// the same moduli (asserted in tests/allpairs_test.cpp) — the two differ

@@ -65,8 +65,7 @@ BlockSweeper::BlockSweeper(const ScanCorpus& corpus, const BlockGrid& grid,
   config_.engine = resolve_engine(config.engine);
   switch (config_.engine) {
     case Engine::kVector:
-      vec_ = make_vec_batch<ScanLimb>(grid.r, capacity_limbs,
-                                      config.warp_width);
+      vec_ = make_vec_batch(grid.r, capacity_limbs, config.warp_width);
       break;
     case Engine::kStaged:
       staged_ = std::make_unique<SimtBatch<ScanLimb, ColumnMatrix>>(
@@ -176,7 +175,7 @@ void BlockSweeper::run_block(std::size_t block_index) {
   std::uint64_t early_coprime = 0;
   std::uint64_t full_modulus_hits = 0;
 
-  auto record = [&](std::size_t a, std::size_t b, mp::BigIntT<ScanLimb> g) {
+  auto record = [&](std::size_t a, std::size_t b, mp::BigInt g) {
     // g > 1 ⟺ at least two bits.
     if (g.bit_length() < 2) return;
     const auto gl = g.limbs();
@@ -186,7 +185,7 @@ void BlockSweeper::run_block(std::size_t block_index) {
         std::equal(gl.begin(), gl.end(), corpus_->limbs(b).begin(),
                    corpus_->limbs(b).end());
     if (full) ++full_modulus_hits;
-    out_.hits.push_back({a, b, mp::repack<std::uint32_t>(g), full});
+    out_.hits.push_back({a, b, std::move(g), full});
   };
 
   if (vec_) {
@@ -219,7 +218,7 @@ void BlockSweeper::run_block(std::size_t block_index) {
         if (run.early_coprime) {
           ++early_coprime;
         } else {
-          record(i_begin + k, jj, mp::BigIntT<ScanLimb>::from_limbs(run.gcd));
+          record(i_begin + k, jj, mp::BigInt::from_limbs(run.gcd));
         }
       }
     }

@@ -76,7 +76,7 @@ inline void run_lanes(SimtBatch<ScanLimb, ColumnMatrix>& batch,
                       gcd::Variant variant) {
   batch.run_staged(variant);
 }
-inline void run_lanes(VecBatchBase<ScanLimb>& batch, gcd::Variant variant) {
+inline void run_lanes(VecBatchBase& batch, gcd::Variant variant) {
   batch.run(variant);
 }
 
@@ -92,9 +92,9 @@ class BlockSweeper {
     gcd::GcdStats scalar;
   };
 
-  /// corpus: the scan-limb repack of the moduli (bulk/scan_corpus.hpp),
-  /// carrying normalized limb spans and cached bit lengths so per-pair
-  /// thresholds are O(1). Must outlive the sweeper.
+  /// corpus: the flattened moduli (bulk/scan_corpus.hpp), carrying
+  /// normalized limb spans and cached bit lengths so per-pair thresholds
+  /// are O(1). Must outlive the sweeper.
   /// panels: the staged corpus (built once per scan with the same grid and
   /// capacity_limbs + kBatchPadLimbs padding); each block round of the
   /// vector and staged engines refreshes its batch from them by bulk panel
@@ -168,7 +168,7 @@ class BlockSweeper {
   /// Exactly one engine exists, the one config.engine resolved to.
   std::unique_ptr<gcd::GcdEngine<ScanLimb>> scalar_;
   std::unique_ptr<SimtBatch<ScanLimb, ColumnMatrix>> staged_;
-  std::unique_ptr<VecBatchBase<ScanLimb>> vec_;
+  std::unique_ptr<VecBatchBase> vec_;
   Output out_;
   std::unique_ptr<Telemetry> tele_;  ///< null on the null-registry path
   std::unique_ptr<TraceHandles> trace_;  ///< null on the null-recorder path

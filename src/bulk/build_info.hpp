@@ -12,7 +12,7 @@ namespace bulkgcd::bulk {
 
 struct BuildInfo {
   std::string version;        ///< project version (CMake PROJECT_VERSION)
-  int limb_bits = 0;          ///< ScanLimb width: 32 or 64
+  int limb_bits = 0;          ///< ScanLimb width (always 32)
   /// Every engine leg compiled into this binary ("staged", "scalar",
   /// "vector-portable", and "vector-avx2" when the AVX2 TU is built in).
   std::vector<std::string> compiled_backends;
@@ -29,7 +29,7 @@ BuildInfo query_build_info();
 std::string build_info_json(const BuildInfo& info, double uptime_seconds);
 
 /// One-line human banner for CLI startup:
-/// "bulkgcd 1.0.0 | limbs 64-bit | backends staged,... | active staged".
+/// "bulkgcd 1.0.0 | limbs 32-bit | backends staged,... | active staged".
 std::string build_info_line(const BuildInfo& info);
 
 }  // namespace bulkgcd::bulk

@@ -146,8 +146,8 @@ class CorpusPanels {
     }
   }
 
-  /// Same staging from any repacked corpus view (bulk/scan_corpus.hpp) —
-  /// the limb width the panels carry need not match the BigInt limb width.
+  /// Same staging from a flattened corpus view (bulk/scan_corpus.hpp,
+  /// bulk/staged_corpus.hpp).
   template <typename Corpus>
     requires requires(const Corpus& c, std::size_t i) {
       { c.size() } -> std::convertible_to<std::size_t>;

@@ -32,41 +32,23 @@ bool vec_isa_available(VecIsa isa) noexcept {
   return false;
 }
 
-template <mp::LimbType Limb>
-std::unique_ptr<VecBatchBase<Limb>> make_vec_batch(std::size_t lanes,
-                                                   std::size_t capacity_limbs,
-                                                   std::size_t warp_width,
-                                                   VecIsa isa) {
+std::unique_ptr<VecBatchBase> make_vec_batch(std::size_t lanes,
+                                             std::size_t capacity_limbs,
+                                             std::size_t warp_width,
+                                             VecIsa isa) {
   if (isa == VecIsa::kAuto) isa = detect_vec_isa();
   if (!vec_isa_available(isa)) {
     throw std::invalid_argument(
         std::string("vector ISA unavailable on this machine: ") +
         to_string(isa));
   }
-  if (isa == VecIsa::kAvx2) {
 #if defined(BULKGCD_HAVE_AVX2_TU)
-    if constexpr (sizeof(Limb) == 4) {
-      return detail::make_vec_batch_avx2_u32(lanes, capacity_limbs,
-                                             warp_width);
-    } else {
-      return detail::make_vec_batch_avx2_u64(lanes, capacity_limbs,
-                                             warp_width);
-    }
+  if (isa == VecIsa::kAvx2) {
+    return detail::make_vec_batch_avx2(lanes, capacity_limbs, warp_width);
+  }
 #endif
-  }
-  if constexpr (sizeof(Limb) == 4) {
-    return detail::make_vec_batch_portable_u32(lanes, capacity_limbs,
-                                               warp_width);
-  } else {
-    return detail::make_vec_batch_portable_u64(lanes, capacity_limbs,
-                                               warp_width);
-  }
+  return detail::make_vec_batch_portable(lanes, capacity_limbs, warp_width);
 }
-
-template std::unique_ptr<VecBatchBase<std::uint32_t>>
-make_vec_batch<std::uint32_t>(std::size_t, std::size_t, std::size_t, VecIsa);
-template std::unique_ptr<VecBatchBase<std::uint64_t>>
-make_vec_batch<std::uint64_t>(std::size_t, std::size_t, std::size_t, VecIsa);
 
 Engine resolve_engine(Engine requested) noexcept {
   if (requested == Engine::kStaged || requested == Engine::kScalar) return requested;

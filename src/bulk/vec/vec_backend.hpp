@@ -8,9 +8,8 @@
 // compiled twice into the library: once with baseline flags (the portable
 // leg — the compiler lowers the W-wide vector code to baseline instructions,
 // same source everywhere) and once with -mavx2 on x86-64 (256-bit
-// registers: W = 8 lanes on 32-bit limbs, W = 4 on 64-bit). make_vec_batch()
-// picks the implementation by cpuid probe; tests pin a leg with an explicit
-// VecIsa.
+// registers: W = 8 lanes of 32-bit scan limbs). make_vec_batch() picks the
+// implementation by cpuid probe; tests pin a leg with an explicit VecIsa.
 //
 // Virtual dispatch happens once per batch verb (a block round spans
 // thousands of limb operations), never inside a kernel.
@@ -21,6 +20,7 @@
 #include <memory>
 #include <span>
 
+#include "bulk/scan_corpus.hpp"
 #include "bulk/simt_stats.hpp"
 #include "gcd/algorithms.hpp"
 #include "mp/bigint.hpp"
@@ -52,9 +52,11 @@ VecIsa detect_vec_isa() noexcept;
 /// Whether make_vec_batch(..., isa) can honor the request on this machine.
 bool vec_isa_available(VecIsa isa) noexcept;
 
-template <mp::LimbType Limb>
+/// The vector engine runs on the scan limb only (bulk/scan_corpus.hpp).
 class VecBatchBase {
  public:
+  using Limb = ScanLimb;
+
   /// Sentinel for load()/reset_lane_state(): inherit run()'s early_bits.
   static constexpr std::size_t kInheritEarlyBits = std::size_t(-1);
 
@@ -85,15 +87,14 @@ class VecBatchBase {
   /// Supported variants: kBinary, kFastBinary, kApproximate (Table V). A
   /// full group running kApproximate whose active lanes all keep
   /// early_bits >= 3 limbs (Section V: every round is Case 4) runs as one
-  /// vector-resident round on 32-bit limbs; every other group — Binary,
-  /// Fast Binary, non-Section-V Approximate, the lanes % W tail, and every
-  /// group on 64-bit limbs — runs lane by lane to completion exactly like
-  /// SimtBatch::run_staged(). Results, branch traces and SimtStats are
-  /// bit-identical to run_staged() either way.
+  /// vector-resident round; every other group — Binary, Fast Binary,
+  /// non-Section-V Approximate and the lanes % W tail — runs lane by lane to
+  /// completion exactly like SimtBatch::run_staged(). Results, branch traces
+  /// and SimtStats are bit-identical to run_staged() either way.
   virtual void run(gcd::Variant variant, std::size_t early_bits = 0) = 0;
 
   virtual bool early_coprime(std::size_t lane) const noexcept = 0;
-  virtual mp::BigIntT<Limb> gcd_of(std::size_t lane) const = 0;
+  virtual mp::BigInt gcd_of(std::size_t lane) const = 0;
   /// Iterations the lane executed in the most recent run() (branch-trace
   /// length — feeds the iterations-per-pair histogram like run_staged()).
   virtual std::size_t lane_iterations(std::size_t lane) const noexcept = 0;
@@ -103,21 +104,16 @@ class VecBatchBase {
 
   /// The ISA this batch executes with (resolved, never kAuto).
   virtual VecIsa isa() const noexcept = 0;
-  /// Lanes per vector register for this limb width.
+  /// Lanes per vector register (W = 8).
   virtual std::size_t vector_width() const noexcept = 0;
 };
 
 /// Construct a vector batch. isa = kAuto probes the CPU; an explicit ISA
 /// throws std::invalid_argument when unavailable (missing TU or CPU
 /// support) so tests can pin the portable-vs-AVX2 comparison.
-template <mp::LimbType Limb>
-std::unique_ptr<VecBatchBase<Limb>> make_vec_batch(
-    std::size_t lanes, std::size_t capacity_limbs, std::size_t warp_width = 32,
-    VecIsa isa = VecIsa::kAuto);
-
-extern template std::unique_ptr<VecBatchBase<std::uint32_t>>
-make_vec_batch<std::uint32_t>(std::size_t, std::size_t, std::size_t, VecIsa);
-extern template std::unique_ptr<VecBatchBase<std::uint64_t>>
-make_vec_batch<std::uint64_t>(std::size_t, std::size_t, std::size_t, VecIsa);
+std::unique_ptr<VecBatchBase> make_vec_batch(std::size_t lanes,
+                                             std::size_t capacity_limbs,
+                                             std::size_t warp_width = 32,
+                                             VecIsa isa = VecIsa::kAuto);
 
 }  // namespace bulkgcd::bulk

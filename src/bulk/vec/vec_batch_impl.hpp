@@ -1,4 +1,4 @@
-// W-lane SIMD warp engine — implementation template (Section VI on vector
+// W-lane SIMD warp engine — the implementation (Section VI on vector
 // registers instead of CUDA warps; see docs/GPU_PORTING.md).
 //
 // This header is the single source of the vector backend and is compiled
@@ -29,11 +29,11 @@
 //     per iteration), the β > 0 shifted-add kernel and full-compare swap
 //     ties — drop to the identical scalar kernels of gcd/kernels.hpp on
 //     strided accessors;
-//   * every other group — Binary, Fast Binary, non-Section-V Approximate,
-//     the tail group when lanes % W != 0, and every group on 64-bit limbs —
-//     runs each lane to completion on the same scalar kernels, exactly
-//     run_staged(). Both paths are bit-identical to the staged scalar
-//     engine by construction rather than by re-derivation.
+//   * every other group — Binary, Fast Binary, non-Section-V Approximate
+//     and the tail group when lanes % W != 0 — runs each lane to completion
+//     on the same scalar kernels, exactly run_staged(). Both paths are
+//     bit-identical to the staged scalar engine by construction rather than
+//     by re-derivation.
 //
 // Ragged lane sizes inside a group are handled by sweeping every masked
 // lane to the group's maximum size: rows above a lane's own size hold zero
@@ -71,6 +71,9 @@
 #ifndef BULKGCD_VEC_IMPL_NS
 #error "vec_batch_impl.hpp must be included with BULKGCD_VEC_IMPL_NS defined"
 #endif
+#if !defined(__GNUC__)
+#error "the vector engine is written in GNU vector extensions (GCC or Clang)"
+#endif
 
 #if defined(__GNUC__) && !defined(__clang__)
 // The v_load/v_store helpers pass vector-extension values in and out of
@@ -86,20 +89,10 @@ namespace bulkgcd::bulk {
 namespace BULKGCD_VEC_IMPL_NS {
 
 /// GNU vector extensions express the resident round directly as W-wide
-/// SIMD values: the -mavx2 TU lowers them to 256-bit loads, gathers, blends
-/// and per-lane variable shifts, while the portable TU lowers the identical
-/// source to baseline (SSE2 or scalar) code. Only 32-bit limbs have a
-/// specialization: the 64-bit-limb build (whose Wide is __int128, not a
-/// vectorizable element type) and compilers without the extension run every
-/// group on the scalar lane path.
-template <class Limb>
+/// SIMD values over 32-bit scan limbs: the -mavx2 TU lowers them to 256-bit
+/// loads, gathers, blends and per-lane variable shifts, while the portable
+/// TU lowers the identical source to baseline (SSE2 or scalar) code.
 struct VecTraits {
-  static constexpr bool available = false;
-};
-#if defined(__GNUC__) || defined(__clang__)
-template <>
-struct VecTraits<std::uint32_t> {
-  static constexpr bool available = true;
   typedef std::uint32_t LimbVec __attribute__((vector_size(32)));  // W = 8
   // Lane sizes fit far below 2^31, so the per-row "i < ly" test uses the
   // single-instruction signed compare instead of the unsigned sequence.
@@ -151,18 +144,16 @@ struct VecTraits<std::uint32_t> {
 #endif
   }
 };
-#endif
 
-template <mp::LimbType Limb>
-class VecBatch final : public VecBatchBase<Limb> {
-  using Wide = typename mp::LimbTraits<Limb>::Wide;
+class VecBatch final : public VecBatchBase {
+  static_assert(sizeof(Limb) == 4, "the resident round is written for W = 8");
+  using Wide = mp::LimbTraits<Limb>::Wide;
   static constexpr int LB = mp::limb_bits<Limb>;
   static constexpr Wide kMask = mp::limb_base<Limb> - 1;
 
  public:
   /// Lanes per 256-bit vector register.
   static constexpr std::size_t W = 32 / sizeof(Limb);
-  static constexpr std::size_t kInheritEarlyBits = std::size_t(-1);
 
   VecBatch(std::size_t lanes, std::size_t capacity_limbs,
            std::size_t warp_width)
@@ -287,11 +278,11 @@ class VecBatch final : public VecBatchBase<Limb> {
     return ly_[lane] > 0;
   }
 
-  mp::BigIntT<Limb> gcd_of(std::size_t lane) const override {
+  mp::BigInt gcd_of(std::size_t lane) const override {
     std::vector<Limb> limbs(lx_[lane]);
     auto x = swapped_[lane] ? lane_b(lane) : lane_a(lane);
     for (std::size_t i = 0; i < lx_[lane]; ++i) limbs[i] = x[i];
-    return mp::BigIntT<Limb>::from_limbs(limbs);
+    return mp::BigInt::from_limbs(limbs);
   }
 
   std::size_t lane_iterations(std::size_t lane) const noexcept override {
@@ -351,15 +342,11 @@ class VecBatch final : public VecBatchBase<Limb> {
   // ---- group driver -------------------------------------------------------
 
   template <gcd::Variant V>
-#if defined(__GNUC__)
-  [[gnu::flatten]]
-#endif
-  void run_impl() {
+  [[gnu::flatten]] void run_impl() {
     gcd::GcdStats tally;
     for (std::size_t base = 0; base < lanes_; base += W) {
       const std::size_t n = std::min(W, lanes_ - base);
-      if constexpr (V == gcd::Variant::kApproximate &&
-                    VecTraits<Limb>::available) {
+      if constexpr (V == gcd::Variant::kApproximate) {
         if (n == W && resident_group(base)) {
           run_group_approx_vec(base, tally);
           continue;
@@ -420,365 +407,360 @@ class VecBatch final : public VecBatchBase<Limb> {
   /// vector-handled iteration logs branch 0 — so the branch trace is a bulk
   /// fill plus one patch per rare β > 0 event.
   void run_group_approx_vec(std::size_t base, gcd::GcdStats& tally) {
-    if constexpr (VecTraits<Limb>::available) {
-      using VT = VecTraits<Limb>;
-      using VL = typename VT::LimbVec;
-      using SL = typename VT::SignedVec;
-      using V4 = typename VT::PairVec;
-      using S4 = typename VT::SignedPairVec;
-      using D4 = typename VT::DblVec;
+    using VT = VecTraits;
+    using VL = VT::LimbVec;
+    using SL = VT::SignedVec;
+    using V4 = VT::PairVec;
+    using S4 = VT::SignedPairVec;
+    using D4 = VT::DblVec;
 
-      const std::size_t L = lanes_;
-      Limb* __restrict__ Sd = mat_.storage().data();
-      const Limb capL = Limb(cap_ * L);
+    const std::size_t L = lanes_;
+    Limb* __restrict__ Sd = mat_.storage().data();
+    const Limb capL = Limb(cap_ * L);
 
-      // ---- scalar -> vector state load ----
-      alignas(32) Limb t32[W];
-      std::array<std::uint8_t, W> init_live{};
-      std::array<std::size_t, W> log_base{};
-      for (std::size_t l = 0; l < W; ++l) {
-        init_live[l] = active_[base + l];
-        log_base[l] = branch_log_[base + l].size();
-      }
-      for (std::size_t l = 0; l < W; ++l) t32[l] = Limb(lx_[base + l]);
-      VL lxv = v_load<VL>(t32);
-      for (std::size_t l = 0; l < W; ++l) t32[l] = Limb(ly_[base + l]);
-      VL lyv = v_load<VL>(t32);
-      for (std::size_t l = 0; l < W; ++l) {
-        t32[l] = swapped_[base + l] ? ~Limb{0} : Limb{0};
-      }
-      VL swm = v_load<VL>(t32);
-      for (std::size_t l = 0; l < W; ++l) {
-        t32[l] = init_live[l] ? ~Limb{0} : Limb{0};
-      }
-      VL livem = v_load<VL>(t32);
-      for (std::size_t l = 0; l < W; ++l) t32[l] = Limb(eff_early_[base + l]);
-      const VL earlyv = v_load<VL>(t32);
+    // ---- scalar -> vector state load ----
+    alignas(32) Limb t32[W];
+    std::array<std::uint8_t, W> init_live{};
+    std::array<std::size_t, W> log_base{};
+    for (std::size_t l = 0; l < W; ++l) {
+      init_live[l] = active_[base + l];
+      log_base[l] = branch_log_[base + l].size();
+    }
+    for (std::size_t l = 0; l < W; ++l) t32[l] = Limb(lx_[base + l]);
+    VL lxv = v_load<VL>(t32);
+    for (std::size_t l = 0; l < W; ++l) t32[l] = Limb(ly_[base + l]);
+    VL lyv = v_load<VL>(t32);
+    for (std::size_t l = 0; l < W; ++l) {
+      t32[l] = swapped_[base + l] ? ~Limb{0} : Limb{0};
+    }
+    VL swm = v_load<VL>(t32);
+    for (std::size_t l = 0; l < W; ++l) {
+      t32[l] = init_live[l] ? ~Limb{0} : Limb{0};
+    }
+    VL livem = v_load<VL>(t32);
+    for (std::size_t l = 0; l < W; ++l) t32[l] = Limb(eff_early_[base + l]);
+    const VL earlyv = v_load<VL>(t32);
 
-      const VL iota = {0, 1, 2, 3, 4, 5, 6, 7};
-      const VL lanecol = iota + Limb(base);
-      const VL capLv = VL{} + capL;
-      const VL rowmul = VL{} + Limb(L);
-      const VL one = VL{} + 1;
-      const VL two = VL{} + 2;
-      const VL kLBv = VL{} + Limb(LB);
-      const V4 kMaskV = V4{} + kMask;
-      const V4 hiKeep = V4{} + (Wide(kMask) << LB);
-      const V4 bias = V4{} + (Wide(1) << 63);
-      const V4 kexp = V4{} + 0x4330000000000000ull;  // double bits of 2^52
-      const D4 k52 = D4{} + 4503599627370496.0;      // 2^52
-      const D4 kscale = D4{} + 4294967296.0;         // 2^32
+    const VL iota = {0, 1, 2, 3, 4, 5, 6, 7};
+    const VL lanecol = iota + Limb(base);
+    const VL capLv = VL{} + capL;
+    const VL rowmul = VL{} + Limb(L);
+    const VL one = VL{} + 1;
+    const VL two = VL{} + 2;
+    const VL kLBv = VL{} + Limb(LB);
+    const V4 kMaskV = V4{} + kMask;
+    const V4 hiKeep = V4{} + (Wide(kMask) << LB);
+    const V4 bias = V4{} + (Wide(1) << 63);
+    const V4 kexp = V4{} + 0x4330000000000000ull;  // double bits of 2^52
+    const D4 k52 = D4{} + 4503599627370496.0;      // 2^52
+    const D4 kscale = D4{} + 4294967296.0;         // 2^32
 
-      // Exact 64/64 -> floor quotient q = ⌊x/d⌋ for quotients < 2^32: the
-      // divide of approx_case4_only, bit-identical but never serialized
-      // through the divider unit. Each u64 operand converts to double by
-      // halves (or the u32 half into a 2^52-biased mantissa, subtract the
-      // bias: both halves exact, one rounding on the recombine); with the
-      // division's own rounding the estimate is within < 2^-19 of x/d
-      // (the quotient fits a limb), so rounding it to an integer (+ 2^52)
-      // gives q or q + 1. Starting from that minus one, at most two
-      // predicated increments against the exact 64-bit remainder land on q.
-      const auto divq = [&](V4 xv, V4 dv) noexcept -> V4 {
-        const D4 xd = ((D4)((xv >> LB) | kexp) - k52) * kscale +
-                      ((D4)((xv & kMask) | kexp) - k52);
-        const D4 dd = ((D4)((dv >> LB) | kexp) - k52) * kscale +
-                      ((D4)((dv & kMask) | kexp) - k52);
-        const D4 qd = xd / dd + k52;  // + 2^52 rounds to the nearest integer
-        V4 q = ((V4)qd & ((Wide(1) << 52) - 1)) - 1;
-        const V4 dm1 = (dv - 1) ^ bias;
-        const V4 low = VT::mul32(q, dv) + (VT::mul32(q, dv >> LB) << LB);
-        V4 r = xv - low;
-        const V4 f1 = (V4)((S4)(r ^ bias) > (S4)dm1);  // r >= dv, biased cmp
-        q -= f1;
-        r -= dv & f1;
-        const V4 f2 = (V4)((S4)(r ^ bias) > (S4)dm1);
-        q -= f2;
-        return q;
-      };
+    // Exact 64/64 -> floor quotient q = ⌊x/d⌋ for quotients < 2^32: the
+    // divide of approx_case4_only, bit-identical but never serialized
+    // through the divider unit. Each u64 operand converts to double by
+    // halves (or the u32 half into a 2^52-biased mantissa, subtract the
+    // bias: both halves exact, one rounding on the recombine); with the
+    // division's own rounding the estimate is within < 2^-19 of x/d
+    // (the quotient fits a limb), so rounding it to an integer (+ 2^52)
+    // gives q or q + 1. Starting from that minus one, at most two
+    // predicated increments against the exact 64-bit remainder land on q.
+    const auto divq = [&](V4 xv, V4 dv) noexcept -> V4 {
+      const D4 xd = ((D4)((xv >> LB) | kexp) - k52) * kscale +
+                    ((D4)((xv & kMask) | kexp) - k52);
+      const D4 dd = ((D4)((dv >> LB) | kexp) - k52) * kscale +
+                    ((D4)((dv & kMask) | kexp) - k52);
+      const D4 qd = xd / dd + k52;  // + 2^52 rounds to the nearest integer
+      V4 q = ((V4)qd & ((Wide(1) << 52) - 1)) - 1;
+      const V4 dm1 = (dv - 1) ^ bias;
+      const V4 low = VT::mul32(q, dv) + (VT::mul32(q, dv >> LB) << LB);
+      V4 r = xv - low;
+      const V4 f1 = (V4)((S4)(r ^ bias) > (S4)dm1);  // r >= dv, biased cmp
+      q -= f1;
+      r -= dv & f1;
+      const V4 f2 = (V4)((S4)(r ^ bias) > (S4)dm1);
+      q -= f2;
+      return q;
+    };
 
-      VL iters{};                              // per-lane iteration counts
-      VL n4a{}, n4b{}, n4c{}, nswap{}, nbnz{};  // per-lane stat counters
-      std::vector<std::pair<std::uint8_t, Limb>> patches;  // (lane, iter idx)
+    VL iters{};                              // per-lane iteration counts
+    VL n4a{}, n4b{}, n4c{}, nswap{}, nbnz{};  // per-lane stat counters
+    std::vector<std::pair<std::uint8_t, Limb>> patches;  // (lane, iter idx)
 
-      // The top two words of X and Y ride across rounds in registers: the
-      // new X words come from the two post-sweep gathers at the bottom of
-      // the loop, and a swap just exchanges the X and Y registers — the
-      // round head issues no gathers at all. (The values are junk for dead
-      // lanes and for X sides about to die, where every consumer is masked;
-      // clamped offsets keep the gathers themselves in bounds.)
-      VL y1, x1, y2, x2;
-      {
-        const VL lyc0 = (VL)((SL)lyv > (SL)two) ? lyv : two;
-        const VL lxc0 = (VL)((SL)lxv > (SL)two) ? lxv : two;
-        const VL yoff0 = ((VL)(swm ? VL{} : capLv)) + lanecol;
-        const VL xoff0 = ((VL)(swm ? capLv : VL{})) + lanecol;
-        y1 = VT::gather(Sd, yoff0 + (lyc0 - one) * rowmul);
-        x1 = VT::gather(Sd, xoff0 + (lxc0 - one) * rowmul);
-        y2 = VT::gather(Sd, yoff0 + (lyc0 - two) * rowmul);
-        x2 = VT::gather(Sd, xoff0 + (lxc0 - two) * rowmul);
-      }
+    // The top two words of X and Y ride across rounds in registers: the
+    // new X words come from the two post-sweep gathers at the bottom of
+    // the loop, and a swap just exchanges the X and Y registers — the
+    // round head issues no gathers at all. (The values are junk for dead
+    // lanes and for X sides about to die, where every consumer is masked;
+    // clamped offsets keep the gathers themselves in bounds.)
+    VL y1, x1, y2, x2;
+    {
+      const VL lyc0 = (VL)((SL)lyv > (SL)two) ? lyv : two;
+      const VL lxc0 = (VL)((SL)lxv > (SL)two) ? lxv : two;
+      const VL yoff0 = ((VL)(swm ? VL{} : capLv)) + lanecol;
+      const VL xoff0 = ((VL)(swm ? capLv : VL{})) + lanecol;
+      y1 = VT::gather(Sd, yoff0 + (lyc0 - one) * rowmul);
+      x1 = VT::gather(Sd, xoff0 + (lxc0 - one) * rowmul);
+      y2 = VT::gather(Sd, yoff0 + (lyc0 - two) * rowmul);
+      x2 = VT::gather(Sd, xoff0 + (lxc0 - two) * rowmul);
+    }
 
-      while (true) {
-        // ---- keeps_going, vectorized ----
-        // ly > 0 and: (ly-1)*LB >= early, or ly*LB >= early and the top
-        // word still reaches bit (early - (ly-1)*LB - 1). Lane sizes and
-        // early bounds are far below 2^31: signed compares.
-        const VL topbits = (lyv - one) * kLBv;
-        const VL c1 = (VL)((SL)topbits >= (SL)earlyv);
-        const VL c2 = (VL)((SL)(lyv * kLBv) < (SL)earlyv);
-        const VL sh = (earlyv - topbits - one) & (kLBv - one);
-        const VL mid = (VL)((y1 >> sh) != VL{});
-        const VL going = (VL)(lyv != VL{}) & (c1 | (~c2 & mid));
-        livem &= going;
-        if (!VT::movemask(livem)) break;
-        iters -= livem;  // masks are 0/~0: subtracting counts the live lanes
+    while (true) {
+      // ---- keeps_going, vectorized ----
+      // ly > 0 and: (ly-1)*LB >= early, or ly*LB >= early and the top
+      // word still reaches bit (early - (ly-1)*LB - 1). Lane sizes and
+      // early bounds are far below 2^31: signed compares.
+      const VL topbits = (lyv - one) * kLBv;
+      const VL c1 = (VL)((SL)topbits >= (SL)earlyv);
+      const VL c2 = (VL)((SL)(lyv * kLBv) < (SL)earlyv);
+      const VL sh = (earlyv - topbits - one) & (kLBv - one);
+      const VL mid = (VL)((y1 >> sh) != VL{});
+      const VL going = (VL)(lyv != VL{}) & (c1 | (~c2 & mid));
+      livem &= going;
+      if (!VT::movemask(livem)) break;
+      iters -= livem;  // masks are 0/~0: subtracting counts the live lanes
 
-        // ---- Case-4 classification + quotient, all lanes at once ----
-        const V4 x12e = ((V4)x1 << LB) | ((V4)x2 & kMaskV);
-        const V4 x12o = ((V4)x1 & hiKeep) | ((V4)x2 >> LB);
-        const V4 y12e = ((V4)y1 << LB) | ((V4)y2 & kMaskV);
-        const V4 y12o = ((V4)y1 & hiKeep) | ((V4)y2 >> LB);
-        const V4 c4ae = (V4)((S4)(x12e ^ bias) > (S4)(y12e ^ bias));
-        const V4 c4ao = (V4)((S4)(x12o ^ bias) > (S4)(y12o ^ bias));
-        const VL c4a = (VL)((c4ae & kMaskV) | (c4ao << LB));
-        const VL szeq = (VL)(lxv == lyv);
-        const VL c4c = ~c4a & szeq;  // x12 <= y12 and lx == ly: alpha = 1
-        const V4 dve = ((V4)(c4ae ? y12e : ((V4)y1 & kMaskV))) + 1;
-        const V4 dvo = ((V4)(c4ao ? y12o : ((V4)y1 >> LB))) + 1;
-        const V4 qe = divq(x12e, dve);
-        const V4 qo = divq(x12o, dvo);
-        VL q = (VL)((qe & kMask) | (qo << LB));
-        q = (VL)(c4c ? one : q);
-        const VL alphav = (q - one) | one;  // the scalar head's odd-adjust
-        VL beta = lxv - lyv - (~c4a & one);
-        beta = (VL)(c4c ? VL{} : beta);
-        const VL bnz = (VL)(beta != VL{}) & livem;
-        n4a -= c4a & livem;
-        n4b -= ~c4a & ~szeq & livem;
-        n4c -= c4c & livem;
-        nbnz -= bnz;
+      // ---- Case-4 classification + quotient, all lanes at once ----
+      const V4 x12e = ((V4)x1 << LB) | ((V4)x2 & kMaskV);
+      const V4 x12o = ((V4)x1 & hiKeep) | ((V4)x2 >> LB);
+      const V4 y12e = ((V4)y1 << LB) | ((V4)y2 & kMaskV);
+      const V4 y12o = ((V4)y1 & hiKeep) | ((V4)y2 >> LB);
+      const V4 c4ae = (V4)((S4)(x12e ^ bias) > (S4)(y12e ^ bias));
+      const V4 c4ao = (V4)((S4)(x12o ^ bias) > (S4)(y12o ^ bias));
+      const VL c4a = (VL)((c4ae & kMaskV) | (c4ao << LB));
+      const VL szeq = (VL)(lxv == lyv);
+      const VL c4c = ~c4a & szeq;  // x12 <= y12 and lx == ly: alpha = 1
+      const V4 dve = ((V4)(c4ae ? y12e : ((V4)y1 & kMaskV))) + 1;
+      const V4 dvo = ((V4)(c4ao ? y12o : ((V4)y1 >> LB))) + 1;
+      const V4 qe = divq(x12e, dve);
+      const V4 qo = divq(x12o, dvo);
+      VL q = (VL)((qe & kMask) | (qo << LB));
+      q = (VL)(c4c ? one : q);
+      const VL alphav = (q - one) | one;  // the scalar head's odd-adjust
+      VL beta = lxv - lyv - (~c4a & one);
+      beta = (VL)(c4c ? VL{} : beta);
+      const VL bnz = (VL)(beta != VL{}) & livem;
+      n4a -= c4a & livem;
+      n4b -= ~c4a & ~szeq & livem;
+      n4c -= c4c & livem;
+      nbnz -= bnz;
 
-        // ---- classify: the submul launch state from limb row 0 ----
-        VL A0 = v_load<VL>(Sd + base);
-        VL B0 = v_load<VL>(Sd + cap_ * L + base);
-        const VL x0 = (VL)(swm ? B0 : A0);
-        const VL y0 = (VL)(swm ? A0 : B0);
-        const VL plo = y0 * alphav;
-        const V4 alpha_o = (V4)alphav >> LB;
-        const V4 pe = VT::mul32((V4)y0, (V4)alphav);
-        const V4 po = VT::mul32((V4)y0 >> LB, alpha_o);
-        const VL phi = (VL)(((V4)pe >> LB) | (po & hiKeep));
-        const VL d0 = x0 - plo;
-        const VL bor0 = (VL)(x0 < plo);
-        const VL dzm = (VL)(d0 == VL{}) & livem & ~bnz;
-        const VL swept = livem & ~bnz & ~dzm;
-        VL lxw = lxv;  // post-kernel sizes, filled per class below
+      // ---- classify: the submul launch state from limb row 0 ----
+      VL A0 = v_load<VL>(Sd + base);
+      VL B0 = v_load<VL>(Sd + cap_ * L + base);
+      const VL x0 = (VL)(swm ? B0 : A0);
+      const VL y0 = (VL)(swm ? A0 : B0);
+      const VL plo = y0 * alphav;
+      const V4 alpha_o = (V4)alphav >> LB;
+      const V4 pe = VT::mul32((V4)y0, (V4)alphav);
+      const V4 po = VT::mul32((V4)y0 >> LB, alpha_o);
+      const VL phi = (VL)(((V4)pe >> LB) | (po & hiKeep));
+      const VL d0 = x0 - plo;
+      const VL bor0 = (VL)(x0 < plo);
+      const VL dzm = (VL)(d0 == VL{}) & livem & ~bnz;
+      const VL swept = livem & ~bnz & ~dzm;
+      VL lxw = lxv;  // post-kernel sizes, filled per class below
 
-        // ---- rare lanes: the exact scalar kernels, this lane only ----
-        if (VT::movemask(bnz | dzm)) [[unlikely]] {
-          alignas(32) Limb lxa[W], lya[W], swa[W], qa[W], ala[W], bza[W],
-              dza[W], bta[W], itc[W], y1a[W], y2a[W];
-          v_store(lxa, lxv);
-          v_store(lya, lyv);
-          v_store(swa, swm);
-          v_store(qa, q);
-          v_store(ala, alphav);
-          v_store(bza, bnz);
-          v_store(dza, dzm);
-          v_store(bta, beta);
-          v_store(itc, iters);
-          v_store(y1a, y1);
-          v_store(y2a, y2);
-          for (std::size_t l = 0; l < W; ++l) {
-            if (!(bza[l] | dza[l])) continue;
-            LaneState t;
-            const std::size_t xo = swa[l] ? std::size_t(capL) : 0;
-            t.x = Strided<Limb>{Sd + xo + base + l, L};
-            t.y = Strided<Limb>{Sd + (std::size_t(capL) - xo) + base + l, L};
-            t.lx = lxa[l];
-            t.ly = lya[l];
-            t.swapped = swa[l] & 1u;
-            const std::size_t lx0 = t.lx;
-            if (bza[l]) {
-              // β > 0 passes the RAW quotient (the scalar head only
-              // odd-adjusts alpha on the β = 0 branch).
-              t.lx = gcd::fused_submul_shifted_add_strip(
-                  t.x, t.lx, t.y, t.ly, Limb(qa[l]), std::size_t(bta[l]),
-                  null_tracer_);
-              patches.emplace_back(std::uint8_t(l), itc[l] - 1);
-            } else {
-              t.lx = gcd::fused_submul_strip(t.x, t.lx, t.y, t.ly, ala[l],
-                                             null_tracer_);
-            }
-            // A limb-shifting strip leaves stale limbs above the new size
-            // (up to row lx0, the β kernel's extra limb); the sweep reads X
-            // rows unmasked up to the group maximum, so restore the zeros.
-            for (std::size_t i = t.lx; i <= lx0; ++i) t.x[i] = Limb{0};
-            scalar_lane::swap_if_less(t, tally);
-            lxa[l] = Limb(t.lx);
-            lya[l] = Limb(t.ly);
-            swa[l] = t.swapped ? ~Limb{0} : Limb{0};
-            y1a[l] = t.ly ? t.y[t.ly - 1] : Limb{0};
-            y2a[l] = t.ly > 1 ? t.y[t.ly - 2] : Limb{0};
+      // ---- rare lanes: the exact scalar kernels, this lane only ----
+      if (VT::movemask(bnz | dzm)) [[unlikely]] {
+        alignas(32) Limb lxa[W], lya[W], swa[W], qa[W], ala[W], bza[W],
+            dza[W], bta[W], itc[W], y1a[W], y2a[W];
+        v_store(lxa, lxv);
+        v_store(lya, lyv);
+        v_store(swa, swm);
+        v_store(qa, q);
+        v_store(ala, alphav);
+        v_store(bza, bnz);
+        v_store(dza, dzm);
+        v_store(bta, beta);
+        v_store(itc, iters);
+        v_store(y1a, y1);
+        v_store(y2a, y2);
+        for (std::size_t l = 0; l < W; ++l) {
+          if (!(bza[l] | dza[l])) continue;
+          LaneState t;
+          const std::size_t xo = swa[l] ? std::size_t(capL) : 0;
+          t.x = Strided<Limb>{Sd + xo + base + l, L};
+          t.y = Strided<Limb>{Sd + (std::size_t(capL) - xo) + base + l, L};
+          t.lx = lxa[l];
+          t.ly = lya[l];
+          t.swapped = swa[l] & 1u;
+          const std::size_t lx0 = t.lx;
+          if (bza[l]) {
+            // β > 0 passes the RAW quotient (the scalar head only
+            // odd-adjusts alpha on the β = 0 branch).
+            t.lx = gcd::fused_submul_shifted_add_strip(
+                t.x, t.lx, t.y, t.ly, Limb(qa[l]), std::size_t(bta[l]),
+                null_tracer_);
+            patches.emplace_back(std::uint8_t(l), itc[l] - 1);
+          } else {
+            t.lx = gcd::fused_submul_strip(t.x, t.lx, t.y, t.ly, ala[l],
+                                           null_tracer_);
           }
-          lxw = v_load<VL>(lxa);
-          lyv = v_load<VL>(lya);
-          swm = v_load<VL>(swa);
-          y1 = v_load<VL>(y1a);
-          y2 = v_load<VL>(y2a);
-          // The escapes rewrote limb row 0 of their lanes; the sweep's
-          // blended row-0 store must write those values back, not the ones
-          // loaded before the escape.
-          A0 = v_load<VL>(Sd + base);
-          B0 = v_load<VL>(Sd + cap_ * L + base);
+          // A limb-shifting strip leaves stale limbs above the new size
+          // (up to row lx0, the β kernel's extra limb); the sweep reads X
+          // rows unmasked up to the group maximum, so restore the zeros.
+          for (std::size_t i = t.lx; i <= lx0; ++i) t.x[i] = Limb{0};
+          scalar_lane::swap_if_less(t, tally);
+          lxa[l] = Limb(t.lx);
+          lya[l] = Limb(t.ly);
+          swa[l] = t.swapped ? ~Limb{0} : Limb{0};
+          y1a[l] = t.ly ? t.y[t.ly - 1] : Limb{0};
+          y2a[l] = t.ly > 1 ? t.y[t.ly - 2] : Limb{0};
         }
+        lxw = v_load<VL>(lxa);
+        lyv = v_load<VL>(lya);
+        swm = v_load<VL>(swa);
+        y1 = v_load<VL>(y1a);
+        y2 = v_load<VL>(y2a);
+        // The escapes rewrote limb row 0 of their lanes; the sweep's
+        // blended row-0 store must write those values back, not the ones
+        // loaded before the escape.
+        A0 = v_load<VL>(Sd + base);
+        B0 = v_load<VL>(Sd + cap_ * L + base);
+      }
 
-        // ---- the masked submul sweep, result size tracked in-register ----
-        if (VT::movemask(swept)) {
-          v_store(t32, (VL)(swept ? lxv : VL{}));
-          std::size_t n_max = 0;
-          for (std::size_t l = 0; l < W; ++l) {
-            n_max = std::max(n_max, std::size_t(t32[l]));
-          }
-          Limb* __restrict__ A = Sd + base;
-          Limb* __restrict__ B = Sd + cap_ * L + base;
-          const VL sa = swept & ~swm;
-          const VL sb = swept & swm;
-          const SL lysv = (SL)lyv;
-          // countr_zero(d0) from the float exponent of the isolated lowest
-          // set bit (d0 is even and nonzero on swept lanes, so the result
-          // is exact and in [1, LB-1]).
-          const VL lsb = d0 & (VL{} - d0);
-          const VL fb =
-              (VL)__builtin_convertvector((SL)lsb, typename VT::FloatVec);
-          VL rshv = ((fb >> 23) & 0xff) - 127;
-          rshv = (VL)(swept ? rshv : one);  // benign shifts on junk lanes
-          const VL lshv = kLBv - rshv;
-          VL carry = phi;
-          VL bor = bor0;
-          VL dp = d0;
-          VL apv = A0;
-          VL bpv = B0;
-          VL newlx{};
-          SL iv = SL{} + 1;
-          for (std::size_t i = 1; i < n_max; ++i) {
-            const VL a = v_load<VL>(A + i * L);
-            const VL b = v_load<VL>(B + i * L);
-            const VL xi = (VL)(swm ? b : a);
-            const VL yb = a ^ b ^ xi;
-            const VL ym = (VL)(iv < lysv);
-            const VL yi = yb & ym;
-            const VL lo = yi * alphav;
-            const V4 pei = VT::mul32((V4)yi, (V4)alphav);
-            const V4 poi = VT::mul32((V4)yi >> LB, alpha_o);
-            const VL hi = (VL)(((V4)pei >> LB) | (poi & hiKeep));
-            const VL pl = lo + carry;
-            carry = hi - (VL)(pl < carry);
-            const VL t = xi - pl;
-            const VL d = t + bor;
-            bor = (VL)(xi < pl) | ((VL)(t == VL{}) & bor);
-            const VL out = (dp >> rshv) | (d << lshv);
-            dp = d;
-            // iv doubles as the output-row index + 1: out lands at row i-1.
-            newlx = (VL)((VL)(out != VL{}) ? (VL)iv : newlx);
-            iv += 1;
-            v_store(A + (i - 1) * L, (VL)(sa ? out : apv));
-            v_store(B + (i - 1) * L, (VL)(sb ? out : bpv));
-            apv = a;
-            bpv = b;
-          }
-          const VL outf = dp >> rshv;
-          newlx = (VL)((VL)(outf != VL{}) ? (VL)iv : newlx);
-          v_store(A + (n_max - 1) * L, (VL)(sa ? outf : apv));
-          v_store(B + (n_max - 1) * L, (VL)(sb ? outf : bpv));
-          lxw = (VL)(swept ? newlx : lxw);
+      // ---- the masked submul sweep, result size tracked in-register ----
+      if (VT::movemask(swept)) {
+        v_store(t32, (VL)(swept ? lxv : VL{}));
+        std::size_t n_max = 0;
+        for (std::size_t l = 0; l < W; ++l) {
+          n_max = std::max(n_max, std::size_t(t32[l]));
         }
-
-        // ---- swap_if_less, vectorized on the top words ----
-        const VL lxc2 = (VL)((SL)lxw > (SL)two) ? lxw : two;
-        const VL xb2 = ((VL)(swm ? capLv : VL{})) + lanecol;
-        const VL xt = VT::gather(Sd, xb2 + (lxc2 - one) * rowmul);
-        const VL xt2 = VT::gather(Sd, xb2 + (lxc2 - two) * rowmul);
-        const VL szlt = (VL)((SL)lxw < (SL)lyv);
-        const VL szeq2 = (VL)(lxw == lyv);
-        const VL wlt = (VL)(xt < y1);
-        const VL weq = (VL)(xt == y1);
-        VL less = (szlt | (szeq2 & wlt)) & swept;
-        const VL tie = szeq2 & weq & swept;
-        if (VT::movemask(tie)) [[unlikely]] {
-          // Equal sizes AND equal top words: only the full limb walk can
-          // order the values (Y is unchanged this round, X just shrank).
-          alignas(32) Limb ta[W], la[W], lxa[W], lya[W], swa[W];
-          v_store(ta, tie);
-          v_store(la, less);
-          v_store(lxa, lxw);
-          v_store(lya, lyv);
-          v_store(swa, swm);
-          for (std::size_t l = 0; l < W; ++l) {
-            if (!ta[l]) continue;
-            const std::size_t xo = swa[l] ? std::size_t(capL) : 0;
-            const Strided<Limb> tx{Sd + xo + base + l, L};
-            const Strided<Limb> ty{Sd + (std::size_t(capL) - xo) + base + l,
-                                   L};
-            la[l] = gcd::acc_compare(tx, lxa[l], ty, lya[l]) < 0 ? ~Limb{0}
-                                                                 : Limb{0};
-          }
-          less = v_load<VL>(la);
+        Limb* __restrict__ A = Sd + base;
+        Limb* __restrict__ B = Sd + cap_ * L + base;
+        const VL sa = swept & ~swm;
+        const VL sb = swept & swm;
+        const SL lysv = (SL)lyv;
+        // countr_zero(d0) from the float exponent of the isolated lowest
+        // set bit (d0 is even and nonzero on swept lanes, so the result
+        // is exact and in [1, LB-1]).
+        const VL lsb = d0 & (VL{} - d0);
+        const VL fb =
+            (VL)__builtin_convertvector((SL)lsb, VT::FloatVec);
+        VL rshv = ((fb >> 23) & 0xff) - 127;
+        rshv = (VL)(swept ? rshv : one);  // benign shifts on junk lanes
+        const VL lshv = kLBv - rshv;
+        VL carry = phi;
+        VL bor = bor0;
+        VL dp = d0;
+        VL apv = A0;
+        VL bpv = B0;
+        VL newlx{};
+        SL iv = SL{} + 1;
+        for (std::size_t i = 1; i < n_max; ++i) {
+          const VL a = v_load<VL>(A + i * L);
+          const VL b = v_load<VL>(B + i * L);
+          const VL xi = (VL)(swm ? b : a);
+          const VL yb = a ^ b ^ xi;
+          const VL ym = (VL)(iv < lysv);
+          const VL yi = yb & ym;
+          const VL lo = yi * alphav;
+          const V4 pei = VT::mul32((V4)yi, (V4)alphav);
+          const V4 poi = VT::mul32((V4)yi >> LB, alpha_o);
+          const VL hi = (VL)(((V4)pei >> LB) | (poi & hiKeep));
+          const VL pl = lo + carry;
+          carry = hi - (VL)(pl < carry);
+          const VL t = xi - pl;
+          const VL d = t + bor;
+          bor = (VL)(xi < pl) | ((VL)(t == VL{}) & bor);
+          const VL out = (dp >> rshv) | (d << lshv);
+          dp = d;
+          // iv doubles as the output-row index + 1: out lands at row i-1.
+          newlx = (VL)((VL)(out != VL{}) ? (VL)iv : newlx);
+          iv += 1;
+          v_store(A + (i - 1) * L, (VL)(sa ? out : apv));
+          v_store(B + (i - 1) * L, (VL)(sb ? out : bpv));
+          apv = a;
+          bpv = b;
         }
-        nswap -= less;
-        swm ^= less;
-        const VL nlx = (VL)(less ? lyv : lxw);
-        lyv = (VL)(less ? lxw : lyv);
-        lxv = nlx;
-        // Register-carried top words: the new X words are the post-sweep
-        // gathers (rare lanes included — lxw and swm were already patched),
-        // and a swapping round exchanges the X and Y registers.
-        const VL ny1 = (VL)(less ? xt : y1);
-        const VL ny2 = (VL)(less ? xt2 : y2);
-        x1 = (VL)(less ? y1 : xt);
-        x2 = (VL)(less ? y2 : xt2);
-        y1 = ny1;
-        y2 = ny2;
+        const VL outf = dp >> rshv;
+        newlx = (VL)((VL)(outf != VL{}) ? (VL)iv : newlx);
+        v_store(A + (n_max - 1) * L, (VL)(sa ? outf : apv));
+        v_store(B + (n_max - 1) * L, (VL)(sb ? outf : bpv));
+        lxw = (VL)(swept ? newlx : lxw);
       }
 
-      // ---- group epilogue: state, stats and branch traces write-back ----
-      alignas(32) Limb itc[W], lxa[W], lya[W], swa[W], c4aa[W], c4ba[W],
-          c4ca[W], swc[W], bzc[W];
-      v_store(itc, iters);
-      v_store(lxa, lxv);
-      v_store(lya, lyv);
-      v_store(swa, swm);
-      v_store(c4aa, n4a);
-      v_store(c4ba, n4b);
-      v_store(c4ca, n4c);
-      v_store(swc, nswap);
-      v_store(bzc, nbnz);
-      std::uint64_t itsum = 0;
-      for (std::size_t l = 0; l < W; ++l) {
-        if (!init_live[l]) continue;
-        const std::size_t lane = base + l;
-        lx_[lane] = lxa[l];
-        ly_[lane] = lya[l];
-        swapped_[lane] = swa[l] & 1u;
-        active_[lane] = 0;
-        auto& log = branch_log_[lane];
-        log.insert(log.end(), itc[l], std::uint8_t{0});
-        stats_.lane_iterations += log.size();
-        itsum += itc[l];
-        tally.swaps += swc[l];
-        tally.beta_nonzero += bzc[l];
-        tally.approx_cases[std::size_t(gcd::ApproxCase::k4A)] += c4aa[l];
-        tally.approx_cases[std::size_t(gcd::ApproxCase::k4B)] += c4ba[l];
-        tally.approx_cases[std::size_t(gcd::ApproxCase::k4C)] += c4ca[l];
+      // ---- swap_if_less, vectorized on the top words ----
+      const VL lxc2 = (VL)((SL)lxw > (SL)two) ? lxw : two;
+      const VL xb2 = ((VL)(swm ? capLv : VL{})) + lanecol;
+      const VL xt = VT::gather(Sd, xb2 + (lxc2 - one) * rowmul);
+      const VL xt2 = VT::gather(Sd, xb2 + (lxc2 - two) * rowmul);
+      const VL szlt = (VL)((SL)lxw < (SL)lyv);
+      const VL szeq2 = (VL)(lxw == lyv);
+      const VL wlt = (VL)(xt < y1);
+      const VL weq = (VL)(xt == y1);
+      VL less = (szlt | (szeq2 & wlt)) & swept;
+      const VL tie = szeq2 & weq & swept;
+      if (VT::movemask(tie)) [[unlikely]] {
+        // Equal sizes AND equal top words: only the full limb walk can
+        // order the values (Y is unchanged this round, X just shrank).
+        alignas(32) Limb ta[W], la[W], lxa[W], lya[W], swa[W];
+        v_store(ta, tie);
+        v_store(la, less);
+        v_store(lxa, lxw);
+        v_store(lya, lyv);
+        v_store(swa, swm);
+        for (std::size_t l = 0; l < W; ++l) {
+          if (!ta[l]) continue;
+          const std::size_t xo = swa[l] ? std::size_t(capL) : 0;
+          const Strided<Limb> tx{Sd + xo + base + l, L};
+          const Strided<Limb> ty{Sd + (std::size_t(capL) - xo) + base + l,
+                                 L};
+          la[l] = gcd::acc_compare(tx, lxa[l], ty, lya[l]) < 0 ? ~Limb{0}
+                                                               : Limb{0};
+        }
+        less = v_load<VL>(la);
       }
-      tally.iterations += itsum;
-      tally.divisions += itsum;  // one Case-4 division per live iteration
-      for (const auto& [l, idx] : patches) {
-        branch_log_[base + l][log_base[l] + idx] = 1;
-      }
-    } else {
-      (void)base;
-      (void)tally;
+      nswap -= less;
+      swm ^= less;
+      const VL nlx = (VL)(less ? lyv : lxw);
+      lyv = (VL)(less ? lxw : lyv);
+      lxv = nlx;
+      // Register-carried top words: the new X words are the post-sweep
+      // gathers (rare lanes included — lxw and swm were already patched),
+      // and a swapping round exchanges the X and Y registers.
+      const VL ny1 = (VL)(less ? xt : y1);
+      const VL ny2 = (VL)(less ? xt2 : y2);
+      x1 = (VL)(less ? y1 : xt);
+      x2 = (VL)(less ? y2 : xt2);
+      y1 = ny1;
+      y2 = ny2;
+    }
+
+    // ---- group epilogue: state, stats and branch traces write-back ----
+    alignas(32) Limb itc[W], lxa[W], lya[W], swa[W], c4aa[W], c4ba[W],
+        c4ca[W], swc[W], bzc[W];
+    v_store(itc, iters);
+    v_store(lxa, lxv);
+    v_store(lya, lyv);
+    v_store(swa, swm);
+    v_store(c4aa, n4a);
+    v_store(c4ba, n4b);
+    v_store(c4ca, n4c);
+    v_store(swc, nswap);
+    v_store(bzc, nbnz);
+    std::uint64_t itsum = 0;
+    for (std::size_t l = 0; l < W; ++l) {
+      if (!init_live[l]) continue;
+      const std::size_t lane = base + l;
+      lx_[lane] = lxa[l];
+      ly_[lane] = lya[l];
+      swapped_[lane] = swa[l] & 1u;
+      active_[lane] = 0;
+      auto& log = branch_log_[lane];
+      log.insert(log.end(), itc[l], std::uint8_t{0});
+      stats_.lane_iterations += log.size();
+      itsum += itc[l];
+      tally.swaps += swc[l];
+      tally.beta_nonzero += bzc[l];
+      tally.approx_cases[std::size_t(gcd::ApproxCase::k4A)] += c4aa[l];
+      tally.approx_cases[std::size_t(gcd::ApproxCase::k4B)] += c4ba[l];
+      tally.approx_cases[std::size_t(gcd::ApproxCase::k4C)] += c4ca[l];
+    }
+    tally.iterations += itsum;
+    tally.divisions += itsum;  // one Case-4 division per live iteration
+    for (const auto& [l, idx] : patches) {
+      branch_log_[base + l][log_base[l] + idx] = 1;
     }
   }
 

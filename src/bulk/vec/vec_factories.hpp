@@ -4,22 +4,17 @@
 // one at runtime. Not installed / not part of the public surface.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "bulk/vec/vec_backend.hpp"
 
 namespace bulkgcd::bulk::detail {
 
-std::unique_ptr<VecBatchBase<std::uint32_t>> make_vec_batch_portable_u32(
-    std::size_t lanes, std::size_t capacity_limbs, std::size_t warp_width);
-std::unique_ptr<VecBatchBase<std::uint64_t>> make_vec_batch_portable_u64(
+std::unique_ptr<VecBatchBase> make_vec_batch_portable(
     std::size_t lanes, std::size_t capacity_limbs, std::size_t warp_width);
 
 #if defined(BULKGCD_HAVE_AVX2_TU)
-std::unique_ptr<VecBatchBase<std::uint32_t>> make_vec_batch_avx2_u32(
-    std::size_t lanes, std::size_t capacity_limbs, std::size_t warp_width);
-std::unique_ptr<VecBatchBase<std::uint64_t>> make_vec_batch_avx2_u64(
+std::unique_ptr<VecBatchBase> make_vec_batch_avx2(
     std::size_t lanes, std::size_t capacity_limbs, std::size_t warp_width);
 #endif
 

@@ -12,16 +12,9 @@
 
 namespace bulkgcd::bulk::detail {
 
-std::unique_ptr<VecBatchBase<std::uint32_t>> make_vec_batch_portable_u32(
+std::unique_ptr<VecBatchBase> make_vec_batch_portable(
     std::size_t lanes, std::size_t capacity_limbs, std::size_t warp_width) {
-  return std::make_unique<vec_portable::VecBatch<std::uint32_t>>(
-      lanes, capacity_limbs, warp_width);
-}
-
-std::unique_ptr<VecBatchBase<std::uint64_t>> make_vec_batch_portable_u64(
-    std::size_t lanes, std::size_t capacity_limbs, std::size_t warp_width) {
-  return std::make_unique<vec_portable::VecBatch<std::uint64_t>>(
-      lanes, capacity_limbs, warp_width);
+  return std::make_unique<vec_portable::VecBatch>(lanes, capacity_limbs, warp_width);
 }
 
 }  // namespace bulkgcd::bulk::detail

@@ -167,20 +167,20 @@ void TraceRecorder::record(TraceEventKind kind, std::uint32_t name_id,
   ThreadRing* ring = this_thread_ring();
   const std::uint64_t h = ring->written.load(std::memory_order_relaxed);
   Slot& slot = ring->slots[h % capacity_];
-  // Per-slot seqlock write: odd marks in-progress, payload lands relaxed,
-  // the even publish releases. The release fence after the odd store pairs
-  // with the exporter's acquire fence so a reader that observed any payload
-  // word also observes the odd seq (and discards the read as torn).
+  // Per-slot seqlock write: odd marks in-progress, every payload word is a
+  // release store, the even publish releases. A reader whose acquire load
+  // observed any payload word of this write therefore also observes the odd
+  // seq on its re-check (and discards the read as torn). No fences: TSan
+  // does not model them, and on x86 release stores are plain moves.
   const std::uint64_t seq = slot.w[0].load(std::memory_order_relaxed);
   slot.w[0].store(seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.w[1].store(ts_ns, std::memory_order_relaxed);
-  slot.w[2].store(dur_ns, std::memory_order_relaxed);
-  slot.w[3].store(flow, std::memory_order_relaxed);
-  slot.w[4].store(pack_meta(name_id, kind), std::memory_order_relaxed);
-  slot.w[5].store(a0, std::memory_order_relaxed);
-  slot.w[6].store(a1, std::memory_order_relaxed);
-  slot.w[7].store(a2, std::memory_order_relaxed);
+  slot.w[1].store(ts_ns, std::memory_order_release);
+  slot.w[2].store(dur_ns, std::memory_order_release);
+  slot.w[3].store(flow, std::memory_order_release);
+  slot.w[4].store(pack_meta(name_id, kind), std::memory_order_release);
+  slot.w[5].store(a0, std::memory_order_release);
+  slot.w[6].store(a1, std::memory_order_release);
+  slot.w[7].store(a2, std::memory_order_release);
   slot.w[0].store(seq + 2, std::memory_order_release);
   ring->written.store(h + 1, std::memory_order_release);
   if (recorded_counter_ != nullptr) {
@@ -273,14 +273,15 @@ TraceRecorder::TraceSnapshot TraceRecorder::snapshot() const {
       if (s1 & 1) continue;
       Event ev;
       ev.ring_id = ring->id;
-      ev.ts_ns = slot.w[1].load(std::memory_order_relaxed);
-      ev.dur_ns = slot.w[2].load(std::memory_order_relaxed);
-      ev.flow = slot.w[3].load(std::memory_order_relaxed);
-      const std::uint64_t meta = slot.w[4].load(std::memory_order_relaxed);
-      ev.args[0] = slot.w[5].load(std::memory_order_relaxed);
-      ev.args[1] = slot.w[6].load(std::memory_order_relaxed);
-      ev.args[2] = slot.w[7].load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+      // Acquire payload loads: seeing any word of a racing write makes its
+      // odd seq visible to the re-check below.
+      ev.ts_ns = slot.w[1].load(std::memory_order_acquire);
+      ev.dur_ns = slot.w[2].load(std::memory_order_acquire);
+      ev.flow = slot.w[3].load(std::memory_order_acquire);
+      const std::uint64_t meta = slot.w[4].load(std::memory_order_acquire);
+      ev.args[0] = slot.w[5].load(std::memory_order_acquire);
+      ev.args[1] = slot.w[6].load(std::memory_order_acquire);
+      ev.args[2] = slot.w[7].load(std::memory_order_acquire);
       if (slot.w[0].load(std::memory_order_relaxed) != s1) continue;  // torn
       ev.name_id = std::uint32_t(meta & 0xffffffffu);
       const std::uint8_t kind = std::uint8_t((meta >> 32) & 0xff);

@@ -33,11 +33,10 @@ std::uint64_t corpus_digest(std::span<const mp::BigInt> moduli) noexcept;
 /// 64-bit FNV-1a fingerprint of ONE modulus, hashed over the canonical
 /// little-endian byte encoding of the value — exactly ⌈bit_length/8⌉ bytes,
 /// no per-limb zero padding — so the same value fingerprints identically
-/// whether the BigInt carries u16, u32, or u64 limbs (BULKGCD_LIMB32 builds
-/// agree). This is the shared dedup fingerprint: the keystore loader's
-/// duplicate detection, the intake service's dedup element, and the arrival
-/// journal's replayed dedup set all use it, so "duplicate" means the same
-/// thing in every layer. Not a cryptographic hash — callers that must never
+/// whether the BigInt carries u16, u32, or u64 limbs. This is the shared
+/// dedup fingerprint: the keystore loader's duplicate detection, the intake
+/// service's dedup element, and the arrival journal's replayed dedup set all
+/// use it, so "duplicate" means the same thing in every layer. Not a cryptographic hash — callers that must never
 /// drop a key on a collision resolve it with an exact value compare
 /// (svc::IntakeService does).
 template <mp::LimbType Limb>

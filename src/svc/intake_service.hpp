@@ -181,7 +181,7 @@ class IntakeService {
   // Corpus + hits: appended only by the probe worker; guarded for snapshot
   // readers. The probe itself runs on the staged corpus without the lock
   // (only the worker appends, and only behind it). corpus_ is the BigInt
-  // snapshot readers copy; staged_ is the live repacked+panel-staged form
+  // snapshot readers copy; staged_ is the live flattened+panel-staged form
   // the probe rides (bulk/staged_corpus.hpp) — grown append-by-append so no
   // arrival pays an O(corpus) re-staging.
   mutable std::mutex state_mutex_;

@@ -116,7 +116,7 @@ TEST_P(DifferentialFuzz, VectorMatchesStagedOnMixedBatch) {
   // bit-identity (stats, iteration traces) lives in vec_backend_test; this
   // keeps the vector backend inside the all-implementations fuzz net.
   Xoshiro256 rng(GetParam() * 0x9e3779b9u + 17);
-  const std::size_t lanes = 19;  // ragged for both W = 8 and W = 4
+  const std::size_t lanes = 19;  // two full W = 8 groups + a 3-lane tail
   const auto check = [&](std::size_t min_bits, std::size_t bits,
                          bool early_terminate) {
     std::vector<std::pair<BigInt, BigInt>> pairs;
@@ -143,7 +143,7 @@ TEST_P(DifferentialFuzz, VectorMatchesStagedOnMixedBatch) {
       for (const bulk::VecIsa isa : {bulk::VecIsa::kPortable,
                                      bulk::VecIsa::kAvx2}) {
         if (!bulk::vec_isa_available(isa)) continue;
-        auto vec = bulk::make_vec_batch<std::uint32_t>(lanes, cap, 32, isa);
+        auto vec = bulk::make_vec_batch(lanes, cap, 32, isa);
         for (std::size_t i = 0; i < lanes; ++i) {
           vec->load(i, pairs[i].first.limbs(), pairs[i].second.limbs(),
                     early[i]);

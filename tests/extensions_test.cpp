@@ -1,7 +1,11 @@
 // Tests for the extension features: CRT decryption, the inline-storage
 // (CUDA-local-style) engine, streaming statistics, and the SIMT engine at
-// non-default limb widths.
+// non-default limb widths (u16/u64: the scan itself runs on u32 only, so
+// these are the bulk engines' only coverage at other widths).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "bulk/simt.hpp"
 #include "core/stats.hpp"
@@ -121,6 +125,53 @@ TEST(HistogramTest, BinningAndClamping) {
   EXPECT_FALSE(h.render().empty());
 }
 
+/// One lane of a wordsize case: the pair and its early-terminate threshold.
+template <mp::LimbType Limb>
+struct WordsizeLane {
+  mp::BigIntT<Limb> x, y;
+  std::size_t early = 0;
+};
+
+/// Every bulk variant through both SimtBatch modes with per-lane early
+/// termination: gcds against GMP, and the lockstep run() statistics equal to
+/// the ones run_staged() replays from its branch traces.
+template <mp::LimbType Limb>
+void expect_simt_modes_agree(const std::vector<WordsizeLane<Limb>>& in,
+                             std::size_t warp) {
+  std::size_t cap = 0;
+  for (const auto& lane : in) {
+    cap = std::max({cap, lane.x.size(), lane.y.size()});
+  }
+  for (const gcd::Variant variant :
+       {gcd::Variant::kBinary, gcd::Variant::kFastBinary,
+        gcd::Variant::kApproximate}) {
+    bulk::SimtBatch<Limb> lockstep(in.size(), cap, warp);
+    bulk::SimtBatch<Limb> staged(in.size(), cap, warp);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      lockstep.load(i, in[i].x.limbs(), in[i].y.limbs(), in[i].early);
+      staged.load(i, in[i].x.limbs(), in[i].y.limbs(), in[i].early);
+    }
+    lockstep.run(variant);
+    staged.run_staged(variant);
+    EXPECT_EQ(lockstep.stats(), staged.stats()) << to_string(variant);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      const auto want = gmp_gcd(in[i].x, in[i].y);
+      ASSERT_EQ(lockstep.early_coprime(i), staged.early_coprime(i))
+          << to_string(variant) << " lane " << i;
+      if (staged.early_coprime(i)) {
+        // Stopped with 0 < y < 2^early, and the gcd divides y.
+        EXPECT_LT(want.bit_length(), in[i].early)
+            << to_string(variant) << " lane " << i;
+        continue;
+      }
+      EXPECT_EQ(lockstep.gcd_of(i), want)
+          << to_string(variant) << " lane " << i;
+      EXPECT_EQ(staged.gcd_of(i), want)
+          << to_string(variant) << " lane " << i;
+    }
+  }
+}
+
 template <typename Limb>
 class SimtWordsizeTest : public ::testing::Test {};
 using SimtLimbs = ::testing::Types<std::uint16_t, std::uint64_t>;
@@ -146,6 +197,38 @@ TYPED_TEST(SimtWordsizeTest, BulkEngineWorksAtNonDefaultWidths) {
     EXPECT_EQ(batch.gcd_of(i), gmp_gcd(pairs[i].first, pairs[i].second))
         << "lane " << i;
   }
+
+  // Ragged mixed-size lanes (11 over warp 4) with early = min/2; every
+  // third pair shares a 200-bit factor, so early termination still leaves
+  // gcds to find.
+  std::vector<WordsizeLane<Limb>> mixed;
+  for (std::size_t i = 0; i < 11; ++i) {
+    mp::BigIntT<Limb> x, y;
+    if (i % 3 == 0) {
+      const auto p = random_odd<Limb>(rng, 200);
+      x = p * random_odd<Limb>(rng, 100 + rng.below(50));
+      y = p * random_odd<Limb>(rng, 100 + rng.below(50));
+    } else {
+      x = random_odd<Limb>(rng, 1 + rng.below(600));
+      y = random_odd<Limb>(rng, 1 + rng.below(600));
+    }
+    const std::size_t early = std::min(x.bit_length(), y.bit_length()) / 2;
+    mixed.push_back({std::move(x), std::move(y), early});
+  }
+  expect_simt_modes_agree(mixed, 4);
+
+  // One full Section-V group (8 lanes over warp 8): both operands >= 6
+  // limbs with early = min/2 >= 3 limbs, and x at least two limbs longer
+  // than y, so the first rounds take the beta > 0 shifted-add kernel.
+  constexpr std::size_t lb = mp::limb_bits<Limb>;
+  std::vector<WordsizeLane<Limb>> group;
+  for (std::size_t l = 0; l < 8; ++l) {
+    const std::size_t by = 6 * lb + rng.below(400);
+    const std::size_t bx = by + 2 * lb + rng.below(200);
+    group.push_back({random_odd<Limb>(rng, bx), random_odd<Limb>(rng, by),
+                     by / 2});
+  }
+  expect_simt_modes_agree(group, 8);
 }
 
 }  // namespace

@@ -32,9 +32,9 @@ class KeystoreTest : public ::testing::Test {
 
 TEST(ModulusFingerprintTest, IdenticalAcrossLimbWidths) {
   // The dedup fingerprint hashes canonical little-endian bytes, so the same
-  // value must fingerprint identically on u16/u32/u64 limb builds
-  // (regression: it used to hash raw limb words, so a BULKGCD_LIMB32 build
-  // and a default build disagreed on what counted as a duplicate). Odd byte
+  // value must fingerprint identically at u16/u32/u64 limbs (regression: it
+  // used to hash raw limb words, so builds with different limb widths
+  // disagreed on what counted as a duplicate). Odd byte
   // counts matter: 0x1_00000000_00000001 is 9 bytes, which exercises the
   // partial top limb at every width.
   const char* const values[] = {

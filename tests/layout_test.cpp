@@ -159,7 +159,7 @@ TEST(CorpusPanelsTest, CorpusViewCtorMatchesBigIntCtor) {
   }
   const std::size_t pad = 8;
   bulk::CorpusPanels<std::uint32_t> direct(moduli, 2, pad);
-  const bulk::ScanCorpusT<std::uint32_t> scan(moduli);
+  const bulk::ScanCorpus scan(moduli);
   bulk::CorpusPanels<std::uint32_t> viaView(scan, 2, pad);
   ASSERT_EQ(direct.group_count(), viaView.group_count());
   for (std::size_t g = 0; g < direct.group_count(); ++g) {

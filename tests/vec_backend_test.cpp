@@ -1,8 +1,8 @@
 // The SIMD warp engine (bulk/vec/) pinned three ways:
 //  1. bit-identity against SimtBatch::run_staged — GCD limbs, early-coprime
 //     verdicts, per-lane iteration counts, AND the full reconstructed
-//     SimtStats must match exactly, for every compiled-in ISA leg, at both
-//     limb widths (W = 8 and W = 4 lane groups, including masked tails);
+//     SimtStats must match exactly, for every compiled-in ISA leg, on W = 8
+//     lane groups including masked tails;
 //  2. GMP oracle on the values themselves;
 //  3. dispatch: cpuid probe, explicit-ISA construction, Engine::kAuto
 //     resolution, and end-to-end all_pairs_gcd / probe_incremental
@@ -23,6 +23,7 @@ namespace bulkgcd {
 namespace {
 
 using bulk::Engine;
+using bulk::ScanLimb;
 using bulk::VecIsa;
 using gcd::Variant;
 using mp::BigInt;
@@ -41,17 +42,15 @@ std::vector<VecIsa> available_isas() {
 
 /// One lane of a bit-identity input: the pair, its early-termination
 /// threshold, and whether the lane is disabled after loading.
-template <mp::LimbType Limb>
 struct LaneInput {
-  mp::BigIntT<Limb> x, y;
+  BigInt x, y;
   std::size_t early = 0;
   bool disabled = false;
 };
 
 /// Load the same lanes into a staged SimtBatch and a vector batch of every
 /// available ISA; everything observable must agree.
-template <mp::LimbType Limb>
-void expect_bit_identity(const std::vector<LaneInput<Limb>>& in,
+void expect_bit_identity(const std::vector<LaneInput>& in,
                          std::uint64_t seed) {
   const std::size_t lanes = in.size();
   std::size_t cap = 0;
@@ -60,7 +59,7 @@ void expect_bit_identity(const std::vector<LaneInput<Limb>>& in,
   }
 
   for (const Variant variant : kBulkVariants) {
-    bulk::SimtBatch<Limb> ref(lanes, cap, 32);
+    bulk::SimtBatch<ScanLimb> ref(lanes, cap, 32);
     for (std::size_t i = 0; i < lanes; ++i) {
       ref.load(i, in[i].x.limbs(), in[i].y.limbs(), in[i].early);
       if (in[i].disabled) ref.disable(i);
@@ -68,9 +67,9 @@ void expect_bit_identity(const std::vector<LaneInput<Limb>>& in,
     ref.run_staged(variant);
 
     for (const VecIsa isa : available_isas()) {
-      auto vec = bulk::make_vec_batch<Limb>(lanes, cap, 32, isa);
+      auto vec = bulk::make_vec_batch(lanes, cap, 32, isa);
       ASSERT_EQ(vec->isa(), isa);
-      ASSERT_EQ(vec->vector_width(), 32 / sizeof(Limb));
+      ASSERT_EQ(vec->vector_width(), 8u);
       for (std::size_t i = 0; i < lanes; ++i) {
         vec->load(i, in[i].x.limbs(), in[i].y.limbs(), in[i].early);
         if (in[i].disabled) vec->disable(i);
@@ -102,15 +101,14 @@ void expect_bit_identity(const std::vector<LaneInput<Limb>>& in,
 }
 
 /// Random mixed-size pairs of 1..700 bits; early = min/2 when terminating.
-template <mp::LimbType Limb>
 void expect_bit_identity(std::uint64_t seed, std::size_t lanes,
                          bool early_terminate) {
   Xoshiro256 rng(seed);
-  std::vector<LaneInput<Limb>> in;
+  std::vector<LaneInput> in;
   for (std::size_t i = 0; i < lanes; ++i) {
     const std::size_t bx = 1 + rng.below(700);
     const std::size_t by = 1 + rng.below(700);
-    in.push_back({random_odd<Limb>(rng, bx), random_odd<Limb>(rng, by),
+    in.push_back({random_odd<ScanLimb>(rng, bx), random_odd<ScanLimb>(rng, by),
                   early_terminate ? std::min(bx, by) / 2 : 0});
   }
   expect_bit_identity(in, seed);
@@ -120,14 +118,13 @@ void expect_bit_identity(std::uint64_t seed, std::size_t lanes,
 /// round's input: both operands >= 6 limbs with early = min/2 >= 3 limbs,
 /// and x at least two limbs longer than y, so the first rounds take the
 /// β > 0 escape and patch the branch trace.
-template <mp::LimbType Limb>
-std::vector<LaneInput<Limb>> section_v_group(Xoshiro256& rng) {
-  constexpr std::size_t lb = mp::limb_bits<Limb>;
-  std::vector<LaneInput<Limb>> in;
-  for (std::size_t l = 0; l < 32 / sizeof(Limb); ++l) {
+std::vector<LaneInput> section_v_group(Xoshiro256& rng) {
+  constexpr std::size_t lb = mp::limb_bits<ScanLimb>;
+  std::vector<LaneInput> in;
+  for (std::size_t l = 0; l < 8; ++l) {
     const std::size_t by = 6 * lb + rng.below(400);
     const std::size_t bx = by + 2 * lb + rng.below(200);
-    in.push_back({random_odd<Limb>(rng, bx), random_odd<Limb>(rng, by),
+    in.push_back({random_odd<ScanLimb>(rng, bx), random_odd<ScanLimb>(rng, by),
                   by / 2});
   }
   return in;
@@ -136,42 +133,35 @@ std::vector<LaneInput<Limb>> section_v_group(Xoshiro256& rng) {
 class VecBitIdentity : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(VecBitIdentity, MatchesStagedScalar32) {
-  // 37 lanes: ragged over both W = 8 (4 full groups + 5-lane masked tail)
-  // and W = 4 (9 full + 1).
-  expect_bit_identity<std::uint32_t>(GetParam(), 37, false);
+  // 37 lanes: 4 full W = 8 groups + a 5-lane masked tail.
+  expect_bit_identity(GetParam(), 37, false);
 }
 
-TEST_P(VecBitIdentity, MatchesStagedScalar64) {
-  expect_bit_identity<std::uint64_t>(GetParam(), 37, false);
-}
-
-template <mp::LimbType Limb>
 void expect_section_v_identity(std::uint64_t seed) {
   Xoshiro256 rng(seed);
   // A full Section-V group: the vector-resident round.
-  expect_bit_identity(section_v_group<Limb>(rng), seed);
+  expect_bit_identity(section_v_group(rng), seed);
   // The same shape with one non-Section-V lane (early < 3 limbs) and one
   // disabled lane: the group takes the scalar lane path instead.
-  auto mixed = section_v_group<Limb>(rng);
-  mixed[1] = {random_odd<Limb>(rng, 100 + rng.below(60)),
-              random_odd<Limb>(rng, 100 + rng.below(60)), 50};
+  auto mixed = section_v_group(rng);
+  mixed[1] = {random_odd<ScanLimb>(rng, 100 + rng.below(60)),
+              random_odd<ScanLimb>(rng, 100 + rng.below(60)), 50};
   mixed.back().disabled = true;
   expect_bit_identity(mixed, seed);
   // A lane with x ≡ y mod 2^(2d) beside longer lanes: its first difference
   // has a zero low limb (the d0 = 0 escape), and the limb-shifting strip
   // leaves stale limbs above its new size that the group sweep then covers.
-  auto zero_low = section_v_group<Limb>(rng);
-  const auto y = random_odd<Limb>(rng, 400);
-  const auto high = random_value<Limb>(rng, 300) << (2 * mp::limb_bits<Limb>);
+  auto zero_low = section_v_group(rng);
+  const auto y = random_odd<ScanLimb>(rng, 400);
+  const auto high = random_value<ScanLimb>(rng, 300)
+                    << (2 * mp::limb_bits<ScanLimb>);
   zero_low[0] = {y + high, y, 200};
   expect_bit_identity(zero_low, seed);
 }
 
 TEST_P(VecBitIdentity, MatchesStagedScalarWithEarlyTerminate) {
-  expect_bit_identity<std::uint32_t>(GetParam() ^ 0xabcdef, 32 / 4 + 3, true);
-  expect_bit_identity<std::uint64_t>(GetParam() ^ 0xfedcba, 32 / 8 + 3, true);
-  expect_section_v_identity<std::uint32_t>(GetParam() ^ 0x5ec5);
-  expect_section_v_identity<std::uint64_t>(GetParam() ^ 0x5ec6);
+  expect_bit_identity(GetParam() ^ 0xabcdef, 8 + 3, true);
+  expect_section_v_identity(GetParam() ^ 0x5ec5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VecBitIdentity,
@@ -190,15 +180,15 @@ void expect_panel_identity(std::uint64_t seed, std::size_t min_bits,
   const bulk::ScanCorpus scan(moduli);
   const std::size_t cap = scan.max_limbs();
   const std::size_t r = 8;
-  const bulk::CorpusPanels<bulk::ScanLimb> panels(scan, r,
-                                                  cap + bulk::kBatchPadLimbs);
+  const bulk::CorpusPanels<ScanLimb> panels(scan, r,
+                                            cap + bulk::kBatchPadLimbs);
   const auto y = scan.limbs(m - 1);
 
   for (const Variant variant : kBulkVariants) {
     for (std::size_t g = 0; g < panels.group_count(); ++g) {
       const std::size_t live = std::min(r, m - g * r);
 
-      bulk::SimtBatch<bulk::ScanLimb> ref(r, cap, 32);
+      bulk::SimtBatch<ScanLimb> ref(r, cap, 32);
       ref.load_panel(panels.panel(g), panels.sizes(g), panels.rows(g));
       ref.broadcast_y(y);
       for (std::size_t k = 0; k < live; ++k) ref.reset_lane_state(k, early);
@@ -206,7 +196,7 @@ void expect_panel_identity(std::uint64_t seed, std::size_t min_bits,
       ref.run_staged(variant);
 
       for (const VecIsa isa : available_isas()) {
-        auto vec = bulk::make_vec_batch<bulk::ScanLimb>(r, cap, 32, isa);
+        auto vec = bulk::make_vec_batch(r, cap, 32, isa);
         vec->load_panel(panels.panel(g), panels.sizes(g), panels.rows(g));
         vec->broadcast_y(y);
         for (std::size_t k = 0; k < live; ++k) vec->reset_lane_state(k, early);
@@ -234,7 +224,7 @@ TEST(VecBackend, PanelPathMatchesStagedScalar) {
   // Section-V corpus (early = 3 limbs, moduli >= 6 limbs): every group,
   // the last one with three disabled lanes, takes the vector-resident
   // round; the modulus paired with itself exercises the d0 = 0 escape.
-  constexpr std::size_t kEarly = 3 * mp::limb_bits<bulk::ScanLimb>;
+  constexpr std::size_t kEarly = 3 * mp::limb_bits<ScanLimb>;
   expect_panel_identity(616161, 2 * kEarly, kEarly);
 }
 
@@ -242,14 +232,14 @@ TEST(VecBackend, ReusedBatchStaysIdentical) {
   // Panel-refresh hygiene: a batch that just ran long values must produce
   // identical results when refreshed with shorter ones (dirty-row zeroing).
   Xoshiro256 rng(777);
-  const std::size_t lanes = 32 / sizeof(bulk::ScanLimb);  // one full group
-  auto vec = bulk::make_vec_batch<bulk::ScanLimb>(lanes, 24, 32);
-  bulk::SimtBatch<bulk::ScanLimb> ref(lanes, 24, 32);
+  const std::size_t lanes = 8;  // one full group
+  auto vec = bulk::make_vec_batch(lanes, 24, 32);
+  bulk::SimtBatch<ScanLimb> ref(lanes, 24, 32);
   for (int round = 0; round < 6; ++round) {
     const std::size_t bits = round % 2 == 0 ? 700 : 40;  // long, short, …
     for (std::size_t i = 0; i < lanes; ++i) {
-      const auto x = random_odd<bulk::ScanLimb>(rng, 1 + rng.below(bits));
-      const auto y = random_odd<bulk::ScanLimb>(rng, 1 + rng.below(bits));
+      const auto x = random_odd<ScanLimb>(rng, 1 + rng.below(bits));
+      const auto y = random_odd<ScanLimb>(rng, 1 + rng.below(bits));
       vec->load(i, x.limbs(), y.limbs());
       ref.load(i, x.limbs(), y.limbs());
     }
@@ -267,11 +257,11 @@ TEST(VecBackend, DispatchProbes) {
   ASSERT_NE(best, VecIsa::kAuto);
   ASSERT_TRUE(bulk::vec_isa_available(VecIsa::kPortable));
   ASSERT_TRUE(bulk::vec_isa_available(best));
-  auto batch = bulk::make_vec_batch<bulk::ScanLimb>(4, 8);
+  auto batch = bulk::make_vec_batch(4, 8);
   ASSERT_EQ(batch->isa(), best);
   if (!bulk::vec_isa_available(VecIsa::kAvx2)) {
     ASSERT_THROW(
-        bulk::make_vec_batch<bulk::ScanLimb>(4, 8, 32, VecIsa::kAvx2),
+        bulk::make_vec_batch(4, 8, 32, VecIsa::kAvx2),
         std::invalid_argument);
   }
 }
@@ -368,8 +358,7 @@ TEST(VecBackend, ScanCorpusRoundTrips) {
   const bulk::ScanCorpus scan(moduli);
   ASSERT_EQ(scan.size(), moduli.size());
   for (std::size_t i = 0; i < moduli.size(); ++i) {
-    EXPECT_EQ(mp::repack<std::uint32_t>(scan.limbs(i)),
-              moduli[i]);
+    EXPECT_EQ(BigInt::from_limbs(scan.limbs(i)), moduli[i]);
     EXPECT_EQ(scan.bits(i), moduli[i].bit_length());
     // Normalized: no high zero limb.
     if (!scan.limbs(i).empty()) EXPECT_NE(scan.limbs(i).back(), 0u);
