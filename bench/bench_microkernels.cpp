@@ -166,7 +166,48 @@ BENCHMARK_TEMPLATE(BM_MulNtt, std::uint32_t)
     ->Arg(8192)->Arg(16384)->Arg(24576)->Arg(32768)->Arg(49152)->Arg(65536);
 BENCHMARK_TEMPLATE(BM_MulNtt, std::uint64_t)
     ->Arg(8192)->Arg(16384)->Arg(24576)->Arg(32768)->Arg(49152)->Arg(65536)
-    ->Arg(262144)->Arg(2097152);
+    ->Arg(131072)->Arg(262144)->Arg(524288)->Arg(2097152);
+
+// The batch tree's division on one held divisor (NewtonDivisor: its
+// reciprocal and both forward transforms built once, outside the loop):
+// one 2n/n remainder, against BM_MulNtt's n × n product at the same bits.
+template <typename Limb>
+void BM_NewtonDivisorRem(benchmark::State& state) {
+  const std::size_t bits = std::size_t(state.range(0));
+  const auto a = make_odd_t<Limb>(5, 2 * bits - 1);
+  const auto b = make_odd_t<Limb>(6, bits);
+  const mp::NewtonDivisor<Limb> divisor(b.data(), b.size());
+  std::vector<Limb> r(b.size());
+  for (auto _ : state) {
+    const auto sizes = divisor.divrem(nullptr, r.data(), a.data(), a.size());
+    benchmark::DoNotOptimize(sizes.sizes.remainder);
+  }
+}
+BENCHMARK_TEMPLATE(BM_NewtonDivisorRem, std::uint64_t)
+    ->Arg(65536)->Arg(131072)->Arg(262144)->Arg(524288);
+
+// One cofactor step of the batch tree's descent, as batchgcd.cpp runs it:
+// s_c = ((s mod N_c)·N_d) mod N_c, with the divisor built once and its
+// transforms released around the product.
+template <typename Limb>
+void BM_CofactorStep(benchmark::State& state) {
+  const std::size_t bits = std::size_t(state.range(0));
+  const auto s = make_odd_t<Limb>(5, 2 * bits - 1);
+  const auto node = make_odd_t<Limb>(6, bits);
+  const auto sibling = make_odd_t<Limb>(7, bits);
+  for (auto _ : state) {
+    mp::NewtonDivisor<Limb> divisor(node.data(), node.size());
+    std::vector<Limb> r(node.size());
+    r.resize(divisor.divrem(nullptr, r.data(), s.data(), s.size()).sizes.remainder);
+    divisor.release_transforms();
+    const auto d = mp::mul_dispatch(r.data(), r.size(), sibling.data(), sibling.size());
+    divisor.hold_transforms();
+    const auto sizes = divisor.divrem(nullptr, r.data(), d.data(), d.size());
+    benchmark::DoNotOptimize(sizes.sizes.remainder);
+  }
+}
+BENCHMARK_TEMPLATE(BM_CofactorStep, std::uint64_t)
+    ->Arg(65536)->Arg(131072)->Arg(262144)->Arg(524288);
 
 void BM_GcdVariant(benchmark::State& state) {
   const auto variant = gcd::Variant(state.range(0));

@@ -105,21 +105,28 @@ std::vector<TreeInt> product_level(const std::vector<TreeInt>& prev) {
 
 /// s_c = ((s_v mod N_c) · N_d) mod N_c for a node N_c with sibling N_d.
 /// Where the first division takes the Newton rung, both divisions share
-/// one normalized divisor and its reciprocal. (The top step's s_v = 1 has
-/// no quotient, and its N_d mod N_c a short one: Knuth D does both.)
+/// one normalized divisor, its reciprocal and their held transforms. (The
+/// top step's s_v = 1 has no quotient, and its N_d mod N_c a short one:
+/// Knuth D does both.)
 TreeInt cofactor_step(const TreeInt& s, const TreeInt& node,
                       const TreeInt& sibling) {
   constexpr std::size_t T = mp::kNewtonDivThreshold;
   if (node.size() < T || s.size() + 1 < node.size() + T) {
     return (s % node) * sibling % node;
   }
-  const mp::NewtonDivisor<std::uint64_t> divisor(node.data(), node.size());
+  mp::NewtonDivisor<std::uint64_t> divisor(node.data(), node.size());
   const auto mod = [&divisor](const TreeInt& a) {
     std::vector<std::uint64_t> r(divisor.size());
     r.resize(divisor.divrem(nullptr, r.data(), a.data(), a.size()).sizes.remainder);
     return TreeInt::from_limbs(std::move(r));
   };
-  return mod(mod(s) * sibling);
+  const TreeInt r = mod(s);
+  // The product's transform buffers take the place of the divisor's, so
+  // the two sets are never live at once (peak RSS).
+  divisor.release_transforms();
+  const TreeInt d = r * sibling;
+  divisor.hold_transforms();
+  return mod(d);
 }
 
 }  // namespace

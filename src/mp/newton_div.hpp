@@ -7,9 +7,11 @@
 //
 //   1. reciprocal_newton: X ≈ β^{2p}/b' for the top p limbs b' of the
 //      normalized divisor (β = 2^limb_bits), grown from a Knuth-D seed by
-//      precision-doubling Newton steps over mul_dispatch (Brent &
-//      Zimmermann, "Modern Computer Arithmetic", Algorithm 3.5). It
-//      guarantees b'·X < β^{2p} ≤ b'·(X + 2).
+//      precision-doubling Newton steps (Brent & Zimmermann, "Modern
+//      Computer Arithmetic", Algorithm 3.5). It guarantees
+//      b'·X < β^{2p} ≤ b'·(X + 2). A step's two products go through
+//      mul_dispatch, or above the transform rung through one held transform
+//      of the half-size reciprocal, the first taken modulo 2^{64L} − 1.
 //   2. The quotient is produced in blocks of k limbs, top block first, with
 //      p = min(n, k + 1). NewtonDivisor holds the normalized divisor and X
 //      for one k, so several dividends share one reciprocal: the batch tree
@@ -22,6 +24,9 @@
 //      truncation of b, Q can be one above, and one is subtracted.
 //   4. c − Q·b exactly, then a fix-up loop that subtracts b while the
 //      remainder is ≥ b, at most kNewtonDivMaxFixups times per block.
+//      Above the transform rung NewtonDivisor holds the forward transforms
+//      of b and X, and takes Q·b modulo 2^{64L} − 1 at L ≈ n words:
+//      c − Q·b < 5b then follows from that residue and its low words.
 //
 // Every step is exact: q and r equal divrem's, bit for bit.
 #pragma once
@@ -30,6 +35,7 @@
 #include <cassert>
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -78,6 +84,103 @@ void increment(std::vector<Limb>& value) {
   value.resize(normalized_size(value.data(), value.size()));
 }
 
+/// (c − x·y) modulo β^w on 64-bit words (β = 2^64): the low words of a
+/// difference whose residue modulo β^L − 1 is known, for from_residues.
+inline std::vector<ntt_detail::u64> low_difference(
+    const ntt_detail::u64* c, std::size_t nc, const ntt_detail::u64* x, std::size_t nx,
+    const ntt_detail::u64* y, std::size_t ny, std::size_t w) {
+  using ntt_detail::u64;
+  nx = std::min(nx, w);
+  ny = std::min(ny, w);
+  std::vector<u64> xy(std::max(nx + ny, w), u64{0});
+  mul_schoolbook(xy.data(), x, nx, y, ny);
+  std::vector<u64> out(w, u64{0});
+  std::copy(c, c + std::min(nc, w), out.begin());
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < w; ++i) {
+    const ntt_detail::u128 diff = ntt_detail::u128(out[i]) - xy[i] - borrow;
+    out[i] = u64(diff);
+    borrow = u64(diff >> 64) & 1;
+  }
+  return out;
+}
+
+/// The transform length for a Newton step of reciprocal_newton from X_h
+/// (xh limbs) to n limbs, or −1 where mul_dispatch's two products cost
+/// less: X_h's transform is held for both products, a·X_h modulo
+/// β^L − 1 at L ≈ n words and ⌊T/β^l⌋·X_h (below h + 1 limbs) unfolded.
+template <LimbType Limb>
+int reciprocal_step_length(std::size_t n, std::size_t h, std::size_t xh) {
+  using ntt_detail::words_for_limbs;
+  const std::size_t nw = words_for_limbs<Limb>(n), xw = words_for_limbs<Limb>(xh);
+  if (nw < kNttThreshold) return -1;
+  const int lg = std::max(ntt_detail::cyclic_length(nw, xw),
+                          ntt_detail::unfold_length(words_for_limbs<Limb>(h + 1), xw));
+  const double held = 5 * ntt_detail::transform_units(lg);
+  const double direct = ntt_detail::product_units<Limb>(n, xh) +
+                        ntt_detail::product_units<Limb>(h + 1, xh);
+  return held < direct ? lg : -1;
+}
+
+/// A Newton step's two products on X_h's transform (reciprocal_newton):
+/// lowers X_h until T = β^{n+h} − a·X_h > 0 and returns ⌊T/β^l⌋·X_h. a·X_h is taken modulo β_w^L − 1 (β_w = 2^64): T lies in
+/// (−2β^n, 2β^n), so V = T + 4a (a ≥ β^n/2) lies in (0, 6β^n) and follows
+/// from its residue and its low words (ntt_detail::from_residues). Then
+/// V = T + m·a with m = 4, and a is taken back out while V stays above a:
+/// X_h is lowered by the m that is left.
+template <LimbType Limb>
+std::vector<Limb> reciprocal_step_held(const Limb* a, std::size_t n, std::size_t l,
+                                       std::vector<Limb>& xh, int lg) {
+  using ntt_detail::u64;
+  const std::size_t h = n - l;
+  const ntt_detail::Words<Limb> aw(a, n), xw(xh.data(), xh.size());
+  const ntt_detail::HeldTransform xt(xw.data(), xw.size(), lg);
+  const ntt_detail::TransformBuffer scratch(xt.scratch_words());
+  const std::size_t L = xt.length();
+  const std::size_t w = aw.size() >= L ? aw.size() - L + 1 : 1;
+  // V modulo β_w^L − 1: β^{n+h} − a·X_h + 4a.
+  u64* const v = xt.multiply_cyclic(aw.data(), aw.size(), scratch.data());
+  for (std::size_t i = 0; i < L; ++i) v[i] = ~v[i];
+  std::vector<u64> a4(aw.size() + 1);
+  a4.resize(shl(a4.data(), aw.data(), aw.size(), 2));
+  ntt_detail::add_mod_mersenne(v, L, a4.data(), a4.size());
+  const std::size_t bit = (n + h) * limb_bits<Limb> % (64 * L);  // β^{n+h}
+  const u64 one_hot = u64{1} << (bit % 64);
+  ntt_detail::add_mod_mersenne(v, L, &one_hot, 1, bit / 64);
+  // V modulo β_w^w: 4a − a·X_h, as β^{n+h} spans more than w words.
+  const std::vector<u64> low =
+      low_difference(a4.data(), a4.size(), aw.data(), aw.size(), xw.data(), xw.size(), w);
+  const auto vn = ntt_detail::from_residues(v, L, low.data(), w, 6);
+  if (!vn) throw std::logic_error("reciprocal_newton: residue out of range");
+  std::vector<Limb> t(*vn * (64 / limb_bits<Limb>));
+  ntt_detail::unpack(t.data(), t.size(), v, *vn);
+  t.resize(normalized_size(t.data(), t.size()));
+  Limb m = 4;
+  while (m > 0 && compare(t.data(), t.size(), a, n) > 0) {
+    t.resize(sub(t.data(), t.data(), t.size(), a, n));
+    --m;
+  }
+  // U = ⌊T/β^l⌋·X_h on the held transform of X_h before the lowering,
+  // minus m·⌊T/β^l⌋.
+  const std::size_t nt = t.size() > l ? t.size() - l : 0;
+  std::vector<Limb> u;
+  if (nt > 0) {
+    const ntt_detail::Words<Limb> tw(t.data() + l, nt);
+    const std::size_t nu = tw.size() + xw.size();
+    const u64* const uw = xt.multiply(tw.data(), tw.size(), scratch.data());
+    u.resize(nu * (64 / limb_bits<Limb>));
+    ntt_detail::unpack(u.data(), u.size(), uw, nu);
+    u.resize(normalized_size(u.data(), u.size()));
+    if (m > 0) {
+      std::vector<Limb> mt(nt + 1);
+      mt.resize(mul_word(mt.data(), t.data() + l, nt, m));
+      u.resize(sub(u.data(), u.data(), u.size(), mt.data(), mt.size()));
+    }
+  }
+  for (; m > 0; --m) decrement(xh);
+  return u;
+}
+
 }  // namespace newton_detail
 
 /// Approximate reciprocal of a normalized n-limb `a` (top bit set):
@@ -98,20 +201,21 @@ std::vector<Limb> reciprocal_newton(const Limb* a, std::size_t n) {
   const std::size_t l = (n - 1) / 2;
   const std::size_t h = n - l;
   std::vector<Limb> xh = reciprocal_newton(a + l, h);
-  std::vector<Limb> t = mul_dispatch(a, n, xh.data(), xh.size());
-  while (t.size() > n + h) {  // t ≥ β^{n+h}; at most a few rounds
-    newton_detail::decrement(xh);
-    t.resize(sub(t.data(), t.data(), t.size(), a, n));
-  }
-  {
+  std::vector<Limb> u;
+  if (const int lg = newton_detail::reciprocal_step_length<Limb>(n, h, xh.size()); lg >= 0) {
+    u = newton_detail::reciprocal_step_held(a, n, l, xh, lg);
+  } else {
+    std::vector<Limb> t = mul_dispatch(a, n, xh.data(), xh.size());
+    while (t.size() > n + h) {  // t ≥ β^{n+h}; at most a few rounds
+      newton_detail::decrement(xh);
+      t.resize(sub(t.data(), t.data(), t.size(), a, n));
+    }
     std::vector<Limb> e(n + h + 1, Limb{0});  // β^{n+h}
     e[n + h] = Limb{1};
     e.resize(sub(e.data(), e.data(), e.size(), t.data(), t.size()));
-    t = std::move(e);
+    const std::size_t nt = e.size() > l ? e.size() - l : 0;
+    u = mul_dispatch(e.data() + l, nt, xh.data(), xh.size());
   }
-  const std::size_t nt = t.size() > l ? t.size() - l : 0;
-  std::vector<Limb> u = mul_dispatch(t.data() + l, nt, xh.data(), xh.size());
-  t = {};
   std::vector<Limb> x(n + 1, Limb{0});
   std::copy(xh.begin(), xh.end(), x.begin() + std::ptrdiff_t(l));
   const std::size_t shift = 2 * h - l;
@@ -136,6 +240,14 @@ struct NewtonDivSizes {
 /// of its top p = min(n, k + 1) limbs for quotient blocks of k limbs. Built
 /// once, it serves any number of dividends, so a caller dividing several
 /// values by one divisor pays for one reciprocal.
+///
+/// Above the transform rung it also holds the forward transforms of the
+/// normalized divisor and of the reciprocal (ntt_detail::HeldTransform),
+/// so each block's two products take two transforms each instead of three
+/// or five: the estimate ⌊c/β^n⌋·X against the held X, and Q·b as one
+/// cyclic product modulo 2^{64L} − 1 at L ≈ n words, as c − Q·b is known
+/// to lie in [0, 5b) (see subtract_product). Below the rung both products
+/// go through mul_dispatch.
 template <LimbType Limb>
 class NewtonDivisor {
  public:
@@ -155,9 +267,23 @@ class NewtonDivisor {
     k_ = block;
     p_ = std::min(nb, k_ + 1);
     x_ = reciprocal_newton(bn_.data() + (nb - p_), p_);
+    hold_transforms();
   }
 
   std::size_t size() const noexcept { return bn_.size(); }
+
+  /// Whether the blocks' products take the held transforms.
+  bool holds_transforms() const noexcept { return bt_.has_value(); }
+
+  /// Builds the held transforms where they pay (the constructor does).
+  void hold_transforms();
+  /// Frees the held transforms, so that a caller can make a large product
+  /// between two divisions without both sets of buffers live at once;
+  /// hold_transforms() builds them again.
+  void release_transforms() noexcept {
+    bt_.reset();
+    xt_.reset();
+  }
 
   /// a = q * b + r with 0 <= r < b. q capacity na - nb + 1 (when na >= nb),
   /// or null when only r is wanted; r capacity nb; no aliasing. Returns
@@ -165,11 +291,99 @@ class NewtonDivisor {
   NewtonDivSizes divrem(Limb* q, Limb* r, const Limb* a, std::size_t na) const;
 
  private:
+  using u64 = ntt_detail::u64;
+
+  /// Q = ⌊⌊c/β^n⌋·X / β^p⌋ for the block's top limbs top[0, nt).
+  std::vector<Limb> estimate(const Limb* top, std::size_t nt, u64* scratch) const;
+  /// c[0, len) −= Q·b; returns the new normalized length.
+  std::size_t subtract_product(Limb* c, std::size_t len, const std::vector<Limb>& q,
+                               u64* scratch) const;
+
   std::vector<Limb> bn_;  // the divisor shifted so its top bit is set
   std::size_t shift_ = 0;
   std::size_t k_ = 0, p_ = 0;
   std::vector<Limb> x_;  // reciprocal of bn_'s top p_ limbs
+  // Above the transform rung: bn_ (modulo 2^{64L} − 1 when it is a few
+  // words past L) and x_, transformed once.
+  std::optional<ntt_detail::HeldTransform> bt_, xt_;
 };
+
+template <LimbType Limb>
+void NewtonDivisor<Limb>::hold_transforms() {
+  if (bt_) return;
+  using ntt_detail::transform_units;
+  using ntt_detail::words_for_limbs;
+  const std::size_t nw = words_for_limbs<Limb>(bn_.size());
+  const std::size_t kw = words_for_limbs<Limb>(k_);      // a block's ⌊c/β^n⌋
+  const std::size_t qw = words_for_limbs<Limb>(k_ + 1);  // a block's Q
+  const std::size_t xw = words_for_limbs<Limb>(x_.size());
+  const int lg_b = ntt_detail::cyclic_length(nw, qw);
+  const int lg_x = ntt_detail::unfold_length(kw, xw);
+  // Per block, two transforms at each length against mul_dispatch's two
+  // products.
+  const double held = 2 * (transform_units(lg_b) + transform_units(lg_x));
+  const double direct = ntt_detail::product_units<Limb>(k_, x_.size()) +
+                        ntt_detail::product_units<Limb>(k_ + 1, bn_.size());
+  if (nw < kNttThreshold || held >= direct) return;
+  const ntt_detail::Words<Limb> bw(bn_.data(), bn_.size()), xwords(x_.data(), x_.size());
+  bt_.emplace(bw.data(), bw.size(), lg_b);
+  xt_.emplace(xwords.data(), xwords.size(), lg_x);
+}
+
+template <LimbType Limb>
+std::vector<Limb> NewtonDivisor<Limb>::estimate(const Limb* top, std::size_t nt,
+                                                u64* scratch) const {
+  std::vector<Limb> est;
+  if (!xt_) {
+    est = mul_dispatch(top, nt, x_.data(), x_.size());
+  } else {
+    const ntt_detail::Words<Limb> tw(top, nt);
+    const std::size_t nw = tw.size() + xt_->size();
+    const u64* const w = xt_->multiply(tw.data(), tw.size(), scratch);
+    const std::size_t limbs = nw * (64 / limb_bits<Limb>);
+    if (limbs <= p_) return {};
+    est.resize(limbs - p_);  // the limbs from p_ up
+    ntt_detail::unpack(est.data(), est.size(), w, nw, p_);
+    est.resize(normalized_size(est.data(), est.size()));
+    return est;
+  }
+  if (est.size() <= p_) return {};
+  return std::vector<Limb>(est.begin() + std::ptrdiff_t(p_), est.end());
+}
+
+template <LimbType Limb>
+std::size_t NewtonDivisor<Limb>::subtract_product(Limb* c, std::size_t len,
+                                                  const std::vector<Limb>& q,
+                                                  u64* scratch) const {
+  if (!bt_) {
+    const std::vector<Limb> qb = mul_dispatch(q.data(), q.size(), bn_.data(), bn_.size());
+    if (compare(c, len, qb.data(), qb.size()) < 0) {
+      throw std::logic_error("divrem_newton: quotient estimate too high");
+    }
+    return sub(c, c, len, qb.data(), qb.size());
+  }
+  // From here on β = 2^64 and sizes are in words. The difference
+  // d = c − Q·b lies in [0, 5b) ⊂ [0, 5·β^nw), and L + kMaxWrap ≥ nw, so
+  // d follows from its residue modulo β^L − 1 and its low
+  // w = max(1, nw − L + 1) words (ntt_detail::from_residues), whose
+  // multiple j of β^L − 1 is at most 5·β^{w−1}. When nw is a power of two,
+  // L = nw and one word decides j ≤ 5.
+  const std::size_t L = bt_->length();
+  const std::size_t nw = bt_->size();
+  const std::size_t w = nw >= L ? nw - L + 1 : 1;
+  const ntt_detail::Words<Limb> qw(q.data(), q.size()), cw(c, len);
+  u64* const d = bt_->multiply_cyclic(qw.data(), qw.size(), scratch);  // Q·b
+  for (std::size_t i = 0; i < L; ++i) d[i] = ~d[i];  // β^L − 1 − Q·b
+  ntt_detail::add_mod_mersenne(d, L, cw.data(), cw.size());
+  // d modulo β^w, from the low w words of c, Q and b.
+  const ntt_detail::Words<Limb> bw(bn_.data(), std::min(bn_.size(), w * (64 / limb_bits<Limb>)));
+  const std::vector<u64> low = newton_detail::low_difference(
+      cw.data(), cw.size(), qw.data(), qw.size(), bw.data(), bw.size(), w);
+  const auto dn = ntt_detail::from_residues(d, L, low.data(), w, 5);
+  if (!dn) throw std::logic_error("divrem_newton: quotient estimate too high");
+  ntt_detail::unpack(c, len, d, *dn);
+  return normalized_size(c, len);
+}
 
 template <LimbType Limb>
 NewtonDivSizes NewtonDivisor<Limb>::divrem(Limb* q, Limb* r, const Limb* a,
@@ -179,14 +393,19 @@ NewtonDivSizes NewtonDivisor<Limb>::divrem(Limb* q, Limb* r, const Limb* a,
   const Limb* const bn = bn_.data();
   na = normalized_size(a, na);
   // Normalize the dividend by the divisor's shift. The quotient is
-  // unchanged; the remainder shifts back at the end.
-  std::vector<Limb> an(na + 1);
-  an.resize(shl(an.data(), a, na, shift_));
-  const std::size_t N = an.size();
-  if (compare(an.data(), N, bn, n) < 0) {  // q = 0, r = a
+  // unchanged; the remainder shifts back at the end. The dividend, like the
+  // transforms' scratch, is a TransformBuffer, so a long one goes back to
+  // the system when the division ends instead of staying in a worker's heap.
+  const ntt_detail::TransformBuffer an_buf(ntt_detail::words_for_limbs<Limb>(na + 1));
+  Limb* const an = an_buf.as<Limb>();
+  const std::size_t N = shl(an, a, na, shift_);
+  if (compare(an, N, bn, n) < 0) {  // q = 0, r = a
     std::copy(a, a + na, r);
     return {{0, na}, 0};
   }
+  std::optional<ntt_detail::TransformBuffer> scratch;
+  if (bt_) scratch.emplace(std::max(bt_->scratch_words(), xt_->scratch_words()));
+  u64* const sc = scratch ? scratch->data() : nullptr;
 
   // The first block is the top n + k limbs; each later one brings the
   // running remainder (< b) up by min(k, pos) more limbs. So every block is
@@ -199,22 +418,12 @@ NewtonDivSizes NewtonDivisor<Limb>::divrem(Limb* q, Limb* r, const Limb* a,
   std::size_t len = N - pos;
   std::size_t max_fixups = 0;
   for (;;) {
-    Limb* const c = an.data() + pos;
+    Limb* const c = an + pos;
     len = normalized_size(c, len);
     std::vector<Limb> qb;
-    if (len > n) {
-      const std::vector<Limb> est =
-          mul_dispatch(c + n, len - n, x_.data(), x_.size());
-      if (est.size() > p) qb.assign(est.begin() + std::ptrdiff_t(p), est.end());
-    }
+    if (len > n) qb = estimate(c + n, len - n, sc);
     if (p < n && !qb.empty()) newton_detail::decrement(qb);
-    if (!qb.empty()) {
-      const std::vector<Limb> qbn = mul_dispatch(qb.data(), qb.size(), bn, n);
-      if (compare(c, len, qbn.data(), qbn.size()) < 0) {
-        throw std::logic_error("divrem_newton: quotient estimate too high");
-      }
-      len = sub(c, c, len, qbn.data(), qbn.size());
-    }
+    if (!qb.empty()) len = subtract_product(c, len, qb, sc);
     std::size_t fixups = 0;
     while (compare(c, len, bn, n) >= 0) {
       len = sub(c, c, len, bn, n);
@@ -232,8 +441,8 @@ NewtonDivSizes NewtonDivisor<Limb>::divrem(Limb* q, Limb* r, const Limb* a,
     len += step;
   }
 
-  const std::size_t rsize = shr(an.data(), an.data(), len, shift_);
-  std::copy(an.data(), an.data() + rsize, r);
+  const std::size_t rsize = shr(an, an, len, shift_);
+  std::copy(an, an + rsize, r);
   const std::size_t qsize = normalized_size(qv.data(), qv.size());
   if (q != nullptr) std::copy(qv.data(), qv.data() + qsize, q);
   return {{qsize, rsize}, max_fixups};

@@ -32,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include <sys/mman.h>
@@ -108,7 +109,7 @@ inline u64 pow_mod(u64 a, u64 e, u64 p) {
 
 /// Longest twiddle row stored whole. A longer row h stores only its first
 /// h / kFullRow entries, and its other twiddles are those times an entry of
-/// row kFullRow (see for_each_twiddle): one more multiplication per
+/// row kFullRow (see forward_stage): one more multiplication per
 /// butterfly in the top stages of long transforms, for a table that grows
 /// with the square root of the transform length instead of with it.
 inline constexpr std::size_t kFullRow = std::size_t{1} << 11;
@@ -166,33 +167,15 @@ inline Twiddles& twiddles(std::size_t i) {
   return tables[i];
 }
 
-/// fn(j, ω_{2h}^j) for every j < h, in increasing j. A row longer than
-/// kFullRow is rebuilt from its stored head: with s = h / kFullRow and
-/// j = u·s + v, ω_{2h}^j = ω_{2·kFullRow}^u · ω_{2h}^v.
-template <typename Fn>
-void for_each_twiddle(std::size_t h, const Prime& f, Twiddles& tw, Fn&& fn) {
-  const u64* w = tw.row(h);
-  if (h <= kFullRow) {
-    for (std::size_t j = 0; j < h; ++j) fn(j, w[j]);
-    return;
-  }
-  const u64* coarse = tw.row(kFullRow);
-  const std::size_t s = h / kFullRow;
-  const u64 p = f.p, p_inv = f.p_inv;
-  for (std::size_t u = 0; u < kFullRow; ++u) {
-    for (std::size_t v = 0; v < s; ++v) {
-      fn(u * s + v, reduce_once(mont_mul(coarse[u], w[v], p, p_inv), p));
-    }
-  }
-}
-
 /// Transforms at most this long run stage by stage; longer ones run their
 /// top stage and recurse into the halves, which then fit in cache.
 inline constexpr std::size_t kBlockLength = 2 * kFullRow;
 
 /// One decimation-in-frequency stage of half-width h over a[0, n):
 /// (x, y) → (x + y, (x − y)·ω^j). The prime's constants are copied to
-/// locals: stores through a would otherwise force their reload.
+/// locals: stores through a would otherwise force their reload. A row
+/// longer than kFullRow is rebuilt from its stored head: with
+/// s = h / kFullRow and j = u·s + v, ω_{2h}^j = ω_{2·kFullRow}^u · ω_{2h}^v.
 inline void forward_stage(u64* a, std::size_t n, std::size_t h,
                           const Prime& f, Twiddles& tw) {
   const u64 p = f.p, p_inv = f.p_inv, p2 = 2 * p;
@@ -204,38 +187,62 @@ inline void forward_stage(u64* a, std::size_t n, std::size_t h,
     }
     return;
   }
+  const auto butterfly = [=](u64& lo, u64& hi, u64 w) {
+    const u64 x = lo, y = hi;
+    lo = reduce_once(x + y, p2);
+    hi = mont_mul(x - y + p2, w, p, p_inv);
+  };
+  const u64* w = tw.row(h);
+  const u64* coarse = h > kFullRow ? tw.row(kFullRow) : nullptr;
   for (std::size_t i = 0; i < n; i += 2 * h) {
-    u64* lo = a + i;
-    u64* hi = lo + h;
-    for_each_twiddle(h, f, tw, [=](std::size_t j, u64 w) {
-      const u64 x = lo[j], y = hi[j];
-      lo[j] = reduce_once(x + y, p2);
-      hi[j] = mont_mul(x - y + p2, w, p, p_inv);
-    });
+    u64* __restrict lo = a + i;  // the halves never overlap
+    u64* __restrict hi = lo + h;
+    if (h <= kFullRow) {
+      for (std::size_t j = 0; j < h; ++j) butterfly(lo[j], hi[j], w[j]);
+      continue;
+    }
+    const std::size_t s = h / kFullRow;
+    for (std::size_t u = 0, j = 0; u < kFullRow; ++u) {
+      for (std::size_t v = 0; v < s; ++v, ++j) {
+        butterfly(lo[j], hi[j], reduce_once(mont_mul(coarse[u], w[v], p, p_inv), p));
+      }
+    }
   }
 }
 
 /// One decimation-in-time stage of half-width h, the inverse of
 /// forward_stage up to a factor 2: (x, y) → (x + y·ω^{−j}, x − y·ω^{−j}).
-/// With t = y·ω^{h−j} = −y·ω^{−j} (j > 0) that is (x − t, x + t).
+/// With t = y·ω^{h−j} = −y·ω^{−j} (j > 0) that is (x − t, x + t). The
+/// butterflies run in increasing j, so the twiddles ω^{h−j} run down (a
+/// long row's as in forward_stage, with h − j = u·s + v).
 inline void inverse_stage(u64* a, std::size_t n, std::size_t h,
                           const Prime& f, Twiddles& tw) {
   const u64 p = f.p, p_inv = f.p_inv, p2 = 2 * p;
+  const auto butterfly = [=](u64& lo, u64& hi, u64 w) {
+    const u64 u = lo;
+    const u64 t = mont_mul(hi, w, p, p_inv);
+    lo = reduce_once(u - t + p2, p2);
+    hi = reduce_once(u + t, p2);
+  };
+  const u64* w = tw.row(h);
+  const u64* coarse = h > kFullRow ? tw.row(kFullRow) : nullptr;
   for (std::size_t i = 0; i < n; i += 2 * h) {
-    u64* lo = a + i;
-    u64* hi = lo + h;
+    u64* __restrict lo = a + i;  // the halves never overlap
+    u64* __restrict hi = lo + h;
     const u64 x = lo[0], y = hi[0];
     lo[0] = reduce_once(x + y, p2);
     hi[0] = reduce_once(x - y + p2, p2);
-    if (h == 1) continue;
-    for_each_twiddle(h, f, tw, [=](std::size_t k, u64 w) {
-      if (k == 0) return;
-      const std::size_t j = h - k;
-      const u64 u = lo[j];
-      const u64 t = mont_mul(hi[j], w, p, p_inv);
-      lo[j] = reduce_once(u - t + p2, p2);
-      hi[j] = reduce_once(u + t, p2);
-    });
+    if (h <= kFullRow) {
+      for (std::size_t j = 1; j < h; ++j) butterfly(lo[j], hi[j], w[h - j]);
+      continue;
+    }
+    const std::size_t s = h / kFullRow;
+    std::size_t j = 1;
+    for (std::size_t u = kFullRow; u-- > 0;) {
+      for (std::size_t v = s; v-- > (u == 0 ? 1 : 0); ++j) {
+        butterfly(lo[j], hi[j], reduce_once(mont_mul(coarse[u], w[v], p, p_inv), p));
+      }
+    }
   }
 }
 
@@ -270,25 +277,26 @@ inline void load(u64* out, std::size_t L, const u64* a, std::size_t na,
   std::fill(out + na, out + L, u64{0});
 }
 
-/// Transform buffers. Through malloc, the first free of a buffer this long
-/// raises glibc's mmap threshold past it, and every later one stays
-/// resident in the freeing thread's heap: one per worker thread. So a
-/// buffer of kMapBytes or more is mapped straight from the operating
-/// system, populated in one call, and unmapped when the product ends.
+/// Transform buffers and other large mp temporaries. Through malloc, the
+/// first free of a buffer this long raises glibc's mmap threshold past it,
+/// and every later one stays resident in the freeing thread's heap: one per
+/// worker thread. So a buffer of kMapBytes or more is mapped straight from
+/// the operating system, populated in one call, and unmapped when it is
+/// destroyed. The storage is untyped: as<T>() serves limbs of any width.
 class TransformBuffer {
  public:
   static constexpr std::size_t kMapBytes = std::size_t{128} << 10;  // glibc's default threshold
 
   explicit TransformBuffer(std::size_t words) : bytes_(words * sizeof(u64)) {
     if (bytes_ < kMapBytes) {
-      heap_.reset(new u64[words]);
+      heap_.reset(new std::byte[bytes_]);
       data_ = heap_.get();
       return;
     }
     void* p = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
     if (p == MAP_FAILED) throw std::bad_alloc();
-    data_ = static_cast<u64*>(p);
+    data_ = p;
   }
   ~TransformBuffer() {
     if (!heap_) ::munmap(data_, bytes_);
@@ -296,12 +304,16 @@ class TransformBuffer {
   TransformBuffer(const TransformBuffer&) = delete;
   TransformBuffer& operator=(const TransformBuffer&) = delete;
 
-  u64* data() const noexcept { return data_; }
+  u64* data() const noexcept { return as<u64>(); }
+  template <typename T>
+  T* as() const noexcept {
+    return static_cast<T*>(data_);
+  }
 
  private:
   std::size_t bytes_;
-  std::unique_ptr<u64[]> heap_;
-  u64* data_ = nullptr;
+  std::unique_ptr<std::byte[]> heap_;
+  void* data_ = nullptr;
 };
 
 /// Garner's constants: inverses in Montgomery form, and p1·p2.
@@ -326,11 +338,12 @@ inline const Crt& crt() {
   return c;
 }
 
-/// dst[0, size) += Σ_i c_i·β^i, where coefficient i has the residues
-/// r1[i], r2[i], r3[i] (each in [0, 2p)) for i < count. The sum must fit
-/// in size words; the carry is propagated to its end.
-inline void add_coefficients(u64* dst, std::size_t size, const u64* r1,
-                             const u64* r2, const u64* r3, std::size_t count) {
+/// r1[0, count + 2) = Σ_i c_i·β^i, where coefficient i has the residues
+/// r1[i], r2[i], r3[i] (each in [0, 2p)) for i < count, written over r1:
+/// coefficient i is read before word i is written, and the carry takes the
+/// last two words. r1 must hold count + 2 words.
+inline void coefficients_in_place(u64* r1, const u64* r2, const u64* r3,
+                                  std::size_t count) {
   const Prime &f1 = kPrimes[0], &f2 = kPrimes[1], &f3 = kPrimes[2];
   const Crt& k = crt();
   u128 carry = 0;
@@ -349,16 +362,12 @@ inline void add_coefficients(u64* dst, std::size_t size, const u64* r1,
     const u128 low = u128(f1.p) * t2 + x1;    // < 2^124
     const u128 mid = u128(k.p12_lo) * t3;     // p1·p2·t3 = mid + top·2^64
     const u128 top = u128(k.p12_hi) * t3;     // < 2^120
-    const u128 s = u128(dst[i]) + u64(low) + u64(mid) + u64(carry);
-    dst[i] = u64(s);
+    const u128 s = u128(u64(low)) + u64(mid) + u64(carry);
+    r1[i] = u64(s);
     carry = (s >> 64) + (low >> 64) + (mid >> 64) + (carry >> 64) + top;
   }
-  const u64 rest[2] = {u64(carry), u64(carry >> 64)};
-  const std::size_t nrest = normalized_size(rest, 2);
-  assert(count + nrest <= size);
-  const u64 out = add_in_place(dst + count, size - count, rest, nrest);
-  (void)out;
-  assert(out == 0 && "partial sum exceeds the product");
+  r1[count] = u64(carry);
+  r1[count + 1] = u64(carry >> 64);
 }
 
 /// Coefficients a chunk's product may run past the transform length L.
@@ -368,12 +377,15 @@ inline void add_coefficients(u64* dst, std::size_t size, const u64* r1,
 /// for a transform twice as long.
 inline constexpr std::size_t kMaxWrap = 32;
 
+/// Work of one transform of length 2^lg: words × (lg + 1).
+inline double transform_units(int lg) { return std::ldexp(double(lg + 1), lg); }
+
 /// How mul_words cuts a (na ≥ nb) into chunks, each multiplied by b with
 /// transforms of length 2^lg.
 struct Plan {
   int lg;
   std::size_t chunk;
-  double cost;  ///< transform work, in words × (lg + 1)
+  double cost;  ///< transform work, in transform_units
 };
 
 /// The plan with the least transform work: b's forward transform plus a
@@ -386,26 +398,215 @@ inline Plan plan_product(std::size_t na, std::size_t nb) {
     const std::size_t L = std::size_t{1} << lg;
     const std::size_t chunk = std::min({na, L, L - nb + 1 + kMaxWrap});
     const std::size_t chunks = (na + chunk - 1) / chunk;
-    const double cost =
-        double(chunks == 1 ? 3 : 2 * chunks + 1) * std::ldexp(double(lg + 1), lg);
+    const double cost = double(chunks == 1 ? 3 : 2 * chunks + 1) * transform_units(lg);
     if (best.chunk == 0 || cost < best.cost) best = {lg, chunk, cost};
     if (L >= na + nb - 1) return best;  // longer transforms only cost more
   }
 }
 
-/// Karatsuba's time for na·nb^0.585 (na ≥ nb) over the transform's for one
-/// unit of Plan::cost: 0.0088 and 0.0053 µs on 64-bit words, fitted to
-/// products from 256 × 256 to 8192 × 8192 words, balanced and up to 1:4,
-/// each within ±10% (docs/BATCHGCD.md). Narrower limbs only make
-/// Karatsuba slower per word.
-inline constexpr double kKaratsubaPerTransformUnit = 1.6;
+// A product in three steps, each one prime at a time:
+//   1. forward_operand: an operand's forward transform. HeldTransform keeps
+//      all three primes' transforms of one operand, so a divisor or a
+//      reciprocal is transformed once and multiplied against many times.
+//   2. multiply_inverse: the pointwise product with the other operand's
+//      transform, then the inverse transform: the cyclic convolution.
+//      unfold recovers an acyclic product's few coefficients past L.
+//   3. coefficients_in_place: Garner's CRT and the carry into words,
+//      over the first prime's row.
 
-/// Whether the transform beats Karatsuba on na × nb words (na ≥ nb). A
-/// product a little past a power of two pays for twice the transform, so
-/// the crossover is not one size.
-inline bool transform_pays(std::size_t na, std::size_t nb) {
-  return plan_product(na, nb).cost <
-         kKaratsubaPerTransformUnit * double(na) * std::pow(double(nb), 0.585);
+/// 1/L for kPrimes[i] in Montgomery form: an operand loaded with it carries
+/// the inverse transform's 1/L, so a product against it comes out exact.
+inline u64 inverse_length_scale(std::size_t L, std::size_t i) {
+  const Prime& f = kPrimes[i];
+  const u64 inv_len = f.p - (f.p - 1) / L;  // L·inv_len ≡ 1 (mod p)
+  return reduce_once(mont_mul(inv_len, f.r2, f), f.p);
+}
+
+/// t[0, L) = the forward transform modulo kPrimes[i] of a[0, na) (na ≤ L),
+/// zero-padded, times scale·R^{-1}.
+inline void forward_operand(u64* t, std::size_t L, const u64* a, std::size_t na,
+                            u64 scale, std::size_t i) {
+  assert(na <= L);
+  load(t, L, a, na, scale, kPrimes[i]);
+  forward(t, L, kPrimes[i], twiddles(i));
+}
+
+/// c = inverse(c · t) modulo kPrimes[i], for the transforms c and t of two
+/// operands: their cyclic convolution, exact when t carries the 1/L.
+inline void multiply_inverse(u64* c, std::size_t L, const u64* t, std::size_t i) {
+  const Prime& f = kPrimes[i];
+  for (std::size_t j = 0; j < L; ++j) c[j] = mont_mul(c[j], t[j], f.p, f.p_inv);
+  inverse(c, L, f, twiddles(i));
+}
+
+/// Turns the cyclic convolution c of a[0, na) and b[0, nb) modulo
+/// kPrimes[i] into the acyclic one, for na + nb − 1 ≤ L + kMaxWrap: each
+/// coefficient L + t is computed directly into c[L + t] and taken back out
+/// of c[t]. It reads only the top kMaxWrap words of each operand, and b
+/// through b_top, which holds b[b_from, nb).
+inline void unfold(u64* c, std::size_t L, const u64* a, std::size_t na,
+                   const u64* b_top, std::size_t b_from, std::size_t nb,
+                   std::size_t i) {
+  const Prime& f = kPrimes[i];
+  for (std::size_t t = 0; t + L < na + nb - 1; ++t) {
+    assert(L + t + 1 >= na + b_from);  // every b word read is in b_top
+    u64 top = 0;
+    for (std::size_t j = L + t - nb + 1; j < na; ++j) {
+      const u64 x = mont_mul(a[j], f.r2, f);  // a_j·R
+      top = reduce_once(top + mont_mul(x, b_top[L + t - j - b_from] % f.p, f),
+                        2 * f.p);
+    }
+    c[L + t] = top;
+    c[t] = reduce_once(c[t] + 2 * f.p - top, 2 * f.p);
+  }
+}
+
+/// dst[0, L) += a[0, na)·β^at modulo β^L − 1 (β = 2^64, at < L): a is
+/// added in pieces that wrap around at L, with each carry out of the top
+/// word brought around to the bottom, as β^L ≡ 1. The result is below
+/// β^L, so 0 may come out as β^L − 1.
+inline void add_mod_mersenne(u64* dst, std::size_t L, const u64* a, std::size_t na,
+                             std::size_t at = 0) {
+  const u64 one = 1;
+  for (std::size_t i = 0; i < na; at = 0) {
+    const std::size_t piece = std::min(L - at, na - i);
+    u64 carry = add_in_place(dst + at, L - at, a + i, piece);
+    while (carry != 0) carry = add_in_place(dst, L, &one, 1);
+    i += piece;
+  }
+}
+
+/// The forward transforms of one operand b at a length L = 2^lg, one per
+/// prime, carrying 1/L: step 1 of a product, done once for an operand that
+/// multiplies many others (Bernstein, "Scaled remainder trees", 2004). A
+/// product against it runs in a caller's scratch of scratch_words(), and
+/// its result is left in the scratch's first row_words().
+class HeldTransform {
+ public:
+  /// b[0, nb) at length 2^lg. An operand longer than L is held modulo
+  /// β^L − 1, and serves only cyclic products.
+  HeldTransform(const u64* b, std::size_t nb, int lg)
+      : lg_(lg), nb_(nb), top_from_(nb - std::min(nb, kMaxWrap)), buf_(3 * length()) {
+    assert(lg <= kMaxLog2Length && nb > 0);
+    const std::size_t L = length();
+    std::copy(b + top_from_, b + nb, top_.begin());
+    std::vector<u64> folded;
+    if (nb > L) {
+      folded.assign(L, u64{0});
+      add_mod_mersenne(folded.data(), L, b, nb);
+      b = folded.data();
+      nb = L;
+    }
+    for (std::size_t i = 0; i < 3; ++i) {
+      forward_operand(spectrum(i), L, b, nb, inverse_length_scale(L, i), i);
+    }
+  }
+
+  std::size_t length() const noexcept { return std::size_t{1} << lg_; }
+  /// Words of the operand.
+  std::size_t size() const noexcept { return nb_; }
+  /// Words of one scratch row: a transform, the coefficients unfolded past
+  /// it, and the carry.
+  std::size_t row_words() const noexcept { return length() + kMaxWrap + 2; }
+  std::size_t scratch_words() const noexcept { return 3 * row_words(); }
+
+  /// a[0, na) · b, for 1 ≤ na ≤ L, nb ≤ L and na + nb − 1 ≤ L + kMaxWrap:
+  /// two transforms per prime, where a full product takes three. Returns
+  /// the product's na + nb words, at the start of scratch.
+  const u64* multiply(const u64* a, std::size_t na, u64* scratch) const {
+    const std::size_t L = length();
+    assert(nb_ <= L && na + nb_ - 1 <= L + kMaxWrap);
+    const auto c = transform_times(a, na, scratch);
+    for (std::size_t i = 0; i < 3; ++i) {
+      unfold(c[i], L, a, na, top_.data(), top_from_, nb_, i);
+    }
+    coefficients_in_place(c[0], c[1], c[2], na + nb_ - 1);
+    return c[0];
+  }
+
+  /// a[0, na) · b modulo β^L − 1. Returns it in the first L words of
+  /// scratch (0 may come out as β^L − 1), with the rest of the row zero.
+  u64* multiply_cyclic(const u64* a, std::size_t na, u64* scratch) const {
+    const std::size_t L = length();
+    std::vector<u64> folded;
+    if (na > L) {
+      folded.assign(L, u64{0});
+      add_mod_mersenne(folded.data(), L, a, na);
+      a = folded.data();
+      na = L;
+    }
+    const auto c = transform_times(a, na, scratch);
+    // Each coefficient is below L·β², so their sum fits L + 2 words.
+    coefficients_in_place(c[0], c[1], c[2], L);
+    const u64 high[2] = {c[0][L], c[0][L + 1]};
+    std::fill(c[0] + L, c[0] + row_words(), u64{0});
+    add_mod_mersenne(c[0], L, high, 2);
+    return c[0];
+  }
+
+ private:
+  u64* spectrum(std::size_t i) const noexcept { return buf_.data() + i * length(); }
+
+  /// Steps 1 and 2 for a[0, na): the cyclic convolution with b, one prime
+  /// per scratch row.
+  std::array<u64*, 3> transform_times(const u64* a, std::size_t na, u64* scratch) const {
+    const std::size_t L = length();
+    std::array<u64*, 3> c{};
+    for (std::size_t i = 0; i < 3; ++i) {
+      c[i] = scratch + i * row_words();
+      forward_operand(c[i], L, a, na, kPrimes[i].r2, i);
+      multiply_inverse(c[i], L, spectrum(i), i);
+    }
+    return c;
+  }
+
+  int lg_;
+  std::size_t nb_;
+  std::size_t top_from_;            // b's top words are b[top_from_, nb_)
+  std::array<u64, kMaxWrap> top_{};
+  TransformBuffer buf_;             // the three transforms, L words each
+};
+
+/// The shortest length 2^lg that holds an operand of `operand` words and
+/// takes products modulo β^L − 1 of values below a small multiple of
+/// β^n_words: L ≥ operand, and L + kMaxWrap ≥ n_words, so the value is
+/// fixed by its residue and at most kMaxWrap + 1 low words
+/// (from_residues).
+inline int cyclic_length(std::size_t n_words, std::size_t operand) {
+  int lg = std::bit_width(operand - 1);
+  while ((std::size_t{1} << lg) + kMaxWrap < n_words) ++lg;
+  return lg;
+}
+
+/// The shortest length 2^lg at which HeldTransform::multiply takes
+/// na × nb words: both operands fit, and the product unfolds.
+inline int unfold_length(std::size_t na, std::size_t nb) {
+  int lg = std::bit_width(std::max(na, nb) - 1);
+  while ((std::size_t{1} << lg) + kMaxWrap + 1 < na + nb) ++lg;
+  return lg;
+}
+
+/// Recovers v ≥ 0 from its residue modulo β^L − 1, in v[0, L) (any
+/// representative below β^L), and low = v modulo β^w (w ≤ L): with R the
+/// residue in [0, β^L − 1), v = R + j·(β^L − 1), and as β^L − 1 ≡ −1
+/// modulo β^w, j ≡ R − v there. v must have room for L + w words, zero
+/// above L. Returns v's normalized size, or nothing when j's top word
+/// exceeds max_top: v was out of the range the caller proved (v < 0, or
+/// v ≥ (max_top + 1)·β^{w−1}·(β^L − 1)).
+inline std::optional<std::size_t> from_residues(u64* v, std::size_t L, const u64* low,
+                                                std::size_t w, u64 max_top) {
+  if (std::all_of(v, v + L, [](u64 x) { return x == ~u64{0}; })) {
+    std::fill(v, v + L, u64{0});
+  }
+  u64* const j = v + L;  // j = R − low modulo β^w, built in place
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < w; ++i) {
+    const u128 diff = u128(v[i]) - low[i] - borrow;
+    j[i] = u64(diff);
+    borrow = u64(diff >> 64) & 1;
+  }
+  if (j[w - 1] > max_top) return std::nullopt;
+  return sub(v, v, L + w, j, w);  // R + j·β^L − j: j already sits at β^L
 }
 
 /// dst[0, na + nb) = a · b on 64-bit words; na ≥ nb ≥ 1, no aliasing.
@@ -414,61 +615,78 @@ inline void mul_words(u64* dst, const u64* a, std::size_t na, const u64* b,
   const Plan plan = plan_product(na, nb);
   assert(plan.lg <= kMaxLog2Length);
   const std::size_t L = std::size_t{1} << plan.lg;
-  const bool one_chunk = plan.chunk == na;
-  // Per prime: the current chunk's coefficients (the transform, then up to
-  // kMaxWrap unfolded ones), and b's transform, kept across chunks. A
-  // single chunk needs b's transform for one prime at a time, in dst when
-  // dst is long enough: it is written only after the last transform.
-  const std::size_t cl = L + kMaxWrap;
-  const bool b_in_dst = one_chunk && na + nb >= L;
-  const TransformBuffer buf(3 * cl + (b_in_dst ? 0 : one_chunk ? L : 3 * L));
-  std::array<u64*, 3> bt{}, ct{};
-  for (std::size_t i = 0; i < 3; ++i) {
-    ct[i] = buf.data() + i * cl;
-    bt[i] = b_in_dst ? dst : buf.data() + 3 * cl + (one_chunk ? 0 : i * L);
-  }
-  // b carries the inverse transform's 1/L, so each product comes out exact.
-  std::array<u64, 3> b_scale{};
-  for (std::size_t i = 0; i < 3; ++i) {
-    const Prime& f = kPrimes[i];
-    const u64 inv_len = f.p - (f.p - 1) / L;  // L·inv_len ≡ 1 (mod p)
-    b_scale[i] = reduce_once(mont_mul(inv_len, f.r2, f), f.p);
-    if (!one_chunk) {
-      load(bt[i], L, b, nb, b_scale[i], f);
-      forward(bt[i], L, f, twiddles(i));
+  if (plan.chunk < na) {  // b's transform is held across the chunks
+    const HeldTransform bt(b, nb, plan.lg);
+    std::fill(dst, dst + na + nb, u64{0});
+    const TransformBuffer scratch(bt.scratch_words());
+    for (std::size_t off = 0; off < na; off += plan.chunk) {
+      const std::size_t nc = std::min(plan.chunk, na - off);
+      const u64* const part = bt.multiply(a + off, nc, scratch.data());
+      const u64 carry = add_in_place(dst + off, na + nb - off, part, nc + nb);
+      (void)carry;
+      assert(carry == 0 && "partial sum exceeds the product");
     }
+    return;
   }
-  for (std::size_t off = 0; off < na; off += plan.chunk) {
-    const u64* ac = a + off;
-    const std::size_t nc = std::min(plan.chunk, na - off);
-    const std::size_t count = nc + nb - 1;
-    for (std::size_t i = 0; i < 3; ++i) {
-      const Prime& f = kPrimes[i];
-      Twiddles& tw = twiddles(i);
-      if (one_chunk) {
-        load(bt[i], L, b, nb, b_scale[i], f);
-        forward(bt[i], L, f, tw);
-      }
-      u64* c = ct[i];
-      load(c, L, ac, nc, f.r2, f);
-      forward(c, L, f, tw);
-      const u64* const bw = bt[i];
-      for (std::size_t j = 0; j < L; ++j) c[j] = mont_mul(c[j], bw[j], f.p, f.p_inv);
-      inverse(c, L, f, tw);
-      // Unfold c_{L+t} = Σ ac_j·b_{L+t−j} over the top words, in [0, 2p).
-      for (std::size_t t = 0; t + L < count; ++t) {
-        u64 top = 0;
-        for (std::size_t j = L + t - nb + 1; j < nc; ++j) {
-          const u64 x = mont_mul(ac[j], f.r2, f);  // ac_j·R
-          top = reduce_once(top + mont_mul(x, b[L + t - j] % f.p, f), 2 * f.p);
-        }
-        c[L + t] = top;
-        c[t] = reduce_once(c[t] + 2 * f.p - top, 2 * f.p);
-      }
-    }
-    if (off == 0) std::fill(dst, dst + na + nb, u64{0});
-    add_coefficients(dst + off, na + nb - off, ct[0], ct[1], ct[2], count);
+  // One chunk needs b's transform for one prime at a time, in dst when dst
+  // is long enough: dst is written only after the last transform.
+  const std::size_t cl = L + kMaxWrap + 2;
+  const bool b_in_dst = na + nb >= L;
+  const TransformBuffer buf(3 * cl + (b_in_dst ? 0 : L));
+  u64* const bt = b_in_dst ? dst : buf.data() + 3 * cl;
+  std::array<u64*, 3> c{};
+  for (std::size_t i = 0; i < 3; ++i) {
+    c[i] = buf.data() + i * cl;
+    forward_operand(bt, L, b, nb, inverse_length_scale(L, i), i);
+    forward_operand(c[i], L, a, na, kPrimes[i].r2, i);
+    multiply_inverse(c[i], L, bt, i);
+    unfold(c[i], L, a, na, b, 0, nb, i);
   }
+  coefficients_in_place(c[0], c[1], c[2], na + nb - 1);
+  std::copy(c[0], c[0] + na + nb, dst);
+}
+
+/// 64-bit words holding n limbs.
+template <LimbType Limb>
+constexpr std::size_t words_for_limbs(std::size_t n) noexcept {
+  return (n * limb_bits<Limb> + 63) / 64;
+}
+
+/// Karatsuba's time for hi·lo^0.585 words (hi ≥ lo) over the transform's
+/// for one transform unit, per limb width: the ratio at which the two
+/// rungs' measured times meet the model. Narrower limbs make Karatsuba
+/// slower per word while the transform packs them into words. Balanced
+/// and unbalanced products from 256 to 8192 words, nine interleaved runs
+/// each, put it at 1.6–2.5 on 64-bit limbs (median 2.1), 4.0–5.1 on 32-bit
+/// limbs and 12–17 on 16-bit limbs (docs/BATCHGCD.md).
+template <LimbType Limb>
+inline constexpr double kKaratsubaPerTransformUnit =
+    limb_bits<Limb> == 64 ? 2.1 : limb_bits<Limb> == 32 ? 4.5 : 15.0;
+
+/// Karatsuba's modelled cost for hi × lo words (hi ≥ lo), in transform units.
+template <LimbType Limb>
+double karatsuba_units(std::size_t hi, std::size_t lo) {
+  return kKaratsubaPerTransformUnit<Limb> * double(hi) * std::pow(double(lo), 0.585);
+}
+
+/// Whether mul_dispatch takes the transform for na × nb limbs: from
+/// kNttThreshold words (smaller operand) up, where its modelled cost is
+/// below Karatsuba's. A product a little past a power of two pays for twice
+/// the transform, so the crossover is not one size.
+template <LimbType Limb>
+bool transform_pays(std::size_t na, std::size_t nb) {
+  const std::size_t lo = words_for_limbs<Limb>(std::min(na, nb));
+  const std::size_t hi = words_for_limbs<Limb>(std::max(na, nb));
+  return lo >= kNttThreshold && plan_product(hi, lo).cost < karatsuba_units<Limb>(hi, lo);
+}
+
+/// mul_dispatch's modelled cost for na × nb limbs, in transform units.
+template <LimbType Limb>
+double product_units(std::size_t na, std::size_t nb) {
+  const std::size_t lo = words_for_limbs<Limb>(std::min(na, nb));
+  const std::size_t hi = words_for_limbs<Limb>(std::max(na, nb));
+  return transform_pays<Limb>(na, nb) ? plan_product(hi, lo).cost
+                                      : karatsuba_units<Limb>(hi, lo);
 }
 
 /// Limbs packed into 64-bit words, least significant first.
@@ -481,6 +699,40 @@ std::vector<u64> pack(const Limb* a, std::size_t na) {
   }
   return out;
 }
+
+/// dst[0, n) = limbs from, from + 1, … of w[0, nw), least significant
+/// first; limbs past w's end are zero.
+template <LimbType Limb>
+void unpack(Limb* dst, std::size_t n, const u64* w, std::size_t nw, std::size_t from = 0) {
+  constexpr std::size_t per = 64 / limb_bits<Limb>;
+  for (std::size_t i = from; i < from + n; ++i) {
+    dst[i - from] = i / per < nw ? Limb(w[i / per] >> (i % per * limb_bits<Limb>)) : Limb{0};
+  }
+}
+
+/// Limbs as 64-bit words: the limbs themselves when they are 64 bits wide,
+/// a packed copy otherwise.
+template <LimbType Limb>
+class Words {
+ public:
+  Words(const Limb* a, std::size_t n) {
+    if constexpr (limb_bits<Limb> == 64) {
+      data_ = a;
+      size_ = n;
+    } else {
+      copy_ = pack(a, n);
+      data_ = copy_.data();
+      size_ = copy_.size();
+    }
+  }
+  const u64* data() const noexcept { return data_; }
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  std::vector<u64> copy_;
+  const u64* data_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 }  // namespace ntt_detail
 
@@ -497,17 +749,13 @@ std::vector<Limb> mul_ntt(const Limb* a, std::size_t na, const Limb* b,
     std::swap(na, nb);
   }
   std::vector<Limb> out(na + nb);
+  const ntt_detail::Words<Limb> wa(a, na), wb(b, nb);
   if constexpr (limb_bits<Limb> == 64) {
-    ntt_detail::mul_words(out.data(), a, na, b, nb);
+    ntt_detail::mul_words(out.data(), wa.data(), wa.size(), wb.data(), wb.size());
   } else {
-    constexpr std::size_t per = 64 / limb_bits<Limb>;
-    const std::vector<u64> wa = ntt_detail::pack(a, na);
-    const std::vector<u64> wb = ntt_detail::pack(b, nb);
     std::vector<u64> wp(wa.size() + wb.size());
     ntt_detail::mul_words(wp.data(), wa.data(), wa.size(), wb.data(), wb.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = Limb(wp[i / per] >> (i % per * limb_bits<Limb>));
-    }
+    ntt_detail::unpack(out.data(), out.size(), wp.data(), wp.size());
   }
   out.resize(normalized_size(out.data(), out.size()));
   return out;
@@ -515,17 +763,14 @@ std::vector<Limb> mul_ntt(const Limb* a, std::size_t na, const Limb* b,
 
 /// Full dispatch: schoolbook below kKaratsubaThreshold limbs, Karatsuba
 /// below kNttThreshold 64-bit words (smaller operand), and above it
-/// whichever of Karatsuba and the transform costs less for the shape.
+/// whichever of Karatsuba and the transform costs less for the shape and
+/// the limb width (ntt_detail::transform_pays).
 template <LimbType Limb>
 std::vector<Limb> mul_dispatch(const Limb* a, std::size_t na, const Limb* b,
                                std::size_t nb) {
   na = normalized_size(a, na);
   nb = normalized_size(b, nb);
-  const auto words = [](std::size_t n) { return (n * limb_bits<Limb> + 63) / 64; };
-  const std::size_t lo = words(std::min(na, nb)), hi = words(std::max(na, nb));
-  if (lo >= kNttThreshold && ntt_detail::transform_pays(hi, lo)) {
-    return mul_ntt(a, na, b, nb);
-  }
+  if (ntt_detail::transform_pays<Limb>(na, nb)) return mul_ntt(a, na, b, nb);
   return mul_karatsuba(a, na, b, nb);
 }
 

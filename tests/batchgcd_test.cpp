@@ -779,7 +779,7 @@ TEST_F(BatchResumeTest, TransformRungTreeMatchesGmpAndResumesAfterEveryLevel) {
   const TreeInt top = mp::repack<std::uint64_t>(tree[tree.size() - 2][0]);
   const std::size_t root_limbs = mp::repack<std::uint64_t>(tree.back()[0]).size();
   ASSERT_GT(root_limbs, 8150u);  // 512 values of 1023 or 1024 bits
-  ASSERT_TRUE(mp::ntt_detail::transform_pays(top.size(), top.size()));
+  ASSERT_TRUE(mp::ntt_detail::transform_pays<std::uint64_t>(top.size(), top.size()));
   ASSERT_GE(top.size(), mp::kNewtonDivThreshold);
 
   const std::vector<BigInt> want = gmp_batch_gcds(moduli);
@@ -791,6 +791,72 @@ TEST_F(BatchResumeTest, TransformRungTreeMatchesGmpAndResumesAfterEveryLevel) {
       EXPECT_TRUE((want[i] % shared).is_zero()) << i;
     }
     EXPECT_EQ(carriers, 2u);
+  }
+
+  BatchScanConfig config;
+  config.checkpoint = path_;
+  const BatchScanReport reference = run_resumable_batch(moduli, config);
+  ASSERT_TRUE(reference.complete);
+  EXPECT_EQ(reference.result.gcds, want);
+  const std::string full = test::slurp(path_);
+
+  for (std::size_t stop = 1; stop < reference.levels_total; ++stop) {
+    SCOPED_TRACE(stop);
+    std::filesystem::remove(path_);
+    config.stop_after_levels = stop;
+    const BatchScanReport first = run_resumable_batch(moduli, config);
+    ASSERT_FALSE(first.complete);
+    ASSERT_EQ(first.levels_done, stop);
+    config.stop_after_levels = 0;
+    const BatchScanReport resumed = run_resumable_batch(moduli, config);
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.levels_restored, stop);
+    EXPECT_EQ(resumed.result.gcds, want);
+    EXPECT_EQ(test::slurp(path_), full);
+  }
+}
+
+TEST_F(BatchResumeTest, PowerOfTwoNodesTakeTheWrapAroundEdgeAndResume) {
+  // 512 odd 1024-bit values whose two 512-bit factors have their top 16
+  // bits set, eight pairs sharing a factor. Every product of 2^j values
+  // then has exactly 1024·2^j bits, so on 64-bit limbs the nodes of the
+  // Newton levels are exactly 2^{j+4} words: each division takes Q·b
+  // modulo 2^{64L} − 1 at L = n, where one low word settles the multiple
+  // of 2^{64L} − 1. Stopped after every level and resumed, the run reaches
+  // the GMP gcds and the uninterrupted journal byte for byte.
+  Xoshiro256 rng(217);
+  const BigInt top_bits = ((BigInt(1) << 16) - BigInt(1)) << 496;
+  const auto factor = [&] { return top_bits + random_odd<std::uint32_t>(rng, 496); };
+  std::vector<BigInt> moduli;
+  for (int i = 0; i < 496; ++i) moduli.push_back(factor() * factor());
+  std::vector<BigInt> shared_factors;
+  for (int pair = 0; pair < 8; ++pair) {
+    const BigInt& shared = shared_factors.emplace_back(factor());
+    for (int k = 0; k < 2; ++k) {
+      moduli.insert(moduli.begin() + std::ptrdiff_t(rng.below(moduli.size() + 1)),
+                    shared * factor());
+    }
+  }
+  const ProductTree tree = build_product_tree(moduli);
+  std::size_t newton_levels = 0;
+  for (std::size_t level = 0; level < tree.size(); ++level) {
+    for (const BigInt& node : tree[level]) {
+      const TreeInt wide = mp::repack<std::uint64_t>(node);
+      ASSERT_EQ(wide.size(), std::size_t{16} << level) << "level " << level;
+    }
+    const TreeInt node = mp::repack<std::uint64_t>(tree[level][0]);
+    if (node.size() < mp::kNewtonDivThreshold || level + 1 >= tree.size()) continue;
+    ++newton_levels;
+    EXPECT_TRUE(mp::NewtonDivisor<std::uint64_t>(node.data(), node.size()).holds_transforms())
+        << "level " << level;
+  }
+  ASSERT_GE(newton_levels, 4u);  // levels 5 to 8 (512 to 4096 words) and up
+
+  const std::vector<BigInt> want = gmp_batch_gcds(moduli);
+  for (const BigInt& shared : shared_factors) {
+    for (std::size_t i = 0; i < moduli.size(); ++i) {
+      if ((moduli[i] % shared).is_zero()) EXPECT_TRUE((want[i] % shared).is_zero()) << i;
+    }
   }
 
   BatchScanConfig config;

@@ -357,8 +357,11 @@ TYPED_TEST(MpStressTest, NewtonReciprocalMeetsItsBound) {
   constexpr std::size_t T = kNewtonDivThreshold;
   Xoshiro256 rng(183);
   // a·X < β^{2n} ≤ a·(X + 2) for the seed size and one, two and three
-  // Newton steps above it, on random, 0x80…0 and all-ones divisors.
-  for (const std::size_t n : {T, T + 1, T + 2, 2 * T + 1, 3 * T + 5}) {
+  // Newton steps above it, on random, 0x80…0 and all-ones divisors; at
+  // 4T ± 1 limbs the steps take a·X_h modulo 2^{64L} − 1 on each side of a
+  // power of two.
+  for (const std::size_t n : {T, T + 1, T + 2, 2 * T + 1, 3 * T + 5, 4 * T - 1, 4 * T,
+                              4 * T + 1}) {
     const std::vector<Big> shapes = {
         random_value<Limb>(rng, n * lb),
         Big(1) << (n * lb - 1),
@@ -417,6 +420,204 @@ TYPED_TEST(MpStressTest, SharedNewtonDivisorMatchesGmpAroundTwiceItsSize) {
                     test::from_mpz<Limb>(gr));
         }
       }
+    }
+  }
+}
+
+TEST(MpDispatchTest, TransformPaysIsPricedPerLimbWidth) {
+  // On 32-bit limbs Karatsuba is about twice as slow per word as on 64-bit
+  // limbs, so the transform takes over at fewer words: at 512 and 1024
+  // limbs (256 and 512 words) it is 1.9× and 2.9× ahead, and the 64-bit
+  // price keeps 256 words on Karatsuba. At 384 limbs (192 words, below
+  // kNttThreshold) Karatsuba stays.
+  EXPECT_FALSE(ntt_detail::transform_pays<std::uint32_t>(384, 384));
+  EXPECT_TRUE(ntt_detail::transform_pays<std::uint32_t>(512, 512));
+  EXPECT_TRUE(ntt_detail::transform_pays<std::uint32_t>(1024, 1024));
+  // 64-bit limbs at the same word counts keep Karatsuba.
+  EXPECT_FALSE(ntt_detail::transform_pays<std::uint64_t>(256, 256));
+  EXPECT_FALSE(ntt_detail::transform_pays<std::uint64_t>(384, 384));
+}
+
+/// a·b modulo 2^{64L} − 1 through a held transform of b at length L = 2^lg,
+/// against GMP; a and b go in as the 64-bit words of Limb-wide values.
+template <typename Limb>
+void expect_cyclic_matches_gmp(const BigIntT<Limb>& a, const BigIntT<Limb>& b, int lg) {
+  const std::size_t L = std::size_t{1} << lg;
+  const ntt_detail::Words<Limb> aw(a.data(), a.size()), bw(b.data(), b.size());
+  if (bw.size() == 0) return;
+  const ntt_detail::HeldTransform held(bw.data(), bw.size(), lg);
+  const ntt_detail::TransformBuffer scratch(held.scratch_words());
+  const ntt_detail::u64* r = held.multiply_cyclic(aw.data(), aw.size(), scratch.data());
+  for (std::size_t i = L; i < held.row_words(); ++i) ASSERT_EQ(r[i], 0u);
+  test::Mpz ga = test::to_mpz(a), gb = test::to_mpz(b), gm, gp, got;
+  mpz_ui_pow_ui(gm.get(), 2, 64 * L);
+  mpz_sub_ui(gm.get(), gm.get(), 1);
+  mpz_mul(gp.get(), ga.get(), gb.get());
+  mpz_mod(gp.get(), gp.get(), gm.get());
+  mpz_import(got.get(), L, -1, sizeof(ntt_detail::u64), 0, 0, r);
+  mpz_mod(got.get(), got.get(), gm.get());  // 0 may come out as 2^{64L} − 1
+  ASSERT_EQ(mpz_cmp(got.get(), gp.get()), 0);
+}
+
+TYPED_TEST(MpStressTest, CyclicProductMatchesGmpModuloMersenne) {
+  using Limb = TypeParam;
+  using Big = BigIntT<Limb>;
+  constexpr std::size_t lb = limb_bits<Limb>;
+  Xoshiro256 rng(185);
+  const auto words = [](std::size_t w) { return limbs_in_words<Limb>(w) * lb; };
+  for (const int lg : {4, 9, 12}) {
+    const std::size_t L = std::size_t{1} << lg;
+    SCOPED_TRACE(::testing::Message() << "L " << L);
+    const Big ones = (Big(1) << words(L)) - Big(1);  // ≡ 0
+    // b of L − 1 (L = n + 1), L, and a few words past L (held folded).
+    for (const std::size_t nb : {L - 1, L, L + 1, L + 7}) {
+      SCOPED_TRACE(::testing::Message() << "nb " << nb);
+      const Big b = random_value<Limb>(rng, words(nb));
+      expect_cyclic_matches_gmp(random_value<Limb>(rng, words(L / 2)), b, lg);
+      expect_cyclic_matches_gmp(random_value<Limb>(rng, words(L)), b, lg);
+      expect_cyclic_matches_gmp(random_value<Limb>(rng, words(L + 3)), b, lg);
+      expect_cyclic_matches_gmp(ones, b, lg);                        // ≡ 0
+      expect_cyclic_matches_gmp(ones * Big(5), b, lg);               // ≡ 0, longer
+      expect_cyclic_matches_gmp(Big(0), b, lg);
+      expect_cyclic_matches_gmp((Big(1) << words(nb)) - Big(1),     // all ones
+                                (Big(1) << words(nb)) - Big(1), lg);
+    }
+  }
+}
+
+TEST(MpDispatchTest, FromResiduesRecoversTheValue) {
+  using ntt_detail::u64;
+  Xoshiro256 rng(188);
+  // v from v mod (2^{64L} − 1) and v mod 2^{64w}, for v up to the bound
+  // (max_top + 1)·2^{64(w−1)}·(2^{64L} − 1), zero given as either
+  // representative, and a value past the bound refused.
+  for (const std::size_t L : {std::size_t{4}, std::size_t{64}}) {
+    for (const std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+      SCOPED_TRACE(::testing::Message() << "L " << L << " w " << w);
+      test::Mpz m, bound, low_mod;
+      mpz_ui_pow_ui(m.get(), 2, 64 * L);
+      mpz_sub_ui(m.get(), m.get(), 1);
+      mpz_ui_pow_ui(low_mod.get(), 2, 64 * w);
+      mpz_ui_pow_ui(bound.get(), 2, 64 * (w - 1));
+      mpz_mul_ui(bound.get(), bound.get(), 6);
+      mpz_mul(bound.get(), bound.get(), m.get());  // 6·2^{64(w−1)}·M
+      const auto check = [&](const test::Mpz& v, bool zero_as_ones, bool in_range) {
+        std::vector<u64> buf(L + w, 0), low(w, 0);
+        test::Mpz r, l;
+        mpz_mod(r.get(), v.get(), m.get());
+        mpz_export(buf.data(), nullptr, -1, sizeof(u64), 0, 0, r.get());
+        if (zero_as_ones && mpz_sgn(r.get()) == 0) std::fill_n(buf.begin(), L, ~u64{0});
+        mpz_mod(l.get(), v.get(), low_mod.get());
+        mpz_export(low.data(), nullptr, -1, sizeof(u64), 0, 0, l.get());
+        const auto n = ntt_detail::from_residues(buf.data(), L, low.data(), w, 5);
+        ASSERT_EQ(n.has_value(), in_range);
+        if (!in_range) return;
+        test::Mpz got;
+        mpz_import(got.get(), *n, -1, sizeof(u64), 0, 0, buf.data());
+        ASSERT_EQ(mpz_cmp(got.get(), v.get()), 0);
+      };
+      test::Mpz v;
+      for (const bool ones : {false, true}) {
+        mpz_set_ui(v.get(), 0);
+        check(v, ones, true);
+        mpz_set(v.get(), m.get());  // ≡ 0, j = 1
+        check(v, ones, true);
+        mpz_mul_ui(v.get(), m.get(), 5);
+        check(v, ones, true);
+      }
+      for (int trial = 0; trial < 50; ++trial) {
+        test::Mpz t = test::to_mpz(random_value<std::uint64_t>(rng, 64 * (L + w) - 3));
+        mpz_mod(v.get(), t.get(), bound.get());
+        check(v, false, true);
+      }
+      mpz_mul_ui(v.get(), m.get(), 7);  // j = 7·2^{64(w−1)}… > 5 in its top word
+      if (w == 1) check(v, false, false);
+    }
+  }
+}
+
+/// One NewtonDivisor (holding its transforms) divides every dividend of
+/// `dividends`; q and r match GMP and no block takes more than
+/// kNewtonDivMaxFixups fix-ups.
+template <typename Limb>
+void expect_held_division_matches_gmp(const NewtonDivisor<Limb>& divisor,
+                                      const BigIntT<Limb>& b,
+                                      const std::vector<BigIntT<Limb>>& dividends) {
+  using Big = BigIntT<Limb>;
+  for (const Big& a : dividends) {
+    SCOPED_TRACE(::testing::Message() << "dividend bits " << a.bit_length());
+    test::Mpz ga = test::to_mpz(a), gb = test::to_mpz(b), gq, gr;
+    mpz_tdiv_qr(gq.get(), gr.get(), ga.get(), gb.get());
+    std::vector<Limb> qv(a.size() >= b.size() ? a.size() - b.size() + 1 : 1), rv(b.size());
+    const NewtonDivSizes sizes = divisor.divrem(qv.data(), rv.data(), a.data(), a.size());
+    ASSERT_EQ(Big::from_limbs({qv.data(), sizes.sizes.quotient}), test::from_mpz<Limb>(gq));
+    ASSERT_EQ(Big::from_limbs({rv.data(), sizes.sizes.remainder}), test::from_mpz<Limb>(gr));
+    ASSERT_LE(sizes.max_fixups, kNewtonDivMaxFixups);
+  }
+}
+
+TYPED_TEST(MpStressTest, HeldTransformDivisorMatchesGmpAroundPowersOfTwo) {
+  using Limb = TypeParam;
+  using Big = BigIntT<Limb>;
+  constexpr std::size_t lb = limb_bits<Limb>;
+  Xoshiro256 rng(186);
+  // Divisors of 2^k − 1, 2^k and 2^k + 1 words: Q·b is taken modulo
+  // 2^{64L} − 1 at L = n + 1, at L = n (one word settles the multiple of
+  // 2^{64L} − 1) and at L = n − 1 (two words settle it). One divisor serves
+  // dividends of 2n − 1, 2n and 2n + 1 limbs, before and after its
+  // transforms are released and built again.
+  for (int k = 9; k <= 13; ++k) {
+    const std::size_t pow = std::size_t{1} << k;
+    for (const std::size_t nw : {pow - 1, pow, pow + 1}) {
+      const std::size_t n = limbs_in_words<Limb>(nw);
+      SCOPED_TRACE(::testing::Message() << "divisor words " << nw);
+      const Big b = random_value<Limb>(rng, n * lb - rng.below(lb));
+      NewtonDivisor<Limb> divisor(b.data(), b.size());
+      ASSERT_TRUE(divisor.holds_transforms());
+      std::vector<Big> dividends;
+      for (const std::size_t na : {2 * n - 1, 2 * n, 2 * n + 1}) {
+        dividends.push_back(random_value<Limb>(rng, na * lb));
+      }
+      dividends.push_back((Big(1) << (2 * n * lb)) - Big(1));
+      expect_held_division_matches_gmp(divisor, b, dividends);
+      divisor.release_transforms();
+      ASSERT_FALSE(divisor.holds_transforms());
+      divisor.hold_transforms();
+      ASSERT_TRUE(divisor.holds_transforms());
+      expect_held_division_matches_gmp(divisor, b, dividends);
+    }
+  }
+}
+
+TYPED_TEST(MpStressTest, HeldTransformDivisorOnTheFixupBoundary) {
+  using Limb = TypeParam;
+  using Big = BigIntT<Limb>;
+  constexpr std::size_t lb = limb_bits<Limb>;
+  Xoshiro256 rng(187);
+  // (Q + 1)·b − 1 leaves the largest remainder, b − 1, in every block's
+  // worst case, and Q·b leaves none; 0x80…0 and all-ones divisors put the
+  // estimate's error at its extremes. Blocks of n limbs take the full
+  // reciprocal (p = n), whose estimate is never high and often exact, so
+  // an exact multiple leaves c − Q·b = 0: a residue that the cyclic
+  // product can return as 2^{64L} − 1.
+  for (const std::size_t nw : {std::size_t{512}, std::size_t{1024}, std::size_t{1025}}) {
+    const std::size_t n = limbs_in_words<Limb>(nw);
+    SCOPED_TRACE(::testing::Message() << "divisor words " << nw);
+    for (const Big& b : {random_value<Limb>(rng, n * lb), Big(1) << (n * lb - 1),
+                         (Big(1) << (n * lb)) - Big(1)}) {
+      const NewtonDivisor<Limb> divisor(b.data(), b.size());
+      const NewtonDivisor<Limb> one_block(b.data(), b.size(), n);
+      ASSERT_TRUE(divisor.holds_transforms());
+      ASSERT_TRUE(one_block.holds_transforms());
+      std::vector<Big> dividends;
+      for (const std::size_t qn : {n - 1, n, n + 1}) {
+        const Big q = random_value<Limb>(rng, qn * lb);
+        dividends.push_back((q + Big(1)) * b - Big(1));
+        dividends.push_back(q * b);
+        dividends.push_back((Big(1) << (qn * lb)) * b - Big(1));  // Q all ones
+      }
+      expect_held_division_matches_gmp(divisor, b, dividends);
+      expect_held_division_matches_gmp(one_block, b, dividends);
     }
   }
 }
