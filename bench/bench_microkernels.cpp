@@ -206,8 +206,34 @@ void BM_CofactorStep(benchmark::State& state) {
     benchmark::DoNotOptimize(sizes.sizes.remainder);
   }
 }
+// 256 and 384 words sit below kNewtonDivThreshold (512), where the tree
+// takes BM_CofactorStepKnuthD's form instead; the pair prices the rung.
 BENCHMARK_TEMPLATE(BM_CofactorStep, std::uint64_t)
-    ->Arg(65536)->Arg(131072)->Arg(262144)->Arg(524288);
+    ->Arg(16384)->Arg(24576)->Arg(32768)->Arg(65536)->Arg(131072)
+    ->Arg(262144)->Arg(524288);
+
+// The same step below the Newton rung: (s mod N_c)·N_d mod N_c by two Knuth
+// D divisions around the product, as the tree runs it for nodes under
+// kNewtonDivThreshold words.
+template <typename Limb>
+void BM_CofactorStepKnuthD(benchmark::State& state) {
+  const std::size_t bits = std::size_t(state.range(0));
+  const auto s = make_odd_t<Limb>(5, 2 * bits - 1);
+  const auto node = make_odd_t<Limb>(6, bits);
+  const auto sibling = make_odd_t<Limb>(7, bits);
+  for (auto _ : state) {
+    std::vector<Limb> q(s.size()), r(node.size());
+    r.resize(mp::divrem(q.data(), r.data(), s.data(), s.size(), node.data(),
+                        node.size()).remainder);
+    const auto d = mp::mul_dispatch(r.data(), r.size(), sibling.data(), sibling.size());
+    r.resize(node.size());
+    const auto sizes = mp::divrem(q.data(), r.data(), d.data(), d.size(),
+                                  node.data(), node.size());
+    benchmark::DoNotOptimize(sizes.remainder);
+  }
+}
+BENCHMARK_TEMPLATE(BM_CofactorStepKnuthD, std::uint64_t)
+    ->Arg(16384)->Arg(24576)->Arg(32768);
 
 void BM_GcdVariant(benchmark::State& state) {
   const auto variant = gcd::Variant(state.range(0));

@@ -97,7 +97,8 @@ int main() {
   // Pin each row to its engine explicitly so the comparison is meaningful
   // regardless of what auto-dispatch would pick on this machine.
   const SweepSample vectorized = measure(moduli, bulk::Engine::kVector, reps);
-  // ISA leg of the vector row (portable everywhere, avx2 on capable x86-64)
+  // ISA leg of the vector row (portable everywhere, avx2 or avx512 on
+  // capable x86-64)
   // — recorded so archived numbers are comparable across machines.
   const char* isa_leg = to_string(bulk::detect_vec_isa());
   // Interleave the plain and instrumented staged sweeps rep-by-rep so slow

@@ -7,7 +7,7 @@
 //                  (the paper's Xeon X7460 column analogue);
 //   SIMT us/gcd  — real wall-clock of the Engine::kAuto bulk sweep over the
 //                  column-wise layout: the SIMD vector engine when the CPU
-//                  has AVX2, else the staged scalar-lane engine. In the
+//                  has AVX-512 or AVX2, else the staged scalar-lane engine. In the
 //                  vector engine only the early-terminate Approximate rows
 //                  run the vector-resident Section-V round; the other five
 //                  rows run each lane to completion on the scalar kernels

@@ -13,10 +13,10 @@
 namespace bulkgcd::bulk {
 
 enum class Engine : std::uint8_t {
-  kAuto,    ///< kVector when the CPU runs the AVX2 leg, else kStaged
+  kAuto,    ///< kVector when the CPU runs a SIMD leg, else kStaged
   kVector,  ///< corpus panels + W-lane SIMD warp engine (bulk/vec/) when the
-            ///< CPU runs the AVX2 leg, else kStaged (the portable leg is
-            ///< test-only)
+            ///< CPU runs a SIMD leg (AVX-512 or AVX2), else kStaged (the
+            ///< portable leg is test-only)
   kStaged,  ///< corpus panels + lane-serial SimtBatch::run_staged()
   kScalar,  ///< one GcdEngine per worker, pair by pair (the CPU column)
 };

@@ -20,6 +20,9 @@ BuildInfo query_build_info() {
 #if defined(BULKGCD_HAVE_AVX2_TU)
   info.compiled_backends.push_back("vector-avx2");
 #endif
+#if defined(BULKGCD_HAVE_AVX512_TU)
+  info.compiled_backends.push_back("vector-avx512");
+#endif
   // What a default scan would actually run here: Engine::kAuto resolved the
   // same way all_pairs_gcd resolves it, with the ISA leg make_vec_batch
   // picks by the same cpuid probe.

@@ -14,10 +14,12 @@ struct BuildInfo {
   std::string version;        ///< project version (CMake PROJECT_VERSION)
   int limb_bits = 0;          ///< ScanLimb width (always 32)
   /// Every engine leg compiled into this binary ("staged", "scalar",
-  /// "vector-portable", and "vector-avx2" when the AVX2 TU is built in).
+  /// "vector-portable", then "vector-avx2" and "vector-avx512" when those
+  /// TUs are built in).
   std::vector<std::string> compiled_backends;
-  /// The engine Engine::kAuto resolves to on THIS machine ("vector-avx2" or
-  /// "staged") — exactly what a default scan launched here would run.
+  /// The engine Engine::kAuto resolves to on THIS machine ("vector-avx512",
+  /// "vector-avx2" or "staged") — exactly what a default scan launched here
+  /// would run.
   std::string active_backend;
 };
 

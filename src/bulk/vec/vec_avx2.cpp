@@ -3,10 +3,11 @@
 // library stays baseline). The W-wide vector code lowers to 256-bit loads,
 // gathers, vpsrlvd/vpsllvd variable shifts, and blends; dispatch.cpp only
 // routes here after __builtin_cpu_supports("avx2") says the host can execute
-// them. This TU is only added to the build on x86-64 compilers that accept
+// them (on an AVX-512 host only when a test pins VecIsa::kAvx2). This TU is only added to the build on x86-64 compilers that accept
 // -mavx2 (BULKGCD_HAVE_AVX2_TU).
 #define BULKGCD_VEC_IMPL_NS vec_avx2
 #define BULKGCD_VEC_IMPL_ISA ::bulkgcd::bulk::VecIsa::kAvx2
+#define BULKGCD_VEC_IMPL_BYTES 32  // W = 8
 #include "bulk/vec/vec_batch_impl.hpp"
 
 #include "bulk/vec/vec_factories.hpp"

@@ -5,11 +5,12 @@
 // disable / run / early_coprime / gcd_of) so the vector backend slots into
 // the staged sweep without touching the scan driver, telemetry, or
 // checkpoint identity. The implementation template (vec_batch_impl.hpp) is
-// compiled twice into the library: once with baseline flags (the portable
-// leg — the compiler lowers the W-wide vector code to baseline instructions,
-// same source everywhere) and once with -mavx2 on x86-64 (256-bit
-// registers: W = 8 lanes of 32-bit scan limbs). make_vec_batch() picks the
-// implementation by cpuid probe; tests pin a leg with an explicit VecIsa.
+// compiled up to three times into the library: once with baseline flags (the
+// portable leg — the compiler lowers the W-wide vector code to baseline
+// instructions, same source everywhere, W = 8), and on x86-64 once with
+// -mavx2 (256-bit registers: W = 8 lanes of 32-bit scan limbs) and once with
+// AVX-512 (512-bit registers: W = 16). make_vec_batch() picks the widest leg
+// the CPU runs by cpuid probe; tests pin a leg with an explicit VecIsa.
 //
 // Virtual dispatch happens once per batch verb (a block round spans
 // thousands of limb operations), never inside a kernel.
@@ -29,11 +30,12 @@ namespace bulkgcd::bulk {
 
 /// Instruction-set leg of the vector engine. The sweep always lets
 /// make_vec_batch() probe the CPU (kAuto); the explicit legs exist so tests
-/// can pin the portable-vs-AVX2 comparison.
+/// can pin every compiled leg against the others.
 enum class VecIsa : std::uint8_t {
   kAuto,      ///< cpuid-probe the best compiled-in ISA
   kPortable,  ///< the same W-wide kernels compiled with baseline flags
   kAvx2,      ///< the -mavx2 translation unit (x86-64 with AVX2 only)
+  kAvx512,    ///< the W = 16 AVX-512 F/DQ/VL/BW translation unit (x86-64)
 };
 
 constexpr const char* to_string(VecIsa isa) noexcept {
@@ -41,15 +43,19 @@ constexpr const char* to_string(VecIsa isa) noexcept {
     case VecIsa::kAuto: return "auto";
     case VecIsa::kPortable: return "portable";
     case VecIsa::kAvx2: return "avx2";
+    case VecIsa::kAvx512: return "avx512";
   }
   return "?";
 }
 
-/// Best vector ISA compiled into this binary AND supported by this CPU.
-/// Never returns kAuto; returns kPortable when no SIMD leg applies.
+/// Widest vector ISA compiled into this binary AND supported by this CPU
+/// (kAvx512, then kAvx2). Never returns kAuto; returns kPortable when no
+/// SIMD leg applies.
 VecIsa detect_vec_isa() noexcept;
 
-/// Whether make_vec_batch(..., isa) can honor the request on this machine.
+/// Whether make_vec_batch(..., isa) can honor the request on this machine:
+/// the leg is compiled in and the CPU runs it, whether or not it is the
+/// widest one (kAvx2 is available on an AVX-512 host).
 bool vec_isa_available(VecIsa isa) noexcept;
 
 /// The vector engine runs on the scan limb only (bulk/scan_corpus.hpp).
@@ -104,13 +110,13 @@ class VecBatchBase {
 
   /// The ISA this batch executes with (resolved, never kAuto).
   virtual VecIsa isa() const noexcept = 0;
-  /// Lanes per vector register (W = 8).
+  /// Lanes per vector register (W = 8 portable and AVX2, 16 AVX-512).
   virtual std::size_t vector_width() const noexcept = 0;
 };
 
 /// Construct a vector batch. isa = kAuto probes the CPU; an explicit ISA
 /// throws std::invalid_argument when unavailable (missing TU or CPU
-/// support) so tests can pin the portable-vs-AVX2 comparison.
+/// support) so tests can pin each leg against the others.
 std::unique_ptr<VecBatchBase> make_vec_batch(std::size_t lanes,
                                              std::size_t capacity_limbs,
                                              std::size_t warp_width = 32,

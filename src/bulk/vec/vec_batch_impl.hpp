@@ -2,14 +2,16 @@
 // registers instead of CUDA warps; see docs/GPU_PORTING.md).
 //
 // This header is the single source of the vector backend and is compiled
-// into the library TWICE under distinct namespaces: vec_portable.cpp with
-// baseline flags and vec_avx2.cpp with -mavx2 (x86-64 only). The round is
-// written in GNU vector extensions over the contiguous column-major limb
-// rows of the batch matrices — exactly the loads a CUDA warp coalesces
-// (Figure 3) — so the -mavx2 TU lowers it to 256-bit vector loads/stores,
-// gathers and blends, while the portable TU lowers the same source to
-// baseline code. No ODR violation: the including TU defines
-// BULKGCD_VEC_IMPL_NS / BULKGCD_VEC_IMPL_ISA.
+// into the library up to THREE times under distinct namespaces:
+// vec_portable.cpp with baseline flags and vec_avx2.cpp with -mavx2 (both
+// 32-byte registers, W = 8), and vec_avx512.cpp with -mavx512f/dq/vl/bw
+// (64-byte registers, W = 16; x86-64 only). The round is written in GNU
+// vector extensions over the contiguous column-major limb rows of the batch
+// matrices — exactly the loads a CUDA warp coalesces (Figure 3) — so the
+// SIMD TUs lower it to 256- or 512-bit vector loads/stores, gathers and
+// blends, while the portable TU lowers the same source to baseline code. No
+// ODR violation: the including TU defines BULKGCD_VEC_IMPL_NS,
+// BULKGCD_VEC_IMPL_ISA and the register width BULKGCD_VEC_IMPL_BYTES.
 //
 // Execution model per W-lane group (the "vector warp"):
 //   * a full group running Approximate Euclidean in the Section-V regime
@@ -18,7 +20,7 @@
 //     the paper's GPU kernel) runs FULLY vector-resident on 32-bit limbs:
 //     lane sizes, swap flags, live masks and iteration counts stay in vector
 //     registers for the whole group run; the round head (termination test,
-//     Case-4 classification, the quotient via 4-lane double division +
+//     Case-4 classification, the quotient via W/2-lane double division +
 //     exact fixup, the d0 classify) computes all W lanes at once from
 //     register-carried top words plus two gathers per round; the masked
 //     submul sweep tracks the normalized result size in-register — the
@@ -54,11 +56,12 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#if defined(__AVX2__)
+#if defined(__AVX2__)  // -mavx512f implies it
 #include <immintrin.h>
 #endif
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "bulk/layout.hpp"
@@ -84,60 +87,93 @@
 #ifndef BULKGCD_VEC_IMPL_ISA
 #error "vec_batch_impl.hpp must be included with BULKGCD_VEC_IMPL_ISA defined"
 #endif
+#if !defined(BULKGCD_VEC_IMPL_BYTES) || \
+    (BULKGCD_VEC_IMPL_BYTES != 32 && BULKGCD_VEC_IMPL_BYTES != 64)
+#error "vec_batch_impl.hpp must be included with BULKGCD_VEC_IMPL_BYTES 32 or 64"
+#endif
 
 namespace bulkgcd::bulk {
 namespace BULKGCD_VEC_IMPL_NS {
 
 /// GNU vector extensions express the resident round directly as W-wide
-/// SIMD values over 32-bit scan limbs: the -mavx2 TU lowers them to 256-bit
-/// loads, gathers, blends and per-lane variable shifts, while the portable
-/// TU lowers the identical source to baseline (SSE2 or scalar) code.
+/// SIMD values over 32-bit scan limbs, W = BULKGCD_VEC_IMPL_BYTES / 4: the
+/// -mavx2 TU lowers them to 256-bit loads, gathers, blends and per-lane
+/// variable shifts, the AVX-512 TU to the same on 512-bit registers, while
+/// the portable TU lowers the identical source to baseline (SSE2 or scalar)
+/// code. The three intrinsic seams below pick their form by register width,
+/// never by ISA macro alone, so a baseline TU built with -march=native still
+/// gets intrinsics that match its width.
 struct VecTraits {
-  typedef std::uint32_t LimbVec __attribute__((vector_size(32)));  // W = 8
+  static constexpr int kBytes = BULKGCD_VEC_IMPL_BYTES;
+  static constexpr int kLanes = kBytes / 4;
+
+  typedef std::uint32_t LimbVec __attribute__((vector_size(kBytes)));
   // Lane sizes fit far below 2^31, so the per-row "i < ly" test uses the
   // single-instruction signed compare instead of the unsigned sequence.
-  typedef std::int32_t SignedVec __attribute__((vector_size(32)));
-  // The carry/borrow chains run as two u64x4 half-chains (even and odd
-  // lanes), keeping every value in native 256-bit registers AND giving the
+  typedef std::int32_t SignedVec __attribute__((vector_size(kBytes)));
+  // The carry/borrow chains run as two u64 half-chains (even and odd
+  // lanes), keeping every value in native registers AND giving the
   // out-of-order core two independent dependency chains per row.
-  typedef std::uint64_t PairVec __attribute__((vector_size(32)));
+  typedef std::uint64_t PairVec __attribute__((vector_size(kBytes)));
 
-  typedef std::int64_t SignedPairVec __attribute__((vector_size(32)));
-  typedef double DblVec __attribute__((vector_size(32)));
-  typedef float FloatVec __attribute__((vector_size(32)));
+  typedef std::int64_t SignedPairVec __attribute__((vector_size(kBytes)));
+  typedef double DblVec __attribute__((vector_size(kBytes)));
+  typedef float FloatVec __attribute__((vector_size(kBytes)));
 
-  /// Eight per-lane loads from arbitrary 32-bit element offsets off one base
+  /// {0, 1, …, W-1}: each lane's column offset inside its group.
+  static constexpr LimbVec iota() noexcept {
+    return []<std::size_t... I>(std::index_sequence<I...>) {
+      return LimbVec{std::uint32_t(I)...};
+    }(std::make_index_sequence<kLanes>{});
+  }
+
+  /// W per-lane loads from arbitrary 32-bit element offsets off one base
   /// (vpgatherdd) — how the vector-resident round reads the strided top
   /// words of all lanes at once. Offsets must stay below 2^31 elements.
   static LimbVec gather(const std::uint32_t* b, LimbVec idx) noexcept {
-#if defined(__AVX2__)
+#if BULKGCD_VEC_IMPL_BYTES == 64 && defined(__AVX512F__)
+    // The masked form with a zeroed source: the unmasked intrinsic passes
+    // _mm512_undefined_epi32() through, which gcc 12 flags as
+    // maybe-uninitialized.
+    return (LimbVec)_mm512_mask_i32gather_epi32(
+        _mm512_setzero_si512(), __mmask16(0xFFFF), (__m512i)idx, b, 4);
+#elif BULKGCD_VEC_IMPL_BYTES == 32 && defined(__AVX2__)
     return (LimbVec)_mm256_i32gather_epi32(reinterpret_cast<const int*>(b),
                                            (__m256i)idx, 4);
 #else
     LimbVec r;
-    for (int l = 0; l < 8; ++l) r[l] = b[idx[l]];
+    for (int l = 0; l < kLanes; ++l) r[l] = b[idx[l]];
     return r;
 #endif
   }
 
-  /// One bit per 32-bit lane from a 0/~0 mask vector (vmovmskps).
+  /// One bit per 32-bit lane from a 0/~0 mask vector (vmovmskps, or a
+  /// sign compare into a mask register on 512-bit lanes).
   static int movemask(LimbVec m) noexcept {
-#if defined(__AVX2__)
+#if BULKGCD_VEC_IMPL_BYTES == 64 && defined(__AVX512F__)
+    return int(_mm512_cmplt_epi32_mask((__m512i)m, _mm512_setzero_si512()));
+#elif BULKGCD_VEC_IMPL_BYTES == 32 && defined(__AVX2__)
     return _mm256_movemask_ps((__m256)m);
 #else
     int r = 0;
-    for (int l = 0; l < 8; ++l) r |= int(m[l] >> 31) << l;
+    for (int l = 0; l < kLanes; ++l) r |= int(m[l] >> 31) << l;
     return r;
 #endif
   }
 
   /// Full 64-bit product of the low 32 bits of each 64-bit lane (vpmuludq).
-  /// gcc has no pattern that simplifies the generic u64x4 multiply when the
-  /// operands' high words are known zero — it always expands the 64 x 64
-  /// sequence — so the AVX2 TU uses the intrinsic; everything else in the
-  /// kernels stays plain vector-extension arithmetic.
+  /// gcc has no pattern that simplifies the generic u64 vector multiply
+  /// when the operands' high words are known zero — it always expands the
+  /// 64 x 64 sequence — so the SIMD TUs use the intrinsic; everything else
+  /// in the kernels stays plain vector-extension arithmetic.
   static PairVec mul32(PairVec a, PairVec b) noexcept {
-#if defined(__AVX2__)
+#if BULKGCD_VEC_IMPL_BYTES == 64 && defined(__AVX512F__)
+    // The zero-masked form with every lane selected is the same vpmuludq;
+    // the unmasked intrinsic's _mm512_undefined_epi32() pass-through (its
+    // self-initialized __Y) is what gcc 12 flags as maybe-uninitialized.
+    return (PairVec)_mm512_maskz_mul_epu32(__mmask8(0xFF), (__m512i)a,
+                                           (__m512i)b);
+#elif BULKGCD_VEC_IMPL_BYTES == 32 && defined(__AVX2__)
     return (PairVec)_mm256_mul_epu32((__m256i)a, (__m256i)b);
 #else
     return (a & 0xffffffffu) * (b & 0xffffffffu);
@@ -146,14 +182,16 @@ struct VecTraits {
 };
 
 class VecBatch final : public VecBatchBase {
-  static_assert(sizeof(Limb) == 4, "the resident round is written for W = 8");
+  static_assert(sizeof(Limb) == 4,
+                "the resident round is written for 32-bit limbs, "
+                "W = BULKGCD_VEC_IMPL_BYTES / 4 lanes");
   using Wide = mp::LimbTraits<Limb>::Wide;
   static constexpr int LB = mp::limb_bits<Limb>;
   static constexpr Wide kMask = mp::limb_base<Limb> - 1;
 
  public:
-  /// Lanes per 256-bit vector register.
-  static constexpr std::size_t W = 32 / sizeof(Limb);
+  /// Lanes per vector register (8 in 256 bits, 16 in 512 bits).
+  static constexpr std::size_t W = VecTraits::kBytes / sizeof(Limb);
 
   VecBatch(std::size_t lanes, std::size_t capacity_limbs,
            std::size_t warp_width)
@@ -410,16 +448,16 @@ class VecBatch final : public VecBatchBase {
     using VT = VecTraits;
     using VL = VT::LimbVec;
     using SL = VT::SignedVec;
-    using V4 = VT::PairVec;
-    using S4 = VT::SignedPairVec;
-    using D4 = VT::DblVec;
+    using U64V = VT::PairVec;
+    using S64V = VT::SignedPairVec;
+    using F64V = VT::DblVec;
 
     const std::size_t L = lanes_;
     Limb* __restrict__ Sd = mat_.storage().data();
     const Limb capL = Limb(cap_ * L);
 
     // ---- scalar -> vector state load ----
-    alignas(32) Limb t32[W];
+    alignas(VecTraits::kBytes) Limb t32[W];
     std::array<std::uint8_t, W> init_live{};
     std::array<std::size_t, W> log_base{};
     for (std::size_t l = 0; l < W; ++l) {
@@ -441,19 +479,19 @@ class VecBatch final : public VecBatchBase {
     for (std::size_t l = 0; l < W; ++l) t32[l] = Limb(eff_early_[base + l]);
     const VL earlyv = v_load<VL>(t32);
 
-    const VL iota = {0, 1, 2, 3, 4, 5, 6, 7};
+    constexpr VL iota = VT::iota();
     const VL lanecol = iota + Limb(base);
     const VL capLv = VL{} + capL;
     const VL rowmul = VL{} + Limb(L);
     const VL one = VL{} + 1;
     const VL two = VL{} + 2;
     const VL kLBv = VL{} + Limb(LB);
-    const V4 kMaskV = V4{} + kMask;
-    const V4 hiKeep = V4{} + (Wide(kMask) << LB);
-    const V4 bias = V4{} + (Wide(1) << 63);
-    const V4 kexp = V4{} + 0x4330000000000000ull;  // double bits of 2^52
-    const D4 k52 = D4{} + 4503599627370496.0;      // 2^52
-    const D4 kscale = D4{} + 4294967296.0;         // 2^32
+    const U64V kMaskV = U64V{} + kMask;
+    const U64V hiKeep = U64V{} + (Wide(kMask) << LB);
+    const U64V bias = U64V{} + (Wide(1) << 63);
+    const U64V kexp = U64V{} + 0x4330000000000000ull;  // double bits of 2^52
+    const F64V k52 = F64V{} + 4503599627370496.0;      // 2^52
+    const F64V kscale = F64V{} + 4294967296.0;         // 2^32
 
     // Exact 64/64 -> floor quotient q = ⌊x/d⌋ for quotients < 2^32: the
     // divide of approx_case4_only, bit-identical but never serialized
@@ -464,20 +502,20 @@ class VecBatch final : public VecBatchBase {
     // (the quotient fits a limb), so rounding it to an integer (+ 2^52)
     // gives q or q + 1. Starting from that minus one, at most two
     // predicated increments against the exact 64-bit remainder land on q.
-    const auto divq = [&](V4 xv, V4 dv) noexcept -> V4 {
-      const D4 xd = ((D4)((xv >> LB) | kexp) - k52) * kscale +
-                    ((D4)((xv & kMask) | kexp) - k52);
-      const D4 dd = ((D4)((dv >> LB) | kexp) - k52) * kscale +
-                    ((D4)((dv & kMask) | kexp) - k52);
-      const D4 qd = xd / dd + k52;  // + 2^52 rounds to the nearest integer
-      V4 q = ((V4)qd & ((Wide(1) << 52) - 1)) - 1;
-      const V4 dm1 = (dv - 1) ^ bias;
-      const V4 low = VT::mul32(q, dv) + (VT::mul32(q, dv >> LB) << LB);
-      V4 r = xv - low;
-      const V4 f1 = (V4)((S4)(r ^ bias) > (S4)dm1);  // r >= dv, biased cmp
+    const auto divq = [&](U64V xv, U64V dv) noexcept -> U64V {
+      const F64V xd = ((F64V)((xv >> LB) | kexp) - k52) * kscale +
+                    ((F64V)((xv & kMask) | kexp) - k52);
+      const F64V dd = ((F64V)((dv >> LB) | kexp) - k52) * kscale +
+                    ((F64V)((dv & kMask) | kexp) - k52);
+      const F64V qd = xd / dd + k52;  // + 2^52 rounds to the nearest integer
+      U64V q = ((U64V)qd & ((Wide(1) << 52) - 1)) - 1;
+      const U64V dm1 = (dv - 1) ^ bias;
+      const U64V low = VT::mul32(q, dv) + (VT::mul32(q, dv >> LB) << LB);
+      U64V r = xv - low;
+      const U64V f1 = (U64V)((S64V)(r ^ bias) > (S64V)dm1);  // r >= dv, biased cmp
       q -= f1;
       r -= dv & f1;
-      const V4 f2 = (V4)((S4)(r ^ bias) > (S4)dm1);
+      const U64V f2 = (U64V)((S64V)(r ^ bias) > (S64V)dm1);
       q -= f2;
       return q;
     };
@@ -520,19 +558,19 @@ class VecBatch final : public VecBatchBase {
       iters -= livem;  // masks are 0/~0: subtracting counts the live lanes
 
       // ---- Case-4 classification + quotient, all lanes at once ----
-      const V4 x12e = ((V4)x1 << LB) | ((V4)x2 & kMaskV);
-      const V4 x12o = ((V4)x1 & hiKeep) | ((V4)x2 >> LB);
-      const V4 y12e = ((V4)y1 << LB) | ((V4)y2 & kMaskV);
-      const V4 y12o = ((V4)y1 & hiKeep) | ((V4)y2 >> LB);
-      const V4 c4ae = (V4)((S4)(x12e ^ bias) > (S4)(y12e ^ bias));
-      const V4 c4ao = (V4)((S4)(x12o ^ bias) > (S4)(y12o ^ bias));
+      const U64V x12e = ((U64V)x1 << LB) | ((U64V)x2 & kMaskV);
+      const U64V x12o = ((U64V)x1 & hiKeep) | ((U64V)x2 >> LB);
+      const U64V y12e = ((U64V)y1 << LB) | ((U64V)y2 & kMaskV);
+      const U64V y12o = ((U64V)y1 & hiKeep) | ((U64V)y2 >> LB);
+      const U64V c4ae = (U64V)((S64V)(x12e ^ bias) > (S64V)(y12e ^ bias));
+      const U64V c4ao = (U64V)((S64V)(x12o ^ bias) > (S64V)(y12o ^ bias));
       const VL c4a = (VL)((c4ae & kMaskV) | (c4ao << LB));
       const VL szeq = (VL)(lxv == lyv);
       const VL c4c = ~c4a & szeq;  // x12 <= y12 and lx == ly: alpha = 1
-      const V4 dve = ((V4)(c4ae ? y12e : ((V4)y1 & kMaskV))) + 1;
-      const V4 dvo = ((V4)(c4ao ? y12o : ((V4)y1 >> LB))) + 1;
-      const V4 qe = divq(x12e, dve);
-      const V4 qo = divq(x12o, dvo);
+      const U64V dve = ((U64V)(c4ae ? y12e : ((U64V)y1 & kMaskV))) + 1;
+      const U64V dvo = ((U64V)(c4ao ? y12o : ((U64V)y1 >> LB))) + 1;
+      const U64V qe = divq(x12e, dve);
+      const U64V qo = divq(x12o, dvo);
       VL q = (VL)((qe & kMask) | (qo << LB));
       q = (VL)(c4c ? one : q);
       const VL alphav = (q - one) | one;  // the scalar head's odd-adjust
@@ -550,10 +588,10 @@ class VecBatch final : public VecBatchBase {
       const VL x0 = (VL)(swm ? B0 : A0);
       const VL y0 = (VL)(swm ? A0 : B0);
       const VL plo = y0 * alphav;
-      const V4 alpha_o = (V4)alphav >> LB;
-      const V4 pe = VT::mul32((V4)y0, (V4)alphav);
-      const V4 po = VT::mul32((V4)y0 >> LB, alpha_o);
-      const VL phi = (VL)(((V4)pe >> LB) | (po & hiKeep));
+      const U64V alpha_o = (U64V)alphav >> LB;
+      const U64V pe = VT::mul32((U64V)y0, (U64V)alphav);
+      const U64V po = VT::mul32((U64V)y0 >> LB, alpha_o);
+      const VL phi = (VL)(((U64V)pe >> LB) | (po & hiKeep));
       const VL d0 = x0 - plo;
       const VL bor0 = (VL)(x0 < plo);
       const VL dzm = (VL)(d0 == VL{}) & livem & ~bnz;
@@ -562,7 +600,7 @@ class VecBatch final : public VecBatchBase {
 
       // ---- rare lanes: the exact scalar kernels, this lane only ----
       if (VT::movemask(bnz | dzm)) [[unlikely]] {
-        alignas(32) Limb lxa[W], lya[W], swa[W], qa[W], ala[W], bza[W],
+        alignas(VecTraits::kBytes) Limb lxa[W], lya[W], swa[W], qa[W], ala[W], bza[W],
             dza[W], bta[W], itc[W], y1a[W], y2a[W];
         v_store(lxa, lxv);
         v_store(lya, lyv);
@@ -655,9 +693,9 @@ class VecBatch final : public VecBatchBase {
           const VL ym = (VL)(iv < lysv);
           const VL yi = yb & ym;
           const VL lo = yi * alphav;
-          const V4 pei = VT::mul32((V4)yi, (V4)alphav);
-          const V4 poi = VT::mul32((V4)yi >> LB, alpha_o);
-          const VL hi = (VL)(((V4)pei >> LB) | (poi & hiKeep));
+          const U64V pei = VT::mul32((U64V)yi, (U64V)alphav);
+          const U64V poi = VT::mul32((U64V)yi >> LB, alpha_o);
+          const VL hi = (VL)(((U64V)pei >> LB) | (poi & hiKeep));
           const VL pl = lo + carry;
           carry = hi - (VL)(pl < carry);
           const VL t = xi - pl;
@@ -694,7 +732,7 @@ class VecBatch final : public VecBatchBase {
       if (VT::movemask(tie)) [[unlikely]] {
         // Equal sizes AND equal top words: only the full limb walk can
         // order the values (Y is unchanged this round, X just shrank).
-        alignas(32) Limb ta[W], la[W], lxa[W], lya[W], swa[W];
+        alignas(VecTraits::kBytes) Limb ta[W], la[W], lxa[W], lya[W], swa[W];
         v_store(ta, tie);
         v_store(la, less);
         v_store(lxa, lxw);
@@ -728,7 +766,7 @@ class VecBatch final : public VecBatchBase {
     }
 
     // ---- group epilogue: state, stats and branch traces write-back ----
-    alignas(32) Limb itc[W], lxa[W], lya[W], swa[W], c4aa[W], c4ba[W],
+    alignas(VecTraits::kBytes) Limb itc[W], lxa[W], lya[W], swa[W], c4aa[W], c4ba[W],
         c4ca[W], swc[W], bzc[W];
     v_store(itc, iters);
     v_store(lxa, lxv);
@@ -765,7 +803,7 @@ class VecBatch final : public VecBatchBase {
   }
 
   /// Unaligned vector load/store (the batch matrices only guarantee the
-  /// allocator's alignment); compiles to vmovdqu under -mavx2.
+  /// allocator's alignment); compiles to vmovdqu / vmovdqu32.
   template <class V, class T>
   static V v_load(const T* p) noexcept {
     V v;

@@ -18,4 +18,9 @@ std::unique_ptr<VecBatchBase> make_vec_batch_avx2(
     std::size_t lanes, std::size_t capacity_limbs, std::size_t warp_width);
 #endif
 
+#if defined(BULKGCD_HAVE_AVX512_TU)
+std::unique_ptr<VecBatchBase> make_vec_batch_avx512(
+    std::size_t lanes, std::size_t capacity_limbs, std::size_t warp_width);
+#endif
+
 }  // namespace bulkgcd::bulk::detail

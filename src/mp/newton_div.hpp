@@ -53,9 +53,13 @@ namespace bulkgcd::mp {
 /// at 256, 512 and 1024: at a 256-limb divisor the rungs tie, at 512 Newton
 /// is 1.3–1.9× ahead and at 768 1.3–1.8×; 32-bit limbs tie at 512 and
 /// Newton leads from 768. The tree timed with the threshold at 512 was
-/// ahead of 1024 in three of four interleaved rounds; docs/BATCHGCD.md.
-/// The mp_stress differential suite straddles it on every limb width.)
-inline constexpr std::size_t kNewtonDivThreshold = 512;
+/// ahead of 1024 in three of four interleaved rounds. With the divisor's
+/// transforms held, one cofactor step of 384 u64 words runs 1.2–1.9×
+/// faster on Newton than on Knuth D (bench_microkernels BM_CofactorStep vs
+/// BM_CofactorStepKnuthD), and the tree with the threshold at 384 matched
+/// 512; docs/BATCHGCD.md. The mp_stress differential suite straddles it on
+/// every limb width.)
+inline constexpr std::size_t kNewtonDivThreshold = 384;
 
 /// Most fix-up steps one block can need. A block has c < β^{n+p−1} (p < n)
 /// or c < β^{2n} (p = n). Its estimate loses less than 2 units to the floor

@@ -116,7 +116,8 @@ TEST_P(DifferentialFuzz, VectorMatchesStagedOnMixedBatch) {
   // bit-identity (stats, iteration traces) lives in vec_backend_test; this
   // keeps the vector backend inside the all-implementations fuzz net.
   Xoshiro256 rng(GetParam() * 0x9e3779b9u + 17);
-  const std::size_t lanes = 19;  // two full W = 8 groups + a 3-lane tail
+  // Two full W = 8 groups + a 3-lane tail; one W = 16 group + the same tail.
+  const std::size_t lanes = 19;
   const auto check = [&](std::size_t min_bits, std::size_t bits,
                          bool early_terminate) {
     std::vector<std::pair<BigInt, BigInt>> pairs;
@@ -140,10 +141,13 @@ TEST_P(DifferentialFuzz, VectorMatchesStagedOnMixedBatch) {
       }
       staged.run_staged(variant);
 
-      for (const bulk::VecIsa isa : {bulk::VecIsa::kPortable,
-                                     bulk::VecIsa::kAvx2}) {
+      for (const bulk::VecIsa isa :
+           {bulk::VecIsa::kPortable, bulk::VecIsa::kAvx2,
+            bulk::VecIsa::kAvx512}) {
         if (!bulk::vec_isa_available(isa)) continue;
         auto vec = bulk::make_vec_batch(lanes, cap, 32, isa);
+        ASSERT_EQ(vec->vector_width(),
+                  isa == bulk::VecIsa::kAvx512 ? 16u : 8u);
         for (std::size_t i = 0; i < lanes; ++i) {
           vec->load(i, pairs[i].first.limbs(), pairs[i].second.limbs(),
                     early[i]);

@@ -26,6 +26,7 @@
 
 #include "bulk/allpairs.hpp"
 #include "bulk/build_info.hpp"
+#include "bulk/vec/vec_backend.hpp"
 #include "core/rng.hpp"
 #include "journal_bytes.hpp"
 #include "obs/http_exposition.hpp"
@@ -1028,7 +1029,14 @@ TEST(MetricsHttpServerTest, StatusServesBuildInfoJson) {
   EXPECT_NE(status.find("\"limb_bits\":32"), std::string::npos) << status;
   EXPECT_NE(status.find("\"compiled_backends\":"), std::string::npos)
       << status;
-  EXPECT_NE(status.find("\"active_backend\":"), std::string::npos) << status;
+  EXPECT_NE(status.find("\"active_backend\":\"" + info.active_backend + "\""),
+            std::string::npos)
+      << status;
+  // On an AVX-512 host the W = 16 leg is compiled in and is what runs.
+  if (bulk::vec_isa_available(bulk::VecIsa::kAvx512)) {
+    EXPECT_NE(status.find("\"vector-avx512\""), std::string::npos) << status;
+    EXPECT_EQ(info.active_backend, "vector-avx512");
+  }
   // The one-line banner renders the same fields for CLI startup.
   const std::string line = bulk::build_info_line(info);
   EXPECT_NE(line.find("bulkgcd "), std::string::npos) << line;

@@ -2,17 +2,20 @@
 //  1. bit-identity against SimtBatch::run_staged — GCD limbs, early-coprime
 //     verdicts, per-lane iteration counts, AND the full reconstructed
 //     SimtStats must match exactly, for every compiled-in ISA leg, on W = 8
-//     lane groups including masked tails;
+//     and W = 16 lane groups including masked tails;
 //  2. GMP oracle on the values themselves;
 //  3. dispatch: cpuid probe, explicit-ISA construction, Engine::kAuto
 //     resolution, and end-to-end all_pairs_gcd / probe_incremental
 //     equivalence between the vector and staged engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "bulk/allpairs.hpp"
+#include "bulk/build_info.hpp"
 #include "bulk/layout.hpp"
 #include "bulk/scan_corpus.hpp"
 #include "bulk/simt.hpp"
@@ -34,18 +37,32 @@ using test::random_value;
 constexpr Variant kBulkVariants[] = {Variant::kBinary, Variant::kFastBinary,
                                      Variant::kApproximate};
 
+/// Every leg the vector engine can be compiled as.
+constexpr VecIsa kLegs[] = {VecIsa::kPortable, VecIsa::kAvx2,
+                            VecIsa::kAvx512};
+
+/// The legs this binary carries AND this CPU runs.
 std::vector<VecIsa> available_isas() {
-  std::vector<VecIsa> isas{VecIsa::kPortable};
-  if (bulk::vec_isa_available(VecIsa::kAvx2)) isas.push_back(VecIsa::kAvx2);
+  std::vector<VecIsa> isas;
+  for (const VecIsa isa : kLegs) {
+    if (bulk::vec_isa_available(isa)) isas.push_back(isa);
+  }
   return isas;
 }
 
+/// Lanes per register of each leg: 256 bits of u32 limbs, 512 for AVX-512.
+std::size_t leg_width(VecIsa isa) {
+  return isa == VecIsa::kAvx512 ? 16 : 8;
+}
+
 /// One lane of a bit-identity input: the pair, its early-termination
-/// threshold, and whether the lane is disabled after loading.
+/// threshold, whether the lane is disabled after loading, and whether its
+/// planted common factor is long enough that the lane must report it.
 struct LaneInput {
   BigInt x, y;
   std::size_t early = 0;
   bool disabled = false;
+  bool must_find = false;
 };
 
 /// Load the same lanes into a staged SimtBatch and a vector batch of every
@@ -69,7 +86,7 @@ void expect_bit_identity(const std::vector<LaneInput>& in,
     for (const VecIsa isa : available_isas()) {
       auto vec = bulk::make_vec_batch(lanes, cap, 32, isa);
       ASSERT_EQ(vec->isa(), isa);
-      ASSERT_EQ(vec->vector_width(), 8u);
+      ASSERT_EQ(vec->vector_width(), leg_width(isa));
       for (std::size_t i = 0; i < lanes; ++i) {
         vec->load(i, in[i].x.limbs(), in[i].y.limbs(), in[i].early);
         if (in[i].disabled) vec->disable(i);
@@ -87,6 +104,11 @@ void expect_bit_identity(const std::vector<LaneInput>& in,
         ASSERT_EQ(vec->early_coprime(i), ref.early_coprime(i))
             << to_string(variant) << " isa=" << to_string(isa) << " lane "
             << i;
+        if (in[i].must_find) {
+          ASSERT_FALSE(vec->early_coprime(i))
+              << to_string(variant) << " isa=" << to_string(isa) << " lane "
+              << i;
+        }
         if (!vec->early_coprime(i)) {
           ASSERT_EQ(vec->gcd_of(i), ref.gcd_of(i))
               << to_string(variant) << " isa=" << to_string(isa) << " lane "
@@ -114,14 +136,15 @@ void expect_bit_identity(std::uint64_t seed, std::size_t lanes,
   expect_bit_identity(in, seed);
 }
 
-/// One full W-lane group in the Section-V regime, the vector-resident
-/// round's input: both operands >= 6 limbs with early = min/2 >= 3 limbs,
-/// and x at least two limbs longer than y, so the first rounds take the
-/// β > 0 escape and patch the branch trace.
-std::vector<LaneInput> section_v_group(Xoshiro256& rng) {
+/// `lanes` lanes in the Section-V regime, the vector-resident round's input
+/// (8 is one W = 8 group, 16 one W = 16 group): both operands >= 6 limbs
+/// with early = min/2 >= 3 limbs, and x at least two limbs longer than y,
+/// so the first rounds take the β > 0 escape and patch the branch trace.
+std::vector<LaneInput> section_v_group(Xoshiro256& rng,
+                                       std::size_t lanes = 8) {
   constexpr std::size_t lb = mp::limb_bits<ScanLimb>;
   std::vector<LaneInput> in;
-  for (std::size_t l = 0; l < 8; ++l) {
+  for (std::size_t l = 0; l < lanes; ++l) {
     const std::size_t by = 6 * lb + rng.below(400);
     const std::size_t bx = by + 2 * lb + rng.below(200);
     in.push_back({random_odd<ScanLimb>(rng, bx), random_odd<ScanLimb>(rng, by),
@@ -164,22 +187,108 @@ TEST_P(VecBitIdentity, MatchesStagedScalarWithEarlyTerminate) {
   expect_section_v_identity(GetParam() ^ 0x5ec5);
 }
 
+/// A prime of exactly `bits` bits with its top two bits set, so a product
+/// of two has exactly their summed bits (GMP's nextprime: fast enough to
+/// plant dozens per test).
+BigInt planted_prime(Xoshiro256& rng, std::size_t bits) {
+  const BigInt start =
+      random_value<ScanLimb>(rng, bits - 1) + (BigInt(1) << (bits - 1));
+  test::Mpz p = test::to_mpz(start);
+  mpz_nextprime(p.get(), p.get());
+  return test::from_mpz<ScanLimb>(p);
+}
+
+/// Shapes sized for W = 16: the AVX-512 leg's resident round takes each
+/// full 16-lane group, the W = 8 legs split the same lanes into two groups.
+void expect_wide_group_identity(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  // 24 lanes: one full W = 16 group plus an 8-lane tail the AVX-512 leg
+  // runs lane by lane (three full groups on the W = 8 legs).
+  expect_bit_identity(section_v_group(rng, 24), seed);
+
+  // One 16-lane group with disabled lanes at both ends and in the middle:
+  // still resident, the disabled lanes masked off from the first round.
+  auto holes = section_v_group(rng, 16);
+  for (const std::size_t l : {0u, 7u, 8u, 15u}) holes[l].disabled = true;
+  expect_bit_identity(holes, seed);
+
+  // One group of 512-bit and 1024-bit lanes, early = min(bits)/2. Most
+  // lanes share a planted unbalanced prime: above the threshold the lane
+  // must report it, below it the Section-V verdict is "coprime".
+  std::vector<LaneInput> mixed;
+  for (std::size_t l = 0; l < 16; ++l) {
+    const std::size_t bx = l % 2 ? 1024 : 512;
+    const std::size_t by = l % 4 < 2 ? 1024 : 512;
+    const std::size_t early = std::min(bx, by) / 2;
+    if (l % 4 == 3) {  // coprime with overwhelming probability
+      mixed.push_back({random_odd<ScanLimb>(rng, bx),
+                       random_odd<ScanLimb>(rng, by), early});
+      continue;
+    }
+    // The shared prime sits well above (l % 4 < 2) or below (l % 4 == 2)
+    // the early-termination threshold; the cofactors fill the rest.
+    const std::size_t pbits = l % 4 == 2 ? early - 64 : early + 96;
+    const BigInt p = planted_prime(rng, pbits);
+    const BigInt x = p * planted_prime(rng, bx - pbits);
+    const BigInt y = p * planted_prime(rng, by - pbits);
+    mixed.push_back({x, y, early, false, l % 4 < 2});
+  }
+  expect_bit_identity(mixed, seed);
+}
+
+TEST_P(VecBitIdentity, MatchesStagedOnWideGroups) {
+  expect_wide_group_identity(GetParam() ^ 0x16);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, VecBitIdentity,
                          ::testing::Values(7u, 19u, 101u, 4242u));
 
+/// Each leg by name, skipped where this binary or CPU lacks it: the leg
+/// builds at its own width and runs a full resident group of its width.
+class VecLeg : public ::testing::TestWithParam<VecIsa> {};
+
+TEST_P(VecLeg, RunsAtItsWidth) {
+  const VecIsa isa = GetParam();
+  if (!bulk::vec_isa_available(isa)) {
+    GTEST_SKIP() << to_string(isa) << " leg unavailable on this machine";
+  }
+  Xoshiro256 rng(0x1e9 + leg_width(isa));
+  const auto in = section_v_group(rng, leg_width(isa));
+  bulk::SimtBatch<ScanLimb> ref(in.size(), 40, 32);
+  auto vec = bulk::make_vec_batch(in.size(), 40, 32, isa);
+  EXPECT_EQ(vec->isa(), isa);
+  EXPECT_EQ(vec->vector_width(), leg_width(isa));
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    ref.load(i, in[i].x.limbs(), in[i].y.limbs(), in[i].early);
+    vec->load(i, in[i].x.limbs(), in[i].y.limbs(), in[i].early);
+  }
+  ref.run_staged(Variant::kApproximate);
+  vec->run(Variant::kApproximate);
+  EXPECT_EQ(vec->stats(), ref.stats());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ(vec->lane_iterations(i), ref.lane_iterations(i)) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Legs, VecLeg, ::testing::ValuesIn(kLegs),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
+
 /// Drive both engines through the exact BlockSweeper verb sequence:
 /// load_panel + broadcast_y + reset_lane_state + disable, then run.
+/// r lanes per batch: 8 fills one W = 8 group, 24 one W = 16 group plus a
+/// tail; m = 21 is not a multiple of either.
 void expect_panel_identity(std::uint64_t seed, std::size_t min_bits,
-                           std::size_t early) {
+                           std::size_t early, std::size_t r = 8) {
   Xoshiro256 rng(seed);
-  const std::size_t m = 21;  // not a multiple of any W
+  const std::size_t m = r == 8 ? 21 : 2 * r - 3;
   std::vector<BigInt> moduli;
   for (std::size_t i = 0; i < m; ++i) {
     moduli.push_back(random_odd<std::uint32_t>(rng, min_bits + rng.below(512)));
   }
   const bulk::ScanCorpus scan(moduli);
   const std::size_t cap = scan.max_limbs();
-  const std::size_t r = 8;
   const bulk::CorpusPanels<ScanLimb> panels(scan, r,
                                             cap + bulk::kBatchPadLimbs);
   const auto y = scan.limbs(m - 1);
@@ -226,6 +335,9 @@ TEST(VecBackend, PanelPathMatchesStagedScalar) {
   // round; the modulus paired with itself exercises the d0 = 0 escape.
   constexpr std::size_t kEarly = 3 * mp::limb_bits<ScanLimb>;
   expect_panel_identity(616161, 2 * kEarly, kEarly);
+  // 24-lane blocks: a full W = 16 resident group and an 8-lane tail, the
+  // second block with three disabled lanes in its tail.
+  expect_panel_identity(717171, 2 * kEarly, kEarly, 24);
 }
 
 TEST(VecBackend, ReusedBatchStaysIdentical) {
@@ -259,20 +371,29 @@ TEST(VecBackend, DispatchProbes) {
   ASSERT_TRUE(bulk::vec_isa_available(best));
   auto batch = bulk::make_vec_batch(4, 8);
   ASSERT_EQ(batch->isa(), best);
-  if (!bulk::vec_isa_available(VecIsa::kAvx2)) {
-    ASSERT_THROW(
-        bulk::make_vec_batch(4, 8, 32, VecIsa::kAvx2),
-        std::invalid_argument);
+  ASSERT_EQ(batch->vector_width(), leg_width(best));
+  for (const VecIsa isa : {VecIsa::kAvx2, VecIsa::kAvx512}) {
+    if (!bulk::vec_isa_available(isa)) {
+      ASSERT_THROW(bulk::make_vec_batch(4, 8, 32, isa), std::invalid_argument)
+          << to_string(isa);
+    }
+  }
+  // An AVX-512 CPU also runs AVX2, so the narrower leg stays testable.
+  if (bulk::vec_isa_available(VecIsa::kAvx512)) {
+    EXPECT_EQ(best, VecIsa::kAvx512);
+    EXPECT_TRUE(bulk::vec_isa_available(VecIsa::kAvx2));
   }
 }
 
 TEST(VecBackend, AutoResolvesByCpu) {
-  // kAuto and an explicit kVector pick the vector engine exactly when the
-  // AVX2 leg runs here (the portable leg is test-only); staged and scalar
-  // pass through untouched.
-  const bulk::Engine want = bulk::detect_vec_isa() == VecIsa::kAvx2
-                                ? Engine::kVector
-                                : Engine::kStaged;
+  // The probe picks the widest available leg; kAuto and an explicit
+  // kVector pick the vector engine exactly when a SIMD leg runs here (the
+  // portable leg is test-only); staged and scalar pass through untouched.
+  const auto legs = available_isas();
+  const VecIsa best = legs.back();
+  EXPECT_EQ(bulk::detect_vec_isa(), best);
+  const bulk::Engine want =
+      best != VecIsa::kPortable ? Engine::kVector : Engine::kStaged;
   EXPECT_EQ(bulk::resolve_engine(Engine::kAuto), want);
   EXPECT_EQ(bulk::resolve_engine(Engine::kVector), want);
   for (const Engine e : {Engine::kStaged, Engine::kScalar}) {
@@ -312,6 +433,59 @@ TEST(VecBackend, AllPairsBackendsAgree) {
   staged.early_terminate = false;
   const auto want = bulk::all_pairs_gcd(moduli, staged);
   ASSERT_GT(want.hits.size(), 0u);
+
+  bulk::AllPairsConfig cfg = staged;
+  cfg.engine = Engine::kVector;
+  const auto got = bulk::all_pairs_gcd(moduli, cfg);
+  ASSERT_EQ(got.hits.size(), want.hits.size());
+  for (std::size_t h = 0; h < want.hits.size(); ++h) {
+    EXPECT_EQ(got.hits[h].i, want.hits[h].i);
+    EXPECT_EQ(got.hits[h].j, want.hits[h].j);
+    EXPECT_EQ(got.hits[h].factor, want.hits[h].factor);
+    EXPECT_EQ(got.hits[h].full_modulus, want.hits[h].full_modulus);
+  }
+  EXPECT_EQ(got.pairs_tested, want.pairs_tested);
+  EXPECT_EQ(got.simt, want.simt);
+}
+
+TEST(VecBackend, BuildInfoNamesEveryRunnableLeg) {
+  // /status and the CLI banners list every compiled leg; each leg this CPU
+  // runs is compiled in, and a default scan runs the widest of them.
+  const bulk::BuildInfo info = bulk::query_build_info();
+  const auto& compiled = info.compiled_backends;
+  for (const VecIsa isa : available_isas()) {
+    const std::string name = std::string("vector-") + to_string(isa);
+    EXPECT_NE(std::find(compiled.begin(), compiled.end(), name),
+              compiled.end())
+        << name;
+  }
+  const VecIsa best = bulk::detect_vec_isa();
+  EXPECT_EQ(info.active_backend,
+            best == VecIsa::kPortable
+                ? std::string("staged")
+                : std::string("vector-") + to_string(best));
+  if (bulk::vec_isa_available(VecIsa::kAvx512)) {
+    EXPECT_EQ(info.active_backend, "vector-avx512");
+  }
+}
+
+TEST(VecBackend, AllPairsBackendsAgreeOnFullWidthBlocks) {
+  // 32-lane blocks in the Section-V regime: whichever leg the probe picks
+  // runs its resident round on every full group. Hits, pair count and
+  // SimtStats match the staged engine.
+  Xoshiro256 rng(160416);
+  std::vector<BigInt> moduli;
+  const BigInt shared = planted_prime(rng, 256);
+  for (std::size_t i = 0; i < 40; ++i) {
+    const BigInt q = planted_prime(rng, 256);
+    moduli.push_back(q * (i % 7 == 3 ? shared : planted_prime(rng, 256)));
+  }
+  bulk::AllPairsConfig staged;
+  staged.engine = Engine::kStaged;
+  staged.group_size = 32;
+  staged.pool_threads = 1;
+  const auto want = bulk::all_pairs_gcd(moduli, staged);
+  ASSERT_EQ(want.hits.size(), 15u);  // C(6, 2) pairs share `shared`
 
   bulk::AllPairsConfig cfg = staged;
   cfg.engine = Engine::kVector;
