@@ -50,8 +50,10 @@ int run_tree(int argc, char** argv) {
                                           std::size_t total) {
     std::printf("  level %zu/%zu committed\n", done, total);
     if (kill_after_levels > 0 && done >= kill_after_levels) {
-      // The level's journal record is already synced: a real crash, at the
-      // worst possible moment that still has this level durable.
+      // The hook runs on the journal's writer thread with exactly `done`
+      // records synced and the pool possibly computing levels ahead: a
+      // real crash, at the worst possible moment that still has this level
+      // durable.
       std::fflush(stdout);
       std::raise(SIGKILL);
     }

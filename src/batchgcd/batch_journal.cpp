@@ -25,9 +25,9 @@ constexpr std::uint8_t kRecordProduct = 1;
 constexpr std::uint8_t kRecordRemainder = 2;
 constexpr std::uint8_t kRecordGcds = 3;
 
-void put_values(core::ByteWriter& w, std::span<const TreeInt> values) {
-  w.u64(values.size());
-  for (const auto& v : values) w.bigint_limbs(v);
+void put_values(core::RecordStream& out, std::span<const TreeInt> values) {
+  out.u64(values.size());
+  for (const auto& v : values) out.bigint_limbs(v);
 }
 
 bool get_values(core::ByteReader& r, std::vector<TreeInt>& values) {
@@ -41,13 +41,15 @@ bool get_values(core::ByteReader& r, std::vector<TreeInt>& values) {
   return true;
 }
 
-core::ByteWriter level_record(std::uint8_t kind, std::uint32_t level,
-                              std::span<const TreeInt> values) {
-  core::ByteWriter w;
-  w.u8(kind);
-  w.u32(level);
-  put_values(w, values);
-  return w;
+/// One level record, streamed: a level of any size is written without a
+/// heap allocation (the tree's writer thread allocates nothing per record).
+void append_level(core::RecordLog& log, std::uint8_t kind, std::uint32_t level,
+                  std::span<const TreeInt> values) {
+  core::RecordStream out(log);
+  out.u8(kind);
+  out.u32(level);
+  put_values(out, values);
+  out.finish();
 }
 
 }  // namespace
@@ -115,19 +117,19 @@ BatchReplay BatchJournal::take_replay() { return std::move(replay_); }
 
 void BatchJournal::append_product_level(std::uint32_t level,
                                         std::span<const TreeInt> nodes) {
-  log_.append(level_record(kRecordProduct, level, nodes).str());
+  append_level(log_, kRecordProduct, level, nodes);
 }
 
 void BatchJournal::append_remainder_level(std::uint32_t level,
                                           std::span<const TreeInt> residues) {
-  log_.append(level_record(kRecordRemainder, level, residues).str());
+  append_level(log_, kRecordRemainder, level, residues);
 }
 
 void BatchJournal::append_gcds(std::span<const TreeInt> gcds) {
-  core::ByteWriter w;
-  w.u8(kRecordGcds);
-  put_values(w, gcds);
-  log_.append(w.str());
+  core::RecordStream out(log_);
+  out.u8(kRecordGcds);
+  put_values(out, gcds);
+  out.finish();
   log_.flush();  // the completion record is always made durable
 }
 

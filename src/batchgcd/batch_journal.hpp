@@ -58,7 +58,10 @@ struct BatchReplay {
 };
 
 /// Open-for-append batch-tree journal bound to one corpus identity.
-/// Single-writer: the level-serial driver appends from one thread.
+/// Single-writer: one thread appends at a time. The tree driver appends
+/// its level records from one writer thread and, once that has drained,
+/// the gcds record from its own. Records stream into the file through a
+/// fixed buffer: an append allocates nothing, whatever the level's size.
 class BatchJournal {
  public:
   /// Opens `path`, creating it with a fresh header when absent, empty or

@@ -1,8 +1,14 @@
 #include "batchgcd/batchgcd.hpp"
 
 #include <algorithm>
+#include <condition_variable>
+#include <exception>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "batchgcd/batch_journal.hpp"
@@ -52,12 +58,14 @@ struct BatchTelemetry {
   }
 };
 
-/// Driver-level trace handles, one span per committed tree level.
+/// Driver-level trace handles: one span per computed tree level on the
+/// driver, one per level record on the journal's writer thread.
 struct BatchTrace {
   obs::TraceRecorder* rec = nullptr;
   std::uint32_t product_id = 0;
   std::uint32_t remainder_id = 0;
   std::uint32_t gcds_id = 0;
+  std::uint32_t commit_id = 0;
 
   static BatchTrace resolve(obs::TraceRecorder* rec) {
     BatchTrace t;
@@ -66,11 +74,114 @@ struct BatchTrace {
     t.product_id = rec->intern("product_level");
     t.remainder_id = rec->intern("remainder_level");
     t.gcds_id = rec->intern("final_gcds");
+    t.commit_id = rec->intern("level_commit");
     rec->set_arg_names(t.product_id, "level", "nodes");
     rec->set_arg_names(t.remainder_id, "level", "residues");
     rec->set_arg_names(t.gcds_id, "gcds", "weak");
+    rec->set_arg_names(t.commit_id, "level", "values");
     return t;
   }
+};
+
+/// The journal's one writer thread. The driver submits level records in
+/// order and goes on computing; the writer appends them in that order,
+/// reading each level in place, and runs `on_commit` once a record's append
+/// and cadence fsync have returned — so when it runs for the k-th record,
+/// the file holds exactly k records. The driver must drain() before it
+/// frees or overwrites a level it has submitted. A failed append or a throw
+/// from `on_commit` stops the writer before its next record, and the
+/// driver's next submit() or drain() rethrows it. The writer itself
+/// allocates nothing per record: records stream through a fixed buffer.
+class LevelWriter {
+ public:
+  struct Record {
+    bool product = false;  ///< a product level, else a remainder level
+    std::uint32_t level = 0;
+    std::span<const TreeInt> values;
+  };
+
+  LevelWriter(BatchJournal& journal, std::size_t records,
+              std::function<void()> on_commit, const BatchTrace& trace)
+      : journal_(journal), on_commit_(std::move(on_commit)), trace_(trace) {
+    pending_.reserve(records);
+    thread_ = std::thread([this] { run(); });
+  }
+
+  /// Stops after the record in hand (records still queued are not written)
+  /// and joins.
+  ~LevelWriter() {
+    {
+      std::lock_guard lock(mu_);
+      stopping_ = true;
+    }
+    work_.notify_one();
+    thread_.join();
+  }
+
+  LevelWriter(const LevelWriter&) = delete;
+  LevelWriter& operator=(const LevelWriter&) = delete;
+
+  void submit(const Record& record) {
+    {
+      std::lock_guard lock(mu_);
+      if (error_) std::rethrow_exception(error_);
+      pending_.push_back(record);
+    }
+    work_.notify_one();
+  }
+
+  /// Waits until every submitted record is committed.
+  void drain() {
+    std::unique_lock lock(mu_);
+    done_.wait(lock, [this] { return error_ || committed_ == pending_.size(); });
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  void run() {
+    try {
+      if (trace_.rec != nullptr) trace_.rec->set_thread_name("journal-writer");
+      std::unique_lock lock(mu_);
+      while (true) {
+        work_.wait(lock, [this] {
+          return stopping_ || committed_ < pending_.size();
+        });
+        if (stopping_) return;
+        const Record record = pending_[committed_];
+        lock.unlock();
+        {
+          obs::TraceSpan span(trace_.rec, trace_.commit_id);
+          span.set_args(record.level, record.values.size());
+          if (record.product) {
+            journal_.append_product_level(record.level, record.values);
+          } else {
+            journal_.append_remainder_level(record.level, record.values);
+          }
+        }
+        on_commit_();
+        lock.lock();
+        ++committed_;
+        done_.notify_all();
+      }
+    } catch (...) {
+      // `lock` is gone with the try block, so mu_ is free here.
+      std::lock_guard lock(mu_);
+      error_ = std::current_exception();
+      done_.notify_all();
+    }
+  }
+
+  BatchJournal& journal_;
+  std::function<void()> on_commit_;
+  BatchTrace trace_;
+  std::mutex mu_;
+  std::condition_variable work_;  // a record is queued, or stopping_
+  std::condition_variable done_;  // a record committed, or error_
+  std::vector<Record> pending_;   // every record submitted, in order
+  std::size_t committed_ = 0;
+  bool stopping_ = false;
+  std::exception_ptr error_;
+  std::thread thread_;  // last: starts once every member above is built
 };
 
 /// Product-tree depth for m leaves: level 0 (the moduli) up to the root.
@@ -173,7 +284,9 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
                             double(report.levels_total));
     }
   };
-  // Account one freshly committed level; true when this run should stop.
+  // Account one freshly committed level: on the journal's writer thread
+  // once the level is durable, on this thread without a journal (and for
+  // the final gcds).
   const auto committed_level = [&] {
     ++report.levels_done;
     if (t.levels_committed) t.levels_committed->inc();
@@ -181,8 +294,6 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
     if (config.level_hook) {
       config.level_hook(report.levels_done, report.levels_total);
     }
-    return config.stop_after_levels != 0 &&
-           report.levels_done >= config.stop_after_levels;
   };
 
   // A journal holding the gcds record is a finished attack: replay it.
@@ -199,13 +310,44 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
     return report;
   }
 
+  // The levels the writer reads in place, then the writer: declared after
+  // them, it is joined before they are freed on every exit.
+  std::vector<std::vector<TreeInt>> tree;
+  std::vector<TreeInt> current;
+  std::optional<LevelWriter> writer;
+  std::uint64_t submitted = 0;
+  // Hands one computed level on for commit; true when this run should
+  // stop, with every level it submitted committed.
+  const auto commit = [&](bool product, std::size_t level,
+                          std::span<const TreeInt> values) {
+    if (journal) {
+      if (!writer) {
+        writer.emplace(*journal, report.levels_total, committed_level, trace);
+      }
+      writer->submit({product, std::uint32_t(level), values});
+    } else {
+      committed_level();
+    }
+    ++submitted;
+    return config.stop_after_levels != 0 &&
+           submitted >= config.stop_after_levels;
+  };
+  // Waits until the writer reads no level: before one is freed or replaced.
+  const auto settle = [&] {
+    if (writer) writer->drain();
+  };
+  const auto stopped = [&] {
+    settle();
+    report.result.seconds = timer.seconds();
+    return report;
+  };
+
   // ---- product phase (up) -------------------------------------------------
   // Restore journaled levels, then compute the rest. Restored shapes are
   // re-checked against the corpus: the digest binds the leaves, the dense
   // level/size invariants bind everything above them. The tree computes on
   // 64-bit limbs: the leaves are repacked once here, replayed levels were
   // widened as they were decoded, and only the gcds are narrowed back.
-  std::vector<std::vector<TreeInt>> tree;
   tree.push_back(repack_all<std::uint64_t>(moduli));
   for (auto& [level, nodes] : replay.product_levels) {
     const auto& prev = tree.back();
@@ -220,19 +362,18 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   report.resumed = report.levels_restored > 0 || replay.remainder.has_value();
 
   while (tree.back().size() > 1) {
-    obs::ScopedSpan level_span(t.level_seconds);
-    obs::TraceSpan tspan(trace.rec, trace.product_id);
-    std::vector<TreeInt> next = product_level(tree.back());
-    const std::uint32_t level = std::uint32_t(tree.size());
-    tspan.set_args(level, next.size());
-    if (t.product_nodes) t.product_nodes->add(next.size());
-    tree.push_back(std::move(next));
-    if (journal) journal->append_product_level(level, tree.back());
-    if (committed_level()) {
-      report.result.seconds = timer.seconds();
-      return report;
+    const std::size_t level = tree.size();
+    {
+      obs::ScopedSpan level_span(t.level_seconds);
+      obs::TraceSpan tspan(trace.rec, trace.product_id);
+      tree.push_back(product_level(tree.back()));
+      tspan.set_args(level, tree.back().size());
     }
+    if (t.product_nodes) t.product_nodes->add(tree.back().size());
+    if (commit(true, level, tree.back())) return stopped();
   }
+  // The descent drops the root, which the writer may still be reading.
+  settle();
 
   // ---- remainder phase (down) ---------------------------------------------
   // The descent carries each node's cofactor residue s_v = (P / N_v) mod N_v,
@@ -242,7 +383,6 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   // size. A level is freed as soon as the step into it is done, so the
   // descent holds only the levels it has yet to reach, and the leaves for the
   // final gcds.
-  std::vector<TreeInt> current;
   std::size_t next_level = depth - 1;  // the level the next step reduces into
   if (replay.remainder) {
     auto& [restored_level, residues] = *replay.remainder;
@@ -273,37 +413,40 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   tree.resize(std::max<std::size_t>(next_level, 1));
 
   for (std::size_t level = next_level; level-- > 0;) {
-    obs::ScopedSpan level_span(t.level_seconds);
-    obs::TraceSpan tspan(trace.rec, trace.remainder_id);
-    const auto& nodes = tree[level];
-    std::vector<TreeInt> next(nodes.size());
-    global_pool().parallel_for(0, nodes.size(), [&](std::size_t lo,
-                                                    std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        // A node promoted from an odd-count level equals its parent, so it
-        // shares the parent's cofactor residue.
-        const bool promoted = i % 2 == 0 && i + 1 == nodes.size();
-        const TreeInt& parent = current[i / 2];
-        next[i] = promoted ? parent : cofactor_step(parent, nodes[i], nodes[i ^ 1]);
-      }
-    });
+    std::vector<TreeInt> next;
+    {
+      obs::ScopedSpan level_span(t.level_seconds);
+      obs::TraceSpan tspan(trace.rec, trace.remainder_id);
+      const auto& nodes = tree[level];
+      next.resize(nodes.size());
+      global_pool().parallel_for(0, nodes.size(), [&](std::size_t lo,
+                                                      std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          // A node promoted from an odd-count level equals its parent, so
+          // it shares the parent's cofactor residue.
+          const bool promoted = i % 2 == 0 && i + 1 == nodes.size();
+          const TreeInt& parent = current[i / 2];
+          next[i] = promoted ? parent
+                             : cofactor_step(parent, nodes[i], nodes[i ^ 1]);
+        }
+      });
+      tspan.set_args(level, next.size());
+    }
+    // The writer may still be reading the residues this step replaces.
+    settle();
     current = std::move(next);
     if (level > 0) tree.pop_back();
-    tspan.set_args(level, current.size());
     if (t.remainder_nodes) t.remainder_nodes->add(current.size());
-    if (journal) journal->append_remainder_level(std::uint32_t(level), current);
-    if (committed_level()) {
-      report.result.seconds = timer.seconds();
-      return report;
-    }
+    if (commit(false, level, current)) return stopped();
   }
 
   // ---- final gcds ---------------------------------------------------------
+  std::vector<TreeInt> gcds(moduli.size());
+  std::size_t weak = 0;
   {
     obs::ScopedSpan level_span(t.level_seconds);
     obs::TraceSpan tspan(trace.rec, trace.gcds_id);
     const auto& leaves = tree[0];
-    std::vector<TreeInt> gcds(moduli.size());
     global_pool().parallel_for(0, moduli.size(), [&](std::size_t lo,
                                                      std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
@@ -311,17 +454,18 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
         gcds[i] = gcd::gcd_general(leaves[i], current[i]);
       }
     });
-    if (journal) journal->append_gcds(gcds);
     report.result.gcds = repack_all<std::uint32_t>(gcds);
-    std::size_t weak = 0;
     for (const auto& g : report.result.gcds) {
       if (g > mp::BigInt(1)) ++weak;
     }
     tspan.set_args(moduli.size(), weak);
-    if (t.gcds) t.gcds->add(moduli.size());
-    if (t.weak) t.weak->add(weak);
-    committed_level();  // the last level: the stop threshold no longer matters
   }
+  // The completion record follows every level record, synchronously.
+  settle();
+  if (journal) journal->append_gcds(gcds);
+  if (t.gcds) t.gcds->add(moduli.size());
+  if (t.weak) t.weak->add(weak);
+  committed_level();  // the last level: the stop threshold no longer matters
 
   report.complete = true;
   report.result.seconds = timer.seconds();

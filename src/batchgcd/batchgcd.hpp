@@ -83,11 +83,17 @@ struct BatchScanConfig {
   /// Optional batchgcd_* metrics sink (null ⇒ zero-cost).
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional trace sink: one span per tree level (product_level /
-  /// remainder_level / final_gcds) plus journal fsync latency.
+  /// remainder_level / final_gcds) on the calling thread, and one
+  /// level_commit span per level record on the journal's writer thread.
   obs::TraceRecorder* trace = nullptr;
   /// Called after every level committed this run with
-  /// (levels_done_this_run, levels_total). The SIGKILL resume smoke raises
-  /// its signal from here, mid-tree, with the journal already synced.
+  /// (levels_done_this_run, levels_total). With a checkpoint it runs on the
+  /// journal's writer thread once the level's record is appended (and
+  /// synced on the fsync_every cadence), before the next record: the file
+  /// then holds exactly levels_done_this_run records of this run. Only the
+  /// final gcds level's call runs on the calling thread. The SIGKILL resume
+  /// smoke raises its signal from here; an exception thrown here stops the
+  /// writer and is rethrown by run_resumable_batch.
   std::function<void(std::size_t, std::size_t)> level_hook;
 };
 
@@ -108,11 +114,13 @@ struct BatchScanReport {
   std::uint64_t levels_restored = 0;
 };
 
-/// The checkpointed batch-GCD driver. Computes level by level, committing
-/// each completed level to the journal before starting the next, so the
+/// The checkpointed batch-GCD driver. Computes level by level and hands
+/// each completed level to the journal's writer thread, which appends it
+/// while the next level computes (docs/BATCHGCD.md "Durability"), so the
 /// process can die (SIGKILL included) at any point and a rerun with the same
 /// corpus and checkpoint path resumes at the first uncommitted level — the
-/// final gcds are bit-identical to an uninterrupted run.
+/// final gcds are bit-identical to an uninterrupted run. A journal write or
+/// fsync failure throws std::runtime_error.
 BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
                                     const BatchScanConfig& config = {});
 

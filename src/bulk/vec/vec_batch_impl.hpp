@@ -492,6 +492,11 @@ class VecBatch final : public VecBatchBase {
     const U64V kexp = U64V{} + 0x4330000000000000ull;  // double bits of 2^52
     const F64V k52 = F64V{} + 4503599627370496.0;      // 2^52
     const F64V kscale = F64V{} + 4294967296.0;         // 2^32
+    // Each round takes at least one bit off the larger operand (the
+    // progress bound in docs/ALGORITHMS.md), so a sound lane runs at most
+    // as many rounds as its operands have bits. A lane past that has a
+    // corrupt state and would spin forever.
+    const VL round_bound = (lxv + lyv) * kLBv;
 
     // Exact 64/64 -> floor quotient q = ⌊x/d⌋ for quotients < 2^32: the
     // divide of approx_case4_only, bit-identical but never serialized
@@ -556,6 +561,10 @@ class VecBatch final : public VecBatchBase {
       livem &= going;
       if (!VT::movemask(livem)) break;
       iters -= livem;  // masks are 0/~0: subtracting counts the live lanes
+      if (VT::movemask((VL)((SL)iters > (SL)round_bound))) [[unlikely]] {
+        throw std::logic_error(
+            "vector GCD round: a lane ran past its operands' bit count");
+      }
 
       // ---- Case-4 classification + quotient, all lanes at once ----
       const U64V x12e = ((U64V)x1 << LB) | ((U64V)x2 & kMaskV);

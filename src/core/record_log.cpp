@@ -25,15 +25,43 @@ void ByteWriter::u64(std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out_.push_back(char((v >> (8 * i)) & 0xff));
 }
 
+namespace {
+
+/// u32 limb count, then the canonical 32-bit limbs, into either writer.
+template <typename Out, mp::LimbType Limb>
+void put_bigint_limbs(Out& out, const mp::BigIntT<Limb>& n) {
+  out.u32(std::uint32_t(mp::limbs_for_bits<std::uint32_t>(n.bit_length())));
+  mp::repack_limbs<std::uint32_t>(n.limbs(),
+                                  [&out](std::uint32_t limb) { out.u32(limb); });
+}
+
+}  // namespace
+
 template <mp::LimbType Limb>
 void ByteWriter::bigint_limbs(const mp::BigIntT<Limb>& n) {
-  u32(std::uint32_t(mp::limbs_for_bits<std::uint32_t>(n.bit_length())));
-  mp::repack_limbs<std::uint32_t>(n.limbs(),
-                                  [this](std::uint32_t limb) { u32(limb); });
+  put_bigint_limbs(*this, n);
 }
 
 template void ByteWriter::bigint_limbs(const mp::BigInt&);
 template void ByteWriter::bigint_limbs(const mp::BigInt64&);
+
+template <mp::LimbType Limb>
+void RecordStream::bigint_limbs(const mp::BigIntT<Limb>& n) {
+  put_bigint_limbs(*this, n);
+}
+
+template void RecordStream::bigint_limbs(const mp::BigInt&);
+template void RecordStream::bigint_limbs(const mp::BigInt64&);
+
+void RecordStream::drain() {
+  log_.write(std::string_view(buf_.data(), used_));
+  used_ = 0;
+}
+
+void RecordStream::finish() {
+  drain();
+  log_.end_record();
+}
 
 void ByteWriter::bigint_bytes(const mp::BigInt& n) {
   const auto limbs = n.limbs();
@@ -177,7 +205,11 @@ void RecordLog::resume(std::size_t keep) {
 
 void RecordLog::append(std::string_view record) {
   write(record);
-  if (unsynced_ >= fsync_every_) sync();
+  end_record();
+}
+
+void RecordLog::end_record() {
+  if (++unsynced_ >= fsync_every_) sync();
 }
 
 void RecordLog::flush() {
@@ -188,7 +220,6 @@ void RecordLog::write(std::string_view bytes) {
   if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
     fail("write failed");
   }
-  ++unsynced_;
 }
 
 void RecordLog::sync() {

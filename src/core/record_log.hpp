@@ -25,12 +25,14 @@
 // invariant-breaking record, and everything after it) and reopened for
 // append.
 //
-// Append: one fwrite per record, flush + fsync after every `fsync_every`
+// Append: one fwrite per record (a RecordStream writes a large one in
+// fixed-size pieces instead), flush + fsync after every `fsync_every`
 // records. flush() syncs whatever is not yet synced; the destructor does the
 // same, best effort. Not thread-safe: a journal with concurrent writers
 // holds its own lock around every call.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -101,6 +103,8 @@ class ByteReader {
 
 class RecordLog {
  public:
+  friend class RecordStream;
+
   /// `what` names the file in error messages ("scan checkpoint").
   /// `fsync_hist` (optional) receives every flush + fsync latency;
   /// `trace` (optional) records each as a `fsync_span` span.
@@ -142,6 +146,8 @@ class RecordLog {
  private:
   void resume(std::size_t keep);
   void write(std::string_view bytes);
+  /// Counts one whole record written; syncs on the cadence.
+  void end_record();
   void sync();
   void sync_parent_dir();
   void close() noexcept;
@@ -158,6 +164,36 @@ class RecordLog {
   std::string bytes_;  // file contents between open() and replay()
   std::FILE* file_ = nullptr;
   std::size_t unsynced_ = 0;
+};
+
+/// ByteWriter's encoding streamed straight into a RecordLog through a fixed
+/// buffer: a record of any size is appended without being built in memory
+/// first, and without a heap allocation. finish() writes the tail and
+/// counts the record (syncing on the cadence); a stream dropped unfinished
+/// leaves a torn tail, which the next replay truncates.
+class RecordStream {
+ public:
+  explicit RecordStream(RecordLog& log) noexcept : log_(log) {}
+
+  void u8(std::uint8_t v) { put(v, 1); }
+  void u32(std::uint32_t v) { put(v, 4); }
+  void u64(std::uint64_t v) { put(v, 8); }
+  /// The same bytes as ByteWriter::bigint_limbs.
+  template <mp::LimbType Limb>
+  void bigint_limbs(const mp::BigIntT<Limb>& n);
+
+  void finish();
+
+ private:
+  void put(std::uint64_t v, int width) {
+    if (used_ + 8 > buf_.size()) drain();
+    for (int i = 0; i < width; ++i) buf_[used_++] = char((v >> (8 * i)) & 0xff);
+  }
+  void drain();
+
+  RecordLog& log_;
+  std::array<char, 32 * 1024> buf_{};
+  std::size_t used_ = 0;
 };
 
 }  // namespace bulkgcd::core

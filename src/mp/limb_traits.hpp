@@ -17,7 +17,7 @@ struct LimbTraits;
 template <>
 struct LimbTraits<std::uint16_t> {
   using Wide = std::uint32_t;          ///< holds a 2d-bit value
-  using WideS = std::int32_t;          ///< signed 2d-bit (Knuth D borrow math)
+  using WideS = std::int32_t;          ///< signed 2d-bit (borrow math)
   static constexpr int bits = 16;
 };
 

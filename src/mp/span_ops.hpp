@@ -284,7 +284,6 @@ DivSizes divrem(Limb* q, Limb* r, const Limb* a, std::size_t na, const Limb* b,
                 std::size_t nb) {
   using Traits = LimbTraits<Limb>;
   using Wide = typename Traits::Wide;
-  using WideS = typename Traits::WideS;
   constexpr int LB = limb_bits<Limb>;
   constexpr Wide BASE = limb_base<Limb>;
 
@@ -324,19 +323,23 @@ DivSizes divrem(Limb* q, Limb* r, const Limb* a, std::size_t na, const Limb* b,
       rhat += vn[nb - 1];
       if (rhat >= BASE) break;
     }
-    // Multiply-subtract: un[j .. j+nb] -= q̂ * vn.
-    Wide carry = 0;
-    WideS t = 0;
+    // Multiply-subtract: un[j .. j+nb] -= q̂ * vn. After the correction
+    // q̂ < BASE, so each product is one limb by one limb, and one carry
+    // limb takes the borrow too: q̂·v_i + carry <= BASE² − BASE, so a high
+    // limb of BASE − 1 comes with a zero low limb and no borrow.
+    const Limb qd = Limb(qhat);
+    Limb carry = 0;
     for (std::size_t i = 0; i < nb; ++i) {
-      const Wide p = qhat * vn[i];
-      t = WideS(Wide(un[i + j]) - carry - (p & (BASE - 1)));
-      un[i + j] = Limb(t);
-      carry = (p >> LB) - Wide(t >> LB);  // t>>LB is 0 or -1 (arith shift)
+      const Wide p = Wide(qd) * vn[i] + carry;
+      const Limb lo = Limb(p);
+      const Limb u = un[i + j];
+      un[i + j] = Limb(u - lo);
+      carry = Limb(Limb(p >> LB) + Limb(u < lo));
     }
-    t = WideS(Wide(un[j + nb]) - carry);
-    un[j + nb] = Limb(t);
-    q[j] = Limb(qhat);
-    if (t < 0) {  // q̂ was one too large: add the divisor back
+    const Limb top = un[j + nb];
+    un[j + nb] = Limb(top - carry);
+    q[j] = qd;
+    if (top < carry) {  // q̂ was one too large: add the divisor back
       --q[j];
       Wide k = 0;
       for (std::size_t i = 0; i < nb; ++i) {

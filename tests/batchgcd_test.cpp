@@ -3,11 +3,15 @@
 #include "batchgcd/batchgcd.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
+#include <thread>
 
 #include "batchgcd/batch_journal.hpp"
 #include "bulk/allpairs.hpp"
@@ -878,6 +882,151 @@ TEST_F(BatchResumeTest, PowerOfTwoNodesTakeTheWrapAroundEdgeAndResume) {
     ASSERT_TRUE(resumed.complete);
     EXPECT_EQ(resumed.levels_restored, stop);
     EXPECT_EQ(resumed.result.gcds, want);
+    EXPECT_EQ(test::slurp(path_), full);
+  }
+}
+
+// ---- the journal's writer thread -------------------------------------------
+
+TEST_F(BatchResumeTest, LevelHookSeesExactlyItsRecordsOnDisk) {
+  // The hook for level k runs once k records are appended and synced, and
+  // before the (k+1)-th is: a copy of the journal taken inside the hook
+  // replays to exactly k level records with no torn tail, the last one
+  // (the gcds) included.
+  const auto corpus = test_corpus(37, 3, 218);
+  const std::uint64_t digest = rsa::corpus_digest(corpus.moduli);
+  const auto copy = path_.string() + ".copy";
+  struct Seen {
+    std::size_t done = 0;
+    std::size_t records = 0;
+    bool gcds = false;
+    bool torn = false;
+  };
+  std::vector<Seen> seen;
+  std::size_t product_total = 0;
+  BatchScanConfig config;
+  config.checkpoint = path_;
+  config.level_hook = [&](std::size_t done, std::size_t total) {
+    product_total = (total - 1) / 2;
+    std::filesystem::copy_file(path_, copy,
+                               std::filesystem::copy_options::overwrite_existing);
+    const auto bytes = std::filesystem::file_size(copy);
+    BatchJournal journal(copy, digest, corpus.moduli.size());
+    const BatchReplay replay = journal.take_replay();
+    Seen s;
+    s.done = done;
+    s.records = replay.product_levels.size();
+    if (replay.remainder) s.records += product_total - replay.remainder->first;
+    s.gcds = replay.gcds.has_value();
+    s.torn = std::filesystem::file_size(copy) != bytes;
+    seen.push_back(s);
+  };
+  const BatchScanReport report = run_resumable_batch(corpus.moduli, config);
+  std::filesystem::remove(copy);
+  ASSERT_TRUE(report.complete);
+  ASSERT_EQ(seen.size(), report.levels_total);
+  for (const Seen& s : seen) {
+    SCOPED_TRACE(s.done);
+    EXPECT_FALSE(s.torn);
+    if (s.done < report.levels_total) {
+      EXPECT_EQ(s.records, s.done);
+      EXPECT_FALSE(s.gcds);
+    } else {
+      EXPECT_TRUE(s.gcds);
+    }
+  }
+}
+
+/// Lowers the process's file-size limit for its lifetime, with SIGXFSZ
+/// ignored so that a write past the limit fails with EFBIG instead of
+/// killing the process.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    ::getrlimit(RLIMIT_FSIZE, &old_);
+    rlimit lowered = old_;
+    lowered.rlim_cur = bytes;
+    ::setrlimit(RLIMIT_FSIZE, &lowered);
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &old_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit old_{};
+  void (*old_handler_)(int) = nullptr;
+};
+
+TEST_F(BatchResumeTest, WriterSideWriteFailureThrowsAndLeavesACleanPrefix) {
+  // The file-size limit cuts the journal mid-way through the product
+  // phase: the writer thread's append fails, and the run throws the
+  // journal's std::runtime_error rather than hanging or terminating. The
+  // file is a prefix of the uninterrupted journal, and a rerun resumes
+  // from it to the same gcds and bytes.
+  const auto corpus = test_corpus(64, 3, 219);
+  BatchScanConfig config;
+  config.checkpoint = path_;
+  const BatchScanReport reference = run_resumable_batch(corpus.moduli, config);
+  ASSERT_TRUE(reference.complete);
+  const std::string full = test::slurp(path_);
+  std::filesystem::remove(path_);
+
+  {
+    const FileSizeLimit limit(full.size() / 3);
+    EXPECT_THROW(run_resumable_batch(corpus.moduli, config), std::runtime_error);
+  }
+  const std::string cut = test::slurp(path_);
+  ASSERT_LT(cut.size(), full.size());
+  EXPECT_EQ(cut, full.substr(0, cut.size()));
+
+  const BatchScanReport resumed = run_resumable_batch(corpus.moduli, config);
+  ASSERT_TRUE(resumed.complete);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.result.gcds, reference.result.gcds);
+  EXPECT_EQ(test::slurp(path_), full);
+}
+
+TEST_F(BatchResumeTest, LaggingWriterReadsNoFreedLevel) {
+  // A hook that sleeps holds the writer thread after every record, so the
+  // pool runs ahead of it: the driver must wait for the writer before it
+  // frees the root or replaces residues the writer has yet to read (under
+  // AddressSanitizer a read of a freed level fails this test). A hook that
+  // then throws, at a product level and at a descent level, unwinds the
+  // driver with records still queued; the file keeps exactly the records
+  // committed before the throw.
+  const auto corpus = test_corpus(96, 2, 220);
+  BatchScanConfig config;
+  config.checkpoint = path_;
+  const BatchScanReport reference = run_resumable_batch(corpus.moduli, config);
+  ASSERT_TRUE(reference.complete);
+  const std::string full = test::slurp(path_);
+  const std::size_t descent_level = (reference.levels_total + 1) / 2 + 1;
+
+  struct Killed {};
+  for (const std::size_t kill : {std::size_t{0}, std::size_t{1}, descent_level}) {
+    SCOPED_TRACE(kill);
+    std::filesystem::remove(path_);
+    config.level_hook = [kill](std::size_t done, std::size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      if (done == kill) throw Killed{};
+    };
+    if (kill == 0) {
+      const BatchScanReport lagged = run_resumable_batch(corpus.moduli, config);
+      ASSERT_TRUE(lagged.complete);
+      EXPECT_EQ(lagged.result.gcds, reference.result.gcds);
+      EXPECT_EQ(test::slurp(path_), full);
+      continue;
+    }
+    EXPECT_THROW(run_resumable_batch(corpus.moduli, config), Killed);
+    config.level_hook = nullptr;
+    const BatchScanReport resumed = run_resumable_batch(corpus.moduli, config);
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.levels_restored, kill);
+    EXPECT_EQ(resumed.result.gcds, reference.result.gcds);
     EXPECT_EQ(test::slurp(path_), full);
   }
 }

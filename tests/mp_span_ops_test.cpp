@@ -169,6 +169,36 @@ TYPED_TEST(SpanOpsTest, DivRemQhatCorrectionCases) {
   }
 }
 
+TYPED_TEST(SpanOpsTest, DivRemAddBackMatchesGmp) {
+  // Two dividend/divisor patterns (least significant limb first; H = B/2)
+  // whose first quotient digit survives the q̂ correction one too large at
+  // every limb width, so the multiply-subtract borrows out of the top limb
+  // and the divisor is added back. Random low limbs under the dividend
+  // keep that first step and vary the rest.
+  using Limb = TypeParam;
+  using Big = BigIntT<Limb>;
+  const Limb ones = Limb(~Limb{0});
+  const Limb half = Limb(Limb{1} << (limb_bits<Limb> - 1));
+  const std::vector<Limb> dividends[] = {{0, 0, half, Limb(half - 1)},
+                                         {0, Limb(ones - 1), 0, half}};
+  const std::vector<Limb> divisors[] = {{1, 0, half}, {ones, 0, half}};
+  Xoshiro256 rng(18);
+  for (std::size_t c = 0; c < 2; ++c) {
+    for (std::size_t low = 0; low < 6; ++low) {
+      std::vector<Limb> u(low);
+      for (auto& limb : u) limb = Limb(rng());
+      u.insert(u.end(), dividends[c].begin(), dividends[c].end());
+      const Big a = Big::from_limbs(u);
+      const Big b = Big::from_limbs(divisors[c]);
+      auto [q, r] = Big::divmod(a, b);
+      Mpz eq, er;
+      mpz_fdiv_qr(eq.get(), er.get(), to_mpz(a).get(), to_mpz(b).get());
+      ASSERT_EQ(to_mpz(q), eq) << "case " << c << " low " << low;
+      ASSERT_EQ(to_mpz(r), er) << "case " << c << " low " << low;
+    }
+  }
+}
+
 TYPED_TEST(SpanOpsTest, DivRemWordAgainstFullDiv) {
   using Limb = TypeParam;
   using Big = BigIntT<Limb>;

@@ -270,6 +270,30 @@ TEST_P(VecLeg, RunsAtItsWidth) {
   }
 }
 
+TEST_P(VecLeg, CorruptLaneStopsAtItsRoundBound) {
+  // A lane whose Y claims n limbs but holds zeros makes no progress: each
+  // round subtracts nothing from X, and X stays the larger operand. The
+  // resident round must give up with an error once a lane has run more
+  // rounds than its operands have bits, not spin.
+  const VecIsa isa = GetParam();
+  if (!bulk::vec_isa_available(isa)) {
+    GTEST_SKIP() << to_string(isa) << " leg unavailable on this machine";
+  }
+  constexpr std::size_t n = 8;
+  constexpr std::size_t lb = mp::limb_bits<ScanLimb>;
+  const std::size_t w = leg_width(isa);
+  Xoshiro256 rng(0xb0d + w);
+  const auto y = random_odd<ScanLimb>(rng, n * lb);
+  ASSERT_EQ(y.size(), n);
+  const std::vector<ScanLimb> zeros(n * w, 0);
+  const std::vector<std::size_t> sizes(w, n);
+  auto vec = bulk::make_vec_batch(w, n, 32, isa);
+  vec->load_panel(zeros, sizes, n);
+  vec->broadcast_y(y.limbs());
+  for (std::size_t k = 0; k < w; ++k) vec->reset_lane_state(k, 3 * lb);
+  EXPECT_THROW(vec->run(Variant::kApproximate), std::logic_error);
+}
+
 INSTANTIATE_TEST_SUITE_P(Legs, VecLeg, ::testing::ValuesIn(kLegs),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
