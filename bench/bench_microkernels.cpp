@@ -4,6 +4,9 @@
 // performance investigation starts from.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
+#include "batchgcd/fraction.hpp"
 #include "gcd/algorithms.hpp"
 #include "gcd/lehmer.hpp"
 #include "gcd/approx.hpp"
@@ -233,7 +236,51 @@ void BM_CofactorStepKnuthD(benchmark::State& state) {
   }
 }
 BENCHMARK_TEMPLATE(BM_CofactorStepKnuthD, std::uint64_t)
-    ->Arg(16384)->Arg(24576)->Arg(32768);
+    ->Arg(4096)->Arg(8192)->Arg(16384)->Arg(24576)->Arg(32768);
+
+// One scaled step of the batch tree's descent (batchgcd/fraction.hpp): a
+// parent's fraction into both its children of `bits` each — the two
+// squares, the parent's transform held once, one cyclic product per child.
+// So a row prices two children: compare it with twice BM_CofactorStep or
+// BM_CofactorStepKnuthD at the same size. The precisions are those of a
+// tree of power-of-two nodes whose exit nodes are 256 words (a child of n
+// words gets p = max(n + 1, 2n − 255), its parent p + 2n), so from 512-word
+// children on the step runs at L = 4n.
+template <typename Limb>
+void BM_ScaledStep(benchmark::State& state) {
+  static_assert(sizeof(Limb) == 8, "the tree computes on 64-bit words");
+  const std::size_t bits = std::size_t(state.range(0));
+  const std::size_t n = bits / 64;
+  const std::size_t p_child = n + 1 + (n > 256 ? n - 256 : 0), p_parent = p_child + 2 * n;
+  const auto t = make_odd_t<Limb>(5, 64 * p_parent);
+  const auto left = make_odd_t<Limb>(6, bits);
+  const auto right = make_odd_t<Limb>(7, bits);
+  for (auto _ : state) {
+    const auto children = batchgcd::scaled_step(t, p_parent, left, p_child, right, p_child);
+    benchmark::DoNotOptimize(children.first.size());
+  }
+}
+BENCHMARK_TEMPLATE(BM_ScaledStep, std::uint64_t)
+    ->Arg(4096)->Arg(8192)->Arg(16384)->Arg(65536)->Arg(131072)->Arg(262144)
+    ->Arg(524288)->Arg(1048576);
+
+// The scaled descent's entry for one node of `bits` two levels below the
+// root: frac(C / N) to p = 2n − 255 words, for its cofactor C = uncle ·
+// sibling (2n and n words), on one Newton divisor.
+template <typename Limb>
+void BM_ScaledEntry(benchmark::State& state) {
+  static_assert(sizeof(Limb) == 8, "the tree computes on 64-bit words");
+  const std::size_t bits = std::size_t(state.range(0));
+  const auto node = make_odd_t<Limb>(6, bits);
+  const auto uncle = make_odd_t<Limb>(7, 2 * bits);
+  const auto sibling = make_odd_t<Limb>(8, bits);
+  for (auto _ : state) {
+    const auto t = batchgcd::entry_fraction(node, uncle, sibling, 2 * (bits / 64) - 255);
+    benchmark::DoNotOptimize(t.size());
+  }
+}
+BENCHMARK_TEMPLATE(BM_ScaledEntry, std::uint64_t)
+    ->Arg(65536)->Arg(131072)->Arg(262144)->Arg(524288)->Arg(1048576);
 
 void BM_GcdVariant(benchmark::State& state) {
   const auto variant = gcd::Variant(state.range(0));

@@ -11,19 +11,23 @@ namespace {
 // Record order invariants:
 //   - product levels appear in increasing level order starting at 1, each
 //     exactly once;
-//   - remainder levels appear in decreasing level order starting at L−2
-//     (the descent walks top-down), each exactly once, and only after every
-//     product level;
+//   - descent levels (fraction and residue records) appear in decreasing
+//     level order, each exactly one below the one before it, and only after
+//     every product level; a fraction record never follows a residue
+//     record, and level 0 is never a fraction record;
 //   - the gcds record, if present, is last.
 // Any record breaking these is treated as corruption: the tail from it on
 // is dropped, exactly like a torn write.
 
-// Version 2: remainder records hold cofactor residues (P / N) mod N. The
-// square residues P mod N² of version 1 (BGCDBTR1) are refused at open.
-constexpr std::string_view kMagic = "BGCDBTR2";
+// Version 3: the descent carries scaled fractions above its exit size, in
+// records of their own kind, and the root product is never journaled.
+// Versions 1 (square residues P mod N²) and 2 (cofactor residues at every
+// level, with the root) are refused at open.
+constexpr std::string_view kMagic = "BGCDBTR3";
 constexpr std::uint8_t kRecordProduct = 1;
 constexpr std::uint8_t kRecordRemainder = 2;
 constexpr std::uint8_t kRecordGcds = 3;
+constexpr std::uint8_t kRecordFraction = 4;
 
 void put_values(core::RecordStream& out, std::span<const TreeInt> values) {
   out.u64(values.size());
@@ -73,15 +77,13 @@ BatchJournal::BatchJournal(std::filesystem::path path,
   }
 
   std::uint32_t next_product = 1;  // product levels are dense from 1
-  bool descending = false;
-  std::uint32_t last_remainder = 0;
   log_.replay([&](core::ByteReader& r) {
     std::uint8_t kind = 0;
     if (!r.u8(kind)) return false;
     if (kind == kRecordProduct) {
       std::uint32_t level = 0;
       std::vector<TreeInt> nodes;
-      if (descending || replay_.gcds || !r.u32(level) ||
+      if (replay_.remainder || replay_.gcds || !r.u32(level) ||
           level != next_product || !get_values(r, nodes)) {
         return false;
       }
@@ -89,18 +91,20 @@ BatchJournal::BatchJournal(std::filesystem::path path,
       ++next_product;
       return true;
     }
-    if (kind == kRecordRemainder) {
-      std::uint32_t level = 0;
-      std::vector<TreeInt> residues;
-      if (replay_.gcds || !r.u32(level) || !get_values(r, residues)) {
+    if (kind == kRecordRemainder || kind == kRecordFraction) {
+      const bool fractions = kind == kRecordFraction;
+      DescentLevel next{0, fractions, {}};
+      if (replay_.gcds || !r.u32(next.level) || (fractions && next.level == 0) ||
+          !get_values(r, next.values)) {
         return false;
       }
-      // Top-down descent: each remainder level is exactly one below the
-      // previous record's level.
-      if (descending && level + 1 != last_remainder) return false;
-      descending = true;
-      last_remainder = level;
-      replay_.remainder.emplace(level, std::move(residues));
+      // Top-down descent: each level is exactly one below the previous
+      // record's, and fractions never come back once residues have begun.
+      if (const auto& last = replay_.remainder;
+          last && (next.level + 1 != last->level || (fractions && !last->fractions))) {
+        return false;
+      }
+      replay_.remainder = std::move(next);
       return true;
     }
     if (kind == kRecordGcds) {
@@ -123,6 +127,11 @@ void BatchJournal::append_product_level(std::uint32_t level,
 void BatchJournal::append_remainder_level(std::uint32_t level,
                                           std::span<const TreeInt> residues) {
   append_level(log_, kRecordRemainder, level, residues);
+}
+
+void BatchJournal::append_fraction_level(std::uint32_t level,
+                                         std::span<const TreeInt> fractions) {
+  append_level(log_, kRecordFraction, level, fractions);
 }
 
 void BatchJournal::append_gcds(std::span<const TreeInt> gcds) {

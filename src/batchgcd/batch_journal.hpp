@@ -4,18 +4,27 @@
 //
 // A core/record_log file (header, torn-header and torn-tail rules, fsync
 // cadence: docs/RECORD_LOG.md) whose identity is the corpus: rsa::corpus_digest
-// + count; magic BGCDBTR2. Three record kinds, one per completed tree level:
+// + count; magic BGCDBTR3. Four record kinds, one per completed tree level:
 //
-//   product(level, nodes)    — product-tree level `level` (1 = first pairing
-//                              of the moduli; the leaves are never journaled,
-//                              they ARE the corpus the header binds to).
-//   remainder(level, nodes)  — the cofactor residues (P / N_v) mod N_v of
-//                              tree level `level`'s nodes (level L−2 first,
-//                              level 0 last: the leaf residues
-//                              (P / n_i) mod n_i). Each is below its node.
-//   gcds(values)             — the final per-modulus gcd vector; its
-//                              presence marks the attack complete.
+//   product(level, nodes)      — product-tree level `level` (1 = first
+//                                pairing of the moduli, up to the root's two
+//                                children; the leaves are never journaled,
+//                                they ARE the corpus the header binds to,
+//                                and the root is never computed).
+//   fraction(level, values)    — the scaled fractions ⌊frac(P / N_v²)·β^p⌋
+//                                of tree level `level`'s nodes, each to its
+//                                node's precision p (batchgcd/fraction.hpp),
+//                                for the levels the descent crosses above
+//                                its exit size. Never level 0.
+//   remainder(level, residues) — the exact cofactor residues (P / N_v) mod
+//                                N_v of level `level`'s nodes, each below
+//                                its node: the levels below the exit, down
+//                                to level 0's (P / n_i) mod n_i.
+//   gcds(values)               — the final per-modulus gcd vector; its
+//                                presence marks the attack complete.
 //
+// Descent records run top-down, one level at a time, fractions before
+// residues; the record's kind, not the node sizes, tells which it holds.
 // Values are journaled as canonical 32-bit limbs (core::ByteWriter::
 // bigint_limbs) whatever their in-memory width: the tree computes on 64-bit
 // limbs (TreeInt) and writes each level straight from them, and the bytes
@@ -45,14 +54,21 @@ namespace bulkgcd::batchgcd {
 /// 64×64→128-bit multiply costs about what a 32×32→64-bit one does.
 using TreeInt = mp::BigInt64;
 
+/// One descent record: a level's scaled fractions, or its exact residues.
+struct DescentLevel {
+  std::uint32_t level = 0;
+  bool fractions = false;
+  std::vector<TreeInt> values;
+};
+
 /// Everything parsed from an existing journal at open.
 struct BatchReplay {
   /// Restored product-tree levels in append order (level index ≥ 1). A valid
   /// journal holds a dense prefix 1..k; the driver re-checks sizes anyway.
   std::vector<std::pair<std::uint32_t, std::vector<TreeInt>>> product_levels;
-  /// Deepest (lowest-level) restored remainder vector — the descent resumes
+  /// Deepest (lowest-level) restored descent record — the descent resumes
   /// from here. Records are appended top-down, so the last one parsed wins.
-  std::optional<std::pair<std::uint32_t, std::vector<TreeInt>>> remainder;
+  std::optional<DescentLevel> remainder;
   /// Final gcd vector, present only when the attack finished.
   std::optional<std::vector<TreeInt>> gcds;
 };
@@ -83,9 +99,13 @@ class BatchJournal {
   /// Journal one completed product-tree level (level ≥ 1).
   void append_product_level(std::uint32_t level,
                             std::span<const TreeInt> nodes);
-  /// Journal the residues after the descent reduced into tree `level`.
+  /// Journal the exact residues after the descent reduced into tree `level`.
   void append_remainder_level(std::uint32_t level,
                               std::span<const TreeInt> residues);
+  /// Journal the scaled fractions after the descent reached tree `level`
+  /// (level ≥ 1).
+  void append_fraction_level(std::uint32_t level,
+                             std::span<const TreeInt> fractions);
   /// Journal the final gcd vector; marks the run complete on replay.
   void append_gcds(std::span<const TreeInt> gcds);
 

@@ -9,13 +9,14 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "batchgcd/batch_journal.hpp"
+#include "batchgcd/fraction.hpp"
 #include "core/thread_pool.hpp"
 #include "core/timer.hpp"
 #include "gcd/algorithms.hpp"
-#include "mp/newton_div.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
@@ -94,8 +95,9 @@ struct BatchTrace {
 /// allocates nothing per record: records stream through a fixed buffer.
 class LevelWriter {
  public:
+  enum class Kind { kProduct, kFractions, kResidues };
   struct Record {
-    bool product = false;  ///< a product level, else a remainder level
+    Kind kind = Kind::kProduct;
     std::uint32_t level = 0;
     std::span<const TreeInt> values;
   };
@@ -152,10 +154,16 @@ class LevelWriter {
         {
           obs::TraceSpan span(trace_.rec, trace_.commit_id);
           span.set_args(record.level, record.values.size());
-          if (record.product) {
-            journal_.append_product_level(record.level, record.values);
-          } else {
-            journal_.append_remainder_level(record.level, record.values);
+          switch (record.kind) {
+            case Kind::kProduct:
+              journal_.append_product_level(record.level, record.values);
+              break;
+            case Kind::kFractions:
+              journal_.append_fraction_level(record.level, record.values);
+              break;
+            case Kind::kResidues:
+              journal_.append_remainder_level(record.level, record.values);
+              break;
           }
         }
         on_commit_();
@@ -214,30 +222,11 @@ std::vector<TreeInt> product_level(const std::vector<TreeInt>& prev) {
   return next;
 }
 
-/// s_c = ((s_v mod N_c) · N_d) mod N_c for a node N_c with sibling N_d.
-/// Where the first division takes the Newton rung, both divisions share
-/// one normalized divisor, its reciprocal and their held transforms. (The
-/// top step's s_v = 1 has no quotient, and its N_d mod N_c a short one:
-/// Knuth D does both.)
-TreeInt cofactor_step(const TreeInt& s, const TreeInt& node,
-                      const TreeInt& sibling) {
-  constexpr std::size_t T = mp::kNewtonDivThreshold;
-  if (node.size() < T || s.size() + 1 < node.size() + T) {
-    return (s % node) * sibling % node;
-  }
-  mp::NewtonDivisor<std::uint64_t> divisor(node.data(), node.size());
-  const auto mod = [&divisor](const TreeInt& a) {
-    std::vector<std::uint64_t> r(divisor.size());
-    r.resize(divisor.divrem(nullptr, r.data(), a.data(), a.size()).sizes.remainder);
-    return TreeInt::from_limbs(std::move(r));
-  };
-  const TreeInt r = mod(s);
-  // The product's transform buffers take the place of the divisor's, so
-  // the two sets are never live at once (peak RSS).
-  divisor.release_transforms();
-  const TreeInt d = r * sibling;
-  divisor.hold_transforms();
-  return mod(d);
+/// s_c = ((s_v mod N_c) · N_d) mod N_c for a node N_c with sibling N_d: the
+/// descent's step below its exit size, by Knuth D (the entry of a tree too
+/// small to scale takes it from s_root = 1).
+TreeInt cofactor_step(const TreeInt& s, const TreeInt& node, const TreeInt& sibling) {
+  return (s % node) * sibling % node;
 }
 
 }  // namespace
@@ -264,10 +253,23 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   const BatchTelemetry t = BatchTelemetry::resolve(config.metrics);
   const BatchTrace trace = BatchTrace::resolve(config.trace);
 
+  // The tree computes on 64-bit limbs: the leaves are repacked once here,
+  // replayed levels were widened as they were decoded, and only the gcds
+  // are narrowed back.
+  std::vector<TreeInt> moduli64 = repack_all<std::uint64_t>(moduli);
   const std::size_t depth = tree_depth(moduli.size());
-  // Checkpoint units: depth−1 product levels going up, depth−1 remainder
-  // levels coming down, plus the final gcds vector.
-  report.levels_total = std::uint64_t(2 * (depth - 1) + 1);
+  // The descent's levels, top-down (docs/BATCHGCD.md): with fraction levels
+  // it starts below the root's children (`top`), else at them.
+  const std::size_t top = depth > 1 ? depth - 2 : 0;
+  const std::size_t lowest_fraction = lowest_fraction_level(moduli64);
+  const bool scaled = lowest_fraction != 0;
+  const std::size_t first_descent = scaled ? top - 1 : top;
+  // Checkpoint units: the product levels up to the root's children (the
+  // descent never reads the root, so it is not computed), one per descent
+  // level, plus the final gcds vector.
+  const std::size_t product_levels = top;
+  const std::size_t descent_levels = depth > 1 ? first_descent + 1 : 0;
+  report.levels_total = std::uint64_t(product_levels + descent_levels + 1);
 
   std::unique_ptr<BatchJournal> journal;
   BatchReplay replay;
@@ -318,13 +320,14 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   std::uint64_t submitted = 0;
   // Hands one computed level on for commit; true when this run should
   // stop, with every level it submitted committed.
-  const auto commit = [&](bool product, std::size_t level,
+  using Kind = LevelWriter::Kind;
+  const auto commit = [&](Kind kind, std::size_t level,
                           std::span<const TreeInt> values) {
     if (journal) {
       if (!writer) {
         writer.emplace(*journal, report.levels_total, committed_level, trace);
       }
-      writer->submit({product, std::uint32_t(level), values});
+      writer->submit({kind, std::uint32_t(level), values});
     } else {
       committed_level();
     }
@@ -343,15 +346,15 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   };
 
   // ---- product phase (up) -------------------------------------------------
-  // Restore journaled levels, then compute the rest. Restored shapes are
-  // re-checked against the corpus: the digest binds the leaves, the dense
-  // level/size invariants bind everything above them. The tree computes on
-  // 64-bit limbs: the leaves are repacked once here, replayed levels were
-  // widened as they were decoded, and only the gcds are narrowed back.
-  tree.push_back(repack_all<std::uint64_t>(moduli));
+  // Restore journaled levels, then compute the rest, up to the root's two
+  // children. Restored shapes are re-checked against the corpus: the digest
+  // binds the leaves, the dense level/size invariants bind everything above
+  // them.
+  tree.push_back(std::move(moduli64));
   for (auto& [level, nodes] : replay.product_levels) {
     const auto& prev = tree.back();
-    if (level != tree.size() || nodes.size() != (prev.size() + 1) / 2) {
+    if (level != tree.size() || prev.size() <= 2 ||
+        nodes.size() != (prev.size() + 1) / 2) {
       throw std::runtime_error(
           "batch checkpoint: product level shape mismatch");
     }
@@ -361,7 +364,7 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   }
   report.resumed = report.levels_restored > 0 || replay.remainder.has_value();
 
-  while (tree.back().size() > 1) {
+  while (tree.back().size() > 2) {
     const std::size_t level = tree.size();
     {
       obs::ScopedSpan level_span(t.level_seconds);
@@ -370,74 +373,140 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
       tspan.set_args(level, tree.back().size());
     }
     if (t.product_nodes) t.product_nodes->add(tree.back().size());
-    if (commit(true, level, tree.back())) return stopped();
+    if (commit(Kind::kProduct, level, tree.back())) return stopped();
   }
-  // The descent drops the root, which the writer may still be reading.
-  settle();
 
   // ---- remainder phase (down) ---------------------------------------------
-  // The descent carries each node's cofactor residue s_v = (P / N_v) mod N_v,
-  // starting from s_root = 1. A child c with sibling d gets
-  // s_c = ((s_v mod N_c) · N_d) mod N_c, exact because P / N_c = (P / N_v) · N_d
-  // and N_c | N_v: two divisions by N_c and one product, all at the child's
-  // size. A level is freed as soon as the step into it is done, so the
-  // descent holds only the levels it has yet to reach, and the leaves for the
-  // final gcds.
-  std::size_t next_level = depth - 1;  // the level the next step reduces into
+  // Levels lowest_fraction … top − 1 carry scaled fractions
+  // t_v = frac(P / N_v²) (fraction.hpp), to the precision
+  // fraction_precision sets. The descent enters at level top − 1 with one
+  // Newton divisor per node (entry_fraction), t_x = frac((P / N_x) / N_x),
+  // where P / N_x is the node's sibling times the other child of the root. Each parent's scaled
+  // step then gives its children t_c = frac(t_v · N_d²). The level below
+  // the lowest fraction level (the exit) rounds its fractions to exact
+  // cofactor residues s = (P / N) mod N = round(t·N) mod N, each checked
+  // against the error bound fraction_ulps. Below the exit, and from the
+  // root's children down in a tree with no fraction level, Knuth D
+  // cofactor steps s_c = ((s_v mod N_c)·N_d) mod N_c carry residues down to
+  // the leaves' (P / n_i) mod n_i, from s_root = 1. A level's nodes are
+  // freed as soon as the step into it is done, so the descent holds only
+  // the levels it has yet to reach, and the leaves for the final gcds.
+  const auto precision = scaled ? fraction_precision(tree, lowest_fraction - 1)
+                                : std::vector<std::vector<std::size_t>>{};
+  const auto kind_of = [&](std::size_t level) {
+    return scaled && level >= lowest_fraction ? Kind::kFractions : Kind::kResidues;
+  };
+
+  // The level above the next step: the descent reduces into first_descent
+  // first.
+  std::size_t next_level = depth > 1 ? first_descent + 1 : 0;
   if (replay.remainder) {
-    auto& [restored_level, residues] = *replay.remainder;
-    if (restored_level >= depth - 1 ||
-        residues.size() != tree[restored_level].size()) {
+    auto& [restored_level, fractions, values] = *replay.remainder;
+    if (replay.product_levels.size() != product_levels || restored_level >= next_level ||
+        values.size() != tree[restored_level].size() ||
+        fractions != (kind_of(restored_level) == Kind::kFractions)) {
       throw std::runtime_error(
           "batch checkpoint: remainder level shape mismatch");
     }
-    // Every residue is reduced modulo its node: one that is not was never
-    // written by this descent, and resuming from it would yield wrong gcds.
-    for (std::size_t i = 0; i < residues.size(); ++i) {
-      if (!(residues[i] < tree[restored_level][i])) {
+    // A fraction is at most its node's precision, and a residue below its
+    // node: a value that is not was never written by this descent, and
+    // resuming from it would yield wrong gcds. (A fraction's own error bound
+    // is checked where the descent rounds it.)
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (fractions ? values[i].size() > precision[restored_level][i]
+                    : !(values[i] < tree[restored_level][i])) {
         throw std::runtime_error(
-            "batch checkpoint: remainder level residue out of range");
+            "batch checkpoint: remainder level value out of range");
       }
     }
-    // Reducing into restored_level means levels depth−2 … restored_level
-    // are already done: (depth−1) − restored_level descent steps.
-    const std::uint64_t steps_done = std::uint64_t(depth - 1 - restored_level);
+    // Reducing into restored_level means the descent levels above it are
+    // done too.
+    const std::uint64_t steps_done = std::uint64_t(next_level - restored_level);
     report.levels_restored += steps_done;
     if (t.levels_restored) t.levels_restored->add(steps_done);
     set_progress();
-    current = std::move(residues);
+    current = std::move(values);
     next_level = restored_level;
-  } else {
-    current.push_back(TreeInt(1));  // (P / P) mod P
+    tree.resize(std::max<std::size_t>(next_level, 1));
+  } else if (depth == 1) {
+    current.push_back(TreeInt(1));  // (P / n) mod n with P = n
   }
-  tree.resize(std::max<std::size_t>(next_level, 1));
 
   for (std::size_t level = next_level; level-- > 0;) {
     std::vector<TreeInt> next;
+    const Kind kind = kind_of(level);
     {
       obs::ScopedSpan level_span(t.level_seconds);
       obs::TraceSpan tspan(trace.rec, trace.remainder_id);
       const auto& nodes = tree[level];
       next.resize(nodes.size());
-      global_pool().parallel_for(0, nodes.size(), [&](std::size_t lo,
-                                                      std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          // A node promoted from an odd-count level equals its parent, so
-          // it shares the parent's cofactor residue.
-          const bool promoted = i % 2 == 0 && i + 1 == nodes.size();
-          const TreeInt& parent = current[i / 2];
-          next[i] = promoted ? parent
-                             : cofactor_step(parent, nodes[i], nodes[i ^ 1]);
-        }
-      });
+      auto& pool = global_pool();
+      if (level == first_descent && scaled) {
+        // The entry: P / N_x is x's sibling (if any) times x's uncle, the
+        // other child of the root.
+        const auto& roots = tree[top];
+        pool.parallel_for(0, nodes.size(), [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            const TreeInt& uncle = roots[(i / 2) ^ 1];
+            const TreeInt one(1);
+            const TreeInt& sibling = (i ^ 1) < nodes.size() ? nodes[i ^ 1] : one;
+            next[i] = entry_fraction(nodes[i], uncle, sibling, precision[level][i]);
+          }
+        });
+      } else if (level == first_descent) {
+        // The root's children, from s_root = (P / P) mod P = 1.
+        pool.parallel_for(0, 2, [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            next[i] = cofactor_step(TreeInt(1), nodes[i], nodes[i ^ 1]);
+          }
+        });
+      } else if (kind_of(level + 1) == Kind::kFractions) {
+        // One scaled step per parent; at the exit, each child's fraction
+        // is rounded to its residue.
+        const std::uint64_t ulps = fraction_ulps(first_descent - level);
+        pool.parallel_for(0, current.size(), [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t v = lo; v < hi; ++v) {
+            const std::size_t c = 2 * v;
+            const bool promoted = c + 1 == nodes.size();
+            if (promoted) {
+              // The node is its parent, and shares its fraction.
+              next[c] = current[v];
+            } else {
+              std::tie(next[c], next[c + 1]) =
+                  scaled_step(current[v], precision[level + 1][v], nodes[c],
+                              precision[level][c], nodes[c + 1], precision[level][c + 1]);
+            }
+            if (kind == Kind::kFractions) continue;
+            for (std::size_t i = c; i < c + (promoted ? 1 : 2); ++i) {
+              auto residue = fraction_residue(next[i], precision[level][i], nodes[i], ulps);
+              if (!residue) {
+                throw std::runtime_error(
+                    "batch descent: a fraction is outside its error bound");
+              }
+              next[i] = std::move(*residue);
+            }
+          }
+        });
+      } else {
+        pool.parallel_for(0, nodes.size(), [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            // A node promoted from an odd-count level equals its parent, so
+            // it shares the parent's cofactor residue.
+            const bool promoted = i % 2 == 0 && i + 1 == nodes.size();
+            const TreeInt& parent = current[i / 2];
+            next[i] = promoted ? parent : cofactor_step(parent, nodes[i], nodes[i ^ 1]);
+          }
+        });
+      }
       tspan.set_args(level, next.size());
     }
-    // The writer may still be reading the residues this step replaces.
+    // The writer may still be reading the values this step replaces, or
+    // the product level it frees.
     settle();
     current = std::move(next);
-    if (level > 0) tree.pop_back();
+    tree.resize(std::max<std::size_t>(level, 1));
     if (t.remainder_nodes) t.remainder_nodes->add(current.size());
-    if (commit(false, level, current)) return stopped();
+    if (commit(kind, level, current)) return stopped();
   }
 
   // ---- final gcds ---------------------------------------------------------

@@ -5,21 +5,25 @@
 // Approximate Euclidean wins on parallel hardware for small corpora, and
 // bench_batchgcd_crossover measures where the two cross.
 //
-// Identity used: with P = Π n_k and n_i | P,
+// Identity used: with P = Π n_i and n_i | P,
 //   gcd(n_i, Π_{k≠i} n_k) = gcd(n_i, (P / n_i) mod n_i).
-// The descent carries every tree node's cofactor residue
-// s_v = (P / N_v) mod N_v down from s_root = 1: a child c with sibling d
-// gets s_c = ((s_v mod N_c) · N_d) mod N_c, since P / N_c = (P / N_v) · N_d.
-// Every operand is at most twice the child's size and nothing is squared,
-// so the leaves hold (P / n_i) mod n_i in O(M(total bits) log m).
+// The product tree stops at the root's two children: P itself is never
+// computed. Above an exit size the descent carries each node's fraction
+// t_v = frac(P / N_v²) = ((P / N_v) mod N_v) / N_v (batchgcd/fraction.hpp,
+// Bernstein's scaled remainder tree): the nodes below the root's children
+// start with one division each, and a child c with sibling d then gets
+// t_c = frac(t_v · N_d²), the middle words of one cyclic product, with no
+// division. The exit rounds fractions to exact residues s = round(t·N)
+// mod N, checked against a written error bound, and below it each child
+// gets s_c = ((s_v mod N_c) · N_d) mod N_c by Knuth D, since
+// P / N_c = (P / N_v) · N_d. The leaves hold (P / n_i) mod n_i in
+// O(M(total bits) log m).
 // The tree computes on 64-bit limbs (TreeInt = mp::BigInt64, half the limbs
 // of mp::BigInt per product and per division): the moduli are repacked once
 // on the way in and the gcds narrowed once on the way out, so the API below
-// stays on mp::BigInt. Products climb the multiply ladder to the NTT and
-// each `%` the division ladder (mp/newton_div.hpp), which reduces by a
-// Newton reciprocal once divisor and quotient pass kNewtonDivThreshold
-// limbs (one reciprocal per node serves both divisions of a step), so a
-// level costs a few M(n), not Knuth D's Θ(n²).
+// stays on mp::BigInt. Products climb the multiply ladder to the NTT (a
+// square takes two transforms per prime, where a product takes three), and
+// the entry's divisions the Newton rung (mp/newton_div.hpp).
 //
 // Two entry points:
 //   batch_gcd            — one-shot, in-memory (the bench/test workhorse).
@@ -48,8 +52,9 @@ class TraceRecorder;
 namespace bulkgcd::batchgcd {
 
 /// Levels of the product tree: level 0 = the moduli, each higher level the
-/// pairwise products, top level a single root Π n_i. Computed by the
-/// driver's own product step and narrowed to mp::BigInt level by level.
+/// pairwise products, top level a single root Π n_i (which the driver
+/// itself never computes). Computed by the driver's own product step and
+/// narrowed to mp::BigInt level by level.
 using ProductTree = std::vector<std::vector<mp::BigInt>>;
 
 ProductTree build_product_tree(std::span<const mp::BigInt> moduli);
@@ -105,8 +110,8 @@ struct BatchScanReport {
   /// True when any journaled state was restored (including a finished run
   /// whose gcds replayed straight from the journal).
   bool resumed = false;
-  /// Total checkpointable levels for this corpus:
-  /// (product levels) + (remainder levels) + 1 for the final gcds.
+  /// Total checkpointable levels for this corpus: (product levels below
+  /// the root) + (descent levels) + 1 for the final gcds.
   std::uint64_t levels_total = 0;
   /// Levels computed and committed by THIS run.
   std::uint64_t levels_done = 0;

@@ -1,6 +1,6 @@
 // Append-only durable record log: the one file discipline under the three
 // journals — the scan checkpoint (BGCDCKP1, bulk/scan_driver.cpp), the batch
-// tree journal (BGCDBTR2, batchgcd/batch_journal.cpp) and the intake arrival
+// tree journal (BGCDBTR3, batchgcd/batch_journal.cpp) and the intake arrival
 // journal (BGCDARJ1, svc/arrival_journal.cpp). docs/RECORD_LOG.md states the
 // same rules for readers of the file formats.
 //

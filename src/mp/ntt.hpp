@@ -646,6 +646,33 @@ inline void mul_words(u64* dst, const u64* a, std::size_t na, const u64* b,
   std::copy(c[0], c[0] + na + nb, dst);
 }
 
+/// dst[0, 2·na) = a², one forward and one inverse transform per prime where
+/// mul_words takes three: the pointwise square needs one operand's
+/// transform. a is loaded in Montgomery form (a·R), so the square comes out
+/// as a²·R and one more multiplication by 1/L (not in Montgomery form)
+/// brings it to a²/L, the inverse transform's 1/L included.
+inline void square_words(u64* dst, const u64* a, std::size_t na) {
+  const int lg = unfold_length(na, na);
+  assert(lg <= kMaxLog2Length);
+  const std::size_t L = std::size_t{1} << lg;
+  const std::size_t cl = L + kMaxWrap + 2;
+  const TransformBuffer buf(3 * cl);
+  std::array<u64*, 3> c{};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const Prime& f = kPrimes[i];
+    c[i] = buf.data() + i * cl;
+    forward_operand(c[i], L, a, na, f.r2, i);
+    const u64 inv_len = f.p - (f.p - 1) / L;
+    for (std::size_t j = 0; j < L; ++j) {
+      c[i][j] = mont_mul(mont_mul(c[i][j], c[i][j], f), inv_len, f);
+    }
+    inverse(c[i], L, f, twiddles(i));
+    unfold(c[i], L, a, na, a, 0, na, i);
+  }
+  coefficients_in_place(c[0], c[1], c[2], 2 * na - 1);
+  std::copy(c[0], c[0] + 2 * na, dst);
+}
+
 /// 64-bit words holding n limbs.
 template <LimbType Limb>
 constexpr std::size_t words_for_limbs(std::size_t n) noexcept {
@@ -737,6 +764,7 @@ class Words {
 }  // namespace ntt_detail
 
 /// Returns a * b as a normalized limb vector, by the three-prime transform.
+/// A square (a and b the same limbs) takes ntt_detail::square_words.
 template <LimbType Limb>
 std::vector<Limb> mul_ntt(const Limb* a, std::size_t na, const Limb* b,
                           std::size_t nb) {
@@ -749,12 +777,20 @@ std::vector<Limb> mul_ntt(const Limb* a, std::size_t na, const Limb* b,
     std::swap(na, nb);
   }
   std::vector<Limb> out(na + nb);
-  const ntt_detail::Words<Limb> wa(a, na), wb(b, nb);
+  const bool square = a == b && na == nb;
+  const ntt_detail::Words<Limb> wa(a, na), wb(b, square ? 0 : nb);
+  const auto words = [&](u64* dst) {
+    if (square) {
+      ntt_detail::square_words(dst, wa.data(), wa.size());
+    } else {
+      ntt_detail::mul_words(dst, wa.data(), wa.size(), wb.data(), wb.size());
+    }
+  };
   if constexpr (limb_bits<Limb> == 64) {
-    ntt_detail::mul_words(out.data(), wa.data(), wa.size(), wb.data(), wb.size());
+    words(out.data());
   } else {
-    std::vector<u64> wp(wa.size() + wb.size());
-    ntt_detail::mul_words(wp.data(), wa.data(), wa.size(), wb.data(), wb.size());
+    std::vector<u64> wp(wa.size() + (square ? wa.size() : wb.size()));
+    words(wp.data());
     ntt_detail::unpack(out.data(), out.size(), wp.data(), wp.size());
   }
   out.resize(normalized_size(out.data(), out.size()));

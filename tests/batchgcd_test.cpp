@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <bit>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
@@ -14,6 +15,7 @@
 #include <thread>
 
 #include "batchgcd/batch_journal.hpp"
+#include "batchgcd/fraction.hpp"
 #include "bulk/allpairs.hpp"
 #include "gmp_oracle.hpp"
 #include "journal_bytes.hpp"
@@ -86,10 +88,10 @@ std::vector<TreeInt> widen(const std::vector<BigInt>& values) {
   return out;
 }
 
-/// Every remainder level of the driver's descent, keyed by tree level, read
-/// back from its journal one committed level at a time.
-std::map<std::uint32_t, std::vector<BigInt>> journaled_remainder_levels(
-    std::span<const BigInt> moduli, const std::string& name) {
+/// Every descent record of the driver, keyed by tree level, read back from
+/// its journal one committed level at a time.
+std::map<std::uint32_t, DescentLevel> journaled_descent(std::span<const BigInt> moduli,
+                                                        const std::string& name) {
   const auto path = std::filesystem::temp_directory_path() /
                     ("bulkgcd_remainder_levels_" + name);
   std::error_code ignored;
@@ -97,16 +99,25 @@ std::map<std::uint32_t, std::vector<BigInt>> journaled_remainder_levels(
   BatchScanConfig config;
   config.checkpoint = path;
   config.stop_after_levels = 1;
-  std::map<std::uint32_t, std::vector<BigInt>> levels;
+  std::map<std::uint32_t, DescentLevel> levels;
   for (int run = 0; run < 64; ++run) {  // bound: levels_total < 64
     if (run_resumable_batch(moduli, config).complete) break;
     BatchJournal journal(path, rsa::corpus_digest(moduli), moduli.size());
     BatchReplay replay = journal.take_replay();
-    if (replay.remainder) {
-      levels[replay.remainder->first] = narrow(replay.remainder->second);
-    }
+    if (replay.remainder) levels[replay.remainder->level] = std::move(*replay.remainder);
   }
   std::filesystem::remove(path, ignored);
+  return levels;
+}
+
+/// The descent's residue levels, for a tree too small to carry fractions.
+std::map<std::uint32_t, std::vector<BigInt>> journaled_remainder_levels(
+    std::span<const BigInt> moduli, const std::string& name) {
+  std::map<std::uint32_t, std::vector<BigInt>> levels;
+  for (const auto& [level, record] : journaled_descent(moduli, name)) {
+    EXPECT_FALSE(record.fractions) << "level " << level;
+    levels[level] = narrow(record.values);
+  }
   return levels;
 }
 
@@ -328,6 +339,34 @@ class BatchResumeTest : public ::testing::Test {
     return rsa::generate_corpus(spec);
   }
 
+  /// Stops the checkpointed run after every level in turn and resumes it:
+  /// each resume must reach `want` and the uninterrupted journal byte for
+  /// byte.
+  void expect_every_stop_resumes(std::span<const BigInt> moduli,
+                                 const std::vector<BigInt>& want) {
+    BatchScanConfig config;
+    config.checkpoint = path_;
+    std::filesystem::remove(path_);
+    const BatchScanReport reference = run_resumable_batch(moduli, config);
+    ASSERT_TRUE(reference.complete);
+    EXPECT_EQ(reference.result.gcds, want);
+    const std::string full = test::slurp(path_);
+    for (std::size_t stop = 1; stop < reference.levels_total; ++stop) {
+      SCOPED_TRACE(stop);
+      std::filesystem::remove(path_);
+      config.stop_after_levels = stop;
+      const BatchScanReport first = run_resumable_batch(moduli, config);
+      ASSERT_FALSE(first.complete);
+      ASSERT_EQ(first.levels_done, stop);
+      config.stop_after_levels = 0;
+      const BatchScanReport resumed = run_resumable_batch(moduli, config);
+      ASSERT_TRUE(resumed.complete);
+      EXPECT_EQ(resumed.levels_restored, stop);
+      EXPECT_EQ(resumed.result.gcds, want);
+      EXPECT_EQ(test::slurp(path_), full);
+    }
+  }
+
   std::filesystem::path path_;
 };
 
@@ -343,11 +382,12 @@ TEST_F(BatchResumeTest, UncheckpointedDriverMatchesBatchGcd) {
 }
 
 TEST_F(BatchResumeTest, LevelsTotalCountsBothTreePassesPlusGcds) {
-  // 21 leaves → product levels of 11, 6, 3, 2, 1 nodes (5 pairings), the
-  // same 5 descent steps, plus the final gcds vector.
+  // 21 leaves → product levels of 11, 6, 3 and 2 nodes (the root, a fifth
+  // pairing, is never computed), 5 descent steps from the root's children
+  // to the leaves, plus the final gcds vector.
   const auto corpus = test_corpus(21, 0, 202);
   const BatchScanReport report = run_resumable_batch(corpus.moduli);
-  EXPECT_EQ(report.levels_total, 11u);
+  EXPECT_EQ(report.levels_total, 10u);
   // Single modulus: no tree at all, just the (trivial) gcds level.
   const std::vector<BigInt> one = {corpus.moduli[0]};
   const BatchScanReport tiny = run_resumable_batch(one);
@@ -456,7 +496,7 @@ TEST_F(BatchResumeTest, ForeignFileIsRefusedNotTruncated) {
 TEST_F(BatchResumeTest, TornHeaderIsRecreatedFresh) {
   {
     std::ofstream out(path_, std::ios::binary);
-    out << "BGCDBTR2\x01\x02";  // our magic, torn before the digest
+    out << "BGCDBTR3\x01\x02";  // our magic, torn before the digest
   }
   const auto corpus = test_corpus(8, 1, 209);
   BatchScanConfig config;
@@ -575,7 +615,7 @@ TEST_F(BatchResumeTest, RemainderLevelShapeMismatchIsRefused) {
   const ProductTree tree = build_product_tree(corpus.moduli);
   BatchScanConfig config;
   config.checkpoint = path_;
-  config.stop_after_levels = tree.size() - 1;  // every product level
+  config.stop_after_levels = tree.size() - 2;  // every product level
   ASSERT_FALSE(run_resumable_batch(corpus.moduli, config).complete);
   {
     BatchJournal journal(path_, digest, corpus.moduli.size());
@@ -605,7 +645,7 @@ TEST_F(BatchResumeTest, ResidueNotBelowItsNodeIsRefused) {
   const ProductTree tree = build_product_tree(corpus.moduli);
   BatchScanConfig config;
   config.checkpoint = path_;
-  config.stop_after_levels = tree.size() - 1;  // every product level
+  config.stop_after_levels = tree.size() - 2;  // every product level
   ASSERT_FALSE(run_resumable_batch(corpus.moduli, config).complete);
   const std::size_t level = tree.size() - 2;
   std::vector<TreeInt> residues(tree[level].size(), TreeInt(1));
@@ -620,26 +660,30 @@ TEST_F(BatchResumeTest, ResidueNotBelowItsNodeIsRefused) {
   EXPECT_EQ(test::slurp(path_), before);
 }
 
-TEST_F(BatchResumeTest, VersionOneJournalIsRefusedByName) {
-  // A BGCDBTR1 journal holds square residues P mod N², which this descent
-  // cannot resume from. It is refused with an error naming both formats and
-  // left as it was.
+TEST_F(BatchResumeTest, OlderJournalVersionsAreRefusedByName) {
+  // A BGCDBTR1 journal holds square residues P mod N², and a BGCDBTR2 one
+  // cofactor residues at every level and the root product: this descent
+  // resumes from neither. Each is refused with an error naming both
+  // formats and left as it was.
   const auto corpus = test_corpus(8, 1, 217);
-  std::string v1 = "BGCDBTR1";
-  test::put_le(v1, rsa::corpus_digest(corpus.moduli), 8);
-  test::put_le(v1, corpus.moduli.size(), 8);
-  test::spit(path_, v1);
-  BatchScanConfig config;
-  config.checkpoint = path_;
-  try {
-    run_resumable_batch(corpus.moduli, config);
-    ADD_FAILURE() << "a BGCDBTR1 journal was accepted";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("BGCDBTR1"), std::string::npos) << what;
-    EXPECT_NE(what.find("BGCDBTR2"), std::string::npos) << what;
+  for (const std::string magic : {"BGCDBTR1", "BGCDBTR2"}) {
+    SCOPED_TRACE(magic);
+    std::string old = magic;
+    test::put_le(old, rsa::corpus_digest(corpus.moduli), 8);
+    test::put_le(old, corpus.moduli.size(), 8);
+    test::spit(path_, old);
+    BatchScanConfig config;
+    config.checkpoint = path_;
+    try {
+      run_resumable_batch(corpus.moduli, config);
+      ADD_FAILURE() << "a " << magic << " journal was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(magic), std::string::npos) << what;
+      EXPECT_NE(what.find("BGCDBTR3"), std::string::npos) << what;
+    }
+    EXPECT_EQ(test::slurp(path_), old);
   }
-  EXPECT_EQ(test::slurp(path_), v1);
 }
 
 /// The batch attack's answer by GMP: gcd(n_i, (P / n_i) mod n_i).
@@ -657,35 +701,110 @@ std::vector<BigInt> gmp_batch_gcds(std::span<const BigInt> moduli) {
   return gcds;
 }
 
+/// ⌊P·β^p / N²⌋ mod β^p by GMP (β = 2^64): a node's exact scaled
+/// fraction, which its fraction record holds to within its error bound.
+test::Mpz gmp_fraction(const test::Mpz& product, const BigInt& node, std::size_t p) {
+  const test::Mpz n = test::to_mpz(node);
+  test::Mpz square, scaled, fraction;
+  mpz_mul(square.get(), n.get(), n.get());
+  mpz_mul_2exp(scaled.get(), product.get(), 64 * p);
+  mpz_fdiv_q(fraction.get(), scaled.get(), square.get());
+  mpz_fdiv_r_2exp(fraction.get(), fraction.get(), 64 * p);
+  return fraction;
+}
+
+/// Whether `held` is within `ulps` of `exact` modulo β^p.
+bool fraction_within(const TreeInt& held, const test::Mpz& exact, std::size_t p,
+                     std::uint64_t ulps) {
+  test::Mpz up = test::to_mpz(held), down;
+  mpz_sub(up.get(), up.get(), exact.get());
+  mpz_fdiv_r_2exp(up.get(), up.get(), 64 * p);  // held − exact, in [0, β^p)
+  mpz_setbit(down.get(), 64 * p);
+  mpz_sub(down.get(), down.get(), up.get());  // exact − held
+  return mpz_cmp_ui(up.get(), ulps) <= 0 || mpz_cmp_ui(down.get(), ulps) <= 0;
+}
+
+/// The descent's plan for `moduli`: the product levels below the root on
+/// 64-bit limbs, the lowest fraction level (0: none), the first descent
+/// level and each fraction level's precision.
+struct DescentShape {
+  std::vector<std::vector<TreeInt>> tree;
+  std::size_t lowest_fraction = 0;
+  std::size_t first = 0;
+  std::vector<std::vector<std::size_t>> precision;
+
+  explicit DescentShape(std::span<const BigInt> moduli) {
+    ProductTree narrow_tree = build_product_tree(moduli);
+    if (narrow_tree.size() > 1) narrow_tree.pop_back();  // the root
+    for (const auto& level : narrow_tree) tree.push_back(widen(level));
+    lowest_fraction = lowest_fraction_level(tree[0]);
+    const std::size_t top = tree.size() - 1;
+    first = lowest_fraction != 0 ? top - 1 : top;
+    if (lowest_fraction != 0) precision = fraction_precision(tree, lowest_fraction - 1);
+  }
+};
+
+/// Reads every descent record of `moduli`'s journal one committed level at
+/// a time and checks it against GMP: a fraction within fraction_ulps of
+/// ⌊P·β^p / N²⌋ mod β^p at its node's precision, a residue exactly
+/// (P / N) mod N. Returns the number of fraction records.
+std::size_t expect_descent_matches_gmp(std::span<const BigInt> moduli,
+                                       const std::string& name) {
+  const DescentShape shape(moduli);
+  const test::Mpz product = gmp_product(moduli);
+  const auto records = journaled_descent(moduli, name);
+  EXPECT_EQ(records.size(), moduli.size() > 1 ? shape.first + 1 : 0u);
+  std::size_t fraction_records = 0;
+  for (const auto& [level, record] : records) {
+    SCOPED_TRACE(::testing::Message() << "level " << level);
+    const bool fractions = shape.lowest_fraction != 0 && level >= shape.lowest_fraction;
+    EXPECT_EQ(record.fractions, fractions);
+    const auto& nodes = shape.tree[level];
+    EXPECT_EQ(record.values.size(), nodes.size());
+    if (record.values.size() != nodes.size()) continue;
+    fraction_records += fractions ? 1 : 0;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const BigInt node = mp::repack<std::uint32_t>(nodes[i]);
+      if (!fractions) {
+        EXPECT_EQ(mp::repack<std::uint32_t>(record.values[i]),
+                  gmp_cofactor_residue(product, node))
+            << "node " << i;
+        continue;
+      }
+      const std::size_t p = shape.precision[level][i];
+      EXPECT_LE(record.values[i].size(), p) << "node " << i;
+      EXPECT_TRUE(fraction_within(record.values[i], gmp_fraction(product, node, p), p,
+                                  fraction_ulps(shape.first - level)))
+          << "node " << i;
+    }
+  }
+  return fraction_records;
+}
+
 TEST_F(BatchResumeTest, NewtonRungDescentMatchesGmpAndResumesBitIdentically) {
-  // 256 random odd 1024-bit values: on the tree's 64-bit limbs the level-6
-  // nodes are 1024 limbs, and the step into level 6 reduces the ~2048-limb
-  // level-7 residue and the ~2048-limb product (s mod N_c) · N_d modulo
-  // them, so both of its divisions take the Newton rung.
+  // 256 random odd 1024-bit values: on the tree's 64-bit limbs the root's
+  // children are 2048 words and their children, the entry level 6, 1024
+  // words. Each entry node divides its 3072-word cofactor, shifted by its
+  // precision, by itself: divisor and quotient both take the Newton rung.
+  // Levels 6 and 5 carry fractions, and level 4 (256-word nodes) is the
+  // exit, where the scaled fractions are rounded to exact residues.
   Xoshiro256 rng(214);
   std::vector<BigInt> moduli;
   for (int i = 0; i < 256; ++i) moduli.push_back(random_odd<std::uint32_t>(rng, 1024));
-  const ProductTree tree = build_product_tree(moduli);
-  ASSERT_EQ(tree.size(), 9u);
-  // The step into level 6, node 0, from its parent's residue
-  // s = (P / N_7[0]) mod N_7[0] = N_7[1] mod N_7[0].
-  const auto wide = [](const BigInt& v) { return mp::repack<std::uint64_t>(v); };
-  const TreeInt parent = wide(tree[7][1] % tree[7][0]);
-  const TreeInt node = wide(tree[6][0]);
-  const TreeInt product = (parent % node) * wide(tree[6][1]);
-  const auto quotient_limbs = [&node](const TreeInt& dividend) {
-    return dividend.size() - node.size() + 1;
-  };
+  const DescentShape shape(moduli);
+  ASSERT_EQ(shape.tree.size(), 8u);  // levels 0 … 7, the root not computed
+  EXPECT_EQ(shape.first, 6u);
+  EXPECT_EQ(shape.lowest_fraction, 5u);
+  const TreeInt& node = shape.tree[6][0];
+  const std::size_t dividend = shape.precision[6][0] + 3 * node.size();
   ASSERT_GE(node.size(), mp::kNewtonDivThreshold);
-  ASSERT_GE(quotient_limbs(parent), mp::kNewtonDivThreshold);
-  ASSERT_GE(quotient_limbs(product), mp::kNewtonDivThreshold);
+  ASSERT_GE(dividend - node.size() + 1, mp::kNewtonDivThreshold);
 
-  // GMP oracle: the gcds, and (P / N) mod N for level 6.
-  const test::Mpz root = gmp_product(moduli);
+  // Every descent record against GMP: fractions at levels 6 and 5 within
+  // their bounds, exact residues from the exit down.
+  EXPECT_EQ(expect_descent_matches_gmp(moduli, "newton_rung"), 2u);
+
   const std::vector<BigInt> want = gmp_batch_gcds(moduli);
-  std::vector<BigInt> level6;
-  for (const auto& n : tree[6]) level6.push_back(gmp_cofactor_residue(root, n));
-
   BatchScanConfig config;
   config.checkpoint = path_;
   const BatchScanReport reference = run_resumable_batch(moduli, config);
@@ -693,31 +812,199 @@ TEST_F(BatchResumeTest, NewtonRungDescentMatchesGmpAndResumesBitIdentically) {
   EXPECT_EQ(reference.result.gcds, want);
   const std::string full = test::slurp(path_);
 
-  // The level-6 record holds the oracle's residues in the BGCDBTR2 layout.
-  std::string record(1, char(2));
-  test::put_le(record, 6, 4);
-  test::put_le(record, level6.size(), 8);
-  for (const auto& v : level6) {
-    test::put_le(record, v.size(), 4);
-    for (const auto limb : v.limbs()) test::put_le(record, limb, 4);
-  }
-  EXPECT_NE(full.find(record), std::string::npos);
-
-  // Die right after the Newton-rung level commits (8 product levels, then
-  // the steps into levels 7 and 6), resume, and finish bit-identically.
-  std::filesystem::remove(path_);
+  // Die right after the entry level commits (7 product levels, then the
+  // entry), and right after the exit, resume, and finish bit-identically.
   struct Killed {};
-  config.level_hook = [](std::size_t done, std::size_t) {
-    if (done == 10) throw Killed{};
+  for (const std::size_t kill : {std::size_t{8}, std::size_t{10}}) {
+    SCOPED_TRACE(kill);
+    std::filesystem::remove(path_);
+    config.level_hook = [kill](std::size_t done, std::size_t) {
+      if (done == kill) throw Killed{};
+    };
+    EXPECT_THROW(run_resumable_batch(moduli, config), Killed);
+    config.level_hook = nullptr;
+    const BatchScanReport resumed = run_resumable_batch(moduli, config);
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_EQ(resumed.levels_restored, kill);
+    EXPECT_EQ(resumed.result.gcds, want);
+    EXPECT_EQ(test::slurp(path_), full);
+  }
+}
+
+TEST_F(BatchResumeTest, SmallTreesMatchGmpAndResumeAfterEveryLevel) {
+  // m = 1, 2 and 3 have no level between the leaves and the root's
+  // children, so no fractions. m = 5 and m = 7 of 16384-bit values carry
+  // fractions at level 1, round them at the leaves, and have promoted
+  // nodes: leaf 4 up to the root's children (m = 5), leaf 6 at level 1
+  // (m = 7). Every record matches GMP, and a run stopped after any level
+  // resumes to the same gcds and journal bytes.
+  Xoshiro256 rng(222);
+  for (const std::size_t m : {1u, 2u, 3u, 5u, 7u}) {
+    SCOPED_TRACE(m);
+    std::vector<BigInt> moduli;
+    for (std::size_t i = 0; i < m; ++i) moduli.push_back(random_odd<std::uint32_t>(rng, 16384));
+    if (m == 7) moduli[3] = moduli[0] * random_odd<std::uint32_t>(rng, 64);
+    EXPECT_EQ(expect_descent_matches_gmp(moduli, "small_" + std::to_string(m)),
+              m >= 5 ? 1u : 0u);
+    expect_every_stop_resumes(moduli, gmp_batch_gcds(moduli));
+  }
+}
+
+TEST_F(BatchResumeTest, MixedSizesInAnyOrderMatchGmpAndResumeAfterEveryLevel) {
+  // 250 odd values of 512, 1024 and 2048 bits in shuffled order, four
+  // pairs sharing a 256-bit factor: nodes of unequal sizes at every level,
+  // promoted nodes at levels 2 and 3 (125 and 63 nodes), fraction levels 5
+  // and 6 above an exit at level 4, and Knuth D below it.
+  constexpr std::size_t kBits[] = {512, 1024, 2048};
+  Xoshiro256 rng(223);
+  std::vector<BigInt> moduli;
+  for (int i = 0; i < 242; ++i) moduli.push_back(random_odd<std::uint32_t>(rng, kBits[rng.below(3)]));
+  for (int pair = 0; pair < 4; ++pair) {
+    const BigInt shared = random_odd<std::uint32_t>(rng, 256);
+    for (int k = 0; k < 2; ++k) {
+      const BigInt n = shared * random_odd<std::uint32_t>(rng, kBits[rng.below(3)] - 256);
+      moduli.insert(moduli.begin() + std::ptrdiff_t(rng.below(moduli.size() + 1)), n);
+    }
+  }
+  const DescentShape shape(moduli);
+  ASSERT_EQ(shape.tree.size(), 8u);
+  EXPECT_EQ(shape.lowest_fraction, 5u);
+  const std::vector<BigInt> want = gmp_batch_gcds(moduli);
+  EXPECT_GE(weak_indices({want, 0.0}).size(), 8u);
+  EXPECT_EQ(expect_descent_matches_gmp(moduli, "mixed"), 2u);
+  expect_every_stop_resumes(moduli, want);
+}
+
+TEST_F(BatchResumeTest, ResiduesAtTheEdgesRoundExactly) {
+  // Leaves whose cofactor residues sit at the edges of the rounding, with
+  // the fractions rounded at the leaves (level 1 is the lowest fraction
+  // level): s = 1 (t just above 0), s = n − 1 (t just below 1), and s = 0
+  // (t = 0) for a duplicated modulus and for a modulus whose two factors
+  // both divide other moduli. The last leaf is built by CRT to give the
+  // first two their residues.
+  Xoshiro256 rng(224);
+  const auto odd = [&](std::size_t bits) { return random_odd<std::uint32_t>(rng, bits); };
+  std::vector<BigInt> moduli = {odd(8192), odd(8192), odd(16384)};
+  moduli.push_back(moduli[2]);  // duplicated
+  const BigInt p = odd(8192), q = odd(8192);
+  moduli.push_back(p * q);        // both factors shared: s = 0, gcd = n
+  moduli.push_back(p * odd(8192));
+  moduli.push_back(q * odd(8192));
+  // n_7 ≡ A⁻¹ (mod n_0) and n_7 ≡ −B⁻¹ (mod n_1), where A and B are the
+  // products of the other leaves but n_0 and but n_1.
+  const auto others = [&](std::size_t skip) {
+    test::Mpz product(1ul);
+    for (std::size_t i = 0; i < moduli.size(); ++i) {
+      if (i != skip) mpz_mul(product.get(), product.get(), test::to_mpz(moduli[i]).get());
+    }
+    return product;
   };
-  EXPECT_THROW(run_resumable_batch(moduli, config), Killed);
-  config.level_hook = nullptr;
-  const BatchScanReport resumed = run_resumable_batch(moduli, config);
-  ASSERT_TRUE(resumed.complete);
-  EXPECT_TRUE(resumed.resumed);
-  EXPECT_EQ(resumed.levels_restored, 10u);
-  EXPECT_EQ(resumed.result.gcds, want);
-  EXPECT_EQ(test::slurp(path_), full);
+  // Random odd values share small factors; the first two leaves drop every
+  // factor they share with the rest, so that A and B are invertible.
+  for (const std::size_t i : {1u, 0u}) {
+    test::Mpz n = test::to_mpz(moduli[i]), rest = others(i), g;
+    for (mpz_gcd(g.get(), n.get(), rest.get()); mpz_cmp_ui(g.get(), 1) != 0;
+         mpz_gcd(g.get(), n.get(), rest.get())) {
+      mpz_divexact(n.get(), n.get(), g.get());
+    }
+    moduli[i] = test::from_mpz<std::uint32_t>(n);
+  }
+  const test::Mpz n0 = test::to_mpz(moduli[0]), n1 = test::to_mpz(moduli[1]);
+  test::Mpz a = others(0), b = others(1), modulus, residue, step;
+  ASSERT_NE(mpz_invert(a.get(), a.get(), n0.get()), 0);
+  ASSERT_NE(mpz_invert(b.get(), b.get(), n1.get()), 0);
+  mpz_neg(b.get(), b.get());
+  // residue = a + n0·((b − a)·n0⁻¹ mod n1), then + n0·n1·r for size.
+  ASSERT_NE(mpz_invert(step.get(), n0.get(), n1.get()), 0);
+  mpz_sub(residue.get(), b.get(), a.get());
+  mpz_mul(residue.get(), residue.get(), step.get());
+  mpz_mod(residue.get(), residue.get(), n1.get());
+  mpz_mul(residue.get(), residue.get(), n0.get());
+  mpz_add(residue.get(), residue.get(), a.get());
+  mpz_mul(modulus.get(), n0.get(), n1.get());
+  mpz_addmul(residue.get(), modulus.get(), test::to_mpz(odd(128)).get());
+  moduli.push_back(test::from_mpz<std::uint32_t>(residue));
+  ASSERT_EQ(moduli.size(), 8u);
+
+  const test::Mpz product = gmp_product(moduli);
+  EXPECT_EQ(gmp_cofactor_residue(product, moduli[0]), BigInt(1));
+  EXPECT_EQ(gmp_cofactor_residue(product, moduli[1]), moduli[1] - BigInt(1));
+  for (const std::size_t i : {2u, 3u, 4u}) {
+    EXPECT_TRUE(gmp_cofactor_residue(product, moduli[i]).is_zero()) << i;
+  }
+  const DescentShape shape(moduli);
+  EXPECT_EQ(shape.lowest_fraction, 1u);
+  EXPECT_EQ(expect_descent_matches_gmp(moduli, "edges"), 1u);
+
+  const std::vector<BigInt> want = gmp_batch_gcds(moduli);
+  EXPECT_EQ(want[2], moduli[2]);
+  EXPECT_EQ(want[4], moduli[4]);
+  EXPECT_EQ(full_modulus_indices({want, 0.0}, moduli), (std::vector<std::size_t>{2, 3, 4}));
+  expect_every_stop_resumes(moduli, want);
+}
+
+TEST_F(BatchResumeTest, BitFlipsInAFractionRecordEndInRefusalOrTheSameGcds) {
+  // A journal cut right after its one fraction record (m = 5: the entry at
+  // level 1), with one bit flipped: in the record's kind, level, count and
+  // limb-count fields, and one bit in every 8th limb of its values. The
+  // resumed run must either refuse (a parse that drops the record and
+  // recomputes it is fine too) or reach the uninterrupted gcds; it must
+  // never deliver other gcds.
+  Xoshiro256 rng(225);
+  std::vector<BigInt> moduli;
+  for (int i = 0; i < 5; ++i) moduli.push_back(random_odd<std::uint32_t>(rng, 16384));
+  moduli[3] = moduli[1] * random_odd<std::uint32_t>(rng, 64);
+  const std::vector<BigInt> want = gmp_batch_gcds(moduli);
+  const DescentShape shape(moduli);
+  ASSERT_EQ(shape.first, 1u);
+  ASSERT_EQ(shape.lowest_fraction, 1u);
+
+  BatchScanConfig config;
+  config.checkpoint = path_;
+  config.fsync_every = 1000;
+  config.stop_after_levels = 3;  // the product levels 1 and 2, then the entry
+  ASSERT_FALSE(run_resumable_batch(moduli, config).complete);
+  const std::string cut = test::slurp(path_);
+  // The fraction record is the file's tail, after the product records.
+  std::size_t start = 24;
+  for (const std::size_t level : {1u, 2u}) {
+    start += 1 + 4 + 8;
+    for (const auto& v : shape.tree[level]) {
+      start += 4 + 4 * mp::repack<std::uint32_t>(v).size();
+    }
+  }
+  ASSERT_EQ(cut[start], char(4));
+  std::vector<std::size_t> bits;  // bit offsets into the file
+  for (std::size_t b = 0; b < 8 * (1 + 4 + 8); ++b) bits.push_back(8 * start + b);
+  for (std::size_t at = start + 1 + 4 + 8, limb = 0; at < cut.size(); ++limb) {
+    const std::size_t count = std::uint8_t(cut[at]) | std::size_t(std::uint8_t(cut[at + 1])) << 8;
+    for (std::size_t b = 0; b < 32; ++b) bits.push_back(8 * at + b);
+    for (std::size_t k = 0; k < count; k += 8, limb += 8) {
+      bits.push_back(8 * (at + 4 + 4 * k) + (limb % 32));
+    }
+    at += 4 + 4 * count;
+  }
+
+  config.stop_after_levels = 0;
+  std::size_t refused = 0, same = 0;
+  for (const std::size_t bit : bits) {
+    SCOPED_TRACE(bit);
+    std::string flipped = cut;
+    flipped[bit / 8] = char(flipped[bit / 8] ^ (1 << (bit % 8)));
+    test::spit(path_, flipped);
+    try {
+      const BatchScanReport report = run_resumable_batch(moduli, config);
+      ASSERT_TRUE(report.complete);
+      ASSERT_EQ(report.result.gcds, want);
+      ++same;
+    } catch (const std::runtime_error&) {
+      ++refused;
+    }
+  }
+  EXPECT_EQ(refused + same, bits.size());
+  EXPECT_GT(refused, 0u);  // most flips of a fraction's high words
+  EXPECT_GT(same, 0u);     // flips of its lowest bits, and dropped records
 }
 
 TEST_F(BatchResumeTest, LimbWidthEdgesMatchGmpAndResumeAfterEveryLevel) {
@@ -797,37 +1084,18 @@ TEST_F(BatchResumeTest, TransformRungTreeMatchesGmpAndResumesAfterEveryLevel) {
     EXPECT_EQ(carriers, 2u);
   }
 
-  BatchScanConfig config;
-  config.checkpoint = path_;
-  const BatchScanReport reference = run_resumable_batch(moduli, config);
-  ASSERT_TRUE(reference.complete);
-  EXPECT_EQ(reference.result.gcds, want);
-  const std::string full = test::slurp(path_);
-
-  for (std::size_t stop = 1; stop < reference.levels_total; ++stop) {
-    SCOPED_TRACE(stop);
-    std::filesystem::remove(path_);
-    config.stop_after_levels = stop;
-    const BatchScanReport first = run_resumable_batch(moduli, config);
-    ASSERT_FALSE(first.complete);
-    ASSERT_EQ(first.levels_done, stop);
-    config.stop_after_levels = 0;
-    const BatchScanReport resumed = run_resumable_batch(moduli, config);
-    ASSERT_TRUE(resumed.complete);
-    EXPECT_EQ(resumed.levels_restored, stop);
-    EXPECT_EQ(resumed.result.gcds, want);
-    EXPECT_EQ(test::slurp(path_), full);
-  }
+  expect_every_stop_resumes(moduli, want);
 }
 
 TEST_F(BatchResumeTest, PowerOfTwoNodesTakeTheWrapAroundEdgeAndResume) {
   // 512 odd 1024-bit values whose two 512-bit factors have their top 16
   // bits set, eight pairs sharing a factor. Every product of 2^j values
-  // then has exactly 1024·2^j bits, so on 64-bit limbs the nodes of the
-  // Newton levels are exactly 2^{j+4} words: each division takes Q·b
-  // modulo 2^{64L} − 1 at L = n, where one low word settles the multiple
-  // of 2^{64L} − 1. Stopped after every level and resumed, the run reaches
-  // the GMP gcds and the uninterrupted journal byte for byte.
+  // then has exactly 1024·2^j bits, so on 64-bit limbs the nodes of level j
+  // are exactly 2^{j+4} words. Each fraction level's precision is then
+  // 2·|N| − 255 (exit nodes of 256 words), and a parent's scaled step runs
+  // at L = 2·|N_v| exactly: the widest wrap-around the cyclic product takes.
+  // Stopped after every level and resumed, the run reaches the GMP gcds and
+  // the uninterrupted journal byte for byte.
   Xoshiro256 rng(217);
   const BigInt top_bits = ((BigInt(1) << 16) - BigInt(1)) << 496;
   const auto factor = [&] { return top_bits + random_odd<std::uint32_t>(rng, 496); };
@@ -841,20 +1109,21 @@ TEST_F(BatchResumeTest, PowerOfTwoNodesTakeTheWrapAroundEdgeAndResume) {
                     shared * factor());
     }
   }
-  const ProductTree tree = build_product_tree(moduli);
-  std::size_t newton_levels = 0;
-  for (std::size_t level = 0; level < tree.size(); ++level) {
-    for (const BigInt& node : tree[level]) {
-      const TreeInt wide = mp::repack<std::uint64_t>(node);
-      ASSERT_EQ(wide.size(), std::size_t{16} << level) << "level " << level;
+  const DescentShape shape(moduli);
+  for (std::size_t level = 0; level < shape.tree.size(); ++level) {
+    for (const TreeInt& node : shape.tree[level]) {
+      ASSERT_EQ(node.size(), std::size_t{16} << level) << "level " << level;
     }
-    const TreeInt node = mp::repack<std::uint64_t>(tree[level][0]);
-    if (node.size() < mp::kNewtonDivThreshold || level + 1 >= tree.size()) continue;
-    ++newton_levels;
-    EXPECT_TRUE(mp::NewtonDivisor<std::uint64_t>(node.data(), node.size()).holds_transforms())
-        << "level " << level;
   }
-  ASSERT_GE(newton_levels, 4u);  // levels 5 to 8 (512 to 4096 words) and up
+  ASSERT_EQ(shape.lowest_fraction, 5u);  // 512-word nodes
+  ASSERT_EQ(shape.first, 7u);
+  for (std::size_t level = shape.lowest_fraction; level <= shape.first; ++level) {
+    for (std::size_t i = 0; i < shape.tree[level].size(); ++i) {
+      const std::size_t words = shape.tree[level][i].size();
+      EXPECT_EQ(shape.precision[level][i], 2 * words - 255) << "level " << level;
+      EXPECT_EQ(std::bit_ceil(shape.precision[level][i]), 2 * words) << "level " << level;
+    }
+  }
 
   const std::vector<BigInt> want = gmp_batch_gcds(moduli);
   for (const BigInt& shared : shared_factors) {
@@ -862,28 +1131,8 @@ TEST_F(BatchResumeTest, PowerOfTwoNodesTakeTheWrapAroundEdgeAndResume) {
       if ((moduli[i] % shared).is_zero()) EXPECT_TRUE((want[i] % shared).is_zero()) << i;
     }
   }
-
-  BatchScanConfig config;
-  config.checkpoint = path_;
-  const BatchScanReport reference = run_resumable_batch(moduli, config);
-  ASSERT_TRUE(reference.complete);
-  EXPECT_EQ(reference.result.gcds, want);
-  const std::string full = test::slurp(path_);
-
-  for (std::size_t stop = 1; stop < reference.levels_total; ++stop) {
-    SCOPED_TRACE(stop);
-    std::filesystem::remove(path_);
-    config.stop_after_levels = stop;
-    const BatchScanReport first = run_resumable_batch(moduli, config);
-    ASSERT_FALSE(first.complete);
-    ASSERT_EQ(first.levels_done, stop);
-    config.stop_after_levels = 0;
-    const BatchScanReport resumed = run_resumable_batch(moduli, config);
-    ASSERT_TRUE(resumed.complete);
-    EXPECT_EQ(resumed.levels_restored, stop);
-    EXPECT_EQ(resumed.result.gcds, want);
-    EXPECT_EQ(test::slurp(path_), full);
-  }
+  EXPECT_EQ(expect_descent_matches_gmp(moduli, "power_of_two"), 3u);
+  expect_every_stop_resumes(moduli, want);
 }
 
 // ---- the journal's writer thread -------------------------------------------
@@ -907,7 +1156,7 @@ TEST_F(BatchResumeTest, LevelHookSeesExactlyItsRecordsOnDisk) {
   BatchScanConfig config;
   config.checkpoint = path_;
   config.level_hook = [&](std::size_t done, std::size_t total) {
-    product_total = (total - 1) / 2;
+    product_total = (total - 2) / 2;
     std::filesystem::copy_file(path_, copy,
                                std::filesystem::copy_options::overwrite_existing);
     const auto bytes = std::filesystem::file_size(copy);
@@ -916,7 +1165,7 @@ TEST_F(BatchResumeTest, LevelHookSeesExactlyItsRecordsOnDisk) {
     Seen s;
     s.done = done;
     s.records = replay.product_levels.size();
-    if (replay.remainder) s.records += product_total - replay.remainder->first;
+    if (replay.remainder) s.records += product_total + 1 - replay.remainder->level;
     s.gcds = replay.gcds.has_value();
     s.torn = std::filesystem::file_size(copy) != bytes;
     seen.push_back(s);
@@ -993,7 +1242,7 @@ TEST_F(BatchResumeTest, WriterSideWriteFailureThrowsAndLeavesACleanPrefix) {
 TEST_F(BatchResumeTest, LaggingWriterReadsNoFreedLevel) {
   // A hook that sleeps holds the writer thread after every record, so the
   // pool runs ahead of it: the driver must wait for the writer before it
-  // frees the root or replaces residues the writer has yet to read (under
+  // frees a product level or replaces values the writer has yet to read (under
   // AddressSanitizer a read of a freed level fails this test). A hook that
   // then throws, at a product level and at a descent level, unwinds the
   // driver with records still queued; the file keeps exactly the records
@@ -1038,26 +1287,80 @@ TEST(BatchJournalTest, ReplayRoundTripsAllRecordKinds) {
   std::filesystem::remove(tmp, ignored);
 
   const std::vector<BigInt> level1 = {BigInt(0x123456789abcULL), BigInt(0)};
+  const std::vector<BigInt> fractions = {BigInt::from_hex("fedcba9876543210f0e1d2c3"),
+                                         BigInt(0)};
   const std::vector<BigInt> residues = {BigInt(7), BigInt(11), BigInt(13)};
   const std::vector<BigInt> gcds = {BigInt(1), BigInt(1), BigInt(17)};
   {
     BatchJournal journal(tmp, /*corpus_digest=*/0xfeedULL,
                          /*corpus_count=*/3);
     journal.append_product_level(1, widen(level1));
+    journal.append_fraction_level(2, widen(fractions));
     journal.append_remainder_level(1, widen(residues));
     journal.append_remainder_level(0, widen(residues));
     journal.append_gcds(widen(gcds));
   }
+
   BatchJournal journal(tmp, 0xfeedULL, 3);
   BatchReplay replay = journal.take_replay();
   ASSERT_EQ(replay.product_levels.size(), 1u);
   EXPECT_EQ(replay.product_levels[0].first, 1u);
   EXPECT_EQ(narrow(replay.product_levels[0].second), level1);
   ASSERT_TRUE(replay.remainder.has_value());
-  EXPECT_EQ(replay.remainder->first, 0u);  // deepest restored level wins
-  EXPECT_EQ(narrow(replay.remainder->second), residues);
+  EXPECT_EQ(replay.remainder->level, 0u);  // deepest restored level wins
+  EXPECT_FALSE(replay.remainder->fractions);
+  EXPECT_EQ(narrow(replay.remainder->values), residues);
   ASSERT_TRUE(replay.gcds.has_value());
   EXPECT_EQ(narrow(*replay.gcds), gcds);
+  std::filesystem::remove(tmp, ignored);
+}
+
+TEST(BatchJournalTest, DescentRecordsOutOfOrderAreDropped) {
+  // Descent records run one level at a time, top-down, fractions before
+  // residues, and level 0 always holds residues. A record that breaks this
+  // is dropped with everything after it, like a torn tail: the deepest
+  // record kept is the one before it.
+  const auto tmp = std::filesystem::temp_directory_path() /
+                   "bulkgcd_batch_journal_descent_order";
+  std::error_code ignored;
+  const std::vector<TreeInt> values = {TreeInt(5), TreeInt(9)};
+  struct Record {
+    bool fractions;
+    std::uint32_t level;
+  };
+  struct Case {
+    std::vector<Record> records;
+    std::size_t kept;
+  };
+  const std::vector<Case> cases = {
+      {{{true, 3}, {true, 2}, {false, 1}, {false, 0}}, 4},
+      {{{true, 2}, {false, 1}, {true, 0}}, 2},   // fractions after residues
+      {{{false, 2}, {true, 1}, {false, 0}}, 1},  // fractions after residues
+      {{{true, 3}, {true, 1}}, 1},               // a level skipped
+      {{{true, 1}, {true, 0}}, 1},               // fractions at level 0
+      {{{false, 1}, {false, 1}}, 1},             // a level repeated
+  };
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    SCOPED_TRACE(k);
+    const Case& c = cases[k];
+    std::filesystem::remove(tmp, ignored);
+    {
+      BatchJournal journal(tmp, 0xfeedULL, 2);
+      for (const Record& r : c.records) {
+        if (r.fractions) {
+          journal.append_fraction_level(r.level, values);
+        } else {
+          journal.append_remainder_level(r.level, values);
+        }
+      }
+    }
+    const BatchReplay replay = BatchJournal(tmp, 0xfeedULL, 2).take_replay();
+    ASSERT_TRUE(replay.remainder.has_value());
+    const Record& last = c.records[c.kept - 1];
+    EXPECT_EQ(replay.remainder->level, last.level);
+    EXPECT_EQ(replay.remainder->fractions, last.fractions);
+    EXPECT_EQ(replay.remainder->values, values);
+  }
   std::filesystem::remove(tmp, ignored);
 }
 
@@ -1070,6 +1373,7 @@ TEST(BatchJournalTest, BytesMatchTheDocumentedFormat) {
   std::filesystem::remove(tmp, ignored);
   const BigInt big = BigInt::from_hex("123456789abcdef0fedcba98");
   const std::vector<BigInt> nodes = {big, BigInt(0)};
+  const std::vector<BigInt> fractions = {BigInt(0x1234), BigInt(0)};
   const std::vector<BigInt> residues = {BigInt(7)};
   const std::vector<BigInt> gcds = {BigInt(1), BigInt(0x11)};
   // The journal takes the tree's 64-bit values, and the expected bytes are
@@ -1080,12 +1384,13 @@ TEST(BatchJournalTest, BytesMatchTheDocumentedFormat) {
   {
     BatchJournal journal(tmp, 0x0123456789abcdefULL, 3);
     journal.append_product_level(1, widen(nodes));
+    journal.append_fraction_level(1, widen(fractions));
     journal.append_remainder_level(0, widen(residues));
     journal.append_gcds(widen(gcds));
   }
 
   using test::put_le;
-  std::string want = "BGCDBTR2";
+  std::string want = "BGCDBTR3";
   put_le(want, 0x0123456789abcdefULL, 8);
   put_le(want, 3, 8);
   const auto put_values = [&](const std::vector<BigInt>& values) {
@@ -1098,7 +1403,10 @@ TEST(BatchJournalTest, BytesMatchTheDocumentedFormat) {
   want.push_back(char(1));  // product
   put_le(want, 1, 4);
   put_values(nodes);
-  want.push_back(char(2));  // remainder
+  want.push_back(char(4));  // fraction
+  put_le(want, 1, 4);
+  put_values(fractions);
+  want.push_back(char(2));  // remainder (exact residues)
   put_le(want, 0, 4);
   put_values(residues);
   want.push_back(char(3));  // gcds: no level field

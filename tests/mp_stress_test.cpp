@@ -213,6 +213,30 @@ TYPED_TEST(MpStressTest, NttMatchesGmpAtEveryTransformLength) {
   }
 }
 
+TYPED_TEST(MpStressTest, NttSquareMatchesGmpAtEveryTransformLength) {
+  using Limb = TypeParam;
+  using Big = BigIntT<Limb>;
+  constexpr std::size_t lb = limb_bits<Limb>;
+  Xoshiro256 rng(181);
+  // A square through the rung (the same limbs as both operands) takes one
+  // forward and one inverse transform per prime: 2n − 1 coefficients one
+  // below, at and past each power of two, random words and all-ones words
+  // (the largest coefficients).
+  for (std::size_t len = 2; len <= (std::size_t{1} << 13); len *= 2) {
+    for (const std::size_t words : {len / 2, len / 2 + 1, len / 2 + 17}) {
+      SCOPED_TRACE(::testing::Message() << words << " words");
+      const std::size_t bits = limbs_in_words<Limb>(words) * lb;
+      for (const Big& a : {random_value<Limb>(rng, bits), (Big(1) << bits) - Big(1)}) {
+        test::Mpz ga = test::to_mpz(a), gp;
+        mpz_mul(gp.get(), ga.get(), ga.get());
+        ASSERT_EQ(Big::from_limbs(mul_ntt(a.data(), a.size(), a.data(), a.size())),
+                  test::from_mpz<Limb>(gp));
+        ASSERT_EQ(a * a, test::from_mpz<Limb>(gp));
+      }
+    }
+  }
+}
+
 TYPED_TEST(MpStressTest, NttAdversarialShapes) {
   using Limb = TypeParam;
   using Big = BigIntT<Limb>;
