@@ -77,6 +77,7 @@ int main() {
       double ap_s = 0.0, batch_s = 0.0;
       for (std::size_t rep = 0; rep < reps; ++rep) {
         bulk::AllPairsConfig config;
+        config.variant = gcd::Variant::kApproximate;  // the paper's sweep
         config.pool_threads = 1;
         Timer ap_timer;
         const auto pairwise = bulk::all_pairs_gcd(moduli, config);

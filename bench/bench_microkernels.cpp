@@ -189,35 +189,9 @@ void BM_NewtonDivisorRem(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_NewtonDivisorRem, std::uint64_t)
     ->Arg(65536)->Arg(131072)->Arg(262144)->Arg(524288);
 
-// One cofactor step of the batch tree's descent, as batchgcd.cpp runs it:
-// s_c = ((s mod N_c)·N_d) mod N_c, with the divisor built once and its
-// transforms released around the product.
-template <typename Limb>
-void BM_CofactorStep(benchmark::State& state) {
-  const std::size_t bits = std::size_t(state.range(0));
-  const auto s = make_odd_t<Limb>(5, 2 * bits - 1);
-  const auto node = make_odd_t<Limb>(6, bits);
-  const auto sibling = make_odd_t<Limb>(7, bits);
-  for (auto _ : state) {
-    mp::NewtonDivisor<Limb> divisor(node.data(), node.size());
-    std::vector<Limb> r(node.size());
-    r.resize(divisor.divrem(nullptr, r.data(), s.data(), s.size()).sizes.remainder);
-    divisor.release_transforms();
-    const auto d = mp::mul_dispatch(r.data(), r.size(), sibling.data(), sibling.size());
-    divisor.hold_transforms();
-    const auto sizes = divisor.divrem(nullptr, r.data(), d.data(), d.size());
-    benchmark::DoNotOptimize(sizes.sizes.remainder);
-  }
-}
-// 256 and 384 words sit below kNewtonDivThreshold (512), where the tree
-// takes BM_CofactorStepKnuthD's form instead; the pair prices the rung.
-BENCHMARK_TEMPLATE(BM_CofactorStep, std::uint64_t)
-    ->Arg(16384)->Arg(24576)->Arg(32768)->Arg(65536)->Arg(131072)
-    ->Arg(262144)->Arg(524288);
-
-// The same step below the Newton rung: (s mod N_c)·N_d mod N_c by two Knuth
-// D divisions around the product, as the tree runs it for nodes under
-// kNewtonDivThreshold words.
+// One cofactor step of the batch tree's descent below its exit size:
+// (s mod N_c)·N_d mod N_c by two Knuth D divisions around the product, as
+// batchgcd.cpp's cofactor_step runs it.
 template <typename Limb>
 void BM_CofactorStepKnuthD(benchmark::State& state) {
   const std::size_t bits = std::size_t(state.range(0));
@@ -241,7 +215,7 @@ BENCHMARK_TEMPLATE(BM_CofactorStepKnuthD, std::uint64_t)
 // One scaled step of the batch tree's descent (batchgcd/fraction.hpp): a
 // parent's fraction into both its children of `bits` each — the two
 // squares, the parent's transform held once, one cyclic product per child.
-// So a row prices two children: compare it with twice BM_CofactorStep or
+// So a row prices two children: compare it with twice
 // BM_CofactorStepKnuthD at the same size. The precisions are those of a
 // tree of power-of-two nodes whose exit nodes are 256 words (a child of n
 // words gets p = max(n + 1, 2n − 255), its parent p + 2n), so from 512-word

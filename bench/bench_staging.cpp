@@ -40,6 +40,7 @@ SweepSample sweep_once(std::span<const bulkgcd::mp::BigInt> moduli,
                        bulkgcd::obs::MetricsRegistry* metrics = nullptr,
                        std::size_t pool_threads = 0) {
   bulkgcd::bulk::AllPairsConfig config;
+  config.variant = bulkgcd::gcd::Variant::kApproximate;  // the JSON's label
   config.engine = engine;
   config.metrics = metrics;
   config.pool_threads = pool_threads;

@@ -23,8 +23,15 @@
 // GPU 2.93/0.583/0.346 us, ratio 19.2/57.6/82.7 for (C)/(D)/(E).
 // Expected shape: (E) < (D) < (C) in every column; (C)'s speedup is much
 // smaller than (D)/(E) because of warp divergence.
+//
+// Beyond the paper, the early-terminate table ends each size with one
+// Divsteps row: the sweep's default leg (30 Bernstein–Yang divsteps per
+// full-width pass), which finds the same hits as (E).
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "bulk/allpairs.hpp"
@@ -132,7 +139,9 @@ int main() {
                  "UMM us/gcd", "CPU/UMM", "transfer us (total)"});
     for (const auto bits : sizes) {
       const std::size_t m = moduli_for_bits(base_m, bits);
-      for (const auto variant : variants) {
+      std::vector<gcd::Variant> rows(std::begin(variants), std::end(variants));
+      if (early) rows.push_back(gcd::Variant::kDivsteps);
+      for (const auto variant : rows) {
         const Cell cell = run_cell(variant, bits, m, early);
         if (!cell.agree) {
           std::printf("!! CPU and SIMT sweeps disagree on pairs/hits (%s, "
@@ -141,7 +150,11 @@ int main() {
                       early ? "early-terminate" : "non-terminate");
           return 1;
         }
-        table.add_row({std::to_string(bits), to_string(variant),
+        const std::string name =
+            variant == gcd::Variant::kDivsteps
+                ? std::string(to_string(variant)) + " (beyond the paper)"
+                : to_string(variant);
+        table.add_row({std::to_string(bits), name,
                        bench::fmt_u(cell.pairs), bench::fmt(cell.cpu_us, 3),
                        bench::fmt(cell.simt_us, 3), bench::fmt(cell.umm_us, 3),
                        bench::fmt(cell.cpu_us / cell.umm_us, 1),

@@ -6,6 +6,7 @@
 // replayed from branch traces, are bit-identical by construction.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <utility>
@@ -118,15 +119,47 @@ int step(State<Limb>& s, bool use_case4, gcd::GcdStats& gs) {
   return branch;
 }
 
+/// Rows Variant::kDivsteps works in for a lane: both values plus one sign
+/// row. The batch matrices must hold zeros there above each value, and the
+/// run writes every one of these rows.
+template <mp::LimbType Limb>
+std::size_t divsteps_rows(const State<Limb>& s) noexcept {
+  return std::max(s.lx, s.ly) + 1;
+}
+
+/// Variant::kDivsteps on one lane (gcd/divsteps.hpp): f is the A-side
+/// operand and g the B-side one, whatever the swap flag says, so every
+/// engine takes the same steps. Each pass is one iteration on branch 0.
+template <mp::LimbType Limb>
+void run_divsteps(State<Limb>& s, std::size_t early_bits, gcd::GcdStats& gs,
+                  std::vector<std::uint8_t>& log) {
+  const Strided<Limb> f = s.swapped ? s.y : s.x;
+  const Strided<Limb> g = s.swapped ? s.x : s.y;
+  gcd::NullTracer tracer;
+  const auto run =
+      gcd::divsteps_run(f, g, divsteps_rows(s), early_bits, tracer);
+  gs.iterations += run.passes;
+  log.insert(log.end(), run.passes, std::uint8_t{0});
+  s.x = run.end.swapped ? g : f;
+  s.y = run.end.swapped ? f : g;
+  s.lx = run.end.lx;
+  s.ly = run.end.ly;
+  s.swapped = run.end.swapped ? 1 : 0;
+}
+
 /// Run one lane to completion — the shape of one CUDA thread looping its
 /// pair until done — appending each iteration's branch id to `log`.
 template <gcd::Variant V, mp::LimbType Limb>
 void run(State<Limb>& s, std::size_t early_bits, gcd::GcdStats& gs,
          std::vector<std::uint8_t>& log) {
-  const bool use_case4 = section_v<Limb>(early_bits);  // loop-invariant
-  while (keeps_going(s, early_bits)) {
-    ++gs.iterations;
-    log.push_back(std::uint8_t(step<V>(s, use_case4, gs)));
+  if constexpr (V == gcd::Variant::kDivsteps) {
+    run_divsteps(s, early_bits, gs, log);
+  } else {
+    const bool use_case4 = section_v<Limb>(early_bits);  // loop-invariant
+    while (keeps_going(s, early_bits)) {
+      ++gs.iterations;
+      log.push_back(std::uint8_t(step<V>(s, use_case4, gs)));
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "bulk/block_grid.hpp"
@@ -158,8 +159,9 @@ struct JournalIdentity {
     return w.str();
   }
 
-  /// Why a checkpoint carrying `stored` cannot resume this scan, or nullptr.
-  const char* mismatch(std::string_view stored) const {
+  /// Why a checkpoint carrying `stored` cannot resume this scan, naming
+  /// every field that differs; empty when it can resume.
+  std::string mismatch(std::string_view stored) const {
     core::ByteReader r(stored);
     JournalIdentity got;
     r.u64(got.digest);
@@ -173,12 +175,36 @@ struct JournalIdentity {
     if (got.digest != digest || got.m != m) {
       return "corpus digest mismatch (different moduli list)";
     }
-    if (got.group_size != group_size || got.chunk_blocks != chunk_blocks ||
-        got.chunks_total != chunks_total || got.engine != engine ||
-        got.variant != variant || got.early_terminate != early_terminate) {
-      return "scan configuration mismatch (grid or engine changed)";
-    }
-    return nullptr;
+    std::string diff;
+    const auto field = [&diff](const char* name, const std::string& was,
+                               const std::string& now) {
+      if (was == now) return;
+      diff += diff.empty() ? "" : ", ";
+      diff += std::string(name) + " (checkpoint " + was + ", this scan " +
+              now + ")";
+    };
+    const auto engine_name = [](std::uint32_t e) {
+      return std::string(e == 0 ? "scalar" : "SIMT");
+    };
+    const auto variant_name = [](std::uint32_t v) {
+      return v <= std::uint32_t(gcd::Variant::kDivsteps)
+                 ? std::string(to_string(gcd::Variant(v)))
+                 : std::to_string(v);
+    };
+    const auto on_off = [](std::uint32_t b) {
+      return std::string(b ? "on" : "off");
+    };
+    field("group size", std::to_string(got.group_size),
+          std::to_string(group_size));
+    field("chunk blocks", std::to_string(got.chunk_blocks),
+          std::to_string(chunk_blocks));
+    field("chunk count", std::to_string(got.chunks_total),
+          std::to_string(chunks_total));
+    field("engine", engine_name(got.engine), engine_name(engine));
+    field("variant", variant_name(got.variant), variant_name(variant));
+    field("early termination", on_off(got.early_terminate),
+          on_off(early_terminate));
+    return diff.empty() ? diff : "scan configuration mismatch: " + diff;
   }
 };
 
@@ -382,7 +408,7 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
                     dtr.fsync_id);
     const std::string header = identity.serialize();
     if (const auto stored = journal->open(header)) {
-      if (const char* why = identity.mismatch(*stored); why == nullptr) {
+      if (const std::string why = identity.mismatch(*stored); why.empty()) {
         journal->replay([&](core::ByteReader& r) { return state.apply(r); });
         report.resumed = state.chunks_committed > 0 ||
                          !state.quarantined.empty();

@@ -175,9 +175,9 @@ class SimtBatch {
 
   /// Run all active lanes to completion in warp lockstep.
   /// Supported variants: kBinary, kFastBinary, kApproximate (the GPU
-  /// algorithms of Table V).
+  /// algorithms of Table V). kDivsteps runs under run_staged() only.
   void run(gcd::Variant variant, std::size_t early_bits = 0) {
-    check_variant(variant);
+    check_variant(variant, false);
     resolve_early(early_bits);
     bool any = true;
     while (any) {
@@ -225,7 +225,7 @@ class SimtBatch {
   /// (rounds, divergence, utilization) are reconstructed exactly from the
   /// recorded per-lane branch traces — see replay_warp_stats().
   void run_staged(gcd::Variant variant, std::size_t early_bits = 0) {
-    check_variant(variant);
+    check_variant(variant, true);
     resolve_early(early_bits);
     if (branch_log_.size() != lanes_) branch_log_.resize(lanes_);
     switch (variant) {
@@ -234,6 +234,9 @@ class SimtBatch {
         break;
       case gcd::Variant::kFastBinary:
         run_staged_impl<gcd::Variant::kFastBinary>();
+        break;
+      case gcd::Variant::kDivsteps:
+        run_staged_impl<gcd::Variant::kDivsteps>();
         break;
       default:
         run_staged_impl<gcd::Variant::kApproximate>();
@@ -278,10 +281,11 @@ class SimtBatch {
     swapped_[lane] = s.swapped;
   }
 
-  static void check_variant(gcd::Variant variant) {
+  static void check_variant(gcd::Variant variant, bool staged) {
     if (variant != gcd::Variant::kBinary &&
         variant != gcd::Variant::kFastBinary &&
-        variant != gcd::Variant::kApproximate) {
+        variant != gcd::Variant::kApproximate &&
+        !(staged && variant == gcd::Variant::kDivsteps)) {
       throw std::invalid_argument("SimtBatch: unsupported variant");
     }
   }
@@ -312,6 +316,12 @@ class SimtBatch {
       log.clear();
       if (!active_[lane]) continue;
       LaneState s = lane_state(lane);
+      if constexpr (V == gcd::Variant::kDivsteps) {
+        // Divsteps writes a sign row above the larger value.
+        const std::size_t rows = scalar_lane::divsteps_rows(s);
+        x_rows_ = std::max(x_rows_, rows);
+        y_rows_ = std::max(y_rows_, rows);
+      }
       scalar_lane::run<V>(s, eff_early_[lane], tally, log);
       store_lane(lane, s);
       active_[lane] = 0;
@@ -363,7 +373,9 @@ class SimtBatch {
   // writes exactly one limb past the *current* size, which only shrinks), so
   // a panel refresh of `rows` rows leaves anything above untouched — and the
   // watermark tells load_panel()/broadcast_y() how much of that residue must
-  // be zeroed. Fresh matrices are all-zero.
+  // be zeroed. Divsteps also writes one sign row above the larger of a lane's
+  // two values in both matrices; run_staged() raises both watermarks over it.
+  // Fresh matrices are all-zero.
   std::size_t x_rows_ = 0, y_rows_ = 0;
   std::vector<std::vector<std::uint8_t>> branch_log_;  ///< staged traces
   SimtStats stats_;

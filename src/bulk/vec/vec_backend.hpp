@@ -90,11 +90,12 @@ class VecBatchBase {
   virtual void disable(std::size_t lane) noexcept = 0;
 
   /// Run all active lanes to completion, one W-lane group at a time.
-  /// Supported variants: kBinary, kFastBinary, kApproximate (Table V). A
-  /// full group running kApproximate whose active lanes all keep
-  /// early_bits >= 3 limbs (Section V: every round is Case 4) runs as one
-  /// vector-resident round; every other group — Binary, Fast Binary,
-  /// non-Section-V Approximate and the lanes % W tail — runs lane by lane to
+  /// Supported variants: kBinary, kFastBinary, kApproximate (Table V) and
+  /// kDivsteps. A full group running kApproximate whose active lanes all
+  /// keep early_bits >= 3 limbs (Section V: every round is Case 4), or
+  /// kDivsteps whose active lanes all keep early_bits >= 1, runs
+  /// vector-resident; every other group — Binary, Fast Binary, the rest of
+  /// Approximate and Divsteps, and the lanes % W tail — runs lane by lane to
   /// completion exactly like SimtBatch::run_staged(). Results, branch traces
   /// and SimtStats are bit-identical to run_staged() either way.
   virtual void run(gcd::Variant variant, std::size_t early_bits = 0) = 0;

@@ -31,11 +31,15 @@
 //     per iteration), the β > 0 shifted-add kernel and full-compare swap
 //     ties — drop to the identical scalar kernels of gcd/kernels.hpp on
 //     strided accessors;
-//   * every other group — Binary, Fast Binary, non-Section-V Approximate
-//     and the tail group when lanes % W != 0 — runs each lane to completion
-//     on the same scalar kernels, exactly run_staged(). Both paths are
-//     bit-identical to the staged scalar engine by construction rather than
-//     by re-derivation.
+//   * a full group running Divsteps (the sweep's default, gcd/divsteps.hpp)
+//     with every active lane terminating early runs its passes fully
+//     vector-resident too: a 30-divstep head on limb row 0, then one sweep
+//     writing both operands, with no gathers and no per-lane branches;
+//   * every other group — Binary, Fast Binary, the rest of Approximate and
+//     Divsteps, and the tail group when lanes % W != 0 — runs each lane to
+//     completion on the same scalar kernels, exactly run_staged(). Both
+//     paths are bit-identical to the staged scalar engine by construction
+//     rather than by re-derivation.
 //
 // Ragged lane sizes inside a group are handled by sweeping every masked
 // lane to the group's maximum size: rows above a lane's own size hold zero
@@ -286,7 +290,8 @@ class VecBatch final : public VecBatchBase {
   void run(gcd::Variant variant, std::size_t early_bits) override {
     if (variant != gcd::Variant::kBinary &&
         variant != gcd::Variant::kFastBinary &&
-        variant != gcd::Variant::kApproximate) {
+        variant != gcd::Variant::kApproximate &&
+        variant != gcd::Variant::kDivsteps) {
       throw std::invalid_argument("VecBatch: unsupported variant");
     }
     for (std::size_t lane = 0; lane < lanes_; ++lane) {
@@ -304,6 +309,9 @@ class VecBatch final : public VecBatchBase {
         break;
       case gcd::Variant::kFastBinary:
         run_impl<gcd::Variant::kFastBinary>();
+        break;
+      case gcd::Variant::kDivsteps:
+        run_impl<gcd::Variant::kDivsteps>();
         break;
       default:
         run_impl<gcd::Variant::kApproximate>();
@@ -390,6 +398,12 @@ class VecBatch final : public VecBatchBase {
           continue;
         }
       }
+      if constexpr (V == gcd::Variant::kDivsteps) {
+        if (n == W && divsteps_resident_group(base)) {
+          run_group_divsteps_vec(base, tally);
+          continue;
+        }
+      }
       run_group_scalar<V>(base, n, tally);
     }
     stats_.gcd += tally;
@@ -410,6 +424,24 @@ class VecBatch final : public VecBatchBase {
     return true;
   }
 
+  /// Whether the resident divsteps pass takes the full group at `base`:
+  /// every active lane terminates early (early >= 1 bit, so g = 0 is caught
+  /// by the same top-row scan as a small operand). Disabled lanes do not
+  /// count.
+  bool divsteps_resident_group(std::size_t base) const noexcept {
+    for (std::size_t l = 0; l < W; ++l) {
+      if (active_[base + l] && eff_early_[base + l] == 0) return false;
+    }
+    return true;
+  }
+
+  /// Divsteps writes one sign row above the larger of a lane's values in
+  /// both matrices: raise the dirty-row watermarks over it.
+  void cover_divsteps_rows(std::size_t rows) noexcept {
+    x_rows_ = std::max(x_rows_, rows);
+    y_rows_ = std::max(y_rows_, rows);
+  }
+
   /// Every group the resident round does not take: pure scalar
   /// lane-to-completion, exactly run_staged(), on the scalar kernels every
   /// other engine already uses.
@@ -421,6 +453,9 @@ class VecBatch final : public VecBatchBase {
       if (!active_[lane]) continue;
       auto& log = branch_log_[lane];
       LaneState s = lane_state(lane);
+      if constexpr (V == gcd::Variant::kDivsteps) {
+        cover_divsteps_rows(scalar_lane::divsteps_rows(s));
+      }
       scalar_lane::run<V>(s, eff_early_[lane], tally, log);
       store_lane(lane, s);
       active_[lane] = 0;
@@ -808,6 +843,208 @@ class VecBatch final : public VecBatchBase {
     tally.divisions += itsum;  // one Case-4 division per live iteration
     for (const auto& [l, idx] : patches) {
       branch_log_[base + l][log_base[l] + idx] = 1;
+    }
+  }
+
+  /// Fully vector-resident Variant::kDivsteps driver for one W-lane group
+  /// (gcd/divsteps.hpp has the arithmetic, docs/GPU_PORTING.md the shape).
+  /// f lives in the A matrix and g in B on every lane, so nothing is
+  /// gathered or blended by role. Each pass
+  ///   1. stops the lanes that meet the stop rule — a scan down from the top
+  ///      row for x ⊕ sign(x) < 2^early — and drops the top rows no live
+  ///      lane needs;
+  ///   2. runs 30 divsteps on all W lanes from limb row 0 (the head);
+  ///   3. sweeps rows [0, R) once, computing both new operands.
+  /// Stopped and disabled lanes get the matrix 2^30·I, which the sweep maps
+  /// onto the limbs they already hold, so no store is blended. A lane keeps
+  /// the rows it had when it stopped, and the epilogue finishes it on the
+  /// scalar divsteps_finish of every other engine.
+  void run_group_divsteps_vec(std::size_t base, gcd::GcdStats& tally) {
+    using VT = VecTraits;
+    using VL = VT::LimbVec;
+    using SL = VT::SignedVec;
+    using U64V = VT::PairVec;
+
+    const std::size_t L = lanes_;
+    Limb* __restrict__ A = a_data() + base;
+    Limb* __restrict__ B = b_data() + base;
+
+    // ---- scalar -> vector state load ----
+    alignas(VecTraits::kBytes) Limb t32[W];
+    std::array<std::uint8_t, W> init_live{};
+    std::size_t R = 1;  // rows every live lane's operands fit, sign included
+    for (std::size_t l = 0; l < W; ++l) {
+      init_live[l] = active_[base + l];
+      if (init_live[l]) {
+        R = std::max(R, std::max(lx_[base + l], ly_[base + l]) + 1);
+      }
+    }
+    cover_divsteps_rows(R);
+    for (std::size_t l = 0; l < W; ++l) t32[l] = init_live[l] ? ~Limb{0} : 0;
+    VL livem = v_load<VL>(t32);
+    // bitlen(w) >= early ⟺ w has a bit at position early − 1 or above: the
+    // row and in-row shift of that bit (early >= 1 on resident groups).
+    for (std::size_t l = 0; l < W; ++l) {
+      t32[l] = Limb((eff_early_[base + l] - 1) / LB);
+    }
+    const SL krow = (SL)v_load<VL>(t32);
+    for (std::size_t l = 0; l < W; ++l) {
+      t32[l] = Limb((eff_early_[base + l] - 1) % LB);
+    }
+    const VL kbit = v_load<VL>(t32);
+    for (std::size_t l = 0; l < W; ++l) {
+      t32[l] = Limb(gcd::divsteps_pass_bound(
+          std::max(lx_[base + l], ly_[base + l]) * LB));
+    }
+    const SL bound = (SL)v_load<VL>(t32);
+
+    const VL one = VL{} + 1;
+    const VL k2p30 = VL{} + (Limb(1) << 30);
+    const VL topbit = VL{} + (Limb(1) << 31);
+    const U64V lowmask = U64V{} + kMask;
+    const U64V hikeep = U64V{} + (Wide(kMask) << LB);
+    // Each accumulator holds its true signed value + 2^63, so the carry is a
+    // logical shift (no 64-bit arithmetic shift on AVX2): carry + 2^31. The
+    // per-row offset term absorbs the 2^63 − 2^31 that keeps the bias.
+    const U64V acc0 = U64V{} + (Wide(1) << 63);
+    const U64V rebias = U64V{} + ((Wide(1) << 63) - (Wide(1) << 31));
+
+    SL eta = SL{} - 1;  // −δ per lane, δ = 1 at the start
+    VL passes{};
+    VL rstop{};  // R when each lane stopped
+
+    while (true) {
+      // ---- stop rule: bitlen(x ⊕ sign(x)) < early, scanned from the top ---
+      // The same scan finds the rows the live lanes need: the first row from
+      // the top where some x ⊕ sign(x) is nonzero, plus a sign row when that
+      // word's top bit is set.
+      {
+        const VL sf = (VL)((SL)v_load<VL>(A + (R - 1) * L) >> 31);
+        const VL sg = (VL)((SL)v_load<VL>(B + (R - 1) * L) >> 31);
+        VL bigf{}, bigg{};
+        std::size_t need = 1;
+        for (std::size_t i = R; i-- > 0;) {
+          const VL fa = v_load<VL>(A + i * L) ^ sf;
+          const VL ga = v_load<VL>(B + i * L) ^ sg;
+          if (need == 1) {
+            const VL top = (fa | ga) & livem;
+            if (VT::movemask((VL)(top != VL{}))) {
+              need = i + 1 + (VT::movemask(top) ? 1 : 0);
+            }
+          }
+          const SL iv = SL{} + std::int32_t(i);
+          const VL above = (VL)(krow < iv);
+          const VL at = (VL)(krow == iv);
+          bigf |= (above & (VL)(fa != VL{})) |
+                  (at & (VL)((fa >> kbit) != VL{}));
+          bigg |= (above & (VL)(ga != VL{})) |
+                  (at & (VL)((ga >> kbit) != VL{}));
+          // Settled: both operands reach `early` bits, or the scan has
+          // covered the lane's early row.
+          const VL settled = (bigf & bigg) | (VL)(krow >= iv) | ~livem;
+          if (!VT::movemask(~settled)) break;
+        }
+        const VL stop = livem & ~(bigf & bigg);
+        rstop = stop ? VL{} + Limb(R) : rstop;
+        livem &= ~stop;
+        R = need;
+      }
+      if (!VT::movemask(livem)) break;
+      passes -= livem;  // masks are 0/~0: subtracting counts the live lanes
+      if (VT::movemask((VL)((SL)passes > bound))) [[unlikely]] {
+        throw std::logic_error(
+            "vector divsteps pass: a lane ran past its operands' pass bound");
+      }
+
+      // ---- head: 30 divsteps on limb row 0, all lanes at once ----
+      VL f = v_load<VL>(A);
+      VL g = v_load<VL>(B);
+      VL u = one, v{}, q{}, r = one;
+      VL e = (VL)eta;
+      for (int step = 0; step < gcd::kDivstepsPerPass; ++step) {
+        const VL c1 = (VL)((SL)e >> 31);  // δ > 0
+        const VL c2 = VL{} - (g & one);   // g odd
+        g += ((f ^ c1) - c1) & c2;
+        q += ((u ^ c1) - c1) & c2;
+        r += ((v ^ c1) - c1) & c2;
+        const VL c3 = c1 & c2;
+        e = (e ^ c3) + ~c3;
+        f += g & c3;
+        u += q & c3;
+        v += r & c3;
+        g >>= 1;
+        u <<= 1;
+        v <<= 1;
+      }
+      eta = (SL)e;
+      u = livem ? u : k2p30;
+      v = livem ? v : VL{};
+      q = livem ? q : VL{};
+      r = livem ? r : k2p30;
+
+      // ---- one sweep: (u·f + v·g) / 2^30 and (q·f + r·g) / 2^30 ----
+      // Matrix entries offset by 2^30 are in [0, 2^31], so each product is
+      // one unsigned 32 × 32 multiply; 2^30·(f_i + g_i) takes the offsets
+      // back out. Even lanes sit in the low half of each 64-bit pair, odd
+      // lanes in the high half.
+      const U64V ue = (U64V)(u + k2p30), ve = (U64V)(v + k2p30);
+      const U64V qe = (U64V)(q + k2p30), re = (U64V)(r + k2p30);
+      const U64V uo = ue >> LB, vo = ve >> LB, qo = qe >> LB, ro = re >> LB;
+      U64V afe = acc0, afo = acc0, age = acc0, ago = acc0;
+      VL pf{}, pg{}, fv{}, gv{};
+      for (std::size_t i = 0; i < R; ++i) {
+        fv = v_load<VL>(A + i * L);
+        gv = v_load<VL>(B + i * L);
+        const U64V fo = (U64V)fv >> LB;
+        const U64V go = (U64V)gv >> LB;
+        const U64V se =
+            ((((U64V)fv & lowmask) + ((U64V)gv & lowmask)) << 30) - rebias;
+        const U64V so = ((fo + go) << 30) - rebias;
+        afe = VT::mul32(ue, (U64V)fv) + VT::mul32(ve, (U64V)gv) - se +
+              (afe >> LB);
+        afo = VT::mul32(uo, fo) + VT::mul32(vo, go) - so + (afo >> LB);
+        age = VT::mul32(qe, (U64V)fv) + VT::mul32(re, (U64V)gv) - se +
+              (age >> LB);
+        ago = VT::mul32(qo, fo) + VT::mul32(ro, go) - so + (ago >> LB);
+        const VL tf = (VL)((afe & lowmask) | (afo << LB));
+        const VL tg = (VL)((age & lowmask) | (ago << LB));
+        if (i > 0) {
+          v_store(A + (i - 1) * L, (pf >> 30) | (tf << (LB - 30)));
+          v_store(B + (i - 1) * L, (pg >> 30) | (tg << (LB - 30)));
+        }
+        pf = tf;
+        pg = tg;
+      }
+      // The carry out of row R − 1, unbiased, less what the unsigned read
+      // of the signed top row added: u·[f < 0] + v·[g < 0] (times 2^32R).
+      const VL msf = (VL)((SL)fv >> 31);
+      const VL msg = (VL)((SL)gv >> 31);
+      const VL hf = ((VL)((afe >> LB) | (afo & hikeep)) ^ topbit) -
+                    (u & msf) - (v & msg);
+      const VL hg = ((VL)((age >> LB) | (ago & hikeep)) ^ topbit) -
+                    (q & msf) - (r & msg);
+      v_store(A + (R - 1) * L, (pf >> 30) | (hf << (LB - 30)));
+      v_store(B + (R - 1) * L, (pg >> 30) | (hg << (LB - 30)));
+    }
+
+    // ---- group epilogue: finish each lane, stats and branch traces ----
+    alignas(VecTraits::kBytes) Limb pa[W], ra[W];
+    v_store(pa, passes);
+    v_store(ra, rstop);
+    for (std::size_t l = 0; l < W; ++l) {
+      if (!init_live[l]) continue;
+      const std::size_t lane = base + l;
+      const auto end = gcd::divsteps_finish(Strided<Limb>{A + l, L},
+                                            Strided<Limb>{B + l, L}, ra[l],
+                                            eff_early_[lane]);
+      lx_[lane] = end.lx;
+      ly_[lane] = end.ly;
+      swapped_[lane] = end.swapped ? 1 : 0;
+      active_[lane] = 0;
+      auto& log = branch_log_[lane];
+      log.insert(log.end(), pa[l], std::uint8_t{0});
+      stats_.lane_iterations += log.size();
+      tally.iterations += pa[l];
     }
   }
 

@@ -4,7 +4,9 @@
 //   (C) Binary     — Stein's algorithm
 //   (D) FastBinary — X ← rshift(X − Y)
 //   (E) Approximate — quotient approximation α·D^β from the top two words
-// each in a non-terminate and an early-terminate (RSA-moduli) flavor.
+// each in a non-terminate and an early-terminate (RSA-moduli) flavor, plus
+// one algorithm beyond the paper: Bernstein–Yang divsteps, 30 per full-width
+// pass (gcd/divsteps.hpp), the bulk sweep's default.
 //
 // GcdEngine owns the two working buffers of Figure 1 plus the division
 // scratch; swap(X, Y) exchanges pointers only. Inputs to run() must be odd
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "gcd/approx.hpp"
+#include "gcd/divsteps.hpp"
 #include "gcd/kernels.hpp"
 #include "gcd/stats.hpp"
 #include "gcd/tracer.hpp"
@@ -34,6 +37,9 @@ enum class Variant : std::uint8_t {
   kBinary,       ///< (C)
   kFastBinary,   ///< (D)
   kApproximate,  ///< (E) — the paper's contribution
+  /// Beyond the paper: 30 Bernstein–Yang divsteps per full-width pass
+  /// (gcd/divsteps.hpp) — same hits as (E), ~5× fewer passes.
+  kDivsteps,
 };
 
 constexpr const char* to_string(Variant v) noexcept {
@@ -43,10 +49,12 @@ constexpr const char* to_string(Variant v) noexcept {
     case Variant::kBinary: return "Binary";
     case Variant::kFastBinary: return "FastBinary";
     case Variant::kApproximate: return "Approximate";
+    case Variant::kDivsteps: return "Divsteps";
     default: return "?";
   }
 }
 
+/// The paper's five algorithms (Table IV's rows); kDivsteps is not one.
 inline constexpr Variant kAllVariants[] = {
     Variant::kOriginal, Variant::kFast, Variant::kBinary, Variant::kFastBinary,
     Variant::kApproximate};
@@ -135,6 +143,7 @@ class GcdEngine {
       case Variant::kBinary: binary_loop(early_bits, st, tr); break;
       case Variant::kFastBinary: fast_binary_loop(early_bits, st, tr); break;
       case Variant::kApproximate: approximate_loop(early_bits, st, tr); break;
+      case Variant::kDivsteps: divsteps_loop(early_bits, st, tr); break;
     }
   }
 
@@ -270,6 +279,26 @@ class GcdEngine {
       }
       swap_if_less(st, tr);
     }
+  }
+
+  // ---- Bernstein–Yang divsteps (beyond the paper) -----------------------
+  // f is the first operand as passed (buffer A), g the second: the order
+  // every bulk engine uses, so pass counts agree across engines.
+  template <typename Tracer>
+  void divsteps_loop(std::size_t early_bits, GcdStats& st, Tracer& tr) {
+    Limb* f = buf_a_.data();
+    Limb* g = buf_b_.data();
+    const std::size_t n = std::max(lx_, ly_) + 1;
+    std::fill(f + (xbuf_ == Buffer::kA ? lx_ : ly_), f + n, Limb{0});
+    std::fill(g + (xbuf_ == Buffer::kA ? ly_ : lx_), g + n, Limb{0});
+    const DivstepsRun run = divsteps_run(f, g, n, early_bits, tr);
+    st.iterations += run.passes;
+    x_ = run.end.swapped ? g : f;
+    y_ = run.end.swapped ? f : g;
+    xbuf_ = run.end.swapped ? Buffer::kB : Buffer::kA;
+    ybuf_ = run.end.swapped ? Buffer::kA : Buffer::kB;
+    lx_ = run.end.lx;
+    ly_ = run.end.ly;
   }
 
   /// Case-1 update: X, Y both fit in a Wide register.

@@ -54,11 +54,11 @@ namespace bulkgcd::mp {
 /// is 1.3–1.9× ahead and at 768 1.3–1.8×; 32-bit limbs tie at 512 and
 /// Newton leads from 768. The tree timed with the threshold at 512 was
 /// ahead of 1024 in three of four interleaved rounds. With the divisor's
-/// transforms held, one cofactor step of 384 u64 words runs 1.2–1.9×
-/// faster on Newton than on Knuth D (bench_microkernels BM_CofactorStep vs
-/// BM_CofactorStepKnuthD), and the tree with the threshold at 384 matched
-/// 512; docs/BATCHGCD.md. The mp_stress differential suite straddles it on
-/// every limb width.)
+/// transforms held, one cofactor step of 384 u64 words ran 1.2–1.9×
+/// faster on Newton than on Knuth D (a Newton cofactor-step row, since
+/// removed with that step, vs BM_CofactorStepKnuthD), and the tree with the
+/// threshold at 384 matched 512; docs/BATCHGCD.md. The mp_stress
+/// differential suite straddles it on every limb width.)
 inline constexpr std::size_t kNewtonDivThreshold = 384;
 
 /// Most fix-up steps one block can need. A block has c < β^{n+p−1} (p < n)
@@ -279,16 +279,6 @@ class NewtonDivisor {
   /// Whether the blocks' products take the held transforms.
   bool holds_transforms() const noexcept { return bt_.has_value(); }
 
-  /// Builds the held transforms where they pay (the constructor does).
-  void hold_transforms();
-  /// Frees the held transforms, so that a caller can make a large product
-  /// between two divisions without both sets of buffers live at once;
-  /// hold_transforms() builds them again.
-  void release_transforms() noexcept {
-    bt_.reset();
-    xt_.reset();
-  }
-
   /// a = q * b + r with 0 <= r < b. q capacity na - nb + 1 (when na >= nb),
   /// or null when only r is wanted; r capacity nb; no aliasing. Returns
   /// normalized sizes.
@@ -296,6 +286,9 @@ class NewtonDivisor {
 
  private:
   using u64 = ntt_detail::u64;
+
+  /// Builds the held transforms where they pay (the constructor's last step).
+  void hold_transforms();
 
   /// Q = ⌊⌊c/β^n⌋·X / β^p⌋ for the block's top limbs top[0, nt).
   std::vector<Limb> estimate(const Limb* top, std::size_t nt, u64* scratch) const;
@@ -314,7 +307,6 @@ class NewtonDivisor {
 
 template <LimbType Limb>
 void NewtonDivisor<Limb>::hold_transforms() {
-  if (bt_) return;
   using ntt_detail::transform_units;
   using ntt_detail::words_for_limbs;
   const std::size_t nw = words_for_limbs<Limb>(bn_.size());

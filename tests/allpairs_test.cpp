@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/rng.hpp"
+#include "gmp_oracle.hpp"
 #include "obs/metrics.hpp"
 #include "rsa/corpus.hpp"
 #include "rsa/prime.hpp"
@@ -410,6 +414,7 @@ TEST(IncrementalProbeTest, ScalarDifferentialAcrossThreadCounts) {
   const WeakCorpus corpus = test_corpus(17, 2, 16);  // not a block multiple
   const auto& weak = corpus.weak[0];
   AllPairsConfig config;
+  config.variant = gcd::Variant::kApproximate;  // swaps are (E)'s counter
   config.engine = Engine::kScalar;
   config.group_size = 4;
   config.pool_threads = 1;
@@ -443,6 +448,7 @@ TEST(IncrementalProbeTest, StatsFoldIntoRegistryCounters) {
   for (const auto engine : {Engine::kAuto, Engine::kScalar}) {
     obs::MetricsRegistry registry;
     AllPairsConfig config;
+    config.variant = gcd::Variant::kApproximate;  // (E) feeds gcd_swaps_total
     config.engine = engine;
     config.group_size = 4;
     config.pool_threads = 2;
@@ -488,6 +494,148 @@ TEST(AllPairsTest, IterationHistogramCountsEveryPairOnEveryEngine) {
     EXPECT_EQ(result.pairs_tested, corpus.moduli.size() *
                                        (corpus.moduli.size() - 1) / 2);
     EXPECT_EQ(hist->count(), result.pairs_tested) << to_string(engine);
+  }
+}
+
+// ---- the Divsteps default against Approximate Euclidean and GMP ----------
+
+/// A prime of exactly `bits` bits (GMP's nextprime from a random start).
+BigInt prime_of(Xoshiro256& rng, std::size_t bits) {
+  test::Mpz p = test::to_mpz(test::random_value<ScanLimb>(rng, bits));
+  mpz_nextprime(p.get(), p.get());
+  return test::from_mpz<ScanLimb>(p);
+}
+
+/// Every corpus shape of the Section-V verdict, as a sweep corpus: planted
+/// 512-bit primes under 1024-bit moduli, unbalanced primes (400 bits: a
+/// miss, 512 bits: a hit), small common factors 3 and 2^20 + 7 (misses), a
+/// duplicate modulus, mixed 512/1024/2048-bit moduli with shares above and
+/// below their thresholds, and the all-ones and 0x80…01 operands — among
+/// random 1024-bit moduli. Returned with the indices of each shape's pair.
+struct VerdictCorpus {
+  std::vector<BigInt> moduli;
+  std::pair<std::size_t, std::size_t> planted, unbalanced_miss,
+      unbalanced_hit, small3, small20, duplicate, mixed;
+};
+
+VerdictCorpus make_verdict_corpus() {
+  Xoshiro256 rng(0xd5);
+  VerdictCorpus c;
+  auto& m = c.moduli;
+  const auto pair_sharing = [&](const BigInt& p, std::size_t xbits,
+                                std::size_t ybits) {
+    m.push_back(p * prime_of(rng, xbits - p.bit_length()));
+    m.push_back(p * prime_of(rng, ybits - p.bit_length()));
+    return std::pair{m.size() - 2, m.size() - 1};
+  };
+  const auto random_1024 = [&](std::size_t count) {
+    for (std::size_t k = 0; k < count; ++k) {
+      m.push_back(prime_of(rng, 512) * prime_of(rng, 512));
+    }
+  };
+  random_1024(3);
+  c.planted = pair_sharing(prime_of(rng, 512), 1024, 1024);
+  random_1024(2);
+  c.unbalanced_miss = pair_sharing(prime_of(rng, 400), 1024, 1024);
+  c.unbalanced_hit = pair_sharing(prime_of(rng, 512), 1024, 1024);
+  c.small3 = pair_sharing(BigInt(3), 1024, 1024);
+  random_1024(1);
+  c.small20 = pair_sharing(BigInt((1u << 20) + 7), 1024, 1024);
+  m.push_back(prime_of(rng, 512) * prime_of(rng, 512));
+  m.push_back(m.back());
+  c.duplicate = {m.size() - 2, m.size() - 1};
+  c.mixed = pair_sharing(prime_of(rng, 300), 512, 2048);
+  pair_sharing(prime_of(rng, 200), 2048, 512);  // below 256: a miss
+  m.push_back(prime_of(rng, 1024) * prime_of(rng, 1024));
+  m.push_back(prime_of(rng, 256) * prime_of(rng, 256));
+  m.push_back((BigInt(1) << 1024) - BigInt(1));
+  m.push_back((BigInt(1) << 1023) + BigInt(1));
+  random_1024(4);
+  return c;
+}
+
+/// Built once: its primes take GMP a second.
+const VerdictCorpus& verdict_corpus() {
+  static const VerdictCorpus corpus = make_verdict_corpus();
+  return corpus;
+}
+
+/// The Section-V hits of all pairs by GMP: gcd > 1 with at least
+/// min(bits)/2 bits.
+std::vector<FactorHit> gmp_hits(const std::vector<BigInt>& moduli) {
+  std::vector<FactorHit> hits;
+  for (std::size_t i = 0; i < moduli.size(); ++i) {
+    for (std::size_t j = i + 1; j < moduli.size(); ++j) {
+      BigInt g = test::gmp_gcd(moduli[i], moduli[j]);
+      const std::size_t early =
+          std::min(moduli[i].bit_length(), moduli[j].bit_length()) / 2;
+      if (g.bit_length() < 2 || g.bit_length() < early) continue;
+      const bool full = g == moduli[i] || g == moduli[j];
+      hits.push_back({i, j, std::move(g), full});
+    }
+  }
+  return hits;
+}
+
+bool has_hit(const AllPairsResult& r, std::pair<std::size_t, std::size_t> p) {
+  return std::any_of(r.hits.begin(), r.hits.end(), [&](const FactorHit& h) {
+    return h.i == p.first && h.j == p.second;
+  });
+}
+
+TEST(AllPairsDivstepsTest, HitsMatchApproximateAndGmpOnEveryShape) {
+  const VerdictCorpus& corpus = verdict_corpus();
+  const auto want = gmp_hits(corpus.moduli);
+  for (const Variant variant : {Variant::kDivsteps, Variant::kApproximate}) {
+    SimtStats staged_stats;
+    for (const Engine engine :
+         {Engine::kStaged, Engine::kVector, Engine::kScalar}) {
+      SCOPED_TRACE(std::string(to_string(variant)) + " on " +
+                   to_string(engine));
+      AllPairsConfig config;
+      config.variant = variant;
+      config.engine = engine;
+      config.group_size = 16;  // full W = 8 and W = 16 resident groups
+      config.pool_threads = 2;
+      const AllPairsResult r = all_pairs_gcd(corpus.moduli, config);
+      ASSERT_EQ(r.hits.size(), want.size());
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(r.hits[k].i, want[k].i);
+        EXPECT_EQ(r.hits[k].j, want[k].j);
+        EXPECT_EQ(r.hits[k].factor, want[k].factor);
+        EXPECT_EQ(r.hits[k].full_modulus, want[k].full_modulus);
+      }
+      EXPECT_TRUE(has_hit(r, corpus.planted));
+      EXPECT_FALSE(has_hit(r, corpus.unbalanced_miss));
+      EXPECT_TRUE(has_hit(r, corpus.unbalanced_hit));
+      EXPECT_FALSE(has_hit(r, corpus.small3));
+      EXPECT_FALSE(has_hit(r, corpus.small20));
+      EXPECT_TRUE(has_hit(r, corpus.duplicate));
+      EXPECT_TRUE(has_hit(r, corpus.mixed));
+      if (engine == Engine::kStaged) staged_stats = r.simt;
+      // The vector engine's SimtStats are the staged engine's, bit for bit.
+      if (engine == Engine::kVector) EXPECT_TRUE(r.simt == staged_stats);
+    }
+  }
+}
+
+TEST(AllPairsDivstepsTest, DefaultProbeMatchesApproximate) {
+  const VerdictCorpus& corpus = verdict_corpus();
+  for (const std::size_t a : {corpus.planted.first, corpus.duplicate.first,
+                              corpus.mixed.first, corpus.small3.first}) {
+    AllPairsConfig approx;
+    approx.variant = Variant::kApproximate;
+    approx.pool_threads = 1;
+    const auto want =
+        probe_incremental(corpus.moduli[a], corpus.moduli, approx);
+    const auto got = probe_incremental(corpus.moduli[a], corpus.moduli,
+                                       AllPairsConfig{});
+    ASSERT_EQ(got.size(), want.size()) << a;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(got[k].corpus_index, want[k].corpus_index);
+      EXPECT_EQ(got[k].factor, want[k].factor);
+      EXPECT_EQ(got[k].full_modulus, want[k].full_modulus);
+    }
   }
 }
 

@@ -36,6 +36,8 @@ TEST_P(DifferentialFuzz, AllImplementationsAgreeOnOddInputs) {
       ASSERT_EQ(gcd::gcd_odd(x, y, variant), expected)
           << to_string(variant) << " x=" << x.to_hex() << " y=" << y.to_hex();
     }
+    ASSERT_EQ(gcd::gcd_odd(x, y, Variant::kDivsteps), expected)
+        << "Divsteps x=" << x.to_hex() << " y=" << y.to_hex();
     ASSERT_EQ(gcd::ref_binary(x, y).gcd, expected);
     ASSERT_EQ(gcd::ref_fast(x, y).gcd, expected);
     for (const unsigned d : {5u, 11u, 16u, 29u, 32u}) {
@@ -78,6 +80,8 @@ TEST_P(DifferentialFuzz, GeneralGcdAgreesOnArbitraryInputs) {
     if (!x.is_zero() || !y.is_zero()) {
       ASSERT_EQ(gcd::gcd_general(x, y), expected)
           << "x=" << x.to_hex() << " y=" << y.to_hex();
+      ASSERT_EQ(gcd::gcd_general(x, y, Variant::kDivsteps), expected)
+          << "Divsteps x=" << x.to_hex() << " y=" << y.to_hex();
     }
     ASSERT_EQ(gcd::gcd_lehmer(x, y), expected)
         << "x=" << x.to_hex() << " y=" << y.to_hex();

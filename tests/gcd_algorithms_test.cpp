@@ -237,6 +237,34 @@ INSTANTIATE_TEST_SUITE_P(
                               "16-byte object <04-00 00-00 00-00 00-00 "
                               "80-00 00-00 00-00 00-00>"}));
 
+TYPED_TEST(GcdVariantsTest, DivstepsMatchesGmpOnEveryLimbWidthItRuns) {
+  // Variant::kDivsteps (beyond the paper) reads 32 low bits per pass, so it
+  // refuses 16-bit limbs; on 32- and 64-bit limbs the scalar engine's
+  // non-terminating run is the plain gcd, reused engine buffers included.
+  using Limb = TypeParam;
+  using Big = mp::BigIntT<Limb>;
+  if constexpr (mp::limb_bits<Limb> < 32) {
+    EXPECT_THROW(gcd_odd(Big(35), Big(21), Variant::kDivsteps),
+                 std::invalid_argument);
+  } else {
+    Xoshiro256 rng(45);
+    GcdEngine<Limb> engine(20);
+    for (int trial = 0; trial < 60; ++trial) {
+      const Big g = random_odd<Limb>(rng, 1 + rng.below(200));
+      const Big x = g * random_odd<Limb>(rng, 1 + rng.below(400));
+      const Big y =
+          trial % 7 == 0 ? x : g * random_odd<Limb>(rng, 1 + rng.below(400));
+      if (x.size() > 20 || y.size() > 20) continue;
+      const auto run = engine.run(Variant::kDivsteps, x.limbs(), y.limbs());
+      EXPECT_EQ(Big::from_limbs(run.gcd), gmp_gcd(x, y))
+          << "x=" << x.to_hex() << " y=" << y.to_hex();
+    }
+    EXPECT_EQ(gcd_odd(Big(1), Big(1), Variant::kDivsteps), Big(1));
+    EXPECT_EQ(gcd_odd(Big(39), Big(9), Variant::kDivsteps), Big(3));
+    EXPECT_EQ(gcd_odd(Big(1), Big(17), Variant::kDivsteps), Big(1));
+  }
+}
+
 // ---- RSA-moduli early termination -----------------------------------------
 
 TEST(ProbeModuliPairTest, DetectsPlantedSharedPrime) {
@@ -251,6 +279,9 @@ TEST(ProbeModuliPairTest, DetectsPlantedSharedPrime) {
     ASSERT_TRUE(probe.shares_factor) << to_string(variant);
     EXPECT_EQ(probe.factor, p) << to_string(variant);
   }
+  const auto probe = probe_moduli_pair(n1, n2, Variant::kDivsteps);
+  ASSERT_TRUE(probe.shares_factor);
+  EXPECT_EQ(probe.factor, p);
 }
 
 TEST(ProbeModuliPairTest, ReportsCoprimeForIndependentModuli) {
@@ -263,6 +294,7 @@ TEST(ProbeModuliPairTest, ReportsCoprimeForIndependentModuli) {
     EXPECT_FALSE(probe.shares_factor) << to_string(variant);
     EXPECT_GE(st.iterations, 1u);
   }
+  EXPECT_FALSE(probe_moduli_pair(n1, n2, Variant::kDivsteps).shares_factor);
 }
 
 TEST(ProbeModuliPairTest, EarlyTerminationHalvesIterations) {

@@ -282,10 +282,54 @@ TEST_F(ScanDriverTest, ScalarCheckpointIsRefusedBySimtResume) {
     run_resumable_scan(corpus.moduli, simt);
     FAIL() << "a scalar checkpoint must not resume under a SIMT engine";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("grid or engine changed"),
+    EXPECT_NE(std::string(e.what()).find(
+                  "engine (checkpoint scalar, this scan SIMT)"),
               std::string::npos)
         << e.what();
   }
+}
+
+TEST_F(ScanDriverTest, ApproximateCheckpointIsRefusedByNameUnderTheDefault) {
+  // A checkpoint written by the paper's Approximate Euclidean (every journal
+  // before Divsteps became the default) is refused by a default-config
+  // resume with the variant named, and resumes under an explicit
+  // Variant::kApproximate into the uninterrupted (E) scan's report.
+  const WeakCorpus corpus = test_corpus(20, 2, 117);
+  ScanConfig config;
+  config.pairs.variant = gcd::Variant::kApproximate;
+  config.pairs.group_size = 4;
+  config.chunk_blocks = 2;
+  const ScanReport reference = run_resumable_scan(corpus.moduli, config);
+  ASSERT_TRUE(reference.complete);
+  ASSERT_FALSE(reference.result.hits.empty());
+
+  ScanConfig first = config;
+  first.checkpoint = path_;
+  first.stop_after_chunks = 1;
+  ASSERT_FALSE(run_resumable_scan(corpus.moduli, first).complete);
+
+  ScanConfig by_default = first;
+  by_default.stop_after_chunks = 0;
+  by_default.pairs.variant = AllPairsConfig{}.variant;
+  ASSERT_EQ(by_default.pairs.variant, gcd::Variant::kDivsteps);
+  try {
+    run_resumable_scan(corpus.moduli, by_default);
+    FAIL() << "an Approximate checkpoint must not resume under Divsteps";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "variant (checkpoint Approximate, this scan Divsteps)"),
+              std::string::npos)
+        << e.what();
+  }
+
+  ScanConfig resume = first;
+  resume.stop_after_chunks = 0;
+  const ScanReport resumed = run_resumable_scan(corpus.moduli, resume);
+  ASSERT_TRUE(resumed.complete);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.result.pairs_tested, reference.result.pairs_tested);
+  expect_same_hits(resumed.result.hits, reference.result.hits);
+  EXPECT_TRUE(resumed.result.simt == reference.result.simt);
 }
 
 TEST_F(ScanDriverTest, TornTailIsDiscardedOnResume) {
@@ -359,6 +403,8 @@ TEST_F(ScanDriverTest, CheckpointBytesMatchTheDocumentedFormat) {
   // hand from docs/SCAN_DRIVER.md and compare with what the driver wrote.
   const WeakCorpus corpus = test_corpus(12, 1, 116);
   ScanConfig config;
+  // (E) fills every GcdStats field the commit record carries.
+  config.pairs.variant = gcd::Variant::kApproximate;
   config.pairs.group_size = 4;  // 3 groups → 6 blocks
   config.pairs.pool_threads = 1;
   config.chunk_blocks = 5;      // chunk 0 = blocks 0..4, chunk 1 = block 5

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <utility>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -232,10 +233,17 @@ std::map<std::string, std::uint64_t> counter_map(
 
 TEST(ShardedSweepTest, BitIdenticalAcrossWorkersTilesAndBackends) {
   const rsa::WeakCorpus corpus = sweep_corpus();
-  for (const Engine engine : {Engine::kStaged, Engine::kVector}) {
+  // The default (Divsteps) and the paper's Approximate Euclidean, whose
+  // swap, division and case counters the comparison also covers.
+  for (const auto [engine, variant] :
+       {std::pair{Engine::kStaged, gcd::Variant::kDivsteps},
+        std::pair{Engine::kVector, gcd::Variant::kDivsteps},
+        std::pair{Engine::kStaged, gcd::Variant::kApproximate},
+        std::pair{Engine::kVector, gcd::Variant::kApproximate}}) {
     AllPairsConfig ref_cfg;
     ref_cfg.group_size = 16;
     ref_cfg.engine = engine;
+    ref_cfg.variant = variant;
     ref_cfg.pool_threads = 1;
     obs::MetricsRegistry ref_registry;
     ref_cfg.metrics = &ref_registry;
@@ -245,6 +253,7 @@ TEST(ShardedSweepTest, BitIdenticalAcrossWorkersTilesAndBackends) {
     for (const std::size_t workers : {2u, 4u}) {
       for (const std::size_t tile_blocks : {0u, 1u, 5u}) {
         SCOPED_TRACE(std::string("engine=") + to_string(engine) +
+                     " variant=" + to_string(variant) +
                      " workers=" + std::to_string(workers) +
                      " tile_blocks=" + std::to_string(tile_blocks));
         AllPairsConfig cfg = ref_cfg;
@@ -291,32 +300,37 @@ TEST(ShardedSweepTest, ProbeIncrementalBitIdenticalAcrossWorkersAndTiles) {
     if (i != corpus.weak[0].first) rest.push_back(corpus.moduli[i]);
   }
 
-  AllPairsConfig ref_cfg;
-  ref_cfg.group_size = 16;
-  ref_cfg.pool_threads = 1;
-  ProbeStats ref_stats;
-  const auto ref = probe_incremental(candidate, rest, ref_cfg, &ref_stats);
-  ASSERT_FALSE(ref.empty());
+  for (const auto variant :
+       {gcd::Variant::kDivsteps, gcd::Variant::kApproximate}) {
+    AllPairsConfig ref_cfg;
+    ref_cfg.group_size = 16;
+    ref_cfg.pool_threads = 1;
+    ref_cfg.variant = variant;
+    ProbeStats ref_stats;
+    const auto ref = probe_incremental(candidate, rest, ref_cfg, &ref_stats);
+    ASSERT_FALSE(ref.empty());
 
-  for (const std::size_t workers : {2u, 4u}) {
-    for (const std::size_t tile_blocks : {0u, 1u, 3u}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " tile_blocks=" + std::to_string(tile_blocks));
-      AllPairsConfig cfg = ref_cfg;
-      cfg.pool_threads = workers;
-      cfg.tile_blocks = tile_blocks;
-      ProbeStats stats;
-      const auto hits = probe_incremental(candidate, rest, cfg, &stats);
-      ASSERT_EQ(ref.size(), hits.size());
-      for (std::size_t k = 0; k < hits.size(); ++k) {
-        EXPECT_EQ(ref[k].corpus_index, hits[k].corpus_index);
-        EXPECT_EQ(ref[k].factor, hits[k].factor);
-        EXPECT_EQ(ref[k].full_modulus, hits[k].full_modulus);
-        EXPECT_EQ(hits[k].factor,
-                  test::gmp_gcd(candidate, rest[hits[k].corpus_index]));
+    for (const std::size_t workers : {2u, 4u}) {
+      for (const std::size_t tile_blocks : {0u, 1u, 3u}) {
+        SCOPED_TRACE(std::string("variant=") + to_string(variant) +
+                     " workers=" + std::to_string(workers) +
+                     " tile_blocks=" + std::to_string(tile_blocks));
+        AllPairsConfig cfg = ref_cfg;
+        cfg.pool_threads = workers;
+        cfg.tile_blocks = tile_blocks;
+        ProbeStats stats;
+        const auto hits = probe_incremental(candidate, rest, cfg, &stats);
+        ASSERT_EQ(ref.size(), hits.size());
+        for (std::size_t k = 0; k < hits.size(); ++k) {
+          EXPECT_EQ(ref[k].corpus_index, hits[k].corpus_index);
+          EXPECT_EQ(ref[k].factor, hits[k].factor);
+          EXPECT_EQ(ref[k].full_modulus, hits[k].full_modulus);
+          EXPECT_EQ(hits[k].factor,
+                    test::gmp_gcd(candidate, rest[hits[k].corpus_index]));
+        }
+        EXPECT_EQ(ref_stats.pairs_tested, stats.pairs_tested);
+        expect_same_simt(ref_stats.simt, stats.simt);
       }
-      EXPECT_EQ(ref_stats.pairs_tested, stats.pairs_tested);
-      expect_same_simt(ref_stats.simt, stats.simt);
     }
   }
 }

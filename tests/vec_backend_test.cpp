@@ -6,12 +6,18 @@
 //  2. GMP oracle on the values themselves;
 //  3. dispatch: cpuid probe, explicit-ISA construction, Engine::kAuto
 //     resolution, and end-to-end all_pairs_gcd / probe_incremental
-//     equivalence between the vector and staged engines.
+//     equivalence between the vector and staged engines;
+//  4. the Divsteps leg's Section-V verdicts against Approximate Euclidean's
+//     and GMP's on every corpus shape, and its two edge cases (a lane done
+//     mid-pass, a corrupt lane at its pass bound).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bulk/allpairs.hpp"
@@ -35,7 +41,7 @@ using test::random_odd;
 using test::random_value;
 
 constexpr Variant kBulkVariants[] = {Variant::kBinary, Variant::kFastBinary,
-                                     Variant::kApproximate};
+                                     Variant::kApproximate, Variant::kDivsteps};
 
 /// Every leg the vector engine can be compiled as.
 constexpr VecIsa kLegs[] = {VecIsa::kPortable, VecIsa::kAvx2,
@@ -294,10 +300,188 @@ TEST_P(VecLeg, CorruptLaneStopsAtItsRoundBound) {
   EXPECT_THROW(vec->run(Variant::kApproximate), std::logic_error);
 }
 
+TEST_P(VecLeg, CorruptDivstepsLaneStopsAtItsPassBound) {
+  // Lanes that claim one limb but carry a second, nonzero one above it: the
+  // pass bound written for 32-bit operands is ⌈⌊(49·32 + 80)/17⌋ / 30⌉ = 4
+  // passes, and 64-bit operands usually need more. The resident pass, and
+  // the staged engine's scalar kernel on the same rows, must stop with an
+  // error at the bound, not run on.
+  const VecIsa isa = GetParam();
+  if (!bulk::vec_isa_available(isa)) {
+    GTEST_SKIP() << to_string(isa) << " leg unavailable on this machine";
+  }
+  const std::size_t w = leg_width(isa);
+  ASSERT_EQ(gcd::divsteps_pass_bound(mp::limb_bits<ScanLimb>), 4u);
+  Xoshiro256 rng(0xd5 + w);
+  std::vector<ScanLimb> panel(2 * w);
+  for (std::size_t k = 0; k < w; ++k) {
+    panel[k] = ScanLimb(rng()) | 1u;          // row 0: odd
+    panel[w + k] = ScanLimb(rng()) | 0x100u;  // row 1: above the claim
+  }
+  const std::vector<std::size_t> sizes(w, 1);
+  const auto y = random_odd<ScanLimb>(rng, mp::limb_bits<ScanLimb>);
+  auto vec = bulk::make_vec_batch(w, 1, 32, isa);
+  bulk::SimtBatch<ScanLimb> ref(w, 1, 32);
+  vec->load_panel(panel, sizes, 2);
+  ref.load_panel(panel, sizes, 2);
+  vec->broadcast_y(y.limbs());
+  ref.broadcast_y(y.limbs());
+  for (std::size_t k = 0; k < w; ++k) {
+    vec->reset_lane_state(k, 1);
+    ref.reset_lane_state(k, 1);
+  }
+  EXPECT_THROW(vec->run(Variant::kDivsteps), std::logic_error);
+  EXPECT_THROW(ref.run_staged(Variant::kDivsteps), std::logic_error);
+}
+
 INSTANTIATE_TEST_SUITE_P(Legs, VecLeg, ::testing::ValuesIn(kLegs),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });
+
+// ---- the Divsteps leg against Approximate Euclidean and GMP --------------
+
+/// x = p·a and y = p·b: two `bits`-bit moduli sharing a planted prime of
+/// `pbits` bits.
+std::pair<BigInt, BigInt> shared_pair(Xoshiro256& rng, std::size_t pbits,
+                                      std::size_t xbits, std::size_t ybits) {
+  const BigInt p = planted_prime(rng, pbits);
+  return {p * planted_prime(rng, xbits - pbits),
+          p * planted_prime(rng, ybits - pbits)};
+}
+
+/// One lane of every shape the default leg must agree with (E) on, cycled
+/// over `lanes`, each with early = min(bits)/2 (Section V): planted 512-bit
+/// primes, an unbalanced 400-bit one under 1024-bit moduli (a miss), small
+/// common factors 3 and 2^20 + 7 (misses), a duplicate modulus, mixed
+/// 512/1024/2048-bit pairs sharing a prime above their threshold, and the
+/// all-ones and 0x80…01 operands.
+std::vector<LaneInput> verdict_lanes(Xoshiro256& rng, std::size_t lanes) {
+  const BigInt ones = (BigInt(1) << 1024) - BigInt(1);
+  const BigInt edge = (BigInt(1) << 1023) + BigInt(1);
+  std::vector<LaneInput> in;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    BigInt x, y;
+    switch (l % 10) {
+      case 0: std::tie(x, y) = shared_pair(rng, 512, 1024, 1024); break;
+      case 1: std::tie(x, y) = shared_pair(rng, 400, 1024, 1024); break;
+      case 2:
+      case 3: {
+        const BigInt small = l % 10 == 2 ? BigInt(3) : BigInt((1u << 20) + 7);
+        const std::size_t sb = small.bit_length();
+        x = small * random_odd<ScanLimb>(rng, 1024 - sb);
+        y = small * random_odd<ScanLimb>(rng, 1024 - sb);
+        break;
+      }
+      case 4: x = y = planted_prime(rng, 512) * planted_prime(rng, 512); break;
+      case 5: std::tie(x, y) = shared_pair(rng, 300, 512, 1024); break;
+      case 6: std::tie(x, y) = shared_pair(rng, 1100, 2048, 2048); break;
+      case 7: std::tie(x, y) = shared_pair(rng, 300, 2048, 512); break;
+      case 8:
+        x = l % 20 == 8 ? ones : edge;
+        y = l % 20 == 8 ? edge : ones;
+        break;
+      default: x = y = l % 20 == 9 ? ones : edge; break;
+    }
+    const std::size_t early = std::min(x.bit_length(), y.bit_length()) / 2;
+    const BigInt g = gmp_gcd(x, y);
+    in.push_back({x, y, early, false, g.bit_length() >= early});
+  }
+  return in;
+}
+
+/// Divsteps and Approximate Euclidean reach the same Section-V verdict on
+/// every lane — a hit exactly when bitlen(gcd) >= early, with the GMP gcd —
+/// on the staged engine and on every vector leg; and every engine is
+/// bit-identical to the staged one within each variant.
+void expect_same_verdicts(const std::vector<LaneInput>& in,
+                          std::uint64_t seed) {
+  std::size_t cap = 0;
+  for (const auto& lane : in) {
+    cap = std::max({cap, lane.x.size(), lane.y.size()});
+  }
+  for (const Variant variant : {Variant::kApproximate, Variant::kDivsteps}) {
+    bulk::SimtBatch<ScanLimb> ref(in.size(), cap, 32);
+    std::vector<std::unique_ptr<bulk::VecBatchBase>> legs;
+    for (const VecIsa isa : available_isas()) {
+      legs.push_back(bulk::make_vec_batch(in.size(), cap, 32, isa));
+    }
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      ref.load(i, in[i].x.limbs(), in[i].y.limbs(), in[i].early);
+      for (auto& leg : legs) {
+        leg->load(i, in[i].x.limbs(), in[i].y.limbs(), in[i].early);
+      }
+    }
+    ref.run_staged(variant);
+    for (auto& leg : legs) leg->run(variant);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << to_string(variant) << " lane " << i
+                                        << " seed " << seed);
+      ASSERT_EQ(!ref.early_coprime(i), in[i].must_find);
+      if (in[i].must_find) {
+        ASSERT_EQ(ref.gcd_of(i), gmp_gcd(in[i].x, in[i].y));
+      }
+      for (auto& leg : legs) {
+        ASSERT_EQ(leg->early_coprime(i), ref.early_coprime(i))
+            << to_string(leg->isa());
+        ASSERT_EQ(leg->lane_iterations(i), ref.lane_iterations(i));
+        if (in[i].must_find) ASSERT_EQ(leg->gcd_of(i), ref.gcd_of(i));
+      }
+    }
+    for (auto& leg : legs) {
+      ASSERT_EQ(leg->stats(), ref.stats()) << to_string(variant) << " "
+                                           << to_string(leg->isa());
+    }
+  }
+}
+
+TEST(VecDivsteps, VerdictsMatchApproximateAndGmp) {
+  Xoshiro256 rng(0xd1f5);
+  // 32 lanes: full W = 8 and W = 16 groups on the resident pass.
+  const auto full = verdict_lanes(rng, 32);
+  // Planted, duplicate and mixed-size shares are hits; the unbalanced
+  // 400-bit prime and the small factors are not.
+  for (const std::size_t l : {0u, 4u, 5u, 6u, 7u}) {
+    EXPECT_TRUE(full[l].must_find) << l;
+  }
+  for (const std::size_t l : {1u, 2u, 3u}) EXPECT_FALSE(full[l].must_find) << l;
+  expect_same_verdicts(full, 0xd1f5);
+  // 37 lanes: the same shapes with a masked tail on the scalar kernel.
+  const auto tail = verdict_lanes(rng, 37);
+  expect_same_verdicts(tail, 0xd1f6);
+  // The bit-identity harness: GMP gcds, every variant, both shapes.
+  expect_bit_identity(full, 0xd1f5);
+}
+
+TEST(VecDivsteps, LaneReachingZeroMidPassStaysFixed) {
+  // 3p and 5p take the divsteps of 3 and 5 scaled by p, so g reaches 0
+  // after six steps of the first pass. That lane stops after one pass,
+  // holding gcd = p through the passes its group still runs for the other
+  // lanes (the identity matrix keeps its limbs).
+  Xoshiro256 rng(0x2e0);
+  for (const VecIsa isa : available_isas()) {
+    const std::size_t w = leg_width(isa);
+    std::vector<LaneInput> in;
+    for (std::size_t l = 0; l < w; ++l) {
+      in.push_back({random_odd<ScanLimb>(rng, 1024),
+                    random_odd<ScanLimb>(rng, 1024), 512});
+    }
+    const BigInt p = random_odd<ScanLimb>(rng, 900);
+    in[3] = {p * BigInt(3), p * BigInt(5), 451, false, true};
+    auto vec = bulk::make_vec_batch(w, 40, 32, isa);
+    for (std::size_t l = 0; l < w; ++l) {
+      vec->load(l, in[l].x.limbs(), in[l].y.limbs(), in[l].early);
+    }
+    vec->run(Variant::kDivsteps);
+    EXPECT_EQ(vec->lane_iterations(3), 1u) << to_string(isa);
+    ASSERT_FALSE(vec->early_coprime(3)) << to_string(isa);
+    EXPECT_EQ(vec->gcd_of(3), p) << to_string(isa);
+    for (std::size_t l = 0; l < w; ++l) {
+      if (l != 3) EXPECT_GT(vec->lane_iterations(l), 30u) << l;
+    }
+    expect_bit_identity(in, 0x2e0 + w);
+  }
+}
 
 /// Drive both engines through the exact BlockSweeper verb sequence:
 /// load_panel + broadcast_y + reset_lane_state + disable, then run.
