@@ -520,7 +520,8 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
                                                      std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
         // current[i] = (P / n_i) mod n_i.
-        gcds[i] = gcd::gcd_general(leaves[i], current[i]);
+        gcds[i] = gcd::gcd_general(leaves[i], current[i],
+                                   gcd::Variant::kDivsteps);
       }
     });
     report.result.gcds = repack_all<std::uint32_t>(gcds);

@@ -1,6 +1,7 @@
 #include "mp/bigint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <stdexcept>
 
@@ -10,11 +11,56 @@ namespace bulkgcd::mp {
 
 namespace {
 
-int hex_digit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
+constexpr std::int8_t kBadDigit = -1;
+constexpr std::int8_t kSkipDigit = -2;
+
+/// Digit value of every byte: 0..15, kSkipDigit for the separators
+/// `skip` names, kBadDigit for the rest.
+using HexTable = std::array<std::int8_t, 256>;
+
+constexpr HexTable make_hex_table(std::string_view skip) {
+  HexTable table{};
+  table.fill(kBadDigit);
+  for (int c = 0; c < 10; ++c) table['0' + c] = std::int8_t(c);
+  for (int c = 0; c < 6; ++c) {
+    table['a' + c] = std::int8_t(10 + c);
+    table['A' + c] = std::int8_t(10 + c);
+  }
+  for (const char c : skip) table[std::uint8_t(c)] = kSkipDigit;
+  return table;
+}
+
+constexpr HexTable kGroupedHex = make_hex_table("_,");
+constexpr HexTable kSpacedHex = make_hex_table(" \t\n\v\f\r");
+
+/// One pass from the last digit to the first: each limb fills in a register,
+/// kLimbBits / 4 digits at a time, and is stored once into a vector sized
+/// from the text.
+template <LimbType Limb>
+std::vector<Limb> hex_limbs(std::string_view text, const HexTable& table) {
+  constexpr int kBits = limb_bits<Limb>;
+  constexpr std::size_t kDigitsPerLimb = kBits / 4;
+  std::vector<Limb> limbs((text.size() + kDigitsPerLimb - 1) / kDigitsPerLimb);
+  std::size_t stored = 0;
+  Limb acc = 0;
+  int shift = 0;
+  for (std::size_t i = text.size(); i-- > 0;) {
+    const std::int8_t digit = table[std::uint8_t(text[i])];
+    if (digit < 0) {
+      if (digit == kSkipDigit) continue;
+      throw std::invalid_argument("BigInt::from_hex: bad digit");
+    }
+    acc |= Limb(Limb(digit) << shift);
+    shift += 4;
+    if (shift == kBits) {
+      limbs[stored++] = acc;
+      acc = 0;
+      shift = 0;
+    }
+  }
+  if (shift != 0) limbs[stored++] = acc;
+  limbs.resize(stored);
+  return limbs;
 }
 
 }  // namespace
@@ -23,18 +69,24 @@ template <LimbType Limb>
 BigIntT<Limb> BigIntT<Limb>::from_hex(std::string_view text) {
   if (text.starts_with("0x") || text.starts_with("0X")) text.remove_prefix(2);
   if (text.empty()) throw std::invalid_argument("BigInt::from_hex: empty input");
-  BigIntT out;
-  for (char c : text) {
-    if (c == '_' || c == ',') continue;  // allow visual grouping
-    const int digit = hex_digit(c);
-    if (digit < 0) throw std::invalid_argument("BigInt::from_hex: bad digit");
-    out <<= 4;
-    if (digit != 0) {
-      if (out.limbs_.empty()) out.limbs_.push_back(Limb{0});
-      out.limbs_[0] |= Limb(digit);
-    }
+  return from_limbs(hex_limbs<Limb>(text, kGroupedHex));
+}
+
+template <LimbType Limb>
+BigIntT<Limb> BigIntT<Limb>::from_spaced_hex(std::string_view text) {
+  return from_limbs(hex_limbs<Limb>(text, kSpacedHex));
+}
+
+template <LimbType Limb>
+BigIntT<Limb> BigIntT<Limb>::from_bytes_be(std::span<const std::uint8_t> bytes) {
+  constexpr std::size_t kBytesPerLimb = kLimbBits / 8;
+  std::vector<Limb> limbs((bytes.size() + kBytesPerLimb - 1) / kBytesPerLimb);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    const std::size_t at = bytes.size() - 1 - i;  // byte i from the bottom
+    limbs[i / kBytesPerLimb] |=
+        Limb(Limb(bytes[at]) << (8 * (i % kBytesPerLimb)));
   }
-  return out;
+  return from_limbs(std::move(limbs));
 }
 
 template <LimbType Limb>

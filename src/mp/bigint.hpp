@@ -56,8 +56,16 @@ class BigIntT {
     return out;
   }
 
-  /// Parse "0x..."-optional hex. Throws std::invalid_argument on bad input.
+  /// Parse "0x..."-optional hex; '_' and ',' between digits are ignored.
+  /// Throws std::invalid_argument on bad input. One pass, linear in the text.
   static BigIntT from_hex(std::string_view text);
+  /// Parse bare hex digits with ASCII whitespace between them (a hex dump);
+  /// no prefix, and no digits at all is zero. Throws std::invalid_argument
+  /// on any other character.
+  static BigIntT from_spaced_hex(std::string_view text);
+  /// The big-endian magnitude `bytes` (a DER INTEGER's content, raw key
+  /// bytes); leading zero bytes are allowed and normalized away.
+  static BigIntT from_bytes_be(std::span<const std::uint8_t> bytes);
   /// Parse decimal. Throws std::invalid_argument on bad input.
   static BigIntT from_dec(std::string_view text);
 

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_set>
 
 #include "obs/metrics.hpp"
@@ -69,6 +70,29 @@ void write_comment(std::ofstream& out, const std::string& comment) {
   while (std::getline(lines, line)) out << "# " << line << "\n";
 }
 
+/// The whitespace-separated fields of one line, split as `istream >>`
+/// splits them (space, \t, \n, \v, \f, \r), as views into the line.
+class Fields {
+ public:
+  explicit Fields(std::string_view line) : rest_(line) {}
+
+  /// The next field; empty once the line has no more.
+  std::string_view next() {
+    std::size_t begin = 0;
+    while (begin < rest_.size() && is_space(rest_[begin])) ++begin;
+    std::size_t end = begin;
+    while (end < rest_.size() && !is_space(rest_[end])) ++end;
+    const std::string_view field = rest_.substr(begin, end - begin);
+    rest_.remove_prefix(end);
+    return field;
+  }
+
+ private:
+  static bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+  std::string_view rest_;
+};
+
 [[noreturn]] void malformed(const std::filesystem::path& path, std::size_t line) {
   throw std::runtime_error("keystore: malformed record at " + path.string() +
                            ":" + std::to_string(line));
@@ -117,22 +141,17 @@ std::vector<mp::BigInt> load_moduli(const std::filesystem::path& path,
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    std::istringstream fields(line);
-    std::string kind;
-    if (!(fields >> kind) || kind[0] == '#') {
+    Fields fields(line);
+    const std::string_view kind = fields.next();
+    if (kind.empty() || kind[0] == '#') {
       if (tele.comment_lines) tele.comment_lines->inc();
       continue;
     }
-    std::string hex;
-    if (kind == "modulus") {
-      if (!(fields >> hex)) fail(line_no);
-      moduli.push_back(mp::BigInt::from_hex(hex));
-    } else if (kind == "keypair") {
-      if (!(fields >> hex)) fail(line_no);
-      moduli.push_back(mp::BigInt::from_hex(hex));  // n is the first field
-    } else {
-      fail(line_no);
-    }
+    // n is the first field of both record kinds.
+    if (kind != "modulus" && kind != "keypair") fail(line_no);
+    const std::string_view hex = fields.next();
+    if (hex.empty()) fail(line_no);
+    moduli.push_back(mp::BigInt::from_hex(hex));
     tele.note_modulus(moduli.back());
   }
   return moduli;
@@ -164,22 +183,25 @@ std::vector<KeyPair> load_keypairs(const std::filesystem::path& path,
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    std::istringstream fields(line);
-    std::string kind;
-    if (!(fields >> kind) || kind[0] == '#') {
+    Fields fields(line);
+    const std::string_view kind = fields.next();
+    if (kind.empty() || kind[0] == '#') {
       if (tele.comment_lines) tele.comment_lines->inc();
       continue;
     }
     if (kind == "modulus") continue;  // tolerated in mixed files
     if (kind != "keypair") fail(line_no);
-    std::string n, e, d, p, q;
-    if (!(fields >> n >> e >> d >> p >> q)) fail(line_no);
+    std::string_view hex[5];
+    for (auto& field : hex) {
+      field = fields.next();
+      if (field.empty()) fail(line_no);
+    }
     KeyPair key;
-    key.n = mp::BigInt::from_hex(n);
-    key.e = mp::BigInt::from_hex(e);
-    key.d = mp::BigInt::from_hex(d);
-    key.p = mp::BigInt::from_hex(p);
-    key.q = mp::BigInt::from_hex(q);
+    key.n = mp::BigInt::from_hex(hex[0]);
+    key.e = mp::BigInt::from_hex(hex[1]);
+    key.d = mp::BigInt::from_hex(hex[2]);
+    key.p = mp::BigInt::from_hex(hex[3]);
+    key.q = mp::BigInt::from_hex(hex[4]);
     tele.note_modulus(key.n);
     keys.push_back(std::move(key));
   }

@@ -93,7 +93,7 @@ struct Reader {
            std::to_string(got) + " at offset " + std::to_string(pos - 1));
     }
     const std::size_t len = length();
-    if (pos + len > size) fail("TLV overruns buffer");
+    if (len > size - pos) fail("TLV overruns buffer");  // pos + len may wrap
     Reader sub{data + pos, len};
     pos += len;
     return sub;
@@ -106,12 +106,7 @@ mp::BigInt read_integer(Reader& reader) {
   Reader content = reader.tlv(0x02);
   if (content.size == 0) fail("empty INTEGER");
   if (content.data[0] & 0x80) fail("negative INTEGER in public key");
-  mp::BigInt out;
-  for (std::size_t i = 0; i < content.size; ++i) {
-    out <<= 8;
-    out += mp::BigInt(std::uint64_t(content.data[i]));
-  }
-  return out;
+  return mp::BigInt::from_bytes_be({content.data, content.size});
 }
 
 PublicKey decode_rsa_public_key(Reader reader) {
@@ -276,8 +271,6 @@ std::vector<PublicKey> pem_decode_bundle(std::string_view text) {
 mp::BigInt hex_decode_modulus(std::string_view text) {
   // Strip the tolerated decorations first so position reports below refer to
   // the digit string a human sees.
-  std::string digits;
-  digits.reserve(text.size());
   std::size_t start = 0;
   while (start < text.size() &&
          std::isspace(static_cast<unsigned char>(text[start]))) {
@@ -289,24 +282,23 @@ mp::BigInt hex_decode_modulus(std::string_view text) {
       (text[start + 1] == 'x' || text[start + 1] == 'X')) {
     start += 2;
   }
+  std::size_t digits = 0;
   for (std::size_t i = start; i < text.size(); ++i) {
     const char c = text[i];
     if (std::isspace(static_cast<unsigned char>(c))) continue;
-    const bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
-                     (c >= 'A' && c <= 'F');
-    if (!hex) {
+    if (!std::isxdigit(static_cast<unsigned char>(c))) {
       throw std::runtime_error("hex modulus: non-hex character at offset " +
                                std::to_string(i));
     }
-    digits.push_back(c);
+    ++digits;
   }
-  if (digits.empty()) throw std::runtime_error("hex modulus: empty input");
-  if (digits.size() % 2 != 0) {
+  if (digits == 0) throw std::runtime_error("hex modulus: empty input");
+  if (digits % 2 != 0) {
     throw std::runtime_error("hex modulus: odd digit count (" +
-                             std::to_string(digits.size()) +
+                             std::to_string(digits) +
                              "); raw keys are byte strings");
   }
-  return mp::BigInt::from_hex(digits);
+  return mp::BigInt::from_spaced_hex(text.substr(start));
 }
 
 }  // namespace bulkgcd::rsa

@@ -89,12 +89,8 @@ KeyPair recover_private_key(const mp::BigInt& n, const mp::BigInt& e,
 }
 
 mp::BigInt encode_message(std::string_view text) {
-  mp::BigInt out;
-  for (const char c : text) {
-    out <<= 8;
-    out += mp::BigInt(std::uint64_t(static_cast<unsigned char>(c)));
-  }
-  return out;
+  return mp::BigInt::from_bytes_be(
+      {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
 }
 
 std::string decode_message(const mp::BigInt& value) {

@@ -111,7 +111,7 @@ void IntakeParser::consume_line(std::string_view raw) {
       return;
     }
     try {
-      accept(mp::BigInt::from_hex(std::string(hex)), RecordKind::kKeystore,
+      accept(mp::BigInt::from_hex(hex), RecordKind::kKeystore,
              line_no_);
     } catch (const std::exception& e) {
       reject(line_no_, std::string("bad keystore record: ") + e.what());

@@ -23,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "rsa/corpus.hpp"
 #include "rsa/keystore.hpp"
+#include "rsa/prime.hpp"
 
 namespace bulkgcd::batchgcd {
 namespace {
@@ -874,6 +875,28 @@ TEST_F(BatchResumeTest, MixedSizesInAnyOrderMatchGmpAndResumeAfterEveryLevel) {
   EXPECT_GE(weak_indices({want, 0.0}).size(), 8u);
   EXPECT_EQ(expect_descent_matches_gmp(moduli, "mixed"), 2u);
   expect_every_stop_resumes(moduli, want);
+}
+
+TEST(BatchGcdTest, FinalGcdsMatchGmpOnEvenDuplicateAndUnbalancedLeaves) {
+  // The final gcd(n_i, s_i) runs Divsteps through gcd_general: an even
+  // modulus (common powers of two with another even one), a duplicated
+  // modulus (s_i = 0, so the gcd is n_i) and a 200-bit prime planted in a
+  // 1024-bit and a 2048-bit modulus (operands of unequal sizes).
+  Xoshiro256 rng(224);
+  std::vector<BigInt> moduli;
+  for (int i = 0; i < 24; ++i) moduli.push_back(random_odd<std::uint32_t>(rng, 1024));
+  moduli[3] = (random_odd<std::uint32_t>(rng, 1000) << 5);
+  moduli[17] = (random_odd<std::uint32_t>(rng, 1000) << 3);
+  moduli[9] = moduli[20];
+  const BigInt prime = rsa::random_prime(rng, 200);
+  moduli[5] = prime * random_odd<std::uint32_t>(rng, 824);
+  moduli.push_back(prime * random_odd<std::uint32_t>(rng, 1848));
+
+  const std::vector<BigInt> want = gmp_batch_gcds(moduli);
+  EXPECT_EQ(want[3] % BigInt(8), BigInt(0));
+  EXPECT_EQ(want[9], moduli[9]);
+  EXPECT_EQ(want[5] % prime, BigInt(0));
+  EXPECT_EQ(batch_gcd(moduli).gcds, want);
 }
 
 TEST_F(BatchResumeTest, ResiduesAtTheEdgesRoundExactly) {

@@ -136,6 +136,58 @@ TEST_F(KeystoreTest, CrlfTerminatedFilesLoadCleanly) {
   EXPECT_EQ(keys[0].q, BigInt(7));
 }
 
+TEST_F(KeystoreTest, TabsTrailingSpacesAndPrefixesSplitLikeWhitespace) {
+  // Fields split on any whitespace run: tabs between fields, trailing
+  // spaces before a CRLF, and a 0x-prefixed value.
+  {
+    std::ofstream out(path_, std::ios::binary);
+    out << "modulus\tff1\n";
+    out << "keypair\t23\t5 \t3\t5\t7\n";
+    out << "keypair 23 5 3 5 7   \r\n";
+    out << "modulus 0xFF1\n";
+  }
+  const auto moduli = load_moduli(path_);
+  EXPECT_EQ(moduli, (std::vector<BigInt>{BigInt(0xff1), BigInt(0x23), BigInt(0x23),
+                                         BigInt(0xff1)}));
+  const auto keys = load_keypairs(path_);
+  ASSERT_EQ(keys.size(), 2u);
+  for (const auto& key : keys) {
+    EXPECT_EQ(key.n, BigInt(0x23));
+    EXPECT_EQ(key.d, BigInt(3));
+    EXPECT_EQ(key.q, BigInt(7));
+  }
+}
+
+TEST_F(KeystoreTest, CommentAfterTheLastRecordWithoutFinalNewline) {
+  {
+    std::ofstream out(path_, std::ios::binary);
+    out << "modulus ff1\nkeypair 23 5 3 5 7\n# end of harvest";
+  }
+  obs::MetricsRegistry registry;
+  EXPECT_EQ(load_moduli(path_, &registry),
+            (std::vector<BigInt>{BigInt(0xff1), BigInt(0x23)}));
+  EXPECT_EQ(registry.counter("keystore_records_total")->value(), 2u);
+  EXPECT_EQ(registry.counter("keystore_comment_lines_total")->value(), 1u);
+  EXPECT_EQ(load_keypairs(path_).size(), 1u);
+}
+
+TEST_F(KeystoreTest, BadDigitSurfacesAsInvalidArgument) {
+  // A record of the right shape with a non-hex digit is not "malformed":
+  // the decoder's std::invalid_argument reaches the caller, uncounted.
+  {
+    std::ofstream out(path_);
+    out << "modulus ff1\nmodulus ffg1\n";
+  }
+  obs::MetricsRegistry registry;
+  EXPECT_THROW(load_moduli(path_, &registry), std::invalid_argument);
+  EXPECT_EQ(registry.counter("keystore_parse_errors_total")->value(), 0u);
+  {
+    std::ofstream out(path_);
+    out << "keypair 23 5 3 5 7z\n";
+  }
+  EXPECT_THROW(load_keypairs(path_), std::invalid_argument);
+}
+
 TEST_F(KeystoreTest, BlankAndCommentOnlyFilesLoadEmpty) {
   {
     std::ofstream out(path_);
