@@ -6,7 +6,9 @@
 // the r×r cross pairs: in round u, lane k computes gcd(n_{i,k}, n_{j,u}).
 // Block (i, i) covers the intra-group pairs (lane k active in round u only
 // when k < u). Blocks with i > j exit immediately — exactly the paper's
-// kernel. Blocks are distributed over the thread pool.
+// kernel. Blocks are distributed over the thread pool. The corpus is staged
+// once into a StagedCorpus (bulk/staged_corpus.hpp); the incremental probe
+// runs the same round with a broadcast candidate as Y.
 #pragma once
 
 #include <cstddef>
@@ -32,12 +34,13 @@ struct AllPairsConfig {
   /// full-width passes; kApproximate is the paper's algorithm and Table V's
   /// row, kBinary / kFastBinary its other GPU rows.
   gcd::Variant variant = gcd::Variant::kDivsteps;
-  /// The one engine knob (bulk/backend.hpp). kVector and kStaged stage the
-  /// corpus once into column-major CorpusPanels and refresh each block's
-  /// batch by bulk panel copy (the CUDA kernel shape); kScalar runs the
-  /// plain GcdEngine pair by pair. Every engine finds the same hits, and the
-  /// two SIMT engines also give bit-identical SimtStats, so the checkpoint
-  /// identity records only scalar-or-not.
+  /// The one engine knob (bulk/backend.hpp). Every engine reads the corpus
+  /// staged once (bulk/staged_corpus.hpp); kVector and kStaged refresh each
+  /// round's batch from its column-major panels by bulk panel copy (the
+  /// CUDA kernel shape); kScalar runs the plain GcdEngine pair by pair.
+  /// Every engine finds the same hits, and the two SIMT engines also give
+  /// bit-identical SimtStats, so the checkpoint identity records only
+  /// scalar-or-not.
   Engine engine = Engine::kAuto;
   bool early_terminate = true;  ///< Section V termination for RSA moduli
   std::size_t group_size = 64;  ///< r: moduli per group == lanes per block
@@ -109,7 +112,7 @@ struct IncrementalHit {
 
 /// Work accounting for one probe_incremental call, mirroring the
 /// AllPairsResult stats block. When config.metrics is set, the same values
-/// are folded into the scan_*/simt_*/gcd_* counters at the worker merge
+/// are folded into the simt_*/gcd_* counters at the worker merge
 /// points (fold_engine_stats), so counter totals exactly equal the returned
 /// stats — the probe path feeds telemetry like the full sweep does.
 struct ProbeStats {
@@ -123,12 +126,15 @@ std::vector<IncrementalHit> probe_incremental(
     const AllPairsConfig& config = {}, ProbeStats* stats = nullptr);
 
 /// Amortized-staging variant for streaming callers: the corpus is already
-/// flattened and panel-staged (bulk/staged_corpus.hpp, grown append-by-append
-/// as keys fold in), so the probe skips the per-call ScanCorpus copy and
-/// CorpusPanels rebuild entirely and rides the live panels' contiguous
-/// loads. Hits and pair counts are bit-identical to the span overload over
-/// the same moduli (asserted in tests/allpairs_test.cpp) — the two differ
-/// only in who pays the staging cost and when.
+/// staged (bulk/staged_corpus.hpp, grown append-by-append as keys fold in),
+/// so the probe rides its live panels without restaging. The span overload
+/// stages StagedCorpus(corpus, min(group_size, m)) and calls this one. Each
+/// probe block is one sweep round (bulk/block_grid.hpp) of group g's panel
+/// against the broadcast candidate, on the corpus's own lane count. Hits and
+/// pair counts are bit-identical to the span overload over the same moduli
+/// (asserted in tests/allpairs_test.cpp) — the two differ only in who pays
+/// the staging cost and when. config.metrics receives only the engine
+/// counters (no sweep_* series); config.trace only the scheduler's tiles.
 std::vector<IncrementalHit> probe_incremental(
     const mp::BigInt& candidate, const StagedCorpus& corpus,
     const AllPairsConfig& config = {}, ProbeStats* stats = nullptr);

@@ -8,6 +8,19 @@
 
 namespace bulkgcd::bulk {
 
+namespace {
+
+/// Execute a panel-refreshed batch to completion: lane-serial run_staged()
+/// on the staged engine, the W-lane run() on the vector engine.
+void run_lanes(SimtBatch<ScanLimb, ColumnMatrix>& batch, gcd::Variant variant) {
+  batch.run_staged(variant);
+}
+void run_lanes(VecBatchBase& batch, gcd::Variant variant) {
+  batch.run(variant);
+}
+
+}  // namespace
+
 void fold_engine_stats(obs::MetricsRegistry* metrics, const SimtStats& simt,
                        const gcd::GcdStats& scalar) {
   if (!metrics) return;
@@ -57,19 +70,21 @@ std::uint64_t BlockGrid::pairs_in_range(std::size_t lo,
   return pairs;
 }
 
-BlockSweeper::BlockSweeper(const ScanCorpus& corpus, const BlockGrid& grid,
+BlockSweeper::BlockSweeper(const StagedCorpus& corpus,
                            const AllPairsConfig& config,
-                           std::size_t capacity_limbs,
-                           const CorpusPanels<ScanLimb>& panels)
-    : corpus_(&corpus), grid_(grid), config_(config), panels_(&panels) {
+                           std::size_t capacity_limbs)
+    : corpus_(&corpus),
+      grid_(corpus.size(), corpus.group_size()),
+      config_(config) {
   config_.engine = resolve_engine(config.engine);
+  const std::size_t lanes = corpus.group_size();
   switch (config_.engine) {
     case Engine::kVector:
-      vec_ = make_vec_batch(grid.r, capacity_limbs, config.warp_width);
+      vec_ = make_vec_batch(lanes, capacity_limbs, config.warp_width);
       break;
     case Engine::kStaged:
       staged_ = std::make_unique<SimtBatch<ScanLimb, ColumnMatrix>>(
-          grid.r, capacity_limbs, config.warp_width);
+          lanes, capacity_limbs, config.warp_width);
       break;
     default:
       scalar_ = std::make_unique<gcd::GcdEngine<ScanLimb>>(capacity_limbs);
@@ -107,50 +122,81 @@ BlockSweeper::BlockSweeper(const ScanCorpus& corpus, const BlockGrid& grid,
   }
 }
 
-template <typename Batch, typename Record>
-void BlockSweeper::simt_block_rounds(Batch& eng, std::size_t i,
-                                     std::size_t i_begin, std::size_t j,
-                                     std::size_t j_begin, std::size_t j_end,
-                                     std::size_t i_count, Record&& record,
-                                     std::uint64_t& early_coprime) {
-  const std::size_t r = grid_.r;
-  for (std::size_t jj = j_begin; jj < j_end; ++jj) {
-    const std::size_t u = jj - j_begin;
-    // Lanes: group-i members paired against n_jj this round. For the
-    // diagonal block only k < u is live (each unordered pair once).
-    const std::size_t k_end = (i == j) ? std::min(u, i_count) : i_count;
-    if (k_end == 0) continue;
+void BlockSweeper::round(std::size_t g, std::size_t y_index,
+                         std::span<const ScanLimb> y, std::size_t y_bits,
+                         std::size_t k_end) {
+  const std::size_t r = corpus_->group_size();
+  const std::size_t base = g * r;
+  // Section V: the early-terminate threshold is a property of each pair.
+  auto early_bits = [&](std::size_t k) {
+    return config_.early_terminate
+               ? std::min(corpus_->bits(base + k), y_bits) / 2
+               : 0;
+  };
+  auto record = [&](std::size_t k, mp::BigInt gcd) {
+    // gcd > 1 ⟺ at least two bits.
+    if (gcd.bit_length() < 2) return;
+    const auto gl = gcd.limbs();
+    const bool full = std::ranges::equal(gl, corpus_->limbs(base + k)) ||
+                      std::ranges::equal(gl, y);
+    if (full) ++full_modulus_hits_;
+    out_.hits.push_back({base + k, y_index, std::move(gcd), full});
+  };
+  obs::TraceRecorder* rec = trace_ ? trace_->rec : nullptr;
+  out_.pairs += k_end;
 
+  if (scalar_) {
+    obs::ScopedLocalSpan exec_span(tele_ ? &tele_->lane_exec_seconds : nullptr);
+    obs::TraceSpan exec_tspan(rec, trace_ ? trace_->lane_exec : 0);
+    exec_tspan.set_args(g, y_index / r, y_index);
+    for (std::size_t k = 0; k < k_end; ++k) {
+      const std::uint64_t iters_before = out_.scalar.iterations;
+      const auto run = scalar_->run(config_.variant, corpus_->limbs(base + k),
+                                    y, early_bits(k), &out_.scalar);
+      if (tele_) {
+        tele_->iterations_per_pair.observe(
+            double(out_.scalar.iterations - iters_before));
+      }
+      if (run.early_coprime) {
+        ++early_coprime_;
+      } else {
+        record(k, mp::BigInt::from_limbs(run.gcd));
+      }
+    }
+    return;
+  }
+
+  // Generic over the executing batch (SimtBatch or a VecBatchBase): the
+  // refresh, masking and verification are engine-invariant.
+  auto simt_round = [&](auto& eng) {
     {
-      // One contiguous copy of the group-i panel + one broadcast of n_jj
+      // One contiguous copy of the group-g panel + one broadcast of Y
       // replaces k_end strided loads with their normalization scans.
       obs::ScopedLocalSpan panel_span(
           tele_ ? &tele_->panel_load_seconds : nullptr);
-      obs::TraceSpan panel_tspan(trace_ ? trace_->rec : nullptr,
-                                 trace_ ? trace_->panel_load : 0);
-      panel_tspan.set_args(i, j, jj);
-      eng.load_panel(panels_->panel(i), panels_->sizes(i), panels_->rows(i));
-      eng.broadcast_y(corpus_->limbs(jj));
+      obs::TraceSpan panel_tspan(rec, trace_ ? trace_->panel_load : 0);
+      panel_tspan.set_args(g, y_index / r, y_index);
+      const auto& panels = corpus_->panels();
+      eng.load_panel(panels.panel(g), panels.sizes(g), panels.rows(g));
+      eng.broadcast_y(y);
       for (std::size_t k = 0; k < k_end; ++k) {
-        eng.reset_lane_state(k, pair_early_bits(i_begin + k, jj));
+        eng.reset_lane_state(k, early_bits(k));
       }
       for (std::size_t k = k_end; k < r; ++k) eng.disable(k);
     }
     {
       obs::ScopedLocalSpan exec_span(
           tele_ ? &tele_->lane_exec_seconds : nullptr);
-      obs::TraceSpan exec_tspan(trace_ ? trace_->rec : nullptr,
-                                trace_ ? trace_->lane_exec : 0);
-      exec_tspan.set_args(i, j, jj);
+      obs::TraceSpan exec_tspan(rec, trace_ ? trace_->lane_exec : 0);
+      exec_tspan.set_args(g, y_index / r, y_index);
       run_lanes(eng, config_.variant);
     }
     obs::ScopedLocalSpan verify_span(tele_ ? &tele_->verify_seconds : nullptr);
     for (std::size_t k = 0; k < k_end; ++k) {
-      ++out_.pairs;
       if (eng.early_coprime(k)) {
-        ++early_coprime;
+        ++early_coprime_;
       } else {
-        record(i_begin + k, jj, eng.gcd_of(k));
+        record(k, eng.gcd_of(k));
       }
     }
     // Per-pair iteration counts come for free from the branch traces.
@@ -159,78 +205,48 @@ void BlockSweeper::simt_block_rounds(Batch& eng, std::size_t i,
         tele_->iterations_per_pair.observe(double(eng.lane_iterations(k)));
       }
     }
+  };
+  if (vec_) {
+    simt_round(*vec_);
+  } else {
+    simt_round(*staged_);
   }
 }
 
 void BlockSweeper::run_block(std::size_t block_index) {
   const auto [i, j] = grid_.block(block_index);
-  const std::size_t r = grid_.r;
-  const std::size_t i_begin = i * r, i_end = std::min(i_begin + r, grid_.m);
-  const std::size_t j_begin = j * r, j_end = std::min(j_begin + r, grid_.m);
+  const std::size_t i_count = grid_.group_size(i);
+  const std::size_t j_begin = j * grid_.r;
+  const std::size_t j_end = j_begin + grid_.group_size(j);
 
   // Block-local telemetry tallies, flushed into the sharded counters once
   // per block (a handful of adds) so the pair loops stay increment-free.
   const std::uint64_t pairs_before = out_.pairs;
   const std::size_t hits_before = out_.hits.size();
-  std::uint64_t early_coprime = 0;
-  std::uint64_t full_modulus_hits = 0;
+  early_coprime_ = 0;
+  full_modulus_hits_ = 0;
 
-  auto record = [&](std::size_t a, std::size_t b, mp::BigInt g) {
-    // g > 1 ⟺ at least two bits.
-    if (g.bit_length() < 2) return;
-    const auto gl = g.limbs();
-    const bool full =
-        std::equal(gl.begin(), gl.end(), corpus_->limbs(a).begin(),
-                   corpus_->limbs(a).end()) ||
-        std::equal(gl.begin(), gl.end(), corpus_->limbs(b).begin(),
-                   corpus_->limbs(b).end());
-    if (full) ++full_modulus_hits;
-    out_.hits.push_back({a, b, std::move(g), full});
-  };
-
-  if (vec_) {
-    simt_block_rounds(*vec_, i, i_begin, j, j_begin, j_end, i_end - i_begin,
-                      record, early_coprime);
-  } else if (staged_) {
-    simt_block_rounds(*staged_, i, i_begin, j, j_begin, j_end,
-                      i_end - i_begin, record, early_coprime);
-  } else {
-    for (std::size_t jj = j_begin; jj < j_end; ++jj) {
-      const std::size_t u = jj - j_begin;
-      const std::size_t k_end =
-          (i == j) ? std::min(u, i_end - i_begin) : i_end - i_begin;
-      if (k_end == 0) continue;
-      obs::ScopedLocalSpan exec_span(
-          tele_ ? &tele_->lane_exec_seconds : nullptr);
-      obs::TraceSpan exec_tspan(trace_ ? trace_->rec : nullptr,
-                                trace_ ? trace_->lane_exec : 0);
-      exec_tspan.set_args(i, j, jj);
-      for (std::size_t k = 0; k < k_end; ++k) {
-        ++out_.pairs;
-        const std::uint64_t iters_before = out_.scalar.iterations;
-        const auto run = scalar_->run(
-            config_.variant, corpus_->limbs(i_begin + k), corpus_->limbs(jj),
-            pair_early_bits(i_begin + k, jj), &out_.scalar);
-        if (tele_) {
-          tele_->iterations_per_pair.observe(
-              double(out_.scalar.iterations - iters_before));
-        }
-        if (run.early_coprime) {
-          ++early_coprime;
-        } else {
-          record(i_begin + k, jj, mp::BigInt::from_limbs(run.gcd));
-        }
-      }
-    }
+  for (std::size_t jj = j_begin; jj < j_end; ++jj) {
+    // Lanes: group-i members paired against n_jj this round. For the
+    // diagonal block only k < u is live (each unordered pair once).
+    const std::size_t k_end =
+        i == j ? std::min(jj - j_begin, i_count) : i_count;
+    if (k_end > 0) round(i, jj, corpus_->limbs(jj), corpus_->bits(jj), k_end);
   }
 
   if (tele_) {
     tele_->blocks->inc();
     tele_->pairs->add(out_.pairs - pairs_before);
     tele_->hits->add(out_.hits.size() - hits_before);
-    tele_->full_modulus_hits->add(full_modulus_hits);
-    tele_->early_coprime->add(early_coprime);
+    tele_->full_modulus_hits->add(full_modulus_hits_);
+    tele_->early_coprime->add(early_coprime_);
   }
+}
+
+void BlockSweeper::run_probe_block(std::size_t g, std::span<const ScanLimb> y,
+                                   std::size_t y_bits) {
+  const std::size_t r = corpus_->group_size();
+  round(g, corpus_->size(), y, y_bits, std::min(r, corpus_->size() - g * r));
 }
 
 BlockSweeper::Output BlockSweeper::take() {

@@ -1,9 +1,11 @@
 // Geometry of the Section-VI block triangle plus a reusable per-worker
-// sweeper, shared by the one-shot all_pairs_gcd() and the resumable
-// ScanDriver so both enumerate exactly the same pairs with exactly the same
-// per-pair early-terminate rule (Section V defines the RSA bit size s per
-// key pair, NOT per corpus — a corpus-wide threshold silently drops hits
-// between small moduli whenever a larger key is present).
+// sweeper, shared by the one-shot all_pairs_gcd(), the resumable ScanDriver
+// and the incremental probe so all three run exactly the same lane round
+// with exactly the same per-pair early-terminate rule (Section V defines the
+// RSA bit size s per key pair, NOT per corpus — a corpus-wide threshold
+// silently drops hits between small moduli whenever a larger key is
+// present). A probe block is a sweep block with the candidate broadcast as
+// Y: one round instead of one per j-group member.
 #pragma once
 
 #include <cstddef>
@@ -13,7 +15,7 @@
 #include <vector>
 
 #include "bulk/allpairs.hpp"
-#include "bulk/scan_corpus.hpp"
+#include "bulk/staged_corpus.hpp"
 #include "bulk/vec/vec_backend.hpp"
 #include "gcd/algorithms.hpp"
 #include "obs/metrics.hpp"
@@ -64,21 +66,11 @@ struct BlockGrid {
 /// Fold engine statistics into the shared simt_*/gcd_* iteration counters.
 /// Called at aggregation points only — per committed chunk in the resumable
 /// driver (plus once for checkpoint-restored state) and per worker merge in
-/// all_pairs_gcd — so the counter totals exactly equal the
-/// SimtStats/GcdStats of the final report, with no double counting from
+/// all_pairs_gcd and probe_incremental — so the counter totals exactly equal
+/// the SimtStats/GcdStats of the final report, with no double counting from
 /// retried attempts. No-op when `metrics` is null.
 void fold_engine_stats(obs::MetricsRegistry* metrics, const SimtStats& simt,
                        const gcd::GcdStats& scalar);
-
-/// Execute a panel-refreshed batch to completion: lane-serial run_staged()
-/// on the staged engine, the W-lane run() on the vector engine.
-inline void run_lanes(SimtBatch<ScanLimb, ColumnMatrix>& batch,
-                      gcd::Variant variant) {
-  batch.run_staged(variant);
-}
-inline void run_lanes(VecBatchBase& batch, gcd::Variant variant) {
-  batch.run(variant);
-}
 
 /// Per-worker sweep state: the configured engine, reused across the blocks
 /// a worker processes. Accumulates hits, pair counts, and engine
@@ -92,40 +84,40 @@ class BlockSweeper {
     gcd::GcdStats scalar;
   };
 
-  /// corpus: the flattened moduli (bulk/scan_corpus.hpp), carrying
-  /// normalized limb spans and cached bit lengths so per-pair thresholds
-  /// are O(1). Must outlive the sweeper.
-  /// panels: the staged corpus (built once per scan with the same grid and
-  /// capacity_limbs + kBatchPadLimbs padding); each block round of the
-  /// vector and staged engines refreshes its batch from them by bulk panel
-  /// copy + broadcast. The scalar engine reads the corpus directly.
-  /// Both must outlive the sweeper. config.engine kAuto is resolved here.
-  BlockSweeper(const ScanCorpus& corpus, const BlockGrid& grid,
-               const AllPairsConfig& config, std::size_t capacity_limbs,
-               const CorpusPanels<ScanLimb>& panels);
+  /// corpus: the staged moduli (bulk/staged_corpus.hpp) — flat limb spans
+  /// and cached bit lengths for the per-pair thresholds and the
+  /// full-modulus check, and the column-major panels each round of the
+  /// vector and staged engines refreshes its batch from by bulk panel copy
+  /// + broadcast. Its group_size() is the engines' lane count, and
+  /// run_block() walks BlockGrid(corpus.size(), corpus.group_size()), so a
+  /// sweep stages its corpus at the grid's (clamped) r. Must outlive the
+  /// sweeper and not be appended to while it runs. capacity_limbs bounds
+  /// every X and Y a round sees. config.engine kAuto is resolved here; this
+  /// is the one place an Engine value becomes an engine.
+  BlockSweeper(const StagedCorpus& corpus, const AllPairsConfig& config,
+               std::size_t capacity_limbs);
 
+  /// Block `block_index` of the triangle: one round per member n_jj of
+  /// group j, with n_jj as Y.
   void run_block(std::size_t block_index);
   void run_blocks(std::size_t lo, std::size_t hi) {
     for (std::size_t b = lo; b < hi; ++b) run_block(b);
   }
 
+  /// Probe block g: group g's members against the candidate `y` in one
+  /// round. Hits carry j = corpus.size(), the candidate's would-be index.
+  void run_probe_block(std::size_t g, std::span<const ScanLimb> y,
+                       std::size_t y_bits);
+
   Output take();
 
  private:
-  std::size_t pair_early_bits(std::size_t a, std::size_t b) const noexcept {
-    return config_.early_terminate
-               ? std::min(corpus_->bits(a), corpus_->bits(b)) / 2
-               : 0;
-  }
-
-  /// One SIMT block sweep, generic over the executing batch (SimtBatch or
-  /// a VecBatchBase) — the round structure, masking, and verification are
-  /// engine-invariant; only the run entry point differs (run_lanes).
-  template <typename Batch, typename Record>
-  void simt_block_rounds(Batch& eng, std::size_t i, std::size_t i_begin,
-                         std::size_t j, std::size_t j_begin, std::size_t j_end,
-                         std::size_t i_count, Record&& record,
-                         std::uint64_t& early_coprime);
+  /// One lane round: group g's members k < k_end against one Y (corpus
+  /// index y_index, or the candidate's), on whichever engine exists. Records
+  /// every pair with gcd > 1 as a hit, flagged full_modulus when the gcd is
+  /// either operand.
+  void round(std::size_t g, std::size_t y_index, std::span<const ScanLimb> y,
+             std::size_t y_bits, std::size_t k_end);
 
   /// Handles into the optional metrics registry, resolved once per sweeper.
   /// Counters flush once per block from plain locals; the per-pair
@@ -161,15 +153,17 @@ class BlockSweeper {
     std::uint32_t lane_exec = 0;
   };
 
-  const ScanCorpus* corpus_;
+  const StagedCorpus* corpus_;
   BlockGrid grid_;
   AllPairsConfig config_;
-  const CorpusPanels<ScanLimb>* panels_;
   /// Exactly one engine exists, the one config.engine resolved to.
   std::unique_ptr<gcd::GcdEngine<ScanLimb>> scalar_;
   std::unique_ptr<SimtBatch<ScanLimb, ColumnMatrix>> staged_;
   std::unique_ptr<VecBatchBase> vec_;
   Output out_;
+  /// Block-local tallies for the sweep_* counters, flushed per block.
+  std::uint64_t early_coprime_ = 0;
+  std::uint64_t full_modulus_hits_ = 0;
   std::unique_ptr<Telemetry> tele_;  ///< null on the null-registry path
   std::unique_ptr<TraceHandles> trace_;  ///< null on the null-recorder path
 };

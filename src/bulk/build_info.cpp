@@ -3,7 +3,7 @@
 #include <cstdio>
 
 #include "bulk/backend.hpp"
-#include "bulk/scan_corpus.hpp"
+#include "bulk/staged_corpus.hpp"
 #include "bulk/vec/vec_backend.hpp"
 
 #ifndef BULKGCD_VERSION

@@ -8,8 +8,9 @@
 #pragma once
 
 #include <cassert>
-#include <concepts>
+#include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -128,11 +129,12 @@ class RowMatrix {
 
 /// One-time staging of a scan corpus: per-group panels of limbs laid out
 /// exactly like ColumnMatrix (limb i of group member t at panel[i·r + t]),
-/// plus cached normalized sizes and bit lengths. This is the CPU analogue of
-/// the paper's single host→device corpus copy — after construction, a sweep
-/// refreshes a SimtBatch for the next block with one contiguous copy of the
-/// group panel instead of r strided per-lane fills, each with its own
-/// normalization scan and BigInt indirection.
+/// plus cached normalized sizes. This is the CPU analogue of the paper's
+/// single host→device corpus copy — after construction, a sweep refreshes a
+/// SimtBatch for the next block with one contiguous copy of the group panel
+/// instead of r strided per-lane fills, each with its own normalization
+/// scan and BigInt indirection. bulk::StagedCorpus owns the scan's panels
+/// (and the bit lengths); the BigInt constructor stages a one-shot set.
 template <mp::LimbType Limb>
 class CorpusPanels {
  public:
@@ -141,25 +143,7 @@ class CorpusPanels {
   CorpusPanels(std::span<const mp::BigIntT<Limb>> moduli,
                std::size_t group_size, std::size_t padded_limbs)
       : CorpusPanels(moduli.size(), group_size, padded_limbs) {
-    for (std::size_t idx = 0; idx < m_; ++idx) {
-      stage(idx, moduli[idx].limbs(), moduli[idx].bit_length());
-    }
-  }
-
-  /// Same staging from a flattened corpus view (bulk/scan_corpus.hpp,
-  /// bulk/staged_corpus.hpp).
-  template <typename Corpus>
-    requires requires(const Corpus& c, std::size_t i) {
-      { c.size() } -> std::convertible_to<std::size_t>;
-      { c.limbs(i) } -> std::convertible_to<std::span<const Limb>>;
-      { c.bits(i) } -> std::convertible_to<std::size_t>;
-    }
-  CorpusPanels(const Corpus& corpus, std::size_t group_size,
-               std::size_t padded_limbs)
-      : CorpusPanels(corpus.size(), group_size, padded_limbs) {
-    for (std::size_t idx = 0; idx < m_; ++idx) {
-      stage(idx, corpus.limbs(idx), corpus.bits(idx));
-    }
+    for (std::size_t idx = 0; idx < m_; ++idx) stage(idx, moduli[idx].limbs());
   }
 
   /// Empty panel set ready for incremental append() — the streaming-intake
@@ -168,20 +152,27 @@ class CorpusPanels {
   CorpusPanels(std::size_t group_size, std::size_t padded_limbs)
       : CorpusPanels(0, group_size, padded_limbs) {}
 
+  /// Room for corpus_size members without reallocating on append().
+  void reserve(std::size_t corpus_size) {
+    const std::size_t groups = (corpus_size + r_ - 1) / r_;
+    data_.reserve(panel_elements(groups, r_, pad_));
+    sizes_.reserve(groups * r_);
+    rows_.reserve(groups);
+  }
+
   /// Stage one more modulus at index corpus_size(), growing a fresh group
   /// panel when the current one is full. Appending may reallocate the panel
   /// storage: spans returned by panel()/sizes() before the call are invalid
   /// afterwards (re-fetch per block, as the sweepers already do).
-  void append(std::span<const Limb> limbs, std::size_t bits) {
+  void append(std::span<const Limb> limbs) {
     if (m_ == groups_ * r_) {
-      data_.resize(data_.size() + r_ * pad_, Limb{0});
+      data_.resize(panel_elements(groups_ + 1, r_, pad_), Limb{0});
       sizes_.resize(sizes_.size() + r_, 0);
       rows_.push_back(1);
       ++groups_;
     }
-    bits_.push_back(0);
     ++m_;
-    stage(m_ - 1, limbs, bits);
+    stage(m_ - 1, limbs);
   }
 
   std::size_t corpus_size() const noexcept { return m_; }
@@ -205,17 +196,9 @@ class CorpusPanels {
     assert(g < groups_);
     return rows_[g];
   }
-  /// Cached bit_length() of modulus idx (for O(1) per-pair thresholds).
-  std::size_t bits(std::size_t idx) const noexcept {
-    assert(idx < m_);
-    return bits_[idx];
-  }
-  std::span<const std::size_t> bit_lengths() const noexcept { return bits_; }
 
   std::size_t bytes() const noexcept {
-    return data_.size() * sizeof(Limb) +
-           sizes_.size() * sizeof(std::size_t) +
-           bits_.size() * sizeof(std::size_t);
+    return data_.size() * sizeof(Limb) + sizes_.size() * sizeof(std::size_t);
   }
 
  private:
@@ -225,12 +208,24 @@ class CorpusPanels {
         r_(std::max<std::size_t>(1, group_size)),
         pad_(padded_limbs),
         groups_((m_ + r_ - 1) / r_),
-        data_(groups_ * r_ * pad_, Limb{0}),
+        data_(panel_elements(groups_, r_, pad_), Limb{0}),
         sizes_(groups_ * r_, 0),
-        bits_(m_, 0),
         rows_(groups_, 1) {}
 
-  void stage(std::size_t idx, std::span<const Limb> limbs, std::size_t bits) {
+  /// Limbs in `groups` panels of r × pad, checked against the largest
+  /// vector a Limb allocation can hold (so the allocation size is bounded).
+  static std::size_t panel_elements(std::size_t groups, std::size_t r,
+                                    std::size_t pad) {
+    constexpr std::size_t kMax =
+        std::size_t(std::numeric_limits<std::ptrdiff_t>::max()) / sizeof(Limb);
+    if ((r != 0 && groups > kMax / r) ||
+        (pad != 0 && groups * r > kMax / pad)) {
+      throw std::length_error("CorpusPanels: panel storage too large");
+    }
+    return groups * r * pad;
+  }
+
+  void stage(std::size_t idx, std::span<const Limb> limbs) {
     if (limbs.size() + kBatchPadLimbs > pad_) {
       throw std::length_error("CorpusPanels: modulus exceeds panel capacity");
     }
@@ -241,7 +236,6 @@ class CorpusPanels {
       panel_base[i * r_ + lane] = limbs[i];
     }
     sizes_[g * r_ + lane] = limbs.size();
-    bits_[idx] = bits;
     // One row above the longest member so the β > 0 write row is refreshed
     // along with the values.
     rows_[g] = std::max(rows_[g], limbs.size() + 1);
@@ -250,7 +244,6 @@ class CorpusPanels {
   std::size_t m_, r_, pad_, groups_;
   std::vector<Limb> data_;
   std::vector<std::size_t> sizes_;
-  std::vector<std::size_t> bits_;
   std::vector<std::size_t> rows_;
 };
 

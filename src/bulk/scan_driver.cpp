@@ -13,7 +13,6 @@
 #include "bulk/block_grid.hpp"
 #include "bulk/tile_scheduler.hpp"
 #include "core/record_log.hpp"
-#include "core/thread_pool.hpp"
 #include "core/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -361,9 +360,10 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
   AllPairsConfig pairs_cfg = config.pairs;
   pairs_cfg.engine = resolve_engine(pairs_cfg.engine);
 
-  const ScanCorpus scan(moduli);
-  const std::size_t cap = scan.max_limbs();
+  // Stage the corpus once for the whole scan.
   const BlockGrid grid(m, pairs_cfg.group_size);
+  const StagedCorpus corpus(moduli, grid.r);
+  const std::size_t cap = corpus.max_limbs();
   const std::size_t total_blocks = grid.block_count();
   const std::size_t chunk_blocks = std::max<std::size_t>(1, config.chunk_blocks);
   const std::size_t chunks_total =
@@ -374,9 +374,6 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
     const std::size_t lo = chunk * chunk_blocks;
     return std::pair(lo, std::min(lo + chunk_blocks, total_blocks));
   };
-
-  // Stage the corpus once for the whole scan.
-  const CorpusPanels<ScanLimb> panels(scan, grid.r, cap + kBatchPadLimbs);
 
   DriverTelemetry tele = DriverTelemetry::resolve(config.pairs.metrics);
   const DriverTrace dtr = DriverTrace::resolve(pairs_cfg.trace);
@@ -488,7 +485,7 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
         // Retry runs on the scalar engine: the simplest code path, isolated
         // from whatever state the first attempt died in.
         if (attempt == 1) pairs_config.engine = Engine::kScalar;
-        BlockSweeper sweeper(scan, grid, pairs_config, cap, panels);
+        BlockSweeper sweeper(corpus, pairs_config, cap);
         sweeper.run_blocks(lo, hi);
         auto out = sweeper.take();
         outcome.hits = std::move(out.hits);
@@ -616,24 +613,17 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
   // and the torn-tail recovery rule is untouched — replay indexes records
   // by chunk, never by position.
   if (launch_total > 0) {
-    if (config.pairs.pool_threads == 1) {
+    SweepExecutor exec(config.pairs.pool_threads);
+    if (exec.pool == nullptr) {
       for (std::size_t k = 0; k < launch_total; ++k) {
         commit(process(pending[k]));
       }
     } else {
-      std::optional<ThreadPool> local_pool;
-      if (config.pairs.pool_threads > 1) {
-        local_pool.emplace(config.pairs.pool_threads);
-      }
-      ThreadPool& pool = local_pool ? *local_pool : global_pool();
       std::mutex mu;
       std::condition_variable cv;
       std::deque<ChunkOutcome> done_queue;
 
-      const std::size_t workers =
-          config.pairs.pool_threads > 1 ? config.pairs.pool_threads
-                                        : pool.size();
-      const TileScheduler sched(launch_total, /*tile_items=*/1, workers);
+      const TileScheduler sched(launch_total, /*tile_items=*/1, exec.workers);
       // The schedule blocks until every chunk is processed, while commits
       // must keep flowing on this (the driver) thread — run it on a
       // sidecar thread and collect outcomes as they land. process() already
@@ -642,7 +632,7 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
       std::thread orchestrator([&] {
         if (dtr.rec != nullptr) dtr.rec->set_thread_name("orchestrator");
         sched.run(
-            &pool,
+            exec.pool,
             [&](std::size_t, const TileRange& t) {
               for (std::size_t k = t.lo; k < t.hi; ++k) {
                 ChunkOutcome outcome = process(pending[k]);

@@ -37,6 +37,18 @@ struct SchedulerTrace {
 
 }  // namespace
 
+SweepExecutor::SweepExecutor(std::size_t pool_threads) {
+  if (pool_threads == 1) return;
+  if (pool_threads == 0) {
+    pool = &global_pool();
+    workers = pool->size();
+  } else {
+    local_pool.emplace(pool_threads);
+    pool = &*local_pool;
+    workers = pool_threads;
+  }
+}
+
 TileScheduler::TileScheduler(std::size_t total_items, std::size_t tile_items,
                              std::size_t workers)
     : total_(total_items), workers_(std::max<std::size_t>(1, workers)) {

@@ -31,16 +31,27 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 
-namespace bulkgcd {
-class ThreadPool;
-}
+#include "core/thread_pool.hpp"
 
 namespace bulkgcd::obs {
 class TraceRecorder;
 }
 
 namespace bulkgcd::bulk {
+
+/// Thread placement shared by the sharded sweeps and the scan driver:
+/// pool_threads 1 = inline on the caller (pool stays null, a schedule runs
+/// serial), 0 = one worker per global-pool thread, N = a private pool of N
+/// workers.
+struct SweepExecutor {
+  std::optional<ThreadPool> local_pool;
+  ThreadPool* pool = nullptr;
+  std::size_t workers = 1;
+
+  explicit SweepExecutor(std::size_t pool_threads);
+};
 
 /// One tile: the contiguous item (block) range [lo, hi).
 struct TileRange {

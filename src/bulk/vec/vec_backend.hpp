@@ -21,7 +21,7 @@
 #include <memory>
 #include <span>
 
-#include "bulk/scan_corpus.hpp"
+#include "bulk/staged_corpus.hpp"
 #include "bulk/simt_stats.hpp"
 #include "gcd/algorithms.hpp"
 #include "mp/bigint.hpp"
@@ -58,7 +58,7 @@ VecIsa detect_vec_isa() noexcept;
 /// widest one (kAvx2 is available on an AVX-512 host).
 bool vec_isa_available(VecIsa isa) noexcept;
 
-/// The vector engine runs on the scan limb only (bulk/scan_corpus.hpp).
+/// The vector engine runs on the scan limb only (bulk/staged_corpus.hpp).
 class VecBatchBase {
  public:
   using Limb = ScanLimb;

@@ -21,7 +21,7 @@
 //   svc::IntakeService                  streaming key-intake pipeline
 //   svc::IntakeParser                   PEM/keystore/raw-hex stream parser
 //   svc::ArrivalJournal                 durable intake arrival journal
-//   bulk::StagedCorpus                  incrementally staged probe corpus
+//   bulk::StagedCorpus                  staged corpus (sweep, scan, probe)
 //   batchgcd::batch_gcd                 Bernstein product/remainder tree
 //   batchgcd::run_resumable_batch       checkpointed level-by-level driver
 //   gcd::gcd_lehmer                     Lehmer's GCD (extension baseline)

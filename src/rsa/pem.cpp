@@ -40,17 +40,22 @@ void write_tlv(std::vector<std::uint8_t>& out, std::uint8_t tag,
 }
 
 /// Big-endian magnitude with a leading 0x00 when the high bit is set
-/// (INTEGERs are signed in DER).
+/// (INTEGERs are signed in DER). One pass over the limbs, top limb first,
+/// skipping the leading zero bytes of the top limb.
 std::vector<std::uint8_t> integer_content(const mp::BigInt& value) {
+  using Limb = mp::BigInt::limb_type;
+  const auto limbs = value.limbs();
   std::vector<std::uint8_t> bytes;
-  if (value.is_zero()) return {0x00};
-  mp::BigInt v = value;
-  while (!v.is_zero()) {
-    bytes.push_back(std::uint8_t(v.to_u64() & 0xFF));
-    v >>= 8;
+  bytes.reserve(limbs.size() * sizeof(Limb) + 1);
+  for (std::size_t i = limbs.size(); i-- > 0;) {
+    for (std::size_t b = sizeof(Limb); b-- > 0;) {
+      const auto byte = std::uint8_t(limbs[i] >> (8 * b));
+      if (bytes.empty() && byte == 0) continue;
+      if (bytes.empty() && (byte & 0x80)) bytes.push_back(0x00);
+      bytes.push_back(byte);
+    }
   }
-  if (bytes.back() & 0x80) bytes.push_back(0x00);
-  std::reverse(bytes.begin(), bytes.end());
+  if (bytes.empty()) bytes.push_back(0x00);  // zero
   return bytes;
 }
 

@@ -363,8 +363,10 @@ TEST(IncrementalProbeTest, StagedCorpusOverloadMatchesSpanOverload) {
   // The StagedCorpus overload is the intake service's fast path: the corpus
   // is staged once and grown in place instead of being re-staged per probe.
   // Its hits and probe statistics must be bit-identical to the span overload
-  // over the same moduli, on both SIMT engines, including after a mid-stream
+  // over the same moduli, on every engine, including after a mid-stream
   // capacity re-stage (the 384-bit append below outsizes the seed panels).
+  // A staged corpus smaller than its group size keeps its own lane count
+  // (the span overload clamps r to the corpus) and finds the same hits.
   Xoshiro256 rng(7272);
   const BigInt shared = rsa::random_prime(rng, 64);
   std::vector<BigInt> corpus;
@@ -380,8 +382,12 @@ TEST(IncrementalProbeTest, StagedCorpusOverloadMatchesSpanOverload) {
   staged.append(corpus[4]);
   staged.append(corpus[5]);
   const BigInt candidate = shared * rsa::random_prime(rng, 64);
+  const std::span<const BigInt> small_span(corpus.data(), 2);
+  const StagedCorpus small(small_span, 3);
+  ASSERT_EQ(small.group_size(), 3u);
 
-  for (const auto engine : {Engine::kStaged, Engine::kVector}) {
+  for (const auto engine :
+       {Engine::kStaged, Engine::kVector, Engine::kScalar}) {
     AllPairsConfig config;
     config.engine = engine;
     config.group_size = 3;
@@ -403,10 +409,28 @@ TEST(IncrementalProbeTest, StagedCorpusOverloadMatchesSpanOverload) {
     }
     EXPECT_EQ(staged_stats.pairs_tested, span_stats.pairs_tested) << label;
     EXPECT_EQ(staged_stats.simt, span_stats.simt) << label;
+    EXPECT_EQ(staged_stats.scalar, span_stats.scalar) << label;
     ASSERT_EQ(span_hits.size(), 2u) << label;
     EXPECT_EQ(span_hits[0].corpus_index, 0u) << label;
     EXPECT_EQ(span_hits[1].corpus_index, 5u) << label;
     EXPECT_EQ(span_hits[0].factor, shared) << label;
+
+    ProbeStats small_stats;
+    const auto small_hits =
+        probe_incremental(candidate, small, config, &small_stats);
+    ProbeStats small_span_stats;
+    const auto small_span_hits =
+        probe_incremental(candidate, small_span, config, &small_span_stats);
+    EXPECT_EQ(small_stats.pairs_tested, 2u) << label;
+    EXPECT_EQ(small_span_stats.pairs_tested, 2u) << label;
+    ASSERT_EQ(small_hits.size(), 1u) << label;
+    ASSERT_EQ(small_span_hits.size(), 1u) << label;
+    EXPECT_EQ(small_hits[0].corpus_index, 0u) << label;
+    EXPECT_EQ(small_hits[0].factor, shared) << label;
+    EXPECT_EQ(small_span_hits[0].corpus_index, 0u) << label;
+    EXPECT_EQ(small_span_hits[0].factor, shared) << label;
+    EXPECT_EQ(small_hits[0].full_modulus, small_span_hits[0].full_modulus)
+        << label;
   }
 }
 
@@ -472,6 +496,8 @@ TEST(IncrementalProbeTest, StatsFoldIntoRegistryCounters) {
               stats.simt.gcd.iterations + stats.scalar.iterations);
     EXPECT_EQ(counter("gcd_swaps_total"),
               stats.simt.gcd.swaps + stats.scalar.swaps);
+    // A probe feeds only the engine counters: no sweep_* series.
+    EXPECT_EQ(counter("sweep_pairs_total"), 0u);
   }
 }
 

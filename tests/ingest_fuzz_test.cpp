@@ -291,7 +291,46 @@ std::vector<rsa::PublicKey> der_keys(Xoshiro256& rng) {
   return keys;
 }
 
+/// The DER INTEGER content of a non-negative value, from GMP: mpz_export's
+/// big-endian magnitude with a 0x00 sign pad when the top byte is >= 0x80,
+/// and a single 0x00 for zero.
+std::vector<std::uint8_t> gmp_integer_content(const mp::BigInt& value) {
+  const Mpz v = test::to_mpz(value);
+  std::vector<std::uint8_t> out(mpz_sizeinbase(v.get(), 256));
+  std::size_t count = 0;
+  mpz_export(out.data(), &count, 1, 1, 1, 0, v.get());
+  out.resize(count);
+  if (out.empty() || (out[0] & 0x80)) out.insert(out.begin(), 0x00);
+  return out;
+}
+
 TEST(DerFuzzTest, ModulusBytesDecodeToTheirGmpValue) {
+  // Encode direction first: the writer's INTEGER content is GMP's bytes for
+  // zero and for values of 1-13 bytes (around every 4-byte limb boundary),
+  // with the top byte both below and at/above 0x80.
+  {
+    Xoshiro256 rng(3303);
+    std::vector<mp::BigInt> values = {mp::BigInt()};
+    for (std::size_t len = 1; len <= 13; ++len) {
+      for (const int top : {0x01, 0x7f, 0x80, 0xff}) {
+        std::vector<std::uint8_t> be(len);
+        for (auto& b : be) b = std::uint8_t(rng());
+        be[0] = std::uint8_t(top);
+        values.push_back(mp::BigInt::from_bytes_be(be));
+      }
+    }
+    for (const mp::BigInt& n : values) {
+      for (const auto kind : {rsa::PemKind::kPkcs1, rsa::PemKind::kSpki}) {
+        const auto der =
+            rsa::der_encode_public_key({n, mp::BigInt(65537)}, kind);
+        const auto content = modulus_bytes(der);
+        ASSERT_TRUE(content.has_value());
+        EXPECT_TRUE(std::ranges::equal(*content, gmp_integer_content(n)))
+            << test::to_mpz(n).to_dec();
+      }
+    }
+  }
+
   // Mutate only the modulus INTEGER's content, so the structure holds: the
   // decode must give mpz_import of those bytes, leading zeros and all, or
   // refuse a negative INTEGER.
@@ -301,6 +340,7 @@ TEST(DerFuzzTest, ModulusBytesDecodeToTheirGmpValue) {
       const std::vector<std::uint8_t> der = rsa::der_encode_public_key(key, kind);
       const auto original = modulus_bytes(der);
       ASSERT_TRUE(original.has_value());
+      EXPECT_TRUE(std::ranges::equal(*original, gmp_integer_content(key.n)));
       const std::size_t offset = std::size_t(original->data() - der.data());
       for (int trial = 0; trial < 64; ++trial) {
         std::vector<std::uint8_t> mutant = der;

@@ -6,7 +6,7 @@
 
 #include <stdexcept>
 
-#include "bulk/scan_corpus.hpp"
+#include "bulk/staged_corpus.hpp"
 #include "mp/bigint.hpp"
 #include "umm/umm.hpp"
 
@@ -130,8 +130,10 @@ TEST(CorpusPanelsTest, GeometryAndTailLanes) {
   EXPECT_EQ(tail_sizes[2], 0u);
   const auto p2 = panels.panel(2);
   EXPECT_EQ(p2[1], 0u);  // limb 0 of dead lane 1
+  // Bit lengths live with the corpus, not the panels.
+  const bulk::StagedCorpus staged(moduli, 3);
   for (std::size_t i = 0; i < 7; ++i) {
-    EXPECT_EQ(panels.bits(i), moduli[i].bit_length());
+    EXPECT_EQ(staged.bits(i), moduli[i].bit_length());
   }
 }
 
@@ -147,30 +149,6 @@ TEST(CorpusPanelsTest, RejectsModuliThatOverrunThePadRow) {
   // Exactly enough is accepted.
   EXPECT_NO_THROW((bulk::CorpusPanels<std::uint32_t>(
       moduli, 2, moduli[0].size() + bulk::kBatchPadLimbs)));
-}
-
-TEST(CorpusPanelsTest, CorpusViewCtorMatchesBigIntCtor) {
-  // The ScanCorpus-view constructor must stage byte-identical panels to the
-  // BigInt-span constructor (at the default 32-bit scan limb width they use
-  // the same limbs).
-  std::vector<mp::BigInt> moduli;
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    moduli.push_back(mp::BigInt((std::uint64_t(i + 3) << 40) | 0x1fffu));
-  }
-  const std::size_t pad = 8;
-  bulk::CorpusPanels<std::uint32_t> direct(moduli, 2, pad);
-  const bulk::ScanCorpus scan(moduli);
-  bulk::CorpusPanels<std::uint32_t> viaView(scan, 2, pad);
-  ASSERT_EQ(direct.group_count(), viaView.group_count());
-  for (std::size_t g = 0; g < direct.group_count(); ++g) {
-    const auto a = direct.panel(g);
-    const auto b = viaView.panel(g);
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << g;
-    EXPECT_EQ(direct.rows(g), viaView.rows(g));
-    const auto sa = direct.sizes(g);
-    const auto sb = viaView.sizes(g);
-    EXPECT_TRUE(std::equal(sa.begin(), sa.end(), sb.begin(), sb.end()));
-  }
 }
 
 }  // namespace

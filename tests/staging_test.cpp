@@ -7,6 +7,7 @@
 // and SimtStats as the vector engine, and the same hits as the scalar one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <stdexcept>
 
@@ -14,6 +15,7 @@
 #include "bulk/block_grid.hpp"
 #include "bulk/layout.hpp"
 #include "bulk/scan_driver.hpp"
+#include "bulk/staged_corpus.hpp"
 #include "core/rng.hpp"
 #include "gmp_oracle.hpp"
 #include "rsa/corpus.hpp"
@@ -45,38 +47,45 @@ TEST(CorpusPanelsTest, LayoutMatchesColumnMajorGeometry) {
   for (const auto& n : moduli) max_limbs = std::max(max_limbs, n.limbs().size());
   const std::size_t pad = max_limbs + kBatchPadLimbs;
 
-  const CorpusPanels<std::uint32_t> panels(moduli, r, pad);
-  EXPECT_EQ(panels.corpus_size(), moduli.size());
-  EXPECT_EQ(panels.group_count(), 3u);
-  EXPECT_EQ(panels.lanes(), r);
-  EXPECT_EQ(panels.padded_limbs(), pad);
-  EXPECT_GT(panels.bytes(), 0u);
-  ASSERT_EQ(panels.bit_lengths().size(), moduli.size());
+  // The BigInt one-shot constructor and the scan's one-pass StagedCorpus
+  // seed must stage the same geometry, byte for byte.
+  const CorpusPanels<std::uint32_t> oneshot(moduli, r, pad);
+  const StagedCorpus staged(moduli, r);
+  ASSERT_EQ(staged.size(), moduli.size());
+  for (std::size_t idx = 0; idx < moduli.size(); ++idx) {
+    EXPECT_EQ(staged.bits(idx), moduli[idx].bit_length());
+  }
+  for (const auto* panels : {&oneshot, &staged.panels()}) {
+    EXPECT_EQ(panels->corpus_size(), moduli.size());
+    EXPECT_EQ(panels->group_count(), 3u);
+    EXPECT_EQ(panels->lanes(), r);
+    EXPECT_EQ(panels->padded_limbs(), pad);
+    EXPECT_GT(panels->bytes(), 0u);
 
-  for (std::size_t g = 0; g < panels.group_count(); ++g) {
-    const auto panel = panels.panel(g);
-    ASSERT_EQ(panel.size(), r * pad);
-    const auto sizes = panels.sizes(g);
-    std::size_t expect_rows = 1;
-    for (std::size_t lane = 0; lane < r; ++lane) {
-      const std::size_t idx = g * r + lane;
-      if (idx >= moduli.size()) {
-        EXPECT_EQ(sizes[lane], 0u);
-        continue;
+    for (std::size_t g = 0; g < panels->group_count(); ++g) {
+      const auto panel = panels->panel(g);
+      ASSERT_EQ(panel.size(), r * pad);
+      const auto sizes = panels->sizes(g);
+      std::size_t expect_rows = 1;
+      for (std::size_t lane = 0; lane < r; ++lane) {
+        const std::size_t idx = g * r + lane;
+        if (idx >= moduli.size()) {
+          EXPECT_EQ(sizes[lane], 0u);
+          continue;
+        }
+        const auto limbs = moduli[idx].limbs();
+        EXPECT_EQ(sizes[lane], limbs.size());
+        expect_rows = std::max(expect_rows, limbs.size() + 1);
+        // Limb i of lane t lives at panel[i*r + t] — the ColumnMatrix rule.
+        for (std::size_t i = 0; i < pad; ++i) {
+          const std::uint32_t want = i < limbs.size() ? limbs[i] : 0u;
+          ASSERT_EQ(panel[i * r + lane], want)
+              << "group " << g << " lane " << lane << " limb " << i;
+        }
       }
-      const auto limbs = moduli[idx].limbs();
-      EXPECT_EQ(sizes[lane], limbs.size());
-      EXPECT_EQ(panels.bits(idx), moduli[idx].bit_length());
-      expect_rows = std::max(expect_rows, limbs.size() + 1);
-      // Limb i of lane t lives at panel[i*r + t] — the ColumnMatrix rule.
-      for (std::size_t i = 0; i < pad; ++i) {
-        const std::uint32_t want = i < limbs.size() ? limbs[i] : 0u;
-        ASSERT_EQ(panel[i * r + lane], want)
-            << "group " << g << " lane " << lane << " limb " << i;
-      }
+      EXPECT_EQ(panels->rows(g), expect_rows);
+      EXPECT_LE(panels->rows(g), pad);
     }
-    EXPECT_EQ(panels.rows(g), expect_rows);
-    EXPECT_LE(panels.rows(g), pad);
   }
 }
 
@@ -99,7 +108,7 @@ TEST(CorpusPanelsTest, IncrementalAppendMatchesOneShotConstruction) {
   EXPECT_EQ(grown.corpus_size(), 0u);
   EXPECT_EQ(grown.group_count(), 0u);
   for (const auto& n : moduli) {
-    grown.append(n.limbs(), n.bit_length());
+    grown.append(n.limbs());
     // Every intermediate state is a valid prefix staging: the newest group's
     // rows only ever grow, earlier groups are untouched.
     ASSERT_EQ(grown.corpus_size() % r == 0
@@ -112,9 +121,6 @@ TEST(CorpusPanelsTest, IncrementalAppendMatchesOneShotConstruction) {
   ASSERT_EQ(grown.group_count(), oneshot.group_count());
   EXPECT_EQ(grown.lanes(), oneshot.lanes());
   EXPECT_EQ(grown.padded_limbs(), oneshot.padded_limbs());
-  for (std::size_t idx = 0; idx < moduli.size(); ++idx) {
-    EXPECT_EQ(grown.bits(idx), oneshot.bits(idx)) << "modulus " << idx;
-  }
   for (std::size_t g = 0; g < oneshot.group_count(); ++g) {
     EXPECT_EQ(grown.rows(g), oneshot.rows(g)) << "group " << g;
     const auto grown_sizes = grown.sizes(g);
@@ -134,11 +140,12 @@ TEST(CorpusPanelsTest, IncrementalAppendMatchesOneShotConstruction) {
   }
 }
 
-TEST(StagedCorpusTest, GrowthRestagesAndMatchesScanCorpusView) {
+TEST(StagedCorpusTest, GrowthRestagesAndMatchesOnePassSeed) {
   Xoshiro256 rng(95);
   // Seed with small values, then append a much larger one: the capacity
   // doubling must re-stage without perturbing any already-staged member,
-  // and the flat view must stay byte-identical to a fresh ScanCorpus.
+  // and the grown corpus must equal a StagedCorpus seeded in one pass with
+  // the same moduli — flat limbs, bit lengths and panels.
   std::vector<BigInt> moduli;
   for (std::size_t i = 0; i < 4; ++i) {
     moduli.push_back(random_odd<std::uint32_t>(rng, 96));
@@ -150,27 +157,34 @@ TEST(StagedCorpusTest, GrowthRestagesAndMatchesScanCorpusView) {
   for (std::size_t i = 4; i < moduli.size(); ++i) staged.append(moduli[i]);
   EXPECT_GT(staged.panels().padded_limbs(), pad_before);
 
-  const ScanCorpus scan{std::span<const BigInt>(moduli)};
-  ASSERT_EQ(staged.size(), scan.size());
-  EXPECT_EQ(staged.max_limbs(), scan.max_limbs());
-  for (std::size_t i = 0; i < scan.size(); ++i) {
+  const StagedCorpus seeded(moduli, 3);
+  ASSERT_EQ(staged.size(), seeded.size());
+  EXPECT_EQ(staged.max_limbs(), seeded.max_limbs());
+  EXPECT_EQ(staged.group_size(), seeded.group_size());
+  for (std::size_t i = 0; i < seeded.size(); ++i) {
     const auto got = staged.limbs(i);
-    const auto want = scan.limbs(i);
+    const auto want = seeded.limbs(i);
     ASSERT_EQ(got.size(), want.size()) << "modulus " << i;
     for (std::size_t k = 0; k < want.size(); ++k) {
       ASSERT_EQ(got[k], want[k]) << "modulus " << i << " limb " << k;
     }
-    EXPECT_EQ(staged.bits(i), scan.bits(i)) << "modulus " << i;
+    EXPECT_EQ(staged.bits(i), seeded.bits(i)) << "modulus " << i;
+    EXPECT_EQ(BigInt::from_limbs(got), moduli[i]) << "modulus " << i;
   }
 
-  // The rebuilt panels are the one-shot panels at the grown padding.
-  const CorpusPanels<ScanLimb> oneshot(scan, staged.group_size(),
-                                       staged.panels().padded_limbs());
+  // The jumbo append sets the grown padding to its own size + the pad rows,
+  // which is the one-pass seed's geometry: the rebuilt panels are the
+  // one-pass panels.
   const auto& live = staged.panels();
+  const auto& oneshot = seeded.panels();
+  ASSERT_EQ(live.padded_limbs(), oneshot.padded_limbs());
   ASSERT_EQ(live.corpus_size(), oneshot.corpus_size());
   ASSERT_EQ(live.group_count(), oneshot.group_count());
   for (std::size_t g = 0; g < oneshot.group_count(); ++g) {
     EXPECT_EQ(live.rows(g), oneshot.rows(g)) << "group " << g;
+    const auto got_sizes = live.sizes(g);
+    const auto want_sizes = oneshot.sizes(g);
+    EXPECT_TRUE(std::ranges::equal(got_sizes, want_sizes)) << "group " << g;
     const auto got = live.panel(g);
     const auto want = oneshot.panel(g);
     ASSERT_EQ(got.size(), want.size());

@@ -23,7 +23,7 @@
 #include "bulk/allpairs.hpp"
 #include "bulk/build_info.hpp"
 #include "bulk/layout.hpp"
-#include "bulk/scan_corpus.hpp"
+#include "bulk/staged_corpus.hpp"
 #include "bulk/simt.hpp"
 #include "bulk/vec/vec_backend.hpp"
 #include "gmp_oracle.hpp"
@@ -495,11 +495,10 @@ void expect_panel_identity(std::uint64_t seed, std::size_t min_bits,
   for (std::size_t i = 0; i < m; ++i) {
     moduli.push_back(random_odd<std::uint32_t>(rng, min_bits + rng.below(512)));
   }
-  const bulk::ScanCorpus scan(moduli);
-  const std::size_t cap = scan.max_limbs();
-  const bulk::CorpusPanels<ScanLimb> panels(scan, r,
-                                            cap + bulk::kBatchPadLimbs);
-  const auto y = scan.limbs(m - 1);
+  const bulk::StagedCorpus corpus(moduli, r);
+  const std::size_t cap = corpus.max_limbs();
+  const auto& panels = corpus.panels();
+  const auto y = corpus.limbs(m - 1);
 
   for (const Variant variant : kBulkVariants) {
     for (std::size_t g = 0; g < panels.group_count(); ++g) {
@@ -731,19 +730,19 @@ TEST(VecBackend, ProbeIncrementalBackendsAgree) {
   }
 }
 
-TEST(VecBackend, ScanCorpusRoundTrips) {
+TEST(VecBackend, StagedCorpusRoundTrips) {
   Xoshiro256 rng(31415);
   std::vector<BigInt> moduli;
   for (int i = 0; i < 9; ++i) {
     moduli.push_back(random_odd<std::uint32_t>(rng, 1 + rng.below(600)));
   }
-  const bulk::ScanCorpus scan(moduli);
-  ASSERT_EQ(scan.size(), moduli.size());
+  const bulk::StagedCorpus corpus(moduli, 4);
+  ASSERT_EQ(corpus.size(), moduli.size());
   for (std::size_t i = 0; i < moduli.size(); ++i) {
-    EXPECT_EQ(BigInt::from_limbs(scan.limbs(i)), moduli[i]);
-    EXPECT_EQ(scan.bits(i), moduli[i].bit_length());
+    EXPECT_EQ(BigInt::from_limbs(corpus.limbs(i)), moduli[i]);
+    EXPECT_EQ(corpus.bits(i), moduli[i].bit_length());
     // Normalized: no high zero limb.
-    if (!scan.limbs(i).empty()) EXPECT_NE(scan.limbs(i).back(), 0u);
+    if (!corpus.limbs(i).empty()) EXPECT_NE(corpus.limbs(i).back(), 0u);
   }
 }
 
