@@ -26,7 +26,7 @@ constexpr const char* kUsage =
     "  probe <file> <modulus-hex>\n"
     "      test one new modulus against the stored corpus\n"
     "  scan <file>   checkpointed all-pairs sweep\n"
-    "      --checkpoint <path> (<file>.ckpt)  --chunk-blocks <n> (64)\n"
+    "      --checkpoint <path> (<file>.ckpt)  --chunk-blocks <n> (0: auto)\n"
     "      --group-size <r> (64)  --engine auto|vector|staged|scalar (auto)\n"
     "      --threads <n> (0: all cores, 1: inline)\n"
     "      --tile-blocks <n> (0: auto)  --stop-after <chunks> (0: none)\n"

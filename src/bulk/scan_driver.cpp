@@ -158,9 +158,8 @@ struct JournalIdentity {
     return w.str();
   }
 
-  /// Why a checkpoint carrying `stored` cannot resume this scan, naming
-  /// every field that differs; empty when it can resume.
-  std::string mismatch(std::string_view stored) const {
+  /// The identity a checkpoint header records.
+  static JournalIdentity parse(std::string_view stored) {
     core::ByteReader r(stored);
     JournalIdentity got;
     r.u64(got.digest);
@@ -171,6 +170,19 @@ struct JournalIdentity {
     r.u32(got.engine);
     r.u32(got.variant);
     r.u32(got.early_terminate);
+    return got;
+  }
+
+  /// Chunks of `blocks` blocks each (at least 1) over total_blocks.
+  void set_chunk_blocks(std::uint64_t blocks, std::uint64_t total_blocks) {
+    chunk_blocks = std::max<std::uint64_t>(1, blocks);
+    chunks_total = (total_blocks + chunk_blocks - 1) / chunk_blocks;
+  }
+
+  /// Why a checkpoint carrying `stored` cannot resume this scan, naming
+  /// every field that differs; empty when it can resume.
+  std::string mismatch(std::string_view stored) const {
+    const JournalIdentity got = parse(stored);
     if (got.digest != digest || got.m != m) {
       return "corpus digest mismatch (different moduli list)";
     }
@@ -346,6 +358,11 @@ void StreamProgressSink::on_quarantine(std::size_t chunk_index,
 
 // ---- the driver -----------------------------------------------------------
 
+std::size_t auto_chunk_blocks(std::size_t blocks, std::size_t workers) {
+  const std::size_t pieces = ThreadPool::kPiecesPerWorker * std::max<std::size_t>(1, workers);
+  return std::clamp<std::size_t>((blocks + pieces - 1) / pieces, 1, kMaxAutoChunkBlocks);
+}
+
 ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
                               const ScanConfig& config) {
   ScanReport report;
@@ -365,15 +382,7 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
   const StagedCorpus corpus(moduli, grid.r);
   const std::size_t cap = corpus.max_limbs();
   const std::size_t total_blocks = grid.block_count();
-  const std::size_t chunk_blocks = std::max<std::size_t>(1, config.chunk_blocks);
-  const std::size_t chunks_total =
-      (total_blocks + chunk_blocks - 1) / chunk_blocks;
-  report.chunks_total = chunks_total;
-
-  auto chunk_range = [&](std::size_t chunk) {
-    const std::size_t lo = chunk * chunk_blocks;
-    return std::pair(lo, std::min(lo + chunk_blocks, total_blocks));
-  };
+  SweepExecutor exec(pairs_cfg.pool_threads);
 
   DriverTelemetry tele = DriverTelemetry::resolve(config.pairs.metrics);
   const DriverTrace dtr = DriverTrace::resolve(pairs_cfg.trace);
@@ -383,8 +392,10 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
   identity.digest = rsa::corpus_digest(moduli);
   identity.m = m;
   identity.group_size = grid.r;
-  identity.chunk_blocks = chunk_blocks;
-  identity.chunks_total = chunks_total;
+  identity.set_chunk_blocks(config.chunk_blocks != 0
+                                ? config.chunk_blocks
+                                : auto_chunk_blocks(total_blocks, exec.workers),
+                            total_blocks);
   // The identity records only scalar (0) vs SIMT (1): the vector and staged
   // engines produce bit-identical hits and SimtStats, so a checkpoint
   // written under one resumes under the other — and under the 0/1 values
@@ -395,9 +406,6 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
 
   // ---- restore ------------------------------------------------------------
   RestoredState state;
-  state.committed.assign(chunks_total, 0);
-  state.handled.assign(chunks_total, 0);
-
   std::optional<core::RecordLog> journal;
   if (!config.checkpoint.empty()) {
     journal.emplace(config.checkpoint, kMagic, "scan checkpoint",
@@ -405,7 +413,17 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
                     dtr.fsync_id);
     const std::string header = identity.serialize();
     if (const auto stored = journal->open(header)) {
+      // A derived chunk size holds for a fresh scan only: a checkpoint of
+      // this scan resumes at the size it was cut at, whatever the workers.
+      if (config.chunk_blocks == 0) {
+        JournalIdentity adopted = identity;
+        adopted.set_chunk_blocks(JournalIdentity::parse(*stored).chunk_blocks,
+                                 total_blocks);
+        if (adopted.mismatch(*stored).empty()) identity = adopted;
+      }
       if (const std::string why = identity.mismatch(*stored); why.empty()) {
+        state.committed.assign(identity.chunks_total, 0);
+        state.handled.assign(identity.chunks_total, 0);
         journal->replay([&](core::ByteReader& r) { return state.apply(r); });
         report.resumed = state.chunks_committed > 0 ||
                          !state.quarantined.empty();
@@ -418,6 +436,16 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
       }
     }
   }
+
+  const std::size_t chunk_blocks = identity.chunk_blocks;
+  const std::size_t chunks_total = identity.chunks_total;
+  report.chunks_total = chunks_total;
+  state.committed.resize(chunks_total, 0);
+  state.handled.resize(chunks_total, 0);
+  auto chunk_range = [&](std::size_t chunk) {
+    const std::size_t lo = chunk * chunk_blocks;
+    return std::pair(lo, std::min(lo + chunk_blocks, total_blocks));
+  };
 
   // Checkpoint-restored work counts as committed, so the scan_* counters
   // end the run exactly equal to the final report even after a resume.
@@ -613,7 +641,6 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
   // and the torn-tail recovery rule is untouched — replay indexes records
   // by chunk, never by position.
   if (launch_total > 0) {
-    SweepExecutor exec(config.pairs.pool_threads);
     if (exec.pool == nullptr) {
       for (std::size_t k = 0; k < launch_total; ++k) {
         commit(process(pending[k]));

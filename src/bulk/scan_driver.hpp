@@ -82,10 +82,12 @@ struct ScanConfig {
 
   /// Checkpoint journal path; empty runs the scan without durability.
   std::filesystem::path checkpoint;
-  /// Blocks per durable work unit. Smaller = finer-grained resume but more
-  /// journal records; the default keeps units in the hundreds-of-thousands
-  /// of pairs for typical group sizes.
-  std::size_t chunk_blocks = 64;
+  /// Blocks per durable work unit. Smaller = finer-grained resume and
+  /// balance but more journal records. 0 (the default) derives the size
+  /// from the corpus and the workers (auto_chunk_blocks); a resume then
+  /// keeps the size its checkpoint records. A nonzero size that differs
+  /// from the checkpoint's is refused.
+  std::size_t chunk_blocks = 0;
   /// fsync the journal every N chunk commits (1 = every commit).
   std::size_t fsync_every = 1;
   /// Stop (cleanly, checkpoint intact) after launching N chunks this run;
@@ -119,6 +121,18 @@ struct ScanReport {
   std::uint64_t chunks_done_this_run = 0;  ///< committed by this invocation
   std::vector<QuarantinedChunk> quarantined;
 };
+
+/// The largest chunk ScanConfig::chunk_blocks = 0 derives: at large m a
+/// chunk of 64 blocks still commits every few hundred milliseconds.
+inline constexpr std::size_t kMaxAutoChunkBlocks = 64;
+
+/// The chunk size ScanConfig::chunk_blocks = 0 derives for `blocks` blocks
+/// on `workers` workers: about ThreadPool::kPiecesPerWorker chunks per
+/// worker, clamp(⌈blocks / (kPiecesPerWorker · workers)⌉, 1,
+/// kMaxAutoChunkBlocks). At m = 512 (36 blocks of 64 moduli) on 4 workers
+/// that is 36 chunks where 64-block chunks made one, which kept 3 of the 4
+/// workers idle; at m = 2048 (528 blocks), 59 chunks of 9 blocks.
+std::size_t auto_chunk_blocks(std::size_t blocks, std::size_t workers);
 
 /// Run (or resume) the all-pairs scan over `moduli`. See ScanConfig for the
 /// durability and fault-tolerance knobs; with an empty checkpoint path and

@@ -47,14 +47,20 @@ class StagedCorpus {
   /// Stage `seed` in one pass, panels sized once at max limbs +
   /// kBatchPadLimbs. `group_size` is the panel lane count r and stays fixed
   /// for the lifetime of the object (a corpus smaller than r simply leaves
-  /// tail lanes disabled).
+  /// tail lanes disabled). Every store keeps room for r more moduli of the
+  /// seed's largest size, so the arrivals that follow a seed append without
+  /// copying it (an exact fit cost the first arrival 70–130 µs at
+  /// 1500 × 1024-bit).
   StagedCorpus(std::span<const mp::BigInt> seed, std::size_t group_size)
       : r_(std::max<std::size_t>(1, group_size)) {
     std::size_t total = 0;
-    for (const auto& n : seed) total += n.size();
-    data_.reserve(total);
-    offsets_.reserve(seed.size() + 1);
-    bits_.reserve(seed.size());
+    for (const auto& n : seed) {
+      total += n.size();
+      cap_ = std::max(cap_, n.size());
+    }
+    data_.reserve(total + r_ * cap_);
+    offsets_.reserve(seed.size() + r_ + 1);
+    bits_.reserve(seed.size() + r_);
     offsets_.push_back(0);
     for (const auto& n : seed) store(n);
     restage(cap_);
@@ -102,7 +108,7 @@ class StagedCorpus {
   /// Rebuild the panels with room for values up to value_cap limbs.
   void restage(std::size_t value_cap) {
     panels_.emplace(r_, std::max<std::size_t>(1, value_cap) + kBatchPadLimbs);
-    panels_->reserve(size());
+    panels_->reserve(size() + r_);
     for (std::size_t i = 0; i < size(); ++i) panels_->append(limbs(i));
   }
 

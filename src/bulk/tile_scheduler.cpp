@@ -88,8 +88,11 @@ TileSchedulerStats TileScheduler::run(ThreadPool* pool, const Body& body,
   const SchedulerTrace tr(trace);
 
   // Degraded/serial path: one worker, no pool, or a nested call from inside
-  // the pool itself (enqueued worker loops could never be picked up once
-  // the outer level saturates the pool — same rule as parallel_for).
+  // the pool itself. Unlike parallel_for, whose caller waits only for the
+  // helpers that claimed a piece, a schedule joins every one of its worker
+  // loops (each owns a worker slot's state until the final merge), so
+  // loops queued behind a saturated pool would never start and the join
+  // would deadlock.
   if (workers_ == 1 || pool == nullptr || pool->inside_pool()) {
     for (std::size_t t = 0; t < tiles_; ++t) {
       const TileRange range = tile(t);

@@ -104,9 +104,11 @@ class TileScheduler {
 
   /// Execute body over every tile exactly once; blocks until all tiles are
   /// done. Runs inline on the caller when worker_count() == 1, pool is
-  /// null, or the caller is already one of pool's workers (same nested-use
-  /// degradation as ThreadPool::parallel_for — worker loops enqueued on a
-  /// saturated pool could otherwise never run). Otherwise submits one
+  /// null, or the caller is already one of pool's workers: run() joins
+  /// every worker loop it submits (each owns its worker slot until the
+  /// merge), and loops queued on a saturated pool could never start.
+  /// (ThreadPool::parallel_for can help instead, as its caller waits only
+  /// for helpers that claimed a piece.) Otherwise submits one
   /// worker loop per worker to `pool` and waits. An exception thrown by
   /// body aborts the schedule (remaining tiles are not started) and is
   /// rethrown here, first one wins.

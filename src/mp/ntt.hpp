@@ -37,6 +37,7 @@
 
 #include <sys/mman.h>
 
+#include "core/thread_pool.hpp"
 #include "mp/karatsuba.hpp"
 #include "mp/span_ops.hpp"
 
@@ -404,6 +405,30 @@ inline Plan plan_product(std::size_t na, std::size_t nb) {
   }
 }
 
+/// Transforms at least this long run their three primes on the pool, one
+/// prime per piece (for_each_prime). Shorter ones serve tree levels wide
+/// enough to fill the pool on their own, where a split only adds
+/// hand-offs. In the batch tree (seed-1 2048 × 1024-bit corpus, 12
+/// interleaved rounds) thresholds of 2^12 and 2^13 points tied at 132 ms
+/// a tree, ahead of 2^11 (135 ms), 2^14 (136 ms) and no split (143 ms);
+/// EXPERIMENTS.md "Balanced pool and per-prime fan-out".
+inline constexpr std::size_t kSplitLength = std::size_t{1} << 13;
+
+/// step(i) for each prime i: one per parallel_for piece on the global pool
+/// for a transform of L ≥ kSplitLength points (nested calls help, see
+/// ThreadPool::parallel_for), in turn otherwise. The steps must touch
+/// disjoint rows.
+template <typename Step>
+void for_each_prime(std::size_t L, const Step& step) {
+  if (L < kSplitLength) {
+    for (std::size_t i = 0; i < 3; ++i) step(i);
+    return;
+  }
+  global_pool().parallel_for(0, 3, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) step(i);
+  });
+}
+
 // A product in three steps, each one prime at a time:
 //   1. forward_operand: an operand's forward transform. HeldTransform keeps
 //      all three primes' transforms of one operand, so a divisor or a
@@ -497,9 +522,9 @@ class HeldTransform {
       b = folded.data();
       nb = L;
     }
-    for (std::size_t i = 0; i < 3; ++i) {
+    for_each_prime(L, [&](std::size_t i) {
       forward_operand(spectrum(i), L, b, nb, inverse_length_scale(L, i), i);
-    }
+    });
   }
 
   std::size_t length() const noexcept { return std::size_t{1} << lg_; }
@@ -552,11 +577,11 @@ class HeldTransform {
   std::array<u64*, 3> transform_times(const u64* a, std::size_t na, u64* scratch) const {
     const std::size_t L = length();
     std::array<u64*, 3> c{};
-    for (std::size_t i = 0; i < 3; ++i) {
-      c[i] = scratch + i * row_words();
+    for (std::size_t i = 0; i < 3; ++i) c[i] = scratch + i * row_words();
+    for_each_prime(L, [&](std::size_t i) {
       forward_operand(c[i], L, a, na, kPrimes[i].r2, i);
       multiply_inverse(c[i], L, spectrum(i), i);
-    }
+    });
     return c;
   }
 
@@ -629,7 +654,10 @@ inline void mul_words(u64* dst, const u64* a, std::size_t na, const u64* b,
     return;
   }
   // One chunk needs b's transform for one prime at a time, in dst when dst
-  // is long enough: dst is written only after the last transform.
+  // is long enough: dst is written only after the last transform. The
+  // primes run in turn even past kSplitLength: at once they would need a
+  // b row each, which raised the batch tree's peak RSS by 5% for no gain
+  // beyond noise (EXPERIMENTS.md "Balanced pool and per-prime fan-out").
   const std::size_t cl = L + kMaxWrap + 2;
   const bool b_in_dst = na + nb >= L;
   const TransformBuffer buf(3 * cl + (b_in_dst ? 0 : L));
@@ -658,9 +686,9 @@ inline void square_words(u64* dst, const u64* a, std::size_t na) {
   const std::size_t cl = L + kMaxWrap + 2;
   const TransformBuffer buf(3 * cl);
   std::array<u64*, 3> c{};
-  for (std::size_t i = 0; i < 3; ++i) {
+  for (std::size_t i = 0; i < 3; ++i) c[i] = buf.data() + i * cl;
+  for_each_prime(L, [&](std::size_t i) {
     const Prime& f = kPrimes[i];
-    c[i] = buf.data() + i * cl;
     forward_operand(c[i], L, a, na, f.r2, i);
     const u64 inv_len = f.p - (f.p - 1) / L;
     for (std::size_t j = 0; j < L; ++j) {
@@ -668,7 +696,7 @@ inline void square_words(u64* dst, const u64* a, std::size_t na) {
     }
     inverse(c[i], L, f, twiddles(i));
     unfold(c[i], L, a, na, a, 0, na, i);
-  }
+  });
   coefficients_in_place(c[0], c[1], c[2], 2 * na - 1);
   std::copy(c[0], c[0] + 2 * na, dst);
 }

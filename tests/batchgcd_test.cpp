@@ -5,21 +5,25 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <set>
 #include <thread>
 
 #include "batchgcd/batch_journal.hpp"
+#include "core/thread_pool.hpp"
 #include "batchgcd/fraction.hpp"
 #include "bulk/allpairs.hpp"
 #include "gmp_oracle.hpp"
 #include "journal_bytes.hpp"
 #include "mp/newton_div.hpp"
+#include "mp/ntt.hpp"
 #include "obs/metrics.hpp"
 #include "rsa/corpus.hpp"
 #include "rsa/keystore.hpp"
@@ -897,6 +901,51 @@ TEST(BatchGcdTest, FinalGcdsMatchGmpOnEvenDuplicateAndUnbalancedLeaves) {
   EXPECT_EQ(want[9], moduli[9]);
   EXPECT_EQ(want[5] % prime, BigInt(0));
   EXPECT_EQ(batch_gcd(moduli).gcds, want);
+}
+
+TEST(BatchGcdTest, TreeInsideASaturatedPoolMatchesTheTestThreadAndGmp) {
+  // 1024 random odd 1024-bit values (sharing small factors) with a planted
+  // 256-bit prime: the entry's four nodes are 4096 words (a product of two
+  // takes kSplitLength points), so the held transforms of their Newton
+  // divisions reach kSplitLength points, and their primes fan out over the
+  // pool. The gcds are the same from
+  // the test thread (the workers help), from a worker while the others
+  // idle (a nested call they help), and from a worker while every other
+  // worker is busy (each nested call runs on its caller alone).
+  Xoshiro256 rng(226);
+  std::vector<BigInt> moduli;
+  for (int i = 0; i < 1024; ++i) moduli.push_back(random_odd<std::uint32_t>(rng, 1024));
+  const BigInt prime = rsa::random_prime(rng, 256);
+  moduli[7] = prime * random_odd<std::uint32_t>(rng, 768);
+  moduli[400] = prime * random_odd<std::uint32_t>(rng, 768);
+  const ProductTree tree = build_product_tree(moduli);
+  const std::size_t words = (tree[tree.size() - 3][0].size() + 1) / 2;
+  ASSERT_GE(std::size_t{1} << mp::ntt_detail::plan_product(words, words).lg,
+            mp::ntt_detail::kSplitLength);
+
+  const std::vector<BigInt> want = gmp_batch_gcds(moduli);
+  EXPECT_EQ(want[7] % prime, BigInt(0));
+  EXPECT_EQ(batch_gcd(moduli).gcds, want);
+
+  ThreadPool& pool = global_pool();
+  std::vector<BigInt> nested;
+  pool.submit([&] { nested = batch_gcd(moduli).gcds; }).get();
+  EXPECT_EQ(nested, want);
+
+  std::vector<BigInt> saturated;
+  std::atomic<bool> done{false};
+  std::vector<std::future<void>> tasks;
+  tasks.push_back(pool.submit([&] {
+    saturated = batch_gcd(moduli).gcds;
+    done = true;
+  }));
+  for (std::size_t i = 1; i < pool.size(); ++i) {
+    tasks.push_back(pool.submit([&] {
+      while (!done) std::this_thread::yield();
+    }));
+  }
+  for (auto& t : tasks) t.get();
+  EXPECT_EQ(saturated, want);
 }
 
 TEST_F(BatchResumeTest, ResiduesAtTheEdgesRoundExactly) {

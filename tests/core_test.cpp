@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/record_log.hpp"
 #include "core/rng.hpp"
@@ -127,24 +130,147 @@ TEST(ThreadPoolTest, ParallelForEmptyRangeIsNoop) {
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPoolTest, NestedParallelForRunsInlineInsteadOfDeadlocking) {
-  // A parallel_for issued from inside a pool worker used to enqueue chunks
-  // no idle worker could ever run (every worker blocked on the inner
-  // futures) — a guaranteed deadlock once the outer level saturated the
-  // pool. Nested calls must detect the in-pool caller and execute inline.
+TEST(ThreadPoolTest, NestedParallelForHelpsInsteadOfDeadlocking) {
+  // A parallel_for issued from inside a pool worker claims its pieces on
+  // that worker, and idle workers join in; it never waits on a queued task.
+  // The outer pieces run on the test thread (the outer caller) or on
+  // workers; every inner piece of a nested call runs on a worker.
   ThreadPool pool(2);
   std::atomic<int> inner_sum{0};
-  std::atomic<int> outer_chunks{0};
+  std::atomic<int> outer_pieces{0};
+  std::atomic<int> nested_off_worker{0};
   pool.parallel_for(0, 8, [&](std::size_t lo, std::size_t hi) {
-    ++outer_chunks;
-    EXPECT_TRUE(pool.inside_pool());
+    ++outer_pieces;
+    const bool nested = pool.inside_pool();
     pool.parallel_for(lo, hi, [&](std::size_t ilo, std::size_t ihi) {
+      if (nested && !pool.inside_pool()) ++nested_off_worker;
       for (std::size_t i = ilo; i < ihi; ++i) inner_sum += int(i);
     });
   });
   EXPECT_EQ(inner_sum.load(), 0 + 1 + 2 + 3 + 4 + 5 + 6 + 7);
-  EXPECT_GT(outer_chunks.load(), 0);
+  EXPECT_EQ(outer_pieces.load(), 8);  // 8 indices: one per piece
+  EXPECT_EQ(nested_off_worker.load(), 0);
   EXPECT_FALSE(pool.inside_pool());  // the test thread is not a worker
+}
+
+TEST(ThreadPoolTest, SaturatedNestedCallsRunEveryIndexExactlyOnce) {
+  // Every worker is busy with an outer piece, and each outer piece nests a
+  // call with more pieces than the pool has workers: each nested call must
+  // finish, on its own worker if no other is free, and cover its range
+  // exactly once.
+  for (const std::size_t threads : {2u, 4u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    constexpr std::size_t kOuter = 64, kInner = 37;
+    std::vector<std::atomic<int>> touched(kOuter * kInner);
+    for (auto& t : touched) t.store(0);
+    pool.parallel_for(0, kOuter, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t o = lo; o < hi; ++o) {
+        pool.parallel_for(0, kInner, [&](std::size_t ilo, std::size_t ihi) {
+          for (std::size_t i = ilo; i < ihi; ++i) ++touched[o * kInner + i];
+        }, /*chunks=*/kInner);
+      }
+    }, /*chunks=*/kOuter);
+    for (std::size_t k = 0; k < touched.size(); ++k) {
+      ASSERT_EQ(touched[k].load(), 1) << "outer " << k / kInner << " inner " << k % kInner;
+    }
+  }
+}
+
+/// Runs fn on one of pool's workers and waits for it.
+template <typename Fn>
+void on_worker(ThreadPool& pool, Fn fn) {
+  pool.submit([&] {
+    ASSERT_TRUE(pool.inside_pool());
+    fn();
+  }).get();
+}
+
+TEST(ThreadPoolTest, ThrowStopsFurtherClaimsFromEveryCaller) {
+  // Piece 0 throws; every other piece holds its thread until the throw has
+  // happened and then for 20 ms more, long past the moment the throw shuts
+  // the range. So each thread runs at most one piece, of 1000. Checked for
+  // the test thread as caller and for a nested call from a worker.
+  ThreadPool pool(4);
+  const auto run = [&pool] {
+    std::atomic<bool> thrown{false};
+    std::atomic<int> ran{0};
+    EXPECT_THROW(
+        pool.parallel_for(0, 1000, [&](std::size_t lo, std::size_t) {
+          ++ran;
+          if (lo == 0) {
+            thrown = true;
+            throw std::runtime_error("piece 0");
+          }
+          while (!thrown) std::this_thread::yield();
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }, /*chunks=*/1000),
+        std::runtime_error);
+    EXPECT_GE(ran.load(), 1);
+    EXPECT_LE(ran.load(), int(pool.size()) + 1);
+  };
+  run();
+  on_worker(pool, run);
+}
+
+TEST(ThreadPoolTest, HelpersStartingAfterTheRangeIsUsedUpNeverCallBody) {
+  // Block every worker but (at most) the caller's own, so the call's helper
+  // tasks queue behind the blockers and the caller runs every piece alone.
+  // Once released, the helpers find the range used up and return without
+  // calling body, which is still alive here, so a stray call would be seen.
+  for (const bool nested : {false, true}) {
+    SCOPED_TRACE(nested);
+    std::atomic<int> calls_elsewhere{0};
+    std::atomic<int> covered{0};
+    std::thread::id caller;
+    const std::function<void(std::size_t, std::size_t)> body =
+        [&](std::size_t lo, std::size_t hi) {
+          if (std::this_thread::get_id() != caller) ++calls_elsewhere;
+          covered += int(hi - lo);
+        };
+    {
+      ThreadPool pool(3);
+      std::atomic<bool> release{false};
+      std::vector<std::future<void>> blockers;
+      const std::size_t blocked = nested ? pool.size() - 1 : pool.size();
+      std::atomic<std::size_t> waiting{0};
+      for (std::size_t i = 0; i < blocked; ++i) {
+        blockers.push_back(pool.submit([&] {
+          ++waiting;
+          while (!release) std::this_thread::yield();
+        }));
+      }
+      while (waiting < blocked) std::this_thread::yield();
+      const auto call = [&] {
+        caller = std::this_thread::get_id();
+        pool.parallel_for(0, 100, body, /*chunks=*/100);
+      };
+      if (nested) {
+        on_worker(pool, call);
+      } else {
+        call();
+      }
+      EXPECT_EQ(covered.load(), 100);
+      release = true;
+      for (auto& b : blockers) b.get();
+    }  // the pool drains its queue, helpers included, before it joins
+    EXPECT_EQ(calls_elsewhere.load(), 0);
+    EXPECT_EQ(covered.load(), 100);
+  }
+}
+
+TEST(ThreadPoolTest, OneWorkerPoolServesOutsideAndNestedCallers) {
+  // One worker: a call from outside shares its pieces with the worker; a
+  // call from the worker itself has no one to share with and runs inline.
+  ThreadPool pool(1);
+  std::vector<std::atomic<int>> touched(200);
+  for (auto& t : touched) t.store(0);
+  const auto cover = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) ++touched[i];
+  };
+  pool.parallel_for(0, 100, cover);
+  on_worker(pool, [&] { pool.parallel_for(100, 200, cover); });
+  for (std::size_t i = 0; i < touched.size(); ++i) ASSERT_EQ(touched[i].load(), 1) << i;
 }
 
 TEST(ThreadPoolTest, NestedGlobalPoolUseCompletes) {

@@ -5,6 +5,11 @@
 // conversion too.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <utility>
+#include <vector>
+
+#include "core/thread_pool.hpp"
 #include "gmp_oracle.hpp"
 #include "mp/bigint.hpp"
 #include "mp/karatsuba.hpp"
@@ -637,6 +642,86 @@ TYPED_TEST(MpStressTest, HeldTransformDivisorOnTheFixupBoundary) {
       expect_held_division_matches_gmp(divisor, b, dividends);
       expect_held_division_matches_gmp(one_block, b, dividends);
     }
+  }
+}
+
+using ntt_detail::u64;
+
+/// GMP's value of 64-bit words, least significant first.
+test::Mpz words_to_mpz(const u64* w, std::size_t n) {
+  test::Mpz out;
+  mpz_import(out.get(), n, -1, sizeof(u64), 0, 0, w);
+  return out;
+}
+
+std::vector<u64> random_words(Xoshiro256& rng, std::size_t n) {
+  std::vector<u64> w(n);
+  for (auto& x : w) x = rng();
+  w.back() |= u64{1} << 63;
+  return w;
+}
+
+/// mul_words, square_words, HeldTransform::multiply and multiply_cyclic at
+/// transform lengths 2^lg, each against GMP.
+void expect_word_products_match_gmp(int lg, Xoshiro256& rng) {
+  const std::size_t L = std::size_t{1} << lg;
+  SCOPED_TRACE(::testing::Message() << "L " << L);
+  const auto product = [](const std::vector<u64>& a, const std::vector<u64>& b) {
+    test::Mpz p;
+    mpz_mul(p.get(), words_to_mpz(a.data(), a.size()).get(),
+            words_to_mpz(b.data(), b.size()).get());
+    return p;
+  };
+  // One chunk of L points (a balanced product just under L words), and a
+  // 4:1 product that the plan cuts into chunks against b held at L.
+  for (const auto& [na, nb] : {std::pair{L / 2, L / 2}, std::pair{2 * L, L / 2}}) {
+    const auto a = random_words(rng, na), b = random_words(rng, nb);
+    std::vector<u64> dst(na + nb);
+    ntt_detail::mul_words(dst.data(), a.data(), na, b.data(), nb);
+    ASSERT_EQ(words_to_mpz(dst.data(), dst.size()), product(a, b)) << na << " x " << nb;
+  }
+  {
+    const auto a = random_words(rng, L / 2);
+    std::vector<u64> dst(L);
+    ntt_detail::square_words(dst.data(), a.data(), a.size());
+    ASSERT_EQ(words_to_mpz(dst.data(), dst.size()), product(a, a));
+  }
+  const auto b = random_words(rng, L / 2);
+  const ntt_detail::HeldTransform held(b.data(), b.size(), lg);
+  ASSERT_EQ(held.length(), L);
+  const ntt_detail::TransformBuffer scratch(held.scratch_words());
+  {
+    const auto a = random_words(rng, L / 2 + ntt_detail::kMaxWrap);
+    const u64* r = held.multiply(a.data(), a.size(), scratch.data());
+    ASSERT_EQ(words_to_mpz(r, a.size() + b.size()), product(a, b));
+  }
+  {
+    const auto a = random_words(rng, L + 5);
+    const u64* r = held.multiply_cyclic(a.data(), a.size(), scratch.data());
+    test::Mpz m, want = product(a, b), got = words_to_mpz(r, L);
+    mpz_ui_pow_ui(m.get(), 2, 64 * L);
+    mpz_sub_ui(m.get(), m.get(), 1);
+    mpz_mod(want.get(), want.get(), m.get());
+    mpz_mod(got.get(), got.get(), m.get());  // 0 may come out as 2^{64L} − 1
+    ASSERT_EQ(got, want);
+  }
+}
+
+TEST(MpSplitTransformTest, ProductsAroundTheSplitLengthMatchGmpOnAnyThread) {
+  // Transforms of kSplitLength points or more run one prime per pool piece,
+  // shorter ones in turn: just below, at and above that length the
+  // products must be the same whether called from this thread (the pool's
+  // workers help) or from inside a pool worker (a nested call), where idle
+  // workers help too.
+  constexpr int kSplitLg = std::countr_zero(ntt_detail::kSplitLength);
+  Xoshiro256 rng(188);
+  for (const int lg : {kSplitLg - 1, kSplitLg, kSplitLg + 1}) {
+    expect_word_products_match_gmp(lg, rng);
+    Xoshiro256 worker_rng = rng.split();
+    global_pool().submit([&] {
+      ASSERT_TRUE(global_pool().inside_pool());
+      expect_word_products_match_gmp(lg, worker_rng);
+    }).get();
   }
 }
 

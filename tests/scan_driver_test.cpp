@@ -221,6 +221,81 @@ TEST_F(ScanDriverTest, CheckpointRejectsChangedScanGeometry) {
   EXPECT_THROW(run_resumable_scan(corpus.moduli, changed), std::runtime_error);
 }
 
+TEST(AutoChunkBlocksTest, AboutSixteenChunksPerWorkerUpToSixtyFourBlocks) {
+  // m = 512 and m = 2048 at the default 64 moduli per group: 8 and 32
+  // groups, 36 and 528 blocks.
+  EXPECT_EQ(BlockGrid(512, 64).block_count(), 36u);
+  EXPECT_EQ(BlockGrid(2048, 64).block_count(), 528u);
+  EXPECT_EQ(auto_chunk_blocks(36, 4), 1u);   // 36 chunks where 64 made 1
+  EXPECT_EQ(auto_chunk_blocks(528, 4), 9u);  // 59 chunks where 64 made 9
+  EXPECT_EQ(auto_chunk_blocks(528, 1), 33u);
+  EXPECT_EQ(auto_chunk_blocks(1'000'000, 4), kMaxAutoChunkBlocks);
+  EXPECT_EQ(auto_chunk_blocks(0, 0), 1u);
+}
+
+TEST_F(ScanDriverTest, DefaultChunkSizeIsDerivedFromTheCorpusAndTheWorkers) {
+  const WeakCorpus corpus = test_corpus(512, 2, 120);
+  ScanConfig config;
+  config.pairs.pool_threads = 4;
+  config.stop_after_chunks = 1;  // the geometry is all this test reads
+  EXPECT_EQ(run_resumable_scan(corpus.moduli, config).chunks_total, 36u);
+  config.chunk_blocks = 64;
+  EXPECT_EQ(run_resumable_scan(corpus.moduli, config).chunks_total, 1u);
+}
+
+TEST_F(ScanDriverTest, DerivedChunkSizeAdoptsTheCheckpointsAndExplicitOnesMustMatch) {
+  // 26 moduli in groups of 4: 7 groups, 28 blocks. A checkpoint cut at an
+  // explicit 5 blocks per chunk resumes under the derived default (which
+  // would pick 1 block on 2 workers) at 5, to the uninterrupted hits; one
+  // cut under the derived default on 4 workers resumes on 1 worker, whose
+  // own derived size differs. An explicit size that differs is refused by
+  // name.
+  const WeakCorpus corpus = test_corpus(26, 4, 121);
+  ScanConfig config;
+  config.pairs.group_size = 4;
+  const ScanReport reference = run_resumable_scan(corpus.moduli, config);
+  ASSERT_TRUE(reference.complete);
+  ASSERT_FALSE(reference.result.hits.empty());
+  config.checkpoint = path_;
+
+  ScanConfig cut = config;
+  cut.chunk_blocks = 5;
+  cut.stop_after_chunks = 2;
+  ASSERT_FALSE(run_resumable_scan(corpus.moduli, cut).complete);
+  ScanConfig resume = config;
+  resume.pairs.pool_threads = 2;
+  ASSERT_EQ(auto_chunk_blocks(28, 2), 1u);
+  const ScanReport adopted = run_resumable_scan(corpus.moduli, resume);
+  EXPECT_TRUE(adopted.complete);
+  EXPECT_TRUE(adopted.resumed);
+  EXPECT_EQ(adopted.chunks_total, 6u);
+  expect_same_hits(adopted.result.hits, reference.result.hits);
+
+  std::filesystem::remove(path_);
+  cut = config;
+  cut.pairs.pool_threads = 4;
+  cut.stop_after_chunks = 3;
+  ASSERT_EQ(run_resumable_scan(corpus.moduli, cut).chunks_total, 28u);
+  resume.pairs.pool_threads = 1;
+  ASSERT_EQ(auto_chunk_blocks(28, 1), 2u);
+  const ScanReport other_workers = run_resumable_scan(corpus.moduli, resume);
+  EXPECT_TRUE(other_workers.complete);
+  EXPECT_TRUE(other_workers.resumed);
+  EXPECT_EQ(other_workers.chunks_total, 28u);
+  expect_same_hits(other_workers.result.hits, reference.result.hits);
+
+  ScanConfig explicit_size = config;
+  explicit_size.chunk_blocks = 2;
+  try {
+    run_resumable_scan(corpus.moduli, explicit_size);
+    FAIL() << "an explicit chunk size that differs from the checkpoint's resumed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("chunk blocks (checkpoint 1, this scan 2)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(ScanDriverTest, VectorCheckpointResumesUnderStagedAndAuto) {
   // The journal identity records only scalar-vs-SIMT: a checkpoint written
   // by the vector engine resumes under the staged engine (and under kAuto,

@@ -140,24 +140,10 @@ TEST(CorpusPanelsTest, IncrementalAppendMatchesOneShotConstruction) {
   }
 }
 
-TEST(StagedCorpusTest, GrowthRestagesAndMatchesOnePassSeed) {
-  Xoshiro256 rng(95);
-  // Seed with small values, then append a much larger one: the capacity
-  // doubling must re-stage without perturbing any already-staged member,
-  // and the grown corpus must equal a StagedCorpus seeded in one pass with
-  // the same moduli — flat limbs, bit lengths and panels.
-  std::vector<BigInt> moduli;
-  for (std::size_t i = 0; i < 4; ++i) {
-    moduli.push_back(random_odd<std::uint32_t>(rng, 96));
-  }
-  StagedCorpus staged(moduli, 3);
-  const std::size_t pad_before = staged.panels().padded_limbs();
-  moduli.push_back(random_odd<std::uint32_t>(rng, 384));  // forces restage
-  moduli.push_back(random_odd<std::uint32_t>(rng, 128));
-  for (std::size_t i = 4; i < moduli.size(); ++i) staged.append(moduli[i]);
-  EXPECT_GT(staged.panels().padded_limbs(), pad_before);
-
-  const StagedCorpus seeded(moduli, 3);
+/// staged equals seeded, a StagedCorpus seeded in one pass with `moduli`:
+/// flat limbs, bit lengths and panels.
+void expect_same_staging(const StagedCorpus& staged, const StagedCorpus& seeded,
+                         const std::vector<BigInt>& moduli) {
   ASSERT_EQ(staged.size(), seeded.size());
   EXPECT_EQ(staged.max_limbs(), seeded.max_limbs());
   EXPECT_EQ(staged.group_size(), seeded.group_size());
@@ -172,9 +158,7 @@ TEST(StagedCorpusTest, GrowthRestagesAndMatchesOnePassSeed) {
     EXPECT_EQ(BigInt::from_limbs(got), moduli[i]) << "modulus " << i;
   }
 
-  // The jumbo append sets the grown padding to its own size + the pad rows,
-  // which is the one-pass seed's geometry: the rebuilt panels are the
-  // one-pass panels.
+  // Same padding, groups, rows, sizes and panel elements.
   const auto& live = staged.panels();
   const auto& oneshot = seeded.panels();
   ASSERT_EQ(live.padded_limbs(), oneshot.padded_limbs());
@@ -192,6 +176,50 @@ TEST(StagedCorpusTest, GrowthRestagesAndMatchesOnePassSeed) {
       ASSERT_EQ(got[k], want[k]) << "group " << g << " element " << k;
     }
   }
+}
+
+TEST(StagedCorpusTest, GrowthRestagesAndMatchesOnePassSeed) {
+  Xoshiro256 rng(95);
+  // Seed with small values, then append a much larger one: the capacity
+  // doubling must re-stage without perturbing any already-staged member,
+  // and the grown corpus must equal a StagedCorpus seeded in one pass with
+  // the same moduli — flat limbs, bit lengths and panels.
+  std::vector<BigInt> moduli;
+  for (std::size_t i = 0; i < 4; ++i) {
+    moduli.push_back(random_odd<std::uint32_t>(rng, 96));
+  }
+  StagedCorpus staged(moduli, 3);
+  const std::size_t pad_before = staged.panels().padded_limbs();
+  moduli.push_back(random_odd<std::uint32_t>(rng, 384));  // forces restage
+  moduli.push_back(random_odd<std::uint32_t>(rng, 128));
+  for (std::size_t i = 4; i < moduli.size(); ++i) staged.append(moduli[i]);
+  EXPECT_GT(staged.panels().padded_limbs(), pad_before);
+
+  // The jumbo append sets the grown padding to its own size + the pad rows,
+  // which is the one-pass seed's geometry: the rebuilt panels are the
+  // one-pass panels.
+  expect_same_staging(staged, StagedCorpus(moduli, 3), moduli);
+}
+
+TEST(StagedCorpusTest, SeedLeavesRoomForOneMoreGroup) {
+  // The seed reserves one group of its largest size past itself: the r
+  // arrivals that follow it (here 1500 = 23·64 + 28, so they finish group 23
+  // and start group 24) copy neither the flat store nor the panels, and the
+  // result equals a one-pass seed of the same moduli.
+  Xoshiro256 rng(96);
+  constexpr std::size_t kGroup = 64;
+  std::vector<BigInt> moduli;
+  for (std::size_t i = 0; i < 1500; ++i) moduli.push_back(random_odd<std::uint32_t>(rng, 1024));
+  StagedCorpus staged(moduli, kGroup);
+  const ScanLimb* const flat = staged.limbs(0).data();
+  const ScanLimb* const panel = staged.panels().panel(0).data();
+  for (std::size_t k = 0; k < kGroup; ++k) {
+    moduli.push_back(random_odd<std::uint32_t>(rng, 1024 - 32 * (k % 3)));
+    staged.append(moduli.back());
+    ASSERT_EQ(staged.limbs(0).data(), flat) << "append " << k << " copied the flat store";
+    ASSERT_EQ(staged.panels().panel(0).data(), panel) << "append " << k << " copied the panels";
+  }
+  expect_same_staging(staged, StagedCorpus(moduli, kGroup), moduli);
 }
 
 TEST(CorpusPanelsTest, RejectsUndersizedPadding) {
